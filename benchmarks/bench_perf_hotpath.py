@@ -6,9 +6,9 @@ syndrome kernels, batched sensing, memoized reliability samplers — and
 the qualitative claim is that every optimization actually pays for
 itself (ratio above the gate's tolerance-relaxed floor).
 
-The end-to-end cells are exercised by the CI ``bench-smoke`` job via
-``python -m repro.perf check``; re-timing them here would double the
-suite's wall time for no extra signal.
+The end-to-end metrics-overhead cell is exercised by the CI
+``bench-smoke`` job via ``python -m repro.perf check``; re-timing it here
+would add wall time for no extra signal.
 """
 
 from repro.perf.bench_gate import (

@@ -35,6 +35,7 @@ from __future__ import annotations
 import atexit
 import os
 import random
+import signal
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -115,6 +116,14 @@ def _run_worker_chaos(spec: RunSpec) -> None:
         if fault.kind == "worker_crash":
             os._exit(3)
         time.sleep(fault.magnitude)  # worker_hang
+
+
+def _default_sigterm() -> None:
+    """Pool-worker initializer: forked workers inherit the parent's signal
+    handlers, including the durable runtime's SIGTERM-to-KeyboardInterrupt
+    conversion; a worker the pool terminates must just die, not print a
+    traceback."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _execute_cell(spec: RunSpec) -> Tuple[RunSpec, SimulationResult, float]:
@@ -312,7 +321,8 @@ class _PoolRun:
     # --- pool lifecycle ---------------------------------------------------
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
+        return ProcessPoolExecutor(max_workers=self.max_workers,
+                                   initializer=_default_sigterm)
 
     def _kill_pool(self) -> None:
         """Terminate worker processes (they may be hung) and drop the pool."""

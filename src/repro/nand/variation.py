@@ -71,8 +71,8 @@ def hash_to_unit_batch(seed: int, key: int, values: np.ndarray) -> np.ndarray:
 
     Bit-exact per lane: the (seed, key) prefix folds to one scalar
     constant, the per-value fold and the (h + 0.5) / 2**64 mapping use
-    only exact uint64/float64 operations.  Used by the batched read
-    pipeline to sample a whole batch of cold ages at once.
+    only exact uint64/float64 operations.  Used by the read pipeline
+    to sample a whole batch of cold ages at once.
     """
     prefix = np.uint64(_mix64(_mix64(seed & 0xFFFFFFFFFFFFFFFF)
                               ^ _mix64(key & 0xFFFFFFFFFFFFFFFF)))

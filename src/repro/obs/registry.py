@@ -15,8 +15,7 @@ and :func:`scrape_result` only *read* the accounting the simulator
 already keeps (:class:`~repro.ssd.metrics.SimMetrics`, the per-channel
 ``busy_time_by_tag`` / ``blocked_time`` counters, the decoder-buffer
 occupancy) — they never touch the event queue, so a scraped run is
-bit-identical to an unscraped one, and both simulation cores emit
-identical metrics because they share those accounting surfaces.
+bit-identical to an unscraped one.
 
 Import discipline: this module never imports :mod:`repro.ssd` or
 :mod:`repro.campaign` (those layers import *us*); the scrape functions
@@ -349,11 +348,10 @@ def scrape_simulator(ssd, registry: Optional[MetricRegistry] = None,
 
     A pure pull: reads :class:`~repro.ssd.metrics.SimMetrics`, per-channel
     ``busy_time_by_tag`` / ``blocked_time`` / ``jobs_completed``, and the
-    decoder-buffer occupancy (current, peak, capacity).  Both simulation
-    cores expose identical surfaces (``SerialResource``/``EccEngine`` vs
-    ``FastChannel``/``FastEcc``), so the emitted metrics are identical by
-    construction.  Each call *adds* to ``registry`` — scrape into a fresh
-    registry unless accumulation is intended.
+    decoder-buffer occupancy (current, peak, capacity) of the
+    :mod:`repro.ssd.resources` channels and decoders.  Each call *adds* to
+    ``registry`` — scrape into a fresh registry unless accumulation is
+    intended.
     """
     registry = registry if registry is not None else MetricRegistry()
     base = dict(labels or {})

@@ -79,7 +79,7 @@ class SnapshotRecorder:
     """Accumulates per-window channel busy time and counter deltas.
 
     Wire :meth:`observe_span` as a channel probe
-    (:meth:`~repro.ssd.resources.SerialResource.attach_probe`) and call
+    (:meth:`~repro.ssd.resources.Fifo.attach_probe`) and call
     :meth:`note` from the metric hooks; :meth:`finalize` closes the last
     partial window and freezes the series.
     """

@@ -152,8 +152,9 @@ class SimTracer:
 
     def record_resource(self, resource: str, tag: str, start_us: float,
                         end_us: float, label: Optional[str] = None) -> None:
-        """Probe target for :meth:`SerialResource.attach_probe`: one
-        occupancy (or ECCWAIT blocked) interval of a hardware resource."""
+        """Probe target for :meth:`~repro.ssd.resources.Fifo.attach_probe`:
+        one occupancy (or ECCWAIT blocked) interval of a hardware
+        resource."""
         if self._admit():
             self.resource_spans.append(SpanEvent(
                 label or tag, resource, start_us, end_us, tag,

@@ -34,9 +34,11 @@ def _add_suite_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reps", type=int, default=5,
                         help="best-of-k repetitions per micro benchmark")
     parser.add_argument("--e2e-reps", type=int, default=3,
-                        help="best-of-k repetitions per end-to-end cell")
+                        help="metrics-overhead cell: time max(6N, 24) "
+                             "metered/unmetered pairs")
     parser.add_argument("--no-e2e", action="store_true",
-                        help="skip the end-to-end cells (micro only)")
+                        help="skip the end-to-end metrics-overhead cell "
+                             "(micro only)")
 
 
 def _run(args: argparse.Namespace):

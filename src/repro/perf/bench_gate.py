@@ -1,17 +1,14 @@
 """Pinned benchmark suite and regression gate for the hot-path layer.
 
-The suite times each optimization against its *own reference path on the
-same inputs in the same process*, so the reported numbers are speedup
-**ratios** — portable across machines, unlike absolute seconds:
-
-* micro benchmarks time the vectorized LDPC/sense kernels against the
-  seed implementations preserved in :mod:`repro.perf.kernels`, and the
-  memoized reliability samplers against themselves under
-  :func:`~repro.perf.cache.caches_disabled`;
-* end-to-end benchmarks run pinned fig.-17-style cells (read-heavy
-  workloads at the 2K-P/E operating point, RiF policy) on the batched
-  structure-of-arrays core vs the scalar reference core with memo caches
-  disabled (``scalar_core()`` + ``caches_disabled()`` — the seed path).
+The micro benchmarks time each optimization against its *own reference
+path on the same inputs in the same process*, so the reported numbers are
+speedup **ratios** — portable across machines, unlike absolute seconds:
+the vectorized LDPC/sense kernels against the seed implementations
+preserved in :mod:`repro.perf.kernels`, and the memoized reliability
+samplers against themselves under
+:func:`~repro.perf.cache.caches_disabled`.  End-to-end simulation speed
+is held as absolute numbers by the repository benchmark
+(``perfbench/``, metric ``pages_per_s``), not by this gate.
 
 Timing is interleaved best-of-k: each repetition times the optimized and
 the reference side back to back and the ratio uses the per-side minima,
@@ -20,8 +17,8 @@ which cancels slow drift of the host machine.
 ``record`` writes a results file (``BENCH_baseline.json`` when run with
 ``--baseline``, else ``BENCH_current.json``); ``check`` re-runs the suite
 and fails (exit 1) if any benchmark's speedup dropped more than
-``tolerance`` below the committed baseline's, or below the absolute floor
-for its kind (2.0x micro, 3.0x end-to-end, both tolerance-relaxed).
+``tolerance`` below the committed baseline's, or below the 2.0x micro
+floor (tolerance-relaxed).
 
 The suite also carries a metrics-overhead guard (kind ``overhead``): the
 pinned fig.-17 cell run fully metered (registry scrape + fleet rollup +
@@ -53,14 +50,12 @@ from ..ldpc.qc_matrix import QcLdpcCode
 from ..nand.vth import PageType, TlcVthModel
 from ..ssd.lut_reliability import LutReliabilitySampler
 from ..ssd.reliability import PageReliabilitySampler
-from ..ssd.core_mode import scalar_core
 from . import kernels
 from .cache import caches_disabled
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 0.15
 MICRO_FLOOR = 2.0
-E2E_FLOOR = 3.0
 #: The metrics plane must stay passive in cost as well as in behaviour: a
 #: fully metered cell (snapshot recorder on + registry scrape) may run at
 #: most 5% slower than the unmetered run, i.e. its "speedup" ratio
@@ -75,18 +70,9 @@ OVERHEAD_FLOOR = 1.0 / 1.05
 #: regression actually threatens the contract — the baseline binds fully.
 BASELINE_CAP_FACTOR = 4.0
 
-#: The pinned end-to-end cells: the grid's most read-heavy workloads at
-#: the worn operating point, under the paper's RiF policy — plus one
-#: history-driven cell (repro.ssd.adaptive) so the stateful dispatch path
-#: (per-read ``begin_read`` + state-versioned route memo) stays on the
-#: gate.
-E2E_CELLS: Tuple[Tuple[str, str, float], ...] = (
-    ("Ali124", "RiFSSD", 2000.0),
-    ("Ali121", "RiFSSD", 2000.0),
-    ("Sys1", "RiFSSD", 2000.0),
-    ("Ali124", "OVCSSD", 2000.0),
-)
-E2E_N_REQUESTS = 12000
+#: The metrics-overhead guard's pinned cell: the grid's most read-heavy
+#: workload at the worn operating point, under the paper's RiF policy.
+OVERHEAD_CELL: Tuple[str, str, float] = ("Ali124", "RiFSSD", 2000.0)
 PIN_SEED = 7
 
 
@@ -95,7 +81,7 @@ class BenchResult:
     """One benchmark's timings (seconds, per-side best-of-k) and ratio."""
 
     name: str
-    kind: str  # "micro" | "e2e" | "overhead"
+    kind: str  # "micro" | "overhead"
     optimized_s: float
     reference_s: float
 
@@ -111,11 +97,7 @@ class BenchResult:
 
     @property
     def floor(self) -> float:
-        if self.kind == "micro":
-            return MICRO_FLOOR
-        if self.kind == "overhead":
-            return OVERHEAD_FLOOR
-        return E2E_FLOOR
+        return OVERHEAD_FLOOR if self.kind == "overhead" else MICRO_FLOOR
 
 
 def _interleaved_best(
@@ -236,40 +218,12 @@ def _bench_lut_cache(reps: int) -> BenchResult:
     return BenchResult("lut_cache", "micro", opt, ref)
 
 
-# --- end-to-end benchmarks ---------------------------------------------------------
-
-
-def _bench_e2e_cell(workload: str, policy: str, pe: float,
-                    reps: int) -> BenchResult:
-    spec = RunSpec(workload=workload, policy=policy, pe_cycles=pe,
-                   n_requests=E2E_N_REQUESTS, seed=PIN_SEED)
-    # trace generation is core/cache-independent setup — keep it out of
-    # the timed region so the ratio measures the simulation itself
-    trace = build_trace(spec)
-
-    def optimized() -> None:
-        execute(spec, trace)
-
-    def reference() -> None:
-        # the reference is the bit-identical scalar core with the memo
-        # layer off: the seed per-read object path the batched engine
-        # replaced (so the ratio is the full cumulative perf-layer win)
-        with scalar_core():
-            with caches_disabled():
-                execute(spec, trace)
-
-    opt, ref = _interleaved_best(optimized, reference, reps)
-    name = f"e2e_{workload}_pe{int(pe)}_{policy}"
-    return BenchResult(name, "e2e", opt, ref)
-
-
 # --- metrics-overhead guard --------------------------------------------------------
 
 
-#: request count for the overhead guard — a shorter run than the speedup
-#: cells so ~24 alternating samples fit in a few seconds, which is what
-#: pins per-side floors tightly enough to resolve a 5% cap on a noisy
-#: shared host (the speedup benches only need to resolve 2-3x).
+#: request count for the overhead guard — a short run so ~24 alternating
+#: samples fit in a few seconds, which is what pins per-side floors
+#: tightly enough to resolve a 5% cap on a noisy shared host.
 OVERHEAD_N_REQUESTS = 3000
 
 
@@ -282,7 +236,7 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
     and a full SLO evaluation of the rollup — all pull-based reads of
     counters the simulation maintains anyway.  The ratio
     (unmetered / metered) is gated against :data:`OVERHEAD_FLOOR`.  Both
-    sides run the same batched core on the same prebuilt trace, so the
+    sides run the same engine on the same prebuilt trace, so the
     ratio isolates the metering cost.  (The per-window
     :class:`~repro.obs.snapshots.SnapshotRecorder` is *not* part of the
     fleet default path — it is opt-in burn-rate analysis, and its
@@ -290,7 +244,7 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
 
     A 5% cap is far below the rep-to-rep scatter of a shared CI host
     (±10% and more from scheduler contention), so this bench takes many
-    more samples than the speedup benches — short runs, strictly
+    more samples than the micro benches — short runs, strictly
     alternating — and compares per-side *minima*: contention noise is
     strictly additive, so the minimum over enough reps converges on each
     side's true floor, while a real systematic overhead inflates every
@@ -299,7 +253,7 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
     from ..obs.registry import FleetAggregator, scrape_result
     from ..obs.slo import default_slos, evaluate_fleet
 
-    workload, policy, pe = E2E_CELLS[0]
+    workload, policy, pe = OVERHEAD_CELL
     spec = RunSpec(workload=workload, policy=policy, pe_cycles=pe,
                    n_requests=OVERHEAD_N_REQUESTS, seed=PIN_SEED)
     trace = build_trace(spec)
@@ -368,11 +322,6 @@ def run_suite(reps: int = 5, e2e_reps: int = 3,
             progress(f"{result.name}: {result.speedup:.2f}x")
         results.append(result)
     if include_e2e:
-        for workload, policy, pe in E2E_CELLS:
-            result = _bench_e2e_cell(workload, policy, pe, e2e_reps)
-            if progress:
-                progress(f"{result.name}: {result.speedup:.2f}x")
-            results.append(result)
         result = _bench_metrics_overhead(e2e_reps)
         if progress:
             progress(f"{result.name}: {result.speedup:.2f}x")
@@ -389,8 +338,8 @@ def results_payload(results: List[BenchResult]) -> Dict[str, Any]:
             "system": platform.system(),
         },
         "pinned": {
-            "e2e_cells": [list(cell) for cell in E2E_CELLS],
-            "e2e_n_requests": E2E_N_REQUESTS,
+            "overhead_cell": list(OVERHEAD_CELL),
+            "overhead_n_requests": OVERHEAD_N_REQUESTS,
             "seed": PIN_SEED,
         },
         "benchmarks": {r.name: r.to_dict() for r in results},

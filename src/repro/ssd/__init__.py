@@ -15,16 +15,14 @@ history-driven adaptive family (:mod:`.adaptive`).
 """
 
 from .events import EventQueue, Simulator
-from .resources import SerialResource, EccEngine
+from .resources import Channel, Ecc, Fifo
 from .reliability import PageReliabilitySampler
 from .lut_reliability import LutReliabilitySampler
 from .ecc_model import EccOutcomeModel
 from .retry_policies import (
     POLICIES,
+    PlanBuild,
     PolicyName,
-    ReadPlan,
-    Phase,
-    PhaseKind,
     make_policy,
 )
 from .ftl import PageMapFtl
@@ -50,16 +48,15 @@ from .energy import EnergyBreakdown, EnergyConfig, EnergyModel
 __all__ = [
     "EventQueue",
     "Simulator",
-    "SerialResource",
-    "EccEngine",
+    "Fifo",
+    "Channel",
+    "Ecc",
     "PageReliabilitySampler",
     "LutReliabilitySampler",
     "EccOutcomeModel",
     "POLICIES",
     "PolicyName",
-    "ReadPlan",
-    "Phase",
-    "PhaseKind",
+    "PlanBuild",
     "make_policy",
     "PageMapFtl",
     "SimMetrics",

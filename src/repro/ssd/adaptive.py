@@ -35,13 +35,13 @@ All three share one compile skeleton (:meth:`AdaptivePolicy.plan_into`):
 
 Determinism rules:
 
-* :meth:`begin_read` (called by both simulation cores with the page's
-  block key and retention age immediately before compiling its plan)
-  never draws from the RNG stream, so scalar and batched cores see
-  identical draw orders by construction.
+* :meth:`begin_read` (called by the read pipeline with the page's block
+  key and retention age immediately before compiling its plan) never
+  draws from the RNG stream, so learning never shifts the outcome
+  model's draw order.
 * ``state_version`` bumps only on invalidation
   (:func:`repro.ssd.refresh.fast_forward`), never on per-read learning;
-  the batched pipeline keys its memoized per-ppn dispatch routes on it.
+  the read pipeline keys its memoized per-ppn dispatch routes on it.
 * learned state is exported as JSON-native data
   (:meth:`AdaptivePolicy.export_state`) into
   :class:`~repro.ssd.metrics.SimMetrics`, so campaign caching and the

@@ -45,8 +45,8 @@ class DecodeDraw:
 #: ``random(n)`` returns exactly the next ``n`` doubles of the stream, so
 #: serving scalar draws out of a prefetched chunk consumes the *same
 #: values in the same order* as one ``random()`` call per draw — the RNG
-#: stream-order contract the batched core relies on, pinned by
-#: ``tests/test_perf_equivalence.py``.
+#: stream-order contract the read pipeline's batch sampling relies on,
+#: pinned by ``tests/test_perf_equivalence.py``.
 _UNIFORM_CHUNK = 512
 
 
@@ -151,8 +151,8 @@ class EccOutcomeModel:
 
         Drains the buffered chunk first, so interleaving batch and scalar
         draws consumes the stream in strict call order — the contract that
-        lets the batched core pre-sample whole batches while staying
-        bit-identical to the scalar path.
+        lets the read pipeline pre-sample whole batches while staying
+        bit-identical to per-draw calls.
         """
         if n < 0:
             raise ConfigError("n must be non-negative")

@@ -5,13 +5,13 @@ t" with FIFO tie-breaking.  All times are microseconds (see
 :mod:`repro.units`).
 
 The run loop drains all events that share the current timestamp as one
-batch (the batched read pipeline schedules many same-time completions, and
+batch (the read pipeline schedules many same-time completions, and
 popping them together keeps the Python-level loop overhead off the common
-case).  Ordering is unchanged from the one-event-at-a-time loop: the heap
+case).  Ordering is unchanged from a one-event-at-a-time loop: the heap
 yields equal-time entries in tie-break order, and work scheduled *at the
 current timestamp by a batch callback* receives a larger tie-break value,
-so it lands in the next drain round — exactly where the scalar loop would
-have processed it.
+so it lands in the next drain round — exactly where a one-at-a-time loop
+would have processed it.
 """
 
 from __future__ import annotations

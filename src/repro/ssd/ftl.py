@@ -158,7 +158,7 @@ class PageMapFtl:
     def resolve_fast(self, lpn: int) -> tuple:
         """``(ppn, written_at_us)`` of one logical read, nothing else.
 
-        Allocation-lean resolver for the batched pipeline: same lookup as
+        Allocation-lean resolver for the read pipeline: same lookup as
         :meth:`read` but no :class:`ReadTarget`, no address decode, and no
         read-counter bump — the caller's memoized route carries the
         ``block_reads`` key and bumps the counter itself (same key values,

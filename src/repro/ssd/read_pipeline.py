@@ -1,63 +1,43 @@
-"""Batched structure-of-arrays read pipeline — the live simulation core.
+"""Structure-of-arrays read pipeline — the simulator's execution engine.
 
-The scalar reference pipeline in :mod:`~repro.ssd.simulator` compiles each
-page read into a :class:`~repro.ssd.retry_policies.ReadPlan` and walks it
-with a chain of nested closures, allocating a ``Phase`` object, a ``Job``
-and two lambdas per hop.  At QD-64 with millions of page reads that churn
-dominates the wall clock.  This module replaces it with:
+Each page read is compiled by its retry policy into flat ``(kind,
+duration, tag, decode_us)`` phase tuples
+(:meth:`~repro.ssd.retry_policies.ReadRetryPolicy.plan_into` filling a
+reused :class:`~repro.ssd.retry_policies.PlanBuild`) and walked through
+the contended resources of :mod:`repro.ssd.resources` by:
 
-* **Fast resources** (:class:`FastFifo`, :class:`FastChannel`,
-  :class:`FastEcc`) — allocation-free reimplementations of
-  :class:`~repro.ssd.resources.SerialResource` /
-  :class:`~repro.ssd.resources.EccEngine` that keep the *exact* event
-  causal order of the originals: completion events are pushed at the same
-  points, handler internals run in the same sequence (account -> probes ->
-  callback -> start next), so the event queue's tie-break order — and with
-  it every timestamp, metric and trace event — is bit-identical.
 * **An explicit per-read state machine** (:class:`ReadPipeline`) over
   structure-of-arrays slot storage: one parallel array per field (phase
   list, cursor, owning resources, fault bookkeeping), one persistent bound
-  callback per slot and transition.  Plans are compiled into reused flat
-  ``(kind, duration, tag, decode_us)`` tuples via
-  :meth:`~repro.ssd.retry_policies.RetryPolicy.plan_into`, never into
-  ``ReadPlan`` objects.
+  callback per slot and transition, so steady-state execution allocates
+  nothing per phase.  Writes and GC copies use the same slots.
 * **Vectorized sampling**: whole requests resolve their cold ages and
   RBERs through the batch entry points
   (:meth:`~repro.ssd.reliability.PageReliabilitySampler.cold_age_days_batch`
-  / ``rber_batch``), which are bit-identical to the scalar calls.
+  / ``rber_batch``), which are bit-identical to the per-page calls.
 
-Equivalence with the scalar core is not best-effort — it is asserted down
-to ``to_dict()`` equality and trace-stream equality by
-``tests/test_perf_equivalence.py``; select the reference core with
-:func:`repro.ssd.core_mode.scalar_core` (or ``REPRO_SCALAR_CORE=1``).
+Ordering contracts (load-bearing — any deviation shows up as a timestamp
+diff, and ``tests/test_golden.py`` pins every output bit for bit):
 
-Ordering contracts replicated from the scalar core (load-bearing — any
-deviation shows up as a timestamp diff):
-
-* resource finish handler: ``busy = False`` -> busy-time accounting ->
-  ``jobs_completed`` -> probes -> completion callback -> start next queued
-  entry (a callback that enqueues on the same resource starts the *queue
-  head*, exactly like ``SerialResource.submit`` during ``_finish``);
 * gated channel entries reserve their decoder-buffer slot when the
   transfer *starts*; the slot is released when the decode completes,
   **before** the decode's trace span is recorded and the plan advances
   (release kicks the channel, so a waiting transfer starts within the same
   callback, ahead of the advancing read's next event);
-* a blocked (gated-head) interval opens when the head cannot start and
-  closes — with an ``ECCWAIT`` probe when it has nonzero width — right
-  before the next job starts, identical to ``SerialResource``.
+* a read that mutates shared state (fault mitigation, read-disturb
+  relocation) runs its whole sequence — resolve, inject, sample,
+  compile, dispatch, relocate — one page at a time, never batched;
+* a write enqueues its GC copies and erases (FTL order) before its host
+  transfer.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
-from heapq import heappush
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from ..errors import ReproError, RetryExhaustedError, SimulationError
+from ..errors import ReproError, RetryExhaustedError
 from .reliability import _VEC_MIN
-from .resources import Job
 from .retry_policies import (
     K_SENSE,
     K_TRANSFER,
@@ -66,358 +46,6 @@ from .retry_policies import (
     TAG_WRITE,
     PlanBuild,
 )
-
-
-class FastFifo:
-    """Strict-FIFO serial resource (planes, host link, decode units).
-
-    API-compatible with the :class:`~repro.ssd.resources.SerialResource`
-    surface the simulator touches (``submit``/``kick``/``attach_probe``/
-    ``finalize``/accounting attributes), plus the allocation-free
-    :meth:`occupy` fast path the pipeline drives directly.  ``last_start``
-    holds the start time of the most recently finished job so completion
-    handlers can record exact spans without a per-job closure.
-    """
-
-    __slots__ = ("sim", "name", "busy_time_by_tag", "blocked_time",
-                 "jobs_completed", "last_start", "_queue", "_busy",
-                 "_probes", "_cur", "_finish_cb", "_events")
-
-    def __init__(self, sim, name: str):
-        self.sim = sim
-        self._events = sim.events
-        self.name = name
-        self._queue: deque = deque()
-        self._busy = False
-        self.busy_time_by_tag: Dict[str, float] = {}
-        #: a plain FIFO has no gate, so it can never block (kept for the
-        #: channel-usage accounting surface)
-        self.blocked_time: float = 0.0
-        self.jobs_completed: int = 0
-        self.last_start: float = 0.0
-        self._probes: List[Callable] = []
-        #: the in-flight job as one tuple — (duration, tag, cb, label,
-        #: start) — written once per start, read once per finish
-        self._cur: tuple = (0.0, "", None, None, 0.0)
-        self._finish_cb = self._finish
-
-    # --- fast path ---------------------------------------------------------
-
-    def occupy(self, duration: float, tag: str,
-               cb: Optional[Callable[[], None]],
-               label: Optional[str] = None) -> None:
-        """Enqueue one unit of work; ``cb`` runs when it completes."""
-        if self._busy:
-            self._queue.append((duration, tag, cb, label))
-            return
-        if self._queue:
-            # only reachable from inside a completion callback (busy was
-            # cleared but the next entry has not started yet): keep FIFO
-            # order by starting the queue head, as SerialResource does
-            self._queue.append((duration, tag, cb, label))
-            duration, tag, cb, label = self._queue.popleft()
-        self._busy = True
-        now = self.sim.now
-        self._cur = (duration, tag, cb, label, now)
-        # inlined EventQueue.push — completions are the simulation's
-        # hottest schedule site (plan durations are never negative, so
-        # Simulator.after's guard is redundant here)
-        events = self._events
-        seq = events.tie_break
-        events.tie_break = seq + 1
-        heappush(events._heap, (now + duration, seq, self._finish_cb))
-
-    def _start_next(self) -> None:
-        duration, tag, cb, label = self._queue.popleft()
-        self._busy = True
-        now = self.sim.now
-        self._cur = (duration, tag, cb, label, now)
-        events = self._events
-        seq = events.tie_break
-        events.tie_break = seq + 1
-        heappush(events._heap, (now + duration, seq, self._finish_cb))
-
-    def _finish(self) -> None:
-        self._busy = False
-        duration, tag, cb, label, start = self._cur
-        self.last_start = start
-        self.busy_time_by_tag[tag] = (
-            self.busy_time_by_tag.get(tag, 0.0) + duration
-        )
-        self.jobs_completed += 1
-        if self._probes:
-            now = self.sim.now
-            for probe in self._probes:
-                probe(self.name, tag, start, now, label)
-        if cb is not None:
-            cb()
-        if not self._busy and self._queue:
-            self._start_next()
-
-    # --- SerialResource-compatible surface ---------------------------------
-
-    def submit(self, job: Job) -> None:
-        """Adapter for the shared write/GC/erase paths, which enqueue
-        :class:`~repro.ssd.resources.Job` objects."""
-        if job.duration < 0:
-            raise SimulationError(f"negative job duration on {self.name}")
-        if job.on_start is not None or job.can_start is not None:
-            raise SimulationError(
-                f"{self.name}: gated/on_start jobs are not supported by the "
-                "batched core's FIFO resources"
-            )
-        self.occupy(job.duration, job.tag, job.on_complete, job.label)
-
-    def kick(self) -> None:
-        if not self._busy and self._queue:
-            self._start_next()
-
-    def attach_probe(self, probe: Callable) -> None:
-        self._probes.append(probe)
-
-    def finalize(self) -> None:
-        """Nothing to close — an ungated FIFO never blocks."""
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    def total_busy_time(self) -> float:
-        return sum(self.busy_time_by_tag.values())
-
-
-class FastChannel:
-    """Flash channel: FIFO (or priority-arbitrated) with decoder gating.
-
-    Mirrors the gated :class:`~repro.ssd.resources.SerialResource` exactly:
-    a *gated* entry (a read transfer bound for the decoder buffer) can only
-    start while its channel's :class:`FastEcc` has a free slot, and
-    reserves that slot at start; while the head (or, arbitrated, every
-    runnable candidate) is gated shut, the channel accumulates blocked time
-    — the paper's ECCWAIT.
-    """
-
-    __slots__ = ("sim", "name", "arbitrated", "busy_time_by_tag",
-                 "blocked_time", "jobs_completed", "last_start", "_ecc",
-                 "_queue", "_busy", "_blocked_since", "_probes",
-                 "_cur", "_finish_cb", "_events")
-
-    def __init__(self, sim, name: str, ecc: "FastEcc",
-                 arbitrated: bool = False):
-        self.sim = sim
-        self._events = sim.events
-        self.name = name
-        self.arbitrated = arbitrated
-        self._ecc = ecc
-        self._queue: deque = deque()
-        self._busy = False
-        self._blocked_since: Optional[float] = None
-        self.busy_time_by_tag: Dict[str, float] = {}
-        self.blocked_time: float = 0.0
-        self.jobs_completed: int = 0
-        self.last_start: float = 0.0
-        self._probes: List[Callable] = []
-        #: in-flight job as one (duration, tag, cb, label, start) tuple
-        self._cur: tuple = (0.0, "", None, None, 0.0)
-        self._finish_cb = self._finish
-
-    # --- fast path ---------------------------------------------------------
-
-    def occupy(self, duration: float, tag: str,
-               cb: Optional[Callable[[], None]],
-               label: Optional[str] = None, gated: bool = False,
-               priority: int = 0) -> None:
-        self._queue.append((gated, priority, duration, tag, cb, label))
-        if not self._busy:
-            self._try_start()
-
-    def _try_start(self) -> None:
-        if self._busy:
-            return
-        queue = self._queue
-        if not queue:
-            if self._blocked_since is not None:
-                self._close_blocked()
-            return
-        if not self.arbitrated:
-            if queue[0][0] and not self._ecc.can_reserve():
-                if self._blocked_since is None:
-                    self._blocked_since = self.sim.now
-                return
-            chosen = 0
-        else:
-            chosen = -1
-            best_priority = 0
-            can_reserve = self._ecc.can_reserve
-            for idx, entry in enumerate(queue):
-                if entry[0] and not can_reserve():
-                    continue
-                if chosen < 0 or entry[1] > best_priority:
-                    chosen = idx
-                    best_priority = entry[1]
-            if chosen < 0:
-                if self._blocked_since is None:
-                    self._blocked_since = self.sim.now
-                return
-        if self._blocked_since is not None:
-            self._close_blocked()
-        if chosen == 0:
-            entry = queue.popleft()
-        else:
-            entry = queue[chosen]
-            del queue[chosen]
-        gated, _priority, duration, tag, cb, label = entry
-        self._busy = True
-        if gated:
-            self._ecc.reserve_slot()
-        now = self.sim.now
-        self._cur = (duration, tag, cb, label, now)
-        # inlined EventQueue.push (see FastFifo.occupy)
-        events = self._events
-        seq = events.tie_break
-        events.tie_break = seq + 1
-        heappush(events._heap, (now + duration, seq, self._finish_cb))
-
-    def _finish(self) -> None:
-        self._busy = False
-        duration, tag, cb, label, start = self._cur
-        self.last_start = start
-        self.busy_time_by_tag[tag] = (
-            self.busy_time_by_tag.get(tag, 0.0) + duration
-        )
-        self.jobs_completed += 1
-        if self._probes:
-            now = self.sim.now
-            for probe in self._probes:
-                probe(self.name, tag, start, now, label)
-        if cb is not None:
-            cb()
-        self._try_start()
-
-    def _close_blocked(self) -> None:
-        start = self._blocked_since
-        now = self.sim.now
-        self.blocked_time += now - start
-        self._blocked_since = None
-        if self._probes and now > start:
-            for probe in self._probes:
-                probe(self.name, "ECCWAIT", start, now, None)
-
-    # --- SerialResource-compatible surface ---------------------------------
-
-    def submit(self, job: Job) -> None:
-        """Adapter for write/GC DMA jobs (never gated, never ``on_start``)."""
-        if job.duration < 0:
-            raise SimulationError(f"negative job duration on {self.name}")
-        if job.on_start is not None or job.can_start is not None:
-            raise SimulationError(
-                f"{self.name}: external gated jobs must go through the "
-                "batched read pipeline"
-            )
-        self.occupy(job.duration, job.tag, job.on_complete, job.label,
-                    gated=False, priority=job.priority)
-
-    def kick(self) -> None:
-        """Re-evaluate the queue (a decoder slot may have freed up)."""
-        if not self._busy:
-            self._try_start()
-
-    def attach_probe(self, probe: Callable) -> None:
-        self._probes.append(probe)
-
-    def finalize(self) -> None:
-        if self._blocked_since is not None:
-            self._close_blocked()
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    def total_busy_time(self) -> float:
-        return sum(self.busy_time_by_tag.values())
-
-
-class FastEcc:
-    """Per-channel decoder-buffer slots + serial decode unit.
-
-    Behavioural twin of :class:`~repro.ssd.resources.EccEngine` (same
-    counters, same error messages, same waiter semantics); the decode unit
-    is a :class:`FastFifo` so the pipeline can drive it without ``Job``
-    objects.
-    """
-
-    __slots__ = ("sim", "name", "buffer_pages", "slots_in_use", "held_slots",
-                 "peak_slots_in_use", "decoder", "_slot_waiters")
-
-    def __init__(self, sim, name: str, buffer_pages: int):
-        if buffer_pages < 1:
-            raise SimulationError("ECC buffer must hold at least one page")
-        self.sim = sim
-        self.name = name
-        self.buffer_pages = buffer_pages
-        self.slots_in_use = 0
-        self.held_slots = 0
-        self.peak_slots_in_use = 0
-        self.decoder = FastFifo(sim, f"{name}.decoder")
-        self._slot_waiters: List[Callable[[], None]] = []
-
-    def _note_occupancy(self) -> None:
-        occupied = self.slots_in_use + self.held_slots
-        if occupied > self.peak_slots_in_use:
-            self.peak_slots_in_use = occupied
-
-    def can_reserve(self) -> bool:
-        return self.slots_in_use + self.held_slots < self.buffer_pages
-
-    def reserve_slot(self) -> None:
-        if not self.can_reserve():
-            raise SimulationError(f"{self.name}: buffer overflow")
-        self.slots_in_use += 1
-        self._note_occupancy()
-
-    def hold_slots(self, n: int = 0) -> None:
-        if n < 0:
-            raise SimulationError(f"{self.name}: cannot hold {n} slots")
-        self.held_slots = min(n or self.buffer_pages, self.buffer_pages)
-        self._note_occupancy()
-
-    def release_held_slots(self) -> None:
-        if self.held_slots == 0:
-            return
-        self.held_slots = 0
-        for waiter in self._slot_waiters:
-            waiter()
-
-    def release_slot(self) -> None:
-        if self.slots_in_use <= 0:
-            raise SimulationError(f"{self.name}: slot underflow")
-        self.slots_in_use -= 1
-        for waiter in self._slot_waiters:
-            waiter()
-
-    def subscribe_on_release(self, callback: Callable[[], None]) -> None:
-        self._slot_waiters.append(callback)
-
-    def submit_decode(self, duration: float, tag: str,
-                      on_complete: Callable[[], None],
-                      label: Optional[str] = None) -> None:
-        """EccEngine-compatible decode entry (slot released, then
-        ``on_complete``); the pipeline itself drives ``decoder.occupy``
-        directly with the release folded into its own handler."""
-
-        def finish() -> None:
-            self.release_slot()
-            on_complete()
-
-        self.decoder.occupy(duration, tag, finish, label)
 
 
 class ReadPipeline:
@@ -435,8 +63,6 @@ class ReadPipeline:
                                    |            |
                                  SENSE       TRANSFER ---(decode_us)---> decode
                                 (plane)      (channel, slot-gated)       (ecc)
-
-    mirroring the scalar ``_execute_plan`` closure chain state for state.
     """
 
     def __init__(self, ssd):
@@ -578,8 +204,8 @@ class ReadPipeline:
         across the whole request before compiling plans (the batch entry
         points are bit-identical to per-read calls and the FTL mutations
         commute across a batch with no active fault plan or disturb
-        management); otherwise each page runs the full sequential sequence
-        of the scalar core.
+        management); otherwise each page runs the full sequence on its own
+        (:meth:`_start_read_sequential`).
         """
         if self._sequential:
             for lpn in lpns:
@@ -652,8 +278,8 @@ class ReadPipeline:
             dispatch(lpn, route, rber, state, retention)
 
     def _start_read_sequential(self, lpn: int, state) -> None:
-        """One page, scalar-core order: resolve -> inject -> sample ->
-        compile -> dispatch -> disturb management."""
+        """One page, in order: resolve -> inject -> sample -> compile ->
+        dispatch -> disturb management."""
         ssd = self.ssd
         target = ssd.ftl.read(lpn)
         faults = None
@@ -688,8 +314,8 @@ class ReadPipeline:
         """Resolve and memoize the dispatch route of one physical page:
         ``(block_key, page, plane, channel, ecc, read_key)`` — all pure in
         ppn.  ``read_key`` is the FTL's ``(plane_index, block)``
-        read-counter key (the same integers the scalar path derives in
-        :meth:`~repro.ssd.ftl.PageMapFtl.read`)."""
+        read-counter key (the same integers
+        :meth:`~repro.ssd.ftl.PageMapFtl.read` derives)."""
         addr = self.mapper.address(ppn)
         channel = addr.channel
         pidx = self._plane_index_of(addr)
@@ -806,7 +432,12 @@ class ReadPipeline:
             self._advance(i)
 
     def _apply_transfer_faults(self, phases: List[tuple], faults):
-        """Tuple-encoded twin of the scalar ``_apply_transfer_faults``."""
+        """Fold channel-corruption faults into a phase list.
+
+        Each corrupted transfer crosses the channel, burns a doomed decode
+        (UNCOR, full failed-decode latency), and is re-transferred; within
+        the retry budget the clean plan follows, beyond it the corrupted
+        rounds play out and the read ends degraded."""
         if not faults.corrupt_transfers:
             return phases, None
         ssd = self.ssd
@@ -888,7 +519,7 @@ class ReadPipeline:
         ecc = self._ecc[i]
         # release before recording/advancing: the freed slot kicks the gated
         # channel, so a blocked transfer starts ahead of this read's next
-        # event — the scalar EccEngine.submit_decode order
+        # event
         ecc.release_slot()
         if self._traced[i]:
             phase = self._phases[i][self._cursor[i] - 1]
@@ -915,24 +546,17 @@ class ReadPipeline:
         self._release(i)
         self.ssd._page_done(state)
 
-    # --- write lane (mirrors _start_page_write / _start_gc_copy) ------------
+    # --- write lane and internal relocation ---------------------------------
 
     def start_write(self, lpn: int, state) -> None:
         """One page write through the allocation-free slot machinery.
 
-        Same causal chain as the scalar core's Job closures — GC copies
-        and erases first (FTL order), then host-link transfer -> channel
-        DMA -> plane program — so submission order on every shared
-        resource, and with it every timestamp, is bit-identical.
+        GC copies and erases first (FTL order), then host-link transfer ->
+        channel DMA -> plane program.
         """
         result = self.ftl.write(lpn, self.sim.now)
         self.metrics.page_writes += 1
-        for copy in result.gc_copies:
-            self._start_gc_copy(copy.source, copy.destination)
-        self.metrics.gc_page_copies += len(result.gc_copies)
-        t_erase = self._t_erase
-        for pidx, _block in result.erased_blocks:
-            self._planes[pidx].occupy(t_erase, "ERASE", None)
+        self.start_relocation(result)
         address = result.address
         free = self._free
         i = free.pop() if free else self._grow()
@@ -948,6 +572,17 @@ class ReadPipeline:
     def _write_dma_done(self, i: int) -> None:
         # program completion is release-then-_page_done: exactly _host_done
         self._plane[i].occupy(self._t_prog, TAG_WRITE, self._host_cb[i])
+
+    def start_relocation(self, result) -> None:
+        """Issue an FTL operation's internal traffic: GC copies of live
+        pages, then erases of the freed blocks — for writes, bad-block
+        retirement and read-disturb management alike."""
+        self.metrics.gc_page_copies += len(result.gc_copies)
+        for copy in result.gc_copies:
+            self._start_gc_copy(copy.source, copy.destination)
+        t_erase = self._t_erase
+        for pidx, _block in result.erased_blocks:
+            self._planes[pidx].occupy(t_erase, "ERASE", None)
 
     def _start_gc_copy(self, src, dst) -> None:
         """Internal relocation: sense, move out, move back, program."""
@@ -971,9 +606,13 @@ class ReadPipeline:
         self._gc_dst[i] = None
         self._release(i)
 
-    # --- transient sense faults (mirrors _run_sense_retries) ----------------
+    # --- transient sense faults ---------------------------------------------
 
     def _fault_sense_done(self, i: int) -> None:
+        """Bounded retry with backoff: the die fails ``faults.sense_failures``
+        consecutive senses; the controller re-issues up to ``max_retries``
+        times, waiting ``retry_backoff_us * round`` between attempts, then
+        gives up (degraded read)."""
         ssd = self.ssd
         if self._traced[i]:
             plane = self._plane[i]

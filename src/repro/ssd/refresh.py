@@ -193,7 +193,7 @@ def fast_forward(ssd, *, retention_days: float = 0.0,
     compress months of aging into minutes of simulation.  When the
     drive runs a history-driven policy, its learned VREF state is
     invalidated (``on_fast_forward`` bumps the policy's state version,
-    which also flushes the batched pipeline's memoized dispatch routes).
+    which also flushes the read pipeline's memoized dispatch routes).
 
     Requires the parametric :class:`~repro.ssd.reliability.PageReliability
     Sampler`; table-driven reliability modes cannot re-derive RBER at a

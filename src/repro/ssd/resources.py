@@ -1,68 +1,115 @@
 """Contended hardware resources: planes, channels, and per-channel ECC.
 
-Everything serial in the SSD is a :class:`SerialResource`: it executes one
-job at a time in FIFO order, records how long it was busy under each tag
-(the channel-usage classification of Fig. 18 falls out of this), and
-supports *head gating* — a job may declare a ``can_start`` predicate, and
-while the queue head is gated the resource accumulates *blocked* time.  For
-a flash channel the only gate is "does the channel's ECC decoder have a free
-buffer slot", so the blocked time **is** the paper's ECCWAIT.
+Everything serial in the SSD executes one unit of work at a time and
+records how long it was busy under each tag (the channel-usage
+classification of Fig. 18 falls out of this):
 
-:class:`EccEngine` combines a slot counter (the finite decoder input
-buffer) with a serial decode unit; releasing a slot kicks the gated
-channel so it can re-evaluate its head job.
+* :class:`Fifo` — strict FIFO (planes, the host link, decode units);
+* :class:`Channel` — a flash channel whose read transfers are *gated* on
+  a free slot in the channel's :class:`Ecc` decoder buffer.  While the
+  queue head (or, arbitrated, every runnable candidate) is gated shut the
+  channel accumulates *blocked* time, and that blocked time **is** the
+  paper's ECCWAIT;
+* :class:`Ecc` — the finite decoder input buffer (a slot counter) plus a
+  serial decode unit; releasing a slot kicks the gated channel so it can
+  re-evaluate its queue.
+
+Work is enqueued through ``occupy(duration, tag, cb, label)``; ``cb``
+runs when the work completes.  The resources are allocation-free on that
+path (one reused tuple per in-flight job, completion events pushed
+straight onto the event heap), and their handler order is part of the
+simulation's determinism contract: a finish handler clears ``busy``,
+accounts busy time, bumps ``jobs_completed``, calls the probes, runs the
+callback and only then starts the next queued entry — a callback that
+enqueues on the same resource starts the *queue head*, not its own job.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Dict, List, Optional
 
 from ..errors import SimulationError
-from .events import Simulator
 
 
-@dataclass(slots=True)
-class Job:
-    """One unit of serial work on a resource."""
+class Fifo:
+    """Strict-FIFO serial resource (planes, host link, decode units).
 
-    duration: float
-    tag: str
-    on_start: Optional[Callable[[], None]] = None
-    on_complete: Optional[Callable[[], None]] = None
-    can_start: Optional[Callable[[], bool]] = None
-    #: larger runs first when the resource arbitrates (see ``arbitrated``)
-    priority: int = 0
-    #: human-readable span label for observability probes (optional)
-    label: Optional[str] = None
-    #: stamped by the resource when the job actually starts running
-    started_at: Optional[float] = None
+    ``last_start`` holds the start time of the most recently finished job
+    so completion handlers can record exact spans without a per-job
+    closure.
+    """
 
+    __slots__ = ("sim", "name", "busy_time_by_tag", "jobs_completed",
+                 "last_start", "_queue", "_busy", "_probes", "_cur",
+                 "_finish_cb", "_events")
 
-class SerialResource:
-    """A serial resource with busy-time accounting and head gating.
-
-    Default scheduling is strict FIFO: a gated head blocks everything
-    behind it (head-of-line blocking — this is what turns a full decoder
-    buffer into the paper's ECCWAIT).  With ``arbitrated=True`` the
-    resource instead picks the highest-priority *runnable* job (FIFO within
-    a priority level), letting un-gated work — e.g. write transfers, which
-    do not need a decoder slot — bypass a stalled read transfer."""
-
-    def __init__(self, sim: Simulator, name: str, arbitrated: bool = False):
+    def __init__(self, sim, name: str):
         self.sim = sim
+        self._events = sim.events
         self.name = name
-        self.arbitrated = arbitrated
         self._queue: deque = deque()
         self._busy = False
-        self._blocked_since: Optional[float] = None
         self.busy_time_by_tag: Dict[str, float] = {}
-        self.blocked_time: float = 0.0
         self.jobs_completed: int = 0
+        self.last_start: float = 0.0
         self._probes: List[Callable] = []
+        #: the in-flight job as one tuple — (duration, tag, cb, label,
+        #: start) — written once per start, read once per finish
+        self._cur: tuple = (0.0, "", None, None, 0.0)
+        self._finish_cb = self._finish
 
-    # --- public API ------------------------------------------------------------
+    def occupy(self, duration: float, tag: str,
+               cb: Optional[Callable[[], None]],
+               label: Optional[str] = None) -> None:
+        """Enqueue one unit of work; ``cb`` runs when it completes."""
+        if self._busy:
+            self._queue.append((duration, tag, cb, label))
+            return
+        if self._queue:
+            # only reachable from inside a completion callback (busy was
+            # cleared but the next entry has not started yet): keep FIFO
+            # order by starting the queue head
+            self._queue.append((duration, tag, cb, label))
+            duration, tag, cb, label = self._queue.popleft()
+        self._busy = True
+        now = self.sim.now
+        self._cur = (duration, tag, cb, label, now)
+        # inlined EventQueue.push — completions are the simulation's
+        # hottest schedule site (plan durations are never negative, so
+        # Simulator.after's guard is redundant here)
+        events = self._events
+        seq = events.tie_break
+        events.tie_break = seq + 1
+        heappush(events._heap, (now + duration, seq, self._finish_cb))
+
+    def _start_next(self) -> None:
+        duration, tag, cb, label = self._queue.popleft()
+        self._busy = True
+        now = self.sim.now
+        self._cur = (duration, tag, cb, label, now)
+        events = self._events
+        seq = events.tie_break
+        events.tie_break = seq + 1
+        heappush(events._heap, (now + duration, seq, self._finish_cb))
+
+    def _finish(self) -> None:
+        self._busy = False
+        duration, tag, cb, label, start = self._cur
+        self.last_start = start
+        self.busy_time_by_tag[tag] = (
+            self.busy_time_by_tag.get(tag, 0.0) + duration
+        )
+        self.jobs_completed += 1
+        if self._probes:
+            now = self.sim.now
+            for probe in self._probes:
+                probe(self.name, tag, start, now, label)
+        if cb is not None:
+            cb()
+        if not self._busy and self._queue:
+            self._start_next()
 
     def attach_probe(
         self, probe: Callable[[str, str, float, float, Optional[str]], None]
@@ -70,103 +117,149 @@ class SerialResource:
         """Register a passive occupancy observer.
 
         Each probe is called as ``probe(name, tag, start_us, end_us, label)``
-        when a job finishes or a blocked (gated-head) interval closes — the
-        latter with tag ``"ECCWAIT"``.  Probes only observe; they must not
-        touch the event queue, which keeps traced runs bit-identical.
+        when a job finishes or (on a :class:`Channel`) a blocked interval
+        closes — the latter with tag ``"ECCWAIT"``.  Probes only observe;
+        they must not touch the event queue, which keeps traced runs
+        bit-identical.
         """
         self._probes.append(probe)
-
-    def submit(self, job: Job) -> None:
-        """Enqueue a job; it starts as soon as the resource frees up and its
-        gate (if any) opens."""
-        if job.duration < 0:
-            raise SimulationError(f"negative job duration on {self.name}")
-        self._queue.append(job)
-        self._try_start()
-
-    def kick(self) -> None:
-        """Re-evaluate the queue head (call when a gate may have opened)."""
-        self._try_start()
 
     @property
     def busy(self) -> bool:
         return self._busy
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def total_busy_time(self) -> float:
         return sum(self.busy_time_by_tag.values())
 
-    # --- internals -----------------------------------------------------------------
 
-    def _select(self):
-        """Index of the next job to run, or None if nothing is runnable."""
-        if not self.arbitrated:
-            head = self._queue[0]
-            if head.can_start is not None and not head.can_start():
-                return None
-            return 0
-        best = None
-        for idx, job in enumerate(self._queue):
-            if job.can_start is not None and not job.can_start():
-                continue
-            if best is None or job.priority > self._queue[best].priority:
-                best = idx
-        return best
+class Channel:
+    """Flash channel: FIFO (or priority-arbitrated) with decoder gating.
+
+    A *gated* entry (a read transfer bound for the decoder buffer) can only
+    start while its channel's :class:`Ecc` has a free slot, and reserves
+    that slot at start.  Default scheduling is strict FIFO: a gated head
+    blocks everything behind it (head-of-line blocking — this is what turns
+    a full decoder buffer into the paper's ECCWAIT).  With
+    ``arbitrated=True`` the channel instead picks the highest-priority
+    *runnable* entry (FIFO within a priority level), letting un-gated work
+    — e.g. write transfers, which need no decoder slot — bypass a stalled
+    read transfer.  A blocked interval opens when nothing can start and
+    closes, with an ``ECCWAIT`` probe when it has nonzero width, right
+    before the next job starts (or at :meth:`finalize`).
+    """
+
+    __slots__ = ("sim", "name", "arbitrated", "busy_time_by_tag",
+                 "blocked_time", "jobs_completed", "last_start", "_ecc",
+                 "_queue", "_busy", "_blocked_since", "_probes",
+                 "_cur", "_finish_cb", "_events")
+
+    def __init__(self, sim, name: str, ecc: "Ecc", arbitrated: bool = False):
+        self.sim = sim
+        self._events = sim.events
+        self.name = name
+        self.arbitrated = arbitrated
+        self._ecc = ecc
+        self._queue: deque = deque()
+        self._busy = False
+        self._blocked_since: Optional[float] = None
+        self.busy_time_by_tag: Dict[str, float] = {}
+        self.blocked_time: float = 0.0
+        self.jobs_completed: int = 0
+        self.last_start: float = 0.0
+        self._probes: List[Callable] = []
+        #: in-flight job as one (duration, tag, cb, label, start) tuple
+        self._cur: tuple = (0.0, "", None, None, 0.0)
+        self._finish_cb = self._finish
+
+    def occupy(self, duration: float, tag: str,
+               cb: Optional[Callable[[], None]],
+               label: Optional[str] = None, gated: bool = False,
+               priority: int = 0) -> None:
+        """Enqueue one transfer; ``gated`` ones wait for (and reserve) a
+        decoder-buffer slot, larger ``priority`` runs first when the
+        channel arbitrates."""
+        self._queue.append((gated, priority, duration, tag, cb, label))
+        if not self._busy:
+            self._try_start()
 
     def _try_start(self) -> None:
         if self._busy:
-            # a blocked interval can only be open while idle (it opens on a
-            # gated head and is settled before any job starts), so there is
-            # nothing to account here
             return
-        if not self._queue:
-            self._settle_blocked(unblocked=True)
+        queue = self._queue
+        if not queue:
+            if self._blocked_since is not None:
+                self._close_blocked()
             return
-        chosen = self._select()
-        if chosen is None:
-            if self._blocked_since is None:
-                self._blocked_since = self.sim.now
-            return
-        self._settle_blocked(unblocked=True)
-        if chosen == 0:
-            job = self._queue.popleft()
+        if not self.arbitrated:
+            if queue[0][0] and not self._ecc.can_reserve():
+                if self._blocked_since is None:
+                    self._blocked_since = self.sim.now
+                return
+            chosen = 0
         else:
-            job = self._queue[chosen]
-            del self._queue[chosen]
+            chosen = -1
+            best_priority = 0
+            can_reserve = self._ecc.can_reserve
+            for idx, entry in enumerate(queue):
+                if entry[0] and not can_reserve():
+                    continue
+                if chosen < 0 or entry[1] > best_priority:
+                    chosen = idx
+                    best_priority = entry[1]
+            if chosen < 0:
+                if self._blocked_since is None:
+                    self._blocked_since = self.sim.now
+                return
+        if self._blocked_since is not None:
+            self._close_blocked()
+        if chosen == 0:
+            entry = queue.popleft()
+        else:
+            entry = queue[chosen]
+            del queue[chosen]
+        gated, _priority, duration, tag, cb, label = entry
         self._busy = True
-        job.started_at = self.sim.now
-        if job.on_start is not None:
-            job.on_start()
-        self.sim.after(job.duration, lambda: self._finish(job))
+        if gated:
+            self._ecc.reserve_slot()
+        now = self.sim.now
+        self._cur = (duration, tag, cb, label, now)
+        # inlined EventQueue.push (see Fifo.occupy)
+        events = self._events
+        seq = events.tie_break
+        events.tie_break = seq + 1
+        heappush(events._heap, (now + duration, seq, self._finish_cb))
 
-    def _finish(self, job: Job) -> None:
+    def _finish(self) -> None:
         self._busy = False
-        self.busy_time_by_tag[job.tag] = (
-            self.busy_time_by_tag.get(job.tag, 0.0) + job.duration
+        duration, tag, cb, label, start = self._cur
+        self.last_start = start
+        self.busy_time_by_tag[tag] = (
+            self.busy_time_by_tag.get(tag, 0.0) + duration
         )
         self.jobs_completed += 1
         if self._probes:
+            now = self.sim.now
             for probe in self._probes:
-                probe(self.name, job.tag, job.started_at, self.sim.now,
-                      job.label)
-        if job.on_complete is not None:
-            job.on_complete()
+                probe(self.name, tag, start, now, label)
+        if cb is not None:
+            cb()
         self._try_start()
-
-    def _settle_blocked(self, unblocked: bool) -> None:
-        if self._blocked_since is not None and unblocked:
-            self._close_blocked()
 
     def _close_blocked(self) -> None:
         start = self._blocked_since
-        self.blocked_time += self.sim.now - start
+        now = self.sim.now
+        self.blocked_time += now - start
         self._blocked_since = None
-        if self._probes and self.sim.now > start:
+        if self._probes and now > start:
             for probe in self._probes:
-                probe(self.name, "ECCWAIT", start, self.sim.now, None)
+                probe(self.name, "ECCWAIT", start, now, None)
+
+    def kick(self) -> None:
+        """Re-evaluate the queue (a decoder slot may have freed up)."""
+        if not self._busy:
+            self._try_start()
+
+    attach_probe = Fifo.attach_probe
 
     def finalize(self) -> None:
         """Close any open blocked interval at the end of a run."""
@@ -174,17 +267,21 @@ class SerialResource:
             self._close_blocked()
 
 
-class EccEngine:
+class Ecc:
     """Per-channel LDPC decoder: finite input buffer + serial decode unit.
 
     A buffer slot is reserved when the channel *starts* streaming a page in
     (data accumulates in the buffer during the transfer) and released when
     that page's decode *completes* — so a slow (or failed, 20 us) decode
     holds its slot and eventually stalls the channel, reproducing the
-    paper's third root cause (SecIII-B3).
+    paper's third root cause (SecIII-B3).  The decode unit is a
+    :class:`Fifo`; its completion callback releases the slot.
     """
 
-    def __init__(self, sim: Simulator, name: str, buffer_pages: int):
+    __slots__ = ("sim", "name", "buffer_pages", "slots_in_use", "held_slots",
+                 "peak_slots_in_use", "decoder", "_slot_waiters")
+
+    def __init__(self, sim, name: str, buffer_pages: int):
         if buffer_pages < 1:
             raise SimulationError("ECC buffer must hold at least one page")
         self.sim = sim
@@ -197,10 +294,8 @@ class EccEngine:
         #: high-water mark of occupied slots (real + held) — a passive
         #: observability counter, never consulted by gating logic
         self.peak_slots_in_use = 0
-        self.decoder = SerialResource(sim, f"{name}.decoder")
+        self.decoder = Fifo(sim, f"{name}.decoder")
         self._slot_waiters: List[Callable[[], None]] = []
-
-    # --- buffer slots -------------------------------------------------------------
 
     def _note_occupancy(self) -> None:
         occupied = self.slots_in_use + self.held_slots
@@ -245,20 +340,3 @@ class EccEngine:
         the channel subscribes its ``kick`` so a gated head job re-checks
         whenever buffer space appears."""
         self._slot_waiters.append(callback)
-
-    # --- decoding ---------------------------------------------------------------------
-
-    def submit_decode(
-        self, duration: float, tag: str, on_complete: Callable[[], None],
-        label: Optional[str] = None,
-    ) -> None:
-        """Queue a decode; the buffer slot is released after completion,
-        then ``on_complete`` runs."""
-
-        def finish() -> None:
-            self.release_slot()
-            on_complete()
-
-        self.decoder.submit(
-            Job(duration=duration, tag=tag, on_complete=finish, label=label)
-        )

@@ -1,9 +1,10 @@
 """The evaluated SSD read-retry schemes (SecIII-B, SecVI-A).
 
-Each policy compiles a page read into a timed :class:`ReadPlan` — a
-sequence of SENSE (plane) and TRANSFER(+decode) (channel, ECC) phases — by
-sampling outcomes from the :class:`~repro.ssd.ecc_model.EccOutcomeModel`.
-The discrete-event simulator then walks the plan through the contended
+Each policy compiles a page read into a timed plan — a :class:`PlanBuild`
+holding a sequence of SENSE (plane) and TRANSFER(+decode) (channel, ECC)
+phases — by sampling outcomes from the
+:class:`~repro.ssd.ecc_model.EccOutcomeModel`.  The read pipeline
+(:mod:`repro.ssd.read_pipeline`) then walks the plan through the contended
 resources; all scheme-specific logic for the seven *static* paper
 configurations lives here.  The *history-driven* family (per-block
 optimal-VREF caching, online threshold adaptation, retention-age VREF
@@ -41,7 +42,6 @@ RVPSSD      Retention-age VREF prediction (Cai et al.): dwell time maps to a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..config import NandTimings
@@ -59,17 +59,14 @@ TAG_GC = "GC"
 MAX_RETRY_ROUNDS = 8
 
 
-class PhaseKind(enum.Enum):
-    """What a plan phase occupies."""
-
-    SENSE = "sense"        # plane busy for `duration`
-    TRANSFER = "transfer"  # channel busy; optionally followed by a decode
-
-
-#: Integer phase kinds of the flat tuple encoding used while *building* a
-#: plan (see :class:`PlanBuild`): each phase is ``(kind, duration, tag,
-#: decode_us)``.  The batched read pipeline executes these tuples directly;
-#: the scalar reference path converts them to :class:`Phase` objects.
+#: Phase kinds of the flat tuple encoding of a plan (see
+#: :class:`PlanBuild`): each phase is ``(kind, duration, tag, decode_us)``.
+#: A SENSE occupies the page's plane for ``duration``; a TRANSFER occupies
+#: its channel, and with ``decode_us`` set the page streams into the
+#: channel's ECC buffer (the transfer is gated on a free slot) and a
+#: decode of that duration follows.  A TRANSFER without ``decode_us``
+#: (e.g. Sentinel's spare-cell read) goes to the controller's own buffer
+#: and is not gated.
 K_SENSE = 0
 K_TRANSFER = 1
 
@@ -79,8 +76,7 @@ class PlanBuild:
 
     Structure-of-arrays friendly: phases are flat ``(kind, duration, tag,
     decode_us)`` tuples, and the object is reset and reused per read by the
-    batched pipeline, so compiling a plan allocates (almost) nothing.  The
-    fields mirror :class:`ReadPlan` one for one.
+    pipeline, so compiling a plan allocates (almost) nothing.
     """
 
     __slots__ = ("phases", "rber", "senses", "retried", "in_die_retry",
@@ -93,61 +89,15 @@ class PlanBuild:
     def reset(self, rber: float) -> None:
         del self.phases[:]
         self.rber = rber
+        #: total senses incl. in-command ones
         self.senses = 0
+        #: any retry happened (any scheme)
         self.retried = False
+        #: the retry was resolved inside the die (RiF)
         self.in_die_retry = False
         self.rp_predicted_retry: Optional[bool] = None
+        #: doomed pages that crossed the channel
         self.uncorrectable_transfers = 0
-
-    def trace_args(self) -> dict:
-        """Same summary as :meth:`ReadPlan.trace_args` (the batched path
-        emits ``read.plan`` instants straight from the build)."""
-        args = {
-            "rber": self.rber,
-            "senses": self.senses,
-            "phases": len(self.phases),
-            "retried": self.retried,
-            "in_die_retry": self.in_die_retry,
-            "uncorrectable_transfers": self.uncorrectable_transfers,
-        }
-        if self.rp_predicted_retry is not None:
-            args["rp_predicted_retry"] = self.rp_predicted_retry
-        return args
-
-
-@dataclass(frozen=True, slots=True)
-class Phase:
-    """One step of a read plan.
-
-    ``decode_us`` on a TRANSFER means the page streams into the channel's
-    ECC buffer (the transfer is gated on a free slot) and a decode of that
-    duration follows.  A TRANSFER without ``decode_us`` (e.g. Sentinel's
-    spare-cell read) goes to the controller's own buffer and is not gated.
-    """
-
-    kind: PhaseKind
-    duration: float
-    tag: str = TAG_COR
-    decode_us: Optional[float] = None
-
-
-@dataclass(slots=True)
-class ReadPlan:
-    """A fully-sampled page read, ready for event-driven execution."""
-
-    phases: List[Phase]
-    rber: float
-    retried: bool = False               # any retry happened (any scheme)
-    in_die_retry: bool = False          # retry resolved inside the die (RiF)
-    rp_predicted_retry: Optional[bool] = None
-    uncorrectable_transfers: int = 0    # doomed pages that crossed the channel
-    senses: int = 0                     # total senses incl. in-command ones
-
-    def total_plane_time(self) -> float:
-        return sum(p.duration for p in self.phases if p.kind is PhaseKind.SENSE)
-
-    def total_channel_time(self) -> float:
-        return sum(p.duration for p in self.phases if p.kind is PhaseKind.TRANSFER)
 
     def trace_args(self) -> dict:
         """Compact JSON-compatible summary attached to ``read.plan`` trace
@@ -187,7 +137,7 @@ class ReadRetryPolicy:
     Policies are stateless by default: :meth:`plan_into` is a pure
     function of ``rber`` and the RNG stream.  History-driven policies
     (:mod:`repro.ssd.adaptive`) set ``stateful = True`` and implement the
-    state hooks below; both simulation cores call :meth:`begin_read` with
+    state hooks below; the read pipeline calls :meth:`begin_read` with
     the page's identity immediately before compiling its plan, and
     :func:`repro.ssd.refresh.fast_forward` calls :meth:`on_fast_forward`
     when drive age jumps invalidate what was learned.
@@ -199,7 +149,7 @@ class ReadRetryPolicy:
     stateful = False
 
     #: Monotonic counter bumped whenever learned state is *invalidated*
-    #: (not on per-read learning).  The batched pipeline keys its memoized
+    #: (not on per-read learning).  The read pipeline keys its memoized
     #: per-ppn dispatch routes on this so invalidations flush them.
     state_version = 0
 
@@ -225,32 +175,10 @@ class ReadRetryPolicy:
     def plan_into(self, b: PlanBuild, rber: float) -> None:
         """Sample outcomes and fill ``b`` with flat phase tuples.
 
-        This is the single source of policy logic; the scalar and batched
-        cores both compile plans through it, so the RNG draw order is the
-        same by construction.
+        This is the single source of policy logic: a plan's phases and
+        RNG draws are fixed here, before the pipeline executes it.
         """
         raise NotImplementedError
-
-    def plan_read(self, rber: float) -> ReadPlan:
-        """Compile one read into a :class:`ReadPlan` (scalar reference
-        path; the batched pipeline consumes :meth:`plan_into` directly)."""
-        b = PlanBuild()
-        b.reset(rber)
-        self.plan_into(b, rber)
-        phases = [
-            Phase(PhaseKind.SENSE if kind == K_SENSE else PhaseKind.TRANSFER,
-                  duration, tag, decode_us)
-            for kind, duration, tag, decode_us in b.phases
-        ]
-        return ReadPlan(
-            phases=phases,
-            rber=rber,
-            retried=b.retried,
-            in_die_retry=b.in_die_retry,
-            rp_predicted_retry=b.rp_predicted_retry,
-            uncorrectable_transfers=b.uncorrectable_transfers,
-            senses=b.senses,
-        )
 
     # --- shared plan fragments -----------------------------------------------------
 

@@ -6,7 +6,12 @@ front of a controller that spreads page operations over
 parallelism), each channel is a serial 1.2 GB/s link, and each channel owns
 one LDPC decoder with a finite input buffer.  Retry behaviour is entirely
 delegated to the configured :mod:`~repro.ssd.retry_policies` policy, which
-compiles every page read into a timed phase plan.
+compiles every page read into a timed phase plan; the
+:class:`~repro.ssd.read_pipeline.ReadPipeline` walks those plans (and every
+write and GC copy) through the contended resources of
+:mod:`repro.ssd.resources`.  This class is the wiring plus the accounting
+the pipeline shares: plan and completion metrics, degraded reads, fault
+mitigation and the Fig.-18 channel-usage breakdown.
 
 Use :meth:`SSDSimulator.run_trace` for whole-workload runs, or
 :meth:`SSDSimulator.submit_request` + :meth:`SSDSimulator.run` for custom
@@ -28,7 +33,7 @@ bit-identical to an untraced one):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..config import SSDConfig
@@ -36,7 +41,6 @@ from ..errors import (
     DegradedReadError,
     FaultInjectionError,
     ReproError,
-    RetryExhaustedError,
     SimulationError,
 )
 from ..faults import FaultInjector, FaultPlan, ReadFaultDecision
@@ -47,23 +51,15 @@ from ..obs.trace import SimTracer, SpanEvent, TraceConfig
 from ..rng import SeedLike, make_rng, spawn
 from ..units import SEC
 from ..workloads.trace import IORequest, Trace
-from .core_mode import resolve_core
 from .ecc_model import EccOutcomeModel
 from .events import Simulator
 from .ftl import PageMapFtl
 from .host import ClosedLoopHost, TimedReplayHost
 from .metrics import ChannelUsage, SimMetrics
+from .read_pipeline import ReadPipeline
 from .reliability import PageReliabilitySampler
-from .resources import EccEngine, Job, SerialResource
-from .retry_policies import (
-    Phase,
-    PhaseKind,
-    ReadPlan,
-    TAG_GC,
-    TAG_UNCOR,
-    TAG_WRITE,
-    make_policy,
-)
+from .resources import Channel, Ecc, Fifo
+from .retry_policies import TAG_GC, TAG_WRITE, PlanBuild, make_policy
 
 
 #: Legacy names for the structured tracer — same classes, same ``events``
@@ -162,7 +158,6 @@ class SSDSimulator:
         trace_config: Optional[TraceConfig] = None,
         snapshot_interval_us: Optional[float] = None,
         keep_raw_latencies: bool = True,
-        core: Optional[str] = None,
     ):
         self.config = config or SSDConfig()
         self.sim = Simulator()
@@ -221,45 +216,23 @@ class SSDSimulator:
             raise SimulationError("read_disturb_threshold must be >= 1")
 
         # --- resources ---
-        #: which read-pipeline implementation executes this simulator:
-        #: "batched" (the structure-of-arrays engine, default) or "scalar"
-        #: (the closure-per-phase reference) — see repro.ssd.core_mode
-        self.core = resolve_core(core)
         #: with arbitration on, read transfers outrank writes/GC and
         #: un-gated traffic may bypass a decoder-stalled read (the channel
         #: keeps moving write data during ECCWAIT)
         self.channel_arbitration = channel_arbitration
-        if self.core == "batched":
-            from .read_pipeline import FastChannel, FastEcc, FastFifo
-
-            self.host_link = FastFifo(self.sim, "host")
-            self.planes = [
-                FastFifo(self.sim, f"plane{i}") for i in range(g.total_planes)
-            ]
-            self.eccs = [
-                FastEcc(self.sim, f"ecc{i}", self.config.ecc.buffer_pages)
-                for i in range(g.channels)
-            ]
-            self.channels = [
-                FastChannel(self.sim, f"ch{i}", self.eccs[i],
-                            arbitrated=channel_arbitration)
-                for i in range(g.channels)
-            ]
-        else:
-            self.host_link = SerialResource(self.sim, "host")
-            self.planes = [
-                SerialResource(self.sim, f"plane{i}")
-                for i in range(g.total_planes)
-            ]
-            self.channels = [
-                SerialResource(self.sim, f"ch{i}",
-                               arbitrated=channel_arbitration)
-                for i in range(g.channels)
-            ]
-            self.eccs = [
-                EccEngine(self.sim, f"ecc{i}", self.config.ecc.buffer_pages)
-                for i in range(g.channels)
-            ]
+        self.host_link = Fifo(self.sim, "host")
+        self.planes = [
+            Fifo(self.sim, f"plane{i}") for i in range(g.total_planes)
+        ]
+        self.eccs = [
+            Ecc(self.sim, f"ecc{i}", self.config.ecc.buffer_pages)
+            for i in range(g.channels)
+        ]
+        self.channels = [
+            Channel(self.sim, f"ch{i}", self.eccs[i],
+                    arbitrated=channel_arbitration)
+            for i in range(g.channels)
+        ]
         for channel, ecc in zip(self.channels, self.eccs):
             ecc.subscribe_on_release(channel.kick)
 
@@ -290,14 +263,9 @@ class SSDSimulator:
         if self.fault_injector is not None:
             self._schedule_saturation_windows()
 
-        # --- batched read pipeline (constructed last: it captures the
-        # policy, sampler, metrics, tracer and fault wiring above) ---
-        if self.core == "batched":
-            from .read_pipeline import ReadPipeline
-
-            self._pipeline: Optional[ReadPipeline] = ReadPipeline(self)
-        else:
-            self._pipeline = None
+        # --- read pipeline (constructed last: it captures the policy,
+        # sampler, metrics, tracer and fault wiring above) ---
+        self._pipeline = ReadPipeline(self)
 
     @property
     def tracer(self) -> Optional[SimTracer]:
@@ -306,7 +274,7 @@ class SSDSimulator:
     @tracer.setter
     def tracer(self, value: Optional[SimTracer]) -> None:
         # tooling (repro.perf.profile) attaches a tracer post-construction;
-        # the batched pipeline caches trace wiring, so keep it in sync
+        # the pipeline caches trace wiring, so keep it in sync
         self._tracer = value
         pipeline = getattr(self, "_pipeline", None)
         if pipeline is not None:
@@ -360,26 +328,19 @@ class SSDSimulator:
                       "bytes": request.size_bytes, "pages": len(lpns)},
             )
         pipeline = self._pipeline
-        if pipeline is not None:
-            if request.is_read:
-                pipeline.start_reads(lpns, state)
-            else:
-                for lpn in lpns:
-                    pipeline.start_write(lpn, state)
-            return
-        for lpn in lpns:
-            if request.is_read:
-                self._start_page_read(lpn, state)
-            else:
-                self._start_page_write(lpn, state)
+        if request.is_read:
+            pipeline.start_reads(lpns, state)
+        else:
+            for lpn in lpns:
+                pipeline.start_write(lpn, state)
 
     def run(self, until: Optional[float] = None,
             stop_condition: Optional[Callable[[], bool]] = None) -> None:
         """Drive the event loop (see :meth:`Simulator.run`)."""
         self.sim.run(until=until, stop_condition=stop_condition)
         self.metrics.elapsed_us = self.sim.now
-        for resource in (*self.channels, *self.planes, self.host_link):
-            resource.finalize()
+        for channel in self.channels:
+            channel.finalize()
         # history-driven policies: snapshot learned state and hit/miss
         # counters into the metrics so result JSON (and thus the campaign
         # cache and fleet rollups) carries them; idempotent on re-entry
@@ -404,45 +365,6 @@ class SSDSimulator:
         outcome model's memo caches (see :mod:`repro.perf.cache`)."""
         return self.sampler.cache_stats() + self.outcome_model.cache_stats()
 
-    # --- page read ---------------------------------------------------------------------------
-
-    def _start_page_read(self, lpn: int, state: _RequestState) -> None:
-        target = self.ftl.read(lpn)
-        faults: Optional[ReadFaultDecision] = None
-        if self.fault_injector is not None:
-            faults = self.fault_injector.on_page_read(target.address,
-                                                      self.sim.now)
-            if faults.any:
-                self.metrics.faults_injected += faults.fired
-                target = self._mitigate_read_faults(lpn, target, faults,
-                                                    state)
-                if target is None:
-                    return  # degraded: the page was completed (or raised)
-            else:
-                faults = None
-        if target.cold:
-            retention = self.sampler.cold_age_days(lpn)
-        else:
-            retention = self.sampler.warm_age_days(target.written_at_us, self.sim.now)
-        rber = self.sampler.rber(
-            target.address.block_key(), target.address.page,
-            retention, target.block_read_count,
-        )
-        if self.policy.stateful:
-            self.policy.begin_read(target.address.block_key(), retention)
-        plan = self.policy.plan_read(rber)
-        self._account_plan(plan)
-        if state.traced and self.tracer.config.trace_requests:
-            self.tracer.record_instant(
-                "read.plan", self.sim.now, request_id=state.request_id,
-                args=dict(plan.trace_args(), lpn=lpn),
-            )
-        self._execute_plan(plan, target.address, state, label=f"R:lpn{lpn}",
-                           faults=faults)
-        if (self.read_disturb_threshold is not None
-                and target.block_read_count >= self.read_disturb_threshold):
-            self._relocate_disturbed_block(target.address)
-
     # --- fault mitigation (repro.faults) ---------------------------------------------
 
     def _mitigate_read_faults(self, lpn: int, target, faults: ReadFaultDecision,
@@ -465,13 +387,7 @@ class SSDSimulator:
                 # block through the existing relocation path
                 self.metrics.retired_blocks += 1
                 self.fault_injector.note_block_retired(addr)
-                self.metrics.gc_page_copies += len(result.gc_copies)
-                for copy in result.gc_copies:
-                    self._start_gc_copy(copy.source, copy.destination)
-                for plane_idx, _block in result.erased_blocks:
-                    self.planes[plane_idx].submit(
-                        Job(duration=self.config.timings.t_erase, tag="ERASE")
-                    )
+                self._pipeline.start_relocation(result)
                 target = self.ftl.read(lpn)  # re-resolve to the new home
             # the triggering read pays at least one retry round either way
             # (an unretired block struggles through like a transient fault)
@@ -496,15 +412,9 @@ class SSDSimulator:
         if result is None:
             return  # unsafe right now; the next read will retry
         self.metrics.disturb_relocations += 1
-        self.metrics.gc_page_copies += len(result.gc_copies)
-        for copy in result.gc_copies:
-            self._start_gc_copy(copy.source, copy.destination)
-        for plane_idx, _block in result.erased_blocks:
-            self.planes[plane_idx].submit(
-                Job(duration=self.config.timings.t_erase, tag="ERASE")
-            )
+        self._pipeline.start_relocation(result)
 
-    def _account_plan(self, plan: ReadPlan) -> None:
+    def _account_plan(self, plan: PlanBuild) -> None:
         m = self.metrics
         m.page_reads += 1
         m.total_senses += plan.senses
@@ -521,253 +431,6 @@ class SSDSimulator:
             per["senses"] = per.get("senses", 0.0) + plan.senses
             if plan.retried:
                 per["retried_reads"] = per.get("retried_reads", 0.0) + 1
-
-    def _execute_plan(self, plan: ReadPlan, address: PageAddress,
-                      state: _RequestState, label: str,
-                      faults: Optional[ReadFaultDecision] = None) -> None:
-        plane = self.planes[self.mapper.plane_index_of(address)]
-        channel = self.channels[address.channel]
-        ecc = self.eccs[address.channel]
-        phases = plan.phases
-        exhausted: Optional[ReproError] = None
-        if faults is not None:
-            phases, exhausted = self._apply_transfer_faults(phases, faults)
-            if faults.latency_scale > 1.0:
-                phases = [
-                    replace(p, duration=p.duration * faults.latency_scale)
-                    if p.kind is PhaseKind.SENSE else p
-                    for p in phases
-                ]
-
-        def run_phase(index: int) -> None:
-            if index >= len(phases):
-                if exhausted is not None:
-                    self._degraded_read(state, exhausted)
-                    return
-                if faults is not None:
-                    self.metrics.faults_absorbed += faults.fired
-                self._finish_page_read(state)
-                return
-            phase = phases[index]
-
-            def advance() -> None:
-                run_phase(index + 1)
-
-            if phase.kind is PhaseKind.SENSE:
-                self._submit_traced(
-                    plane, phase.duration, "SENSE", label, advance,
-                    state=state, kind="sense",
-                )
-            elif phase.kind is PhaseKind.TRANSFER:
-                if phase.decode_us is None:
-                    self._submit_traced(
-                        channel, phase.duration, phase.tag, label, advance,
-                        priority=1, state=state, kind="transfer",
-                    )
-                else:
-                    self._submit_transfer_with_decode(
-                        channel, ecc, phase, label, advance, state=state
-                    )
-            else:  # pragma: no cover - enum is closed
-                raise SimulationError(f"unknown phase kind {phase.kind}")
-
-        if faults is not None and faults.sense_failures:
-            self._run_sense_retries(plane, faults.sense_failures, label,
-                                    state, lambda: run_phase(0))
-        else:
-            run_phase(0)
-
-    def _apply_transfer_faults(self, phases, faults: ReadFaultDecision):
-        """Fold channel-corruption faults into a phase list.
-
-        Each corrupted transfer crosses the channel, burns a doomed decode
-        (UNCOR, full failed-decode latency), and is re-transferred; within
-        the retry budget the clean plan follows, beyond it the corrupted
-        rounds play out and the read ends degraded."""
-        if not faults.corrupt_transfers:
-            return phases, None
-        budget = self.fault_plan.max_retries
-        plays = min(faults.corrupt_transfers, budget + 1)
-        for i, phase in enumerate(phases):
-            if phase.kind is PhaseKind.TRANSFER and phase.decode_us is not None:
-                corrupt = replace(phase, tag=TAG_UNCOR,
-                                  decode_us=self.config.ecc.t_ecc_max)
-                self.metrics.fault_retries += plays
-                self.metrics.uncorrectable_transfers += plays
-                if faults.corrupt_transfers > budget:
-                    return list(phases[:i]) + [corrupt] * plays, \
-                        RetryExhaustedError(
-                            f"transfer still corrupt after {budget} "
-                            "re-transfers"
-                        )
-                return (list(phases[:i]) + [corrupt] * plays
-                        + list(phases[i:])), None
-        return phases, None  # plan has no decoder-bound transfer to corrupt
-
-    def _run_sense_retries(self, plane: SerialResource, failures: int,
-                           label: str, state: _RequestState,
-                           proceed: Callable[[], None]) -> None:
-        """Bounded retry with backoff for transient sense faults: the die
-        fails ``failures`` consecutive senses; the controller re-issues up
-        to ``max_retries`` times, waiting ``retry_backoff_us * round``
-        between attempts, then gives up (degraded read)."""
-        fault_plan = self.fault_plan
-        t_read = self.config.timings.t_read
-
-        def attempt(i: int) -> None:
-            def after_sense() -> None:
-                nxt = i + 1
-                backoff = fault_plan.retry_backoff_us * nxt
-                if nxt > fault_plan.max_retries:
-                    self._degraded_read(state, RetryExhaustedError(
-                        f"sense still failing after "
-                        f"{fault_plan.max_retries} retries"
-                    ))
-                    return
-                self.metrics.fault_retries += 1
-                if nxt >= failures:
-                    # the re-issued sense succeeds: it is the plan's own
-                    # first SENSE phase
-                    self.sim.after(backoff, proceed)
-                else:
-                    self.sim.after(backoff, lambda: attempt(nxt))
-
-            self._submit_traced(plane, t_read, "FAULT", label, after_sense,
-                                state=state, kind="fault")
-
-        attempt(0)
-
-    def _submit_traced(self, resource: SerialResource, duration: float,
-                       tag: str, label: str, on_complete: Callable[[], None],
-                       priority: int = 0,
-                       state: Optional[_RequestState] = None,
-                       kind: str = "") -> None:
-        traced = (self.tracer is not None
-                  and (state is None or state.traced))
-        if not traced:
-            resource.submit(Job(duration=duration, tag=tag,
-                                on_complete=on_complete, priority=priority,
-                                label=label))
-            return
-        rid = state.request_id if state is not None else None
-        start_holder = {}
-
-        def on_start() -> None:
-            start_holder["t"] = self.sim.now
-
-        def done() -> None:
-            self.tracer.record(label, resource.name, start_holder["t"],
-                               self.sim.now, tag, kind=kind, request_id=rid)
-            on_complete()
-
-        resource.submit(Job(duration=duration, tag=tag,
-                            on_start=on_start, on_complete=done,
-                            priority=priority, label=label))
-
-    def _submit_transfer_with_decode(self, channel: SerialResource,
-                                     ecc: EccEngine, phase: Phase, label: str,
-                                     advance: Callable[[], None],
-                                     state: Optional[_RequestState] = None,
-                                     ) -> None:
-        """Channel transfer gated on a free decoder-buffer slot, followed by
-        the decode itself."""
-        traced = (self.tracer is not None
-                  and (state is None or state.traced))
-        rid = state.request_id if state is not None else None
-        start_holder = {}
-
-        def on_start() -> None:
-            ecc.reserve_slot()
-            start_holder["t"] = self.sim.now
-
-        def after_transfer() -> None:
-            if traced:
-                self.tracer.record(label, channel.name, start_holder["t"],
-                                   self.sim.now, phase.tag, kind="transfer",
-                                   request_id=rid)
-            decode_start = self.sim.now
-
-            def after_decode() -> None:
-                if traced:
-                    self.tracer.record(label, ecc.name, decode_start,
-                                       self.sim.now, phase.tag, kind="decode",
-                                       request_id=rid)
-                advance()
-
-            ecc.submit_decode(phase.decode_us, phase.tag, after_decode,
-                              label=label)
-
-        channel.submit(Job(
-            duration=phase.duration,
-            tag=phase.tag,
-            on_start=on_start,
-            on_complete=after_transfer,
-            can_start=ecc.can_reserve,
-            priority=1,
-            label=label,
-        ))
-
-    def _finish_page_read(self, state: _RequestState) -> None:
-        """Corrected page goes to the host over the shared host link."""
-        self.host_link.submit(Job(
-            duration=self._host_page_us,
-            tag="READ",
-            on_complete=lambda: self._page_done(state),
-        ))
-
-    # --- page write -----------------------------------------------------------------------------
-
-    def _start_page_write(self, lpn: int, state: _RequestState) -> None:
-        result = self.ftl.write(lpn, self.sim.now)
-        self.metrics.page_writes += 1
-        for copy in result.gc_copies:
-            self._start_gc_copy(copy.source, copy.destination)
-        self.metrics.gc_page_copies += len(result.gc_copies)
-        for pidx, _block in result.erased_blocks:
-            self.planes[pidx].submit(
-                Job(duration=self.config.timings.t_erase, tag="ERASE")
-            )
-        address = result.address
-        plane = self.planes[self.mapper.plane_index_of(address)]
-        channel = self.channels[address.channel]
-        t = self.config.timings
-
-        def after_host() -> None:
-            channel.submit(Job(
-                duration=t.t_dma, tag=TAG_WRITE, on_complete=after_channel,
-            ))
-
-        def after_channel() -> None:
-            plane.submit(Job(
-                duration=t.t_prog, tag=TAG_WRITE,
-                on_complete=lambda: self._page_done(state),
-            ))
-
-        self.host_link.submit(Job(
-            duration=self._host_page_us, tag="WRITE", on_complete=after_host,
-        ))
-
-    def _start_gc_copy(self, src: PageAddress, dst: PageAddress) -> None:
-        """Internal relocation: sense, move out, move back, program."""
-        t = self.config.timings
-        src_plane = self.planes[self.mapper.plane_index_of(src)]
-        dst_plane = self.planes[self.mapper.plane_index_of(dst)]
-        out_channel = self.channels[src.channel]
-        in_channel = self.channels[dst.channel]
-
-        def after_sense() -> None:
-            out_channel.submit(Job(duration=t.t_dma, tag=TAG_GC,
-                                   on_complete=after_out))
-
-        def after_out() -> None:
-            in_channel.submit(Job(duration=t.t_dma, tag=TAG_GC,
-                                  on_complete=after_in))
-
-        def after_in() -> None:
-            dst_plane.submit(Job(duration=t.t_prog, tag=TAG_GC))
-
-        src_plane.submit(Job(duration=t.t_read, tag=TAG_GC,
-                             on_complete=after_sense))
 
     # --- completion & metrics ---------------------------------------------------------------------
 

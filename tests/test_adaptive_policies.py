@@ -3,8 +3,8 @@
 Covers the level oracle, plan shapes for hit / cold / mispredict reads,
 learned-state JSON round-trips (direct and through the campaign cache),
 invalidation on retention fast-forward, and bit-identity of the adaptive
-state machine between the batched and scalar cores and between the
-serial and process-parallel executors.
+state machine between the serial and process-parallel executors (the
+simulated outputs themselves are pinned by ``tests/test_golden.py``).
 """
 
 import json
@@ -16,11 +16,12 @@ from repro.campaign import run_specs
 from repro.config import EccConfig, NandTimings
 from repro.errors import ConfigError
 from repro.nand.retry_table import level_for_rber
-from repro.ssd.core_mode import scalar_core
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.refresh import fast_forward
 from repro.ssd.retry_policies import TAG_COR, TAG_UNCOR, make_policy
 from repro.ssd.simulator import SimulationResult
+
+from tests.plans import compile_plan
 
 CAP = EccConfig().correction_capability
 
@@ -89,7 +90,7 @@ def test_ovcssd_learns_block_level_then_hits():
 
     # cold read: conventional first round fails (scripted), reactive walk
     policy.begin_read(block, 10.0)
-    plan = policy.plan_read(rber)
+    plan = compile_plan(policy, rber)
     assert plan.retried
     assert policy.hits == 0 and policy.mispredicts == 0  # no prediction yet
     assert policy.export_state()["blocks"] == {"0/0/0/7": 2}
@@ -97,7 +98,7 @@ def test_ovcssd_learns_block_level_then_hits():
     # the next read of the same block starts at the learned level and
     # decodes in one near-optimal round
     policy.begin_read(block, 10.0)
-    plan = policy.plan_read(rber)
+    plan = compile_plan(policy, rber)
     assert not plan.retried
     assert len(plan.phases) == 2
     assert plan.phases[-1].tag == TAG_COR
@@ -108,11 +109,11 @@ def test_ovcssd_mispredict_pays_deterministic_failed_round():
     policy = _policy("OVCSSD")
     block = (0, 0, 0, 3)
     policy.begin_read(block, 10.0)
-    policy.plan_read(CAP * 40.0)  # learns level 6
+    compile_plan(policy, CAP * 40.0)  # learns level 6
 
     # same block now reads clean: cached level 6 vs true level 0
     policy.begin_read(block, 10.0)
-    plan = policy.plan_read(CAP * 0.5)
+    plan = compile_plan(policy, CAP * 0.5)
     assert policy.mispredicts == 1
     assert plan.retried
     assert plan.uncorrectable_transfers >= 1
@@ -127,13 +128,13 @@ def test_ocassd_estimate_converges_to_observed_level():
     policy = _policy("OCASSD", alpha=0.5)
     rber = CAP * 8.0  # level 4
     policy.begin_read((0, 0, 0, 0), 5.0)
-    policy.plan_read(rber)  # cold: no prediction yet
+    compile_plan(policy, rber)  # cold: no prediction yet
     state = policy.export_state()
     assert state["observations"] == 1
     assert state["estimate"] == pytest.approx(2.0)  # 0 + 0.5 * (4 - 0)
     for _ in range(6):
         policy.begin_read((0, 0, 0, 0), 5.0)
-        policy.plan_read(rber)
+        compile_plan(policy, rber)
     assert policy.export_state()["estimate"] == pytest.approx(4.0, abs=0.1)
     assert policy.hits >= 1
 
@@ -158,7 +159,7 @@ def test_rvpssd_accurate_prediction_decodes_in_one_round():
     # a retention age squarely inside level 2, with an RBER to match
     age = 0.5 * (thresholds[1] + thresholds[2])
     policy.begin_read((1, 0, 0, 0), age)
-    plan = policy.plan_read(CAP * 3.0)  # true level 2
+    plan = compile_plan(policy, CAP * 3.0)  # true level 2
     assert not plan.retried
     assert len(plan.phases) == 2
     assert policy.hits == 1
@@ -235,8 +236,6 @@ def test_fast_forward_flushes_the_route_memo():
     ssd = build_simulator(spec)
     ssd.run_trace(build_trace(spec))
     pipeline = ssd._pipeline
-    if pipeline is None:
-        pytest.skip("scalar core has no route memo")
     assert pipeline._routes, "the run memoized no dispatch routes"
     fast_forward(ssd, retention_days=5.0)
     assert ssd.policy.state_version != pipeline._routes_version
@@ -277,17 +276,7 @@ def test_static_policies_ignore_fast_forward_state_hooks():
     assert ssd.policy.state_version == 0
 
 
-# --- cross-core / cross-executor bit-identity ------------------------------------
-
-
-@pytest.mark.parametrize("policy,kwargs", ADAPTIVE)
-def test_batched_core_matches_scalar_core(policy, kwargs):
-    spec = _spec(policy, kwargs, n_requests=240, refresh_days=180.0)
-    batched = execute(spec)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
-    assert batched.metrics.adaptive_state == scalar.metrics.adaptive_state
+# --- cross-executor bit-identity ------------------------------------
 
 
 def test_serial_and_parallel_executors_identical():

@@ -29,9 +29,8 @@ KILL_SCENARIOS = sorted({
 })
 
 
-def _run_cli(*args, env_extra=None):
+def _run_cli(*args):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "repro.campaign", *args],
         capture_output=True, text=True, env=env, timeout=120,
@@ -111,26 +110,3 @@ def test_kill_after_torn_cache_write_recovers(tmp_path, reference):
     healed = _run_cli("verify-ledger", str(ledger), "--json")
     assert healed.returncode == 0
     assert json.loads(healed.stdout)["cache"]["quarantined"] == 1
-
-
-def test_smoke_grid_scalar_core_matches_itself(tmp_path):
-    """The resume guarantee holds under the scalar reference core too
-    (REPRO_SCALAR_CORE=1), which CI exercises as a separate lane."""
-    env = {"REPRO_SCALAR_CORE": "1"}
-    ledger = tmp_path / "ledger"
-    crashed = _run_cli("smoke-grid", "--ledger", str(ledger),
-                       "--kill-after", "1", "--out", str(tmp_path / "x.json"),
-                       env_extra=env)
-    assert crashed.returncode == -signal.SIGKILL
-
-    out1 = tmp_path / "resumed.json"
-    resumed = _run_cli("smoke-grid", "--ledger", str(ledger),
-                       "--out", str(out1), env_extra=env)
-    assert resumed.returncode == 0, resumed.stderr
-
-    out2 = tmp_path / "straight.json"
-    straight = _run_cli("smoke-grid", "--ledger", str(tmp_path / "fresh"),
-                        "--out", str(out2), env_extra=env)
-    assert straight.returncode == 0, straight.stderr
-    assert (json.loads(out1.read_text())["cells"]
-            == json.loads(out2.read_text())["cells"])

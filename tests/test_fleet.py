@@ -204,6 +204,22 @@ def test_cli_sigkill_then_resume_rollup_bit_identical(tmp_path):
     assert diff.returncode == 0, diff.stderr
 
 
+def test_cli_durable_pool_run_shuts_down_cleanly(tmp_path):
+    """Pool workers must not inherit the durable runtime's SIGTERM handler:
+    terminating them at shutdown is routine, not a KeyboardInterrupt."""
+    pop = tmp_path / "pop.json"
+    gen = _run_cli("generate", "--drives", "6", "--seed", "11",
+                   "--policies", "RiFSSD", "--n-requests", "30",
+                   "--user-pages", "1200", "--queue-depth", "8",
+                   "--out", str(pop))
+    assert gen.returncode == 0, gen.stderr
+    proc = _run_cli("run", "--spec", str(pop), "--jobs", "2",
+                    "--ledger", str(tmp_path / "ledger"))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert "KeyboardInterrupt" not in proc.stderr, proc.stderr
+
+
 def test_cli_generate_report_and_diff_divergence(tmp_path):
     pop = tmp_path / "pop.json"
     gen = _run_cli("generate", *FLEET_ARGS, "--out", str(pop))

@@ -4,13 +4,10 @@ replays feed the fleet, and JSONL records rebuild the same rollup."""
 
 import json
 
-import pytest
-
 from repro.campaign import JsonlProgress, RunSpec, run_specs
 from repro.campaign.spec import build_trace, execute
 from repro.obs.registry import FleetAggregator
 from repro.obs.slo import default_slos, evaluate_fleet
-from repro.ssd.core_mode import scalar_core
 
 N_REQUESTS = 80
 SEED = 7
@@ -28,19 +25,15 @@ def _specs(policies=("SENC", "RiFSSD"), pe_points=(1000.0, 2000.0)):
 # --- metering is bit-identical ---------------------------------------------
 
 
-@pytest.mark.parametrize("core", ["batched", "scalar"])
-def test_metered_run_is_bit_identical(core):
-    """Snapshots + scrape must not perturb a single simulated number, on
-    either core (exact ``to_dict`` equality, the acceptance bar)."""
+def test_metered_run_is_bit_identical():
+    """Snapshots + scrape must not perturb a single simulated number
+    (exact ``to_dict`` equality, the acceptance bar)."""
     spec = RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000.0,
                    n_requests=N_REQUESTS, seed=SEED)
     trace = build_trace(spec)
 
     def run(metered):
         kwargs = {"snapshot_interval_us": 10_000.0} if metered else {}
-        if core == "scalar":
-            with scalar_core():
-                return execute(spec, trace, **kwargs)
         return execute(spec, trace, **kwargs)
 
     plain = run(metered=False)
@@ -50,17 +43,6 @@ def test_metered_run_is_bit_identical(core):
     fleet = FleetAggregator()
     fleet.observe(spec, metered)
     assert metered.to_dict() == plain.to_dict()
-
-
-def test_both_cores_produce_identical_fleet_rollups():
-    spec = RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=1000.0,
-                   n_requests=N_REQUESTS, seed=SEED)
-    trace = build_trace(spec)
-    batched, scalar = FleetAggregator(), FleetAggregator()
-    batched.observe(spec, execute(spec, trace))
-    with scalar_core():
-        scalar.observe(spec, execute(spec, trace))
-    assert batched.to_dict() == scalar.to_dict()
 
 
 # --- rollups reconcile with SimMetrics -------------------------------------

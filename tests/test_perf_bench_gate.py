@@ -10,7 +10,6 @@ from repro.campaign.spec import RunSpec
 from repro.perf.bench_gate import (
     BASELINE_CAP_FACTOR,
     DEFAULT_TOLERANCE,
-    E2E_FLOOR,
     MICRO_FLOOR,
     OVERHEAD_FLOOR,
     BenchResult,
@@ -35,14 +34,14 @@ def test_floor_only_gate_without_baseline():
     verdicts = evaluate_gate([
         _result("micro_ok", "micro", MICRO_FLOOR + 1.0),
         _result("micro_bad", "micro", 1.0),
-        _result("e2e_ok", "e2e", E2E_FLOOR + 0.2),
-        _result("e2e_bad", "e2e", 1.0),
+        _result("overhead_ok", "overhead", 1.0),
+        _result("overhead_bad", "overhead", 0.5),
     ], baseline=None)
     by_name = {v.name: v for v in verdicts}
     assert by_name["micro_ok"].passed
     assert not by_name["micro_bad"].passed
-    assert by_name["e2e_ok"].passed
-    assert not by_name["e2e_bad"].passed
+    assert by_name["overhead_ok"].passed
+    assert not by_name["overhead_bad"].passed
 
 
 def test_gate_flags_regression_vs_baseline():
@@ -75,7 +74,7 @@ def test_gate_floor_still_binds_when_baseline_is_low():
 
 def test_new_benchmark_without_baseline_entry_uses_floor():
     baseline = {"other": {"speedup": 50.0}}
-    verdict = evaluate_gate([_result("fresh", "e2e", E2E_FLOOR + 0.1)],
+    verdict = evaluate_gate([_result("fresh", "micro", MICRO_FLOOR + 0.1)],
                             baseline)[0]
     assert verdict.passed
     assert "floor" in verdict.detail
@@ -110,12 +109,12 @@ def test_format_verdicts_mentions_failures():
 
 
 def test_results_roundtrip(tmp_path):
-    results = [_result("a", "micro", 3.0), _result("b", "e2e", 1.5)]
+    results = [_result("a", "micro", 3.0), _result("b", "overhead", 1.0)]
     path = tmp_path / "bench.json"
     write_results(results, path)
     loaded = load_results(path)
     assert loaded["a"]["speedup"] == pytest.approx(3.0)
-    assert loaded["b"]["kind"] == "e2e"
+    assert loaded["b"]["kind"] == "overhead"
     payload = results_payload(results)
     assert payload["schema"] == 1
     assert "pinned" in payload

@@ -8,15 +8,18 @@ Two layers:
 * system equivalence — a fixed-seed fig.-17-style simulation produces an
   identical :class:`SimulationResult` (``to_dict()`` equality, which
   includes every latency float) with memo caches on and off, for both
-  reliability modes and across retry policies.
+  reliability modes and across retry policies.  The simulation's own
+  outputs are pinned by the golden digests of ``tests/test_golden.py``,
+  which the caches-off run reproduces too.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.campaign.spec import RunSpec, execute
-from repro.config import LdpcCodeConfig, small_test_config
-from repro.faults import FaultPlan, FaultSpec
+from repro.campaign.spec import execute
+from repro.config import LdpcCodeConfig
 from repro.ldpc.qc_matrix import QcLdpcCode
 from repro.ldpc.syndrome import (
     pruned_syndrome,
@@ -25,15 +28,13 @@ from repro.ldpc.syndrome import (
     restore_codeword,
 )
 from repro.nand.vth import PageType, TlcVthModel
-from repro.obs import TraceConfig
 from repro.perf import kernels
 from repro.perf.cache import MemoCache, caches_disabled, caches_enabled
-from repro.ssd.core_mode import scalar_core
 from repro.ssd.ecc_model import EccOutcomeModel
 from repro.ssd.lut_reliability import LutReliabilitySampler
 from repro.ssd.reliability import PageReliabilitySampler
-from repro.ssd.simulator import SSDSimulator
-from repro.workloads import generate
+
+from tests.test_golden import SPECS, canonical, headline, load, mismatch
 
 
 @pytest.fixture(scope="module")
@@ -172,20 +173,6 @@ def test_memocache_never_caches_while_disabled_then_reuses():
 # --- end-to-end equivalence ---------------------------------------------------------
 
 
-SPECS = [
-    RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000.0,
-            n_requests=1200, seed=7),
-    RunSpec(workload="Ali121", policy="SWR", pe_cycles=1000.0,
-            n_requests=1200, seed=7),
-    RunSpec(workload="Sys1", policy="RPSSD", pe_cycles=2000.0,
-            n_requests=1200, seed=11),
-    RunSpec(workload="Ali2", policy="RiFSSD", pe_cycles=2000.0,
-            n_requests=1200, seed=7, reliability_mode="lut"),
-    RunSpec(workload="Sys0", policy="SSDone", pe_cycles=0.0,
-            n_requests=1200, seed=7),
-]
-
-
 @pytest.mark.parametrize("spec", SPECS,
                          ids=[f"{s.workload}-{s.policy}-{s.reliability_mode}"
                               for s in SPECS])
@@ -196,126 +183,19 @@ def test_simulation_bit_identical_with_and_without_caches(spec):
     assert cached.to_dict() == reference.to_dict()
 
 
-# --- batched vs scalar core ---------------------------------------------------------
-#
-# The batched read pipeline replaces the scalar per-read closure engine
-# wholesale; ``scalar_core()`` keeps the seed path alive as the reference
-# mode.  Every spec below must produce the same ``to_dict()`` — every
-# latency float, every counter — in both cores.
-
-
-@pytest.mark.parametrize("spec", SPECS,
-                         ids=[f"{s.workload}-{s.policy}-{s.reliability_mode}"
-                              for s in SPECS])
-def test_batched_core_matches_scalar_core(spec):
-    batched = execute(spec)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
-
-
 def test_batched_core_matches_seed_path_uncached():
-    """Batched + caches vs the pre-perf-layer seed path (scalar core with
-    every memo layer disabled) — the bench gate's exact reference."""
+    """The engine with every memo layer disabled (the pre-perf-layer
+    configuration) reproduces the golden digest the seed path recorded —
+    the bench gate's exact reference."""
     spec = SPECS[0]
-    batched = execute(spec)
-    with scalar_core():
-        with caches_disabled():
-            reference = execute(spec)
-    assert batched.to_dict() == reference.to_dict()
-
-
-EXTRA_MODE_SPECS = [
-    RunSpec(workload="Sys1", policy="RiFSSD", pe_cycles=2000.0,
-            n_requests=800, seed=7, channel_arbitration=True),
-    RunSpec(workload="Ali124", policy="SWR+", pe_cycles=2000.0,
-            n_requests=800, seed=7, mode="timed", time_limit_us=40000.0),
-    RunSpec(workload="Sys0", policy="RPSSD", pe_cycles=1000.0,
-            n_requests=800, seed=13, read_disturb_threshold=40),
-]
-
-
-@pytest.mark.parametrize("spec", EXTRA_MODE_SPECS,
-                         ids=["arbitration", "timed", "read-disturb"])
-def test_batched_core_matches_scalar_in_special_modes(spec):
-    batched = execute(spec)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
-
-
-FAULT_PLANS = [
-    FaultPlan(faults=(
-        FaultSpec(kind="transient_sense", period=7, magnitude=2.0),
-        FaultSpec(kind="latency_spike", period=5, magnitude=3.0),
-    )),
-    FaultPlan(faults=(
-        FaultSpec(kind="grown_bad_block", channel=0, die=0, plane=0,
-                  block=2, start_read=30),
-        FaultSpec(kind="channel_corrupt", period=11, count=4, magnitude=1),
-    )),
-    FaultPlan(faults=(
-        FaultSpec(kind="ecc_saturation", channel=0, start_us=200.0,
-                  end_us=3000.0),
-        FaultSpec(kind="die_offline", channel=1, die=0, start_read=60),
-    ), on_degraded="absorb"),
-]
-
-
-@pytest.mark.parametrize("plan", FAULT_PLANS,
-                         ids=["sense+spike", "badblock+corrupt",
-                              "saturation+offline"])
-@pytest.mark.parametrize("policy", ["RiFSSD", "SSDone"])
-def test_batched_core_matches_scalar_under_faults(plan, policy):
-    """Fault plans force the sequential resolve path of the batched
-    pipeline; outcomes, mitigation and degraded reads must stay
-    bit-identical to the scalar engine."""
-    spec = RunSpec(workload="Sys0", policy=policy, pe_cycles=2000.0,
-                   n_requests=600, seed=7, fault_plan=plan)
-    batched = execute(spec)
-    with scalar_core():
-        scalar = execute(spec)
-    assert batched.to_dict() == scalar.to_dict()
-
-
-def _traced_run(**kw):
-    ssd = SSDSimulator(small_test_config(), policy="RiFSSD",
-                       pe_cycles=2000.0, seed=31,
-                       trace_config=TraceConfig(enabled=True), **kw)
-    trace = generate("Sys1", n_requests=300, user_pages=3000, seed=31)
-    result = ssd.run_trace(trace)
-    return ssd, result
-
-
-def test_batched_core_matches_scalar_with_tracing_enabled():
-    """Tracing must observe the same simulation from both cores: identical
-    results, request spans, lifecycle instants and per-resource busy
-    accounting (``perf.cache_stats`` instants are excluded — the cores
-    probe the memo layers differently by design)."""
-    ssd_b, res_b = _traced_run()
-    with scalar_core():
-        ssd_s, res_s = _traced_run()
-    assert res_b.to_dict() == res_s.to_dict()
-    assert ssd_b.tracer.request_spans == ssd_s.tracer.request_spans
-    instants_b = [ev for ev in ssd_b.tracer.instants
-                  if ev.name != "perf.cache_stats"]
-    instants_s = [ev for ev in ssd_s.tracer.instants
-                  if ev.name != "perf.cache_stats"]
-    assert instants_b == instants_s
-    assert (ssd_b.tracer.resource_busy_by_tag()
-            == ssd_s.tracer.resource_busy_by_tag())
-
-
-def test_batched_core_matches_scalar_traced_under_faults():
-    plan = FaultPlan(faults=(
-        FaultSpec(kind="transient_sense", period=9, magnitude=2.0),
-        FaultSpec(kind="latency_spike", period=6, magnitude=2.5),
-    ))
-    ssd_b, res_b = _traced_run(fault_plan=plan)
-    with scalar_core():
-        ssd_s, res_s = _traced_run(fault_plan=plan)
-    assert res_b.to_dict() == res_s.to_dict()
-    assert ssd_b.tracer.request_spans == ssd_s.tracer.request_spans
+    name = f"spec/{spec.workload}-{spec.policy}-{spec.reliability_mode}"
+    golden = load()
+    with caches_disabled():
+        result = execute(spec)
+    digest = hashlib.sha256(canonical(result.to_dict())).hexdigest()
+    report = mismatch(name, golden["cells"][name], digest, headline(result),
+                      golden["recorded_on"])
+    assert not report, report
 
 
 def test_uniform_batch_preserves_stream_order():

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from repro.config import NandTimings, SSDConfig
 from repro.ssd.ecc_model import EccOutcomeModel
 from repro.ssd.ftl import PageMapFtl
-from repro.ssd.retry_policies import PhaseKind, PolicyName, make_policy
+from repro.ssd.retry_policies import K_SENSE, K_TRANSFER, PolicyName, make_policy
 from repro.units import KIB
 from repro.workloads.trace import IORequest
+
+from tests.plans import channel_time, compile_plan, plane_time
 
 _TIMINGS = NandTimings()
 
@@ -23,21 +25,21 @@ def test_any_plan_is_well_formed(policy_name, rber, seed):
     alternation ending in a transfer, with consistent counters."""
     model = EccOutcomeModel(seed=seed)
     policy = make_policy(policy_name, _TIMINGS, model)
-    plan = policy.plan_read(rber)
+    plan = compile_plan(policy, rber)
     assert plan.phases, "every read plan has at least one phase"
-    assert plan.phases[0].kind is PhaseKind.SENSE
-    assert plan.phases[-1].kind is PhaseKind.TRANSFER
+    assert plan.phases[0].kind == K_SENSE
+    assert plan.phases[-1].kind == K_TRANSFER
     # the last transfer is always a correctable page going to the host
     assert plan.phases[-1].tag == "COR"
     # phase alternation: SENSE and TRANSFER strictly interleave
     for a, b in zip(plan.phases, plan.phases[1:]):
-        assert a.kind is not b.kind
+        assert a.kind != b.kind
     assert plan.senses >= 1
     assert plan.uncorrectable_transfers <= sum(
-        1 for p in plan.phases if p.kind is PhaseKind.TRANSFER
+        1 for p in plan.phases if p.kind == K_TRANSFER
     )
-    assert plan.total_plane_time() > 0
-    assert plan.total_channel_time() > 0
+    assert plane_time(plan) > 0
+    assert channel_time(plan) > 0
     if not plan.retried:
         assert len(plan.phases) == 2
 
@@ -50,7 +52,7 @@ def test_any_plan_is_well_formed(policy_name, rber, seed):
 def test_rif_plans_never_ship_predicted_failures(rber, seed):
     model = EccOutcomeModel(seed=seed)
     policy = make_policy("RiFSSD", _TIMINGS, model)
-    plan = policy.plan_read(rber)
+    plan = compile_plan(policy, rber)
     if plan.in_die_retry and plan.uncorrectable_transfers:
         # only the rare residual decode failure of the re-read may ship a
         # bad page, and then a reactive round must follow

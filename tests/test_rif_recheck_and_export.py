@@ -12,6 +12,8 @@ from repro.experiments.runner import main
 from repro.ssd.ecc_model import EccOutcomeModel, ScriptedEccOutcomeModel
 from repro.ssd.retry_policies import make_policy
 
+from tests.plans import channel_time, compile_plan, plane_time
+
 T = NandTimings()
 
 
@@ -40,11 +42,11 @@ def test_recheck_adds_tpred_when_reread_is_clean():
     checked = make_policy("RiFSSD", T,
                           ScriptedEccOutcomeModel(rp_script=[False]),
                           recheck_reread=True)
-    plan_base = base.plan_read(0.01)
-    plan_checked = checked.plan_read(0.01)
+    plan_base = compile_plan(base, 0.01)
+    plan_checked = compile_plan(checked, 0.01)
     # a clean re-read costs exactly one extra tPRED under recheck
-    assert plan_checked.total_plane_time() == pytest.approx(
-        plan_base.total_plane_time() + T.t_pred
+    assert plane_time(plan_checked) == pytest.approx(
+        plane_time(plan_base) + T.t_pred
     )
     assert plan_checked.senses == plan_base.senses
 
@@ -55,22 +57,22 @@ def test_recheck_catches_bad_reread_on_die():
     model = _BadReretryModel(retried_success_script=[False, True],
                              rp_script=[False, False])
     policy = make_policy("RiFSSD", T, model, recheck_reread=True)
-    plan = policy.plan_read(0.01)
+    plan = compile_plan(policy, 0.01)
     assert plan.in_die_retry
     assert plan.senses == 3  # initial + two in-die re-reads
     assert plan.uncorrectable_transfers == 0
     # still exactly one off-chip transfer
-    assert plan.total_channel_time() == pytest.approx(T.t_dma)
+    assert channel_time(plan) == pytest.approx(T.t_dma)
 
 
 def test_without_recheck_bad_reread_is_shipped():
     model = _BadReretryModel(retried_success_script=[False, True],
                              rp_script=[False])
     policy = make_policy("RiFSSD", T, model)  # no recheck
-    plan = policy.plan_read(0.01)
+    plan = compile_plan(policy, 0.01)
     # the bad re-read crosses the channel and fails off-chip
     assert plan.uncorrectable_transfers == 1
-    assert plan.total_channel_time() > T.t_dma
+    assert channel_time(plan) > T.t_dma
 
 
 def test_recheck_round_cap():
@@ -78,7 +80,7 @@ def test_recheck_round_cap():
                              rp_script=[False] * 12)
     policy = make_policy("RiFSSD", T, model, recheck_reread=True,
                          max_in_die_rounds=2)
-    plan = policy.plan_read(0.01)
+    plan = compile_plan(policy, 0.01)
     # capped: initial + at most 2 in-die rounds, then reactive fallback
     assert plan.senses >= 3
     assert plan.uncorrectable_transfers >= 1
@@ -92,7 +94,7 @@ def test_recheck_statistical_effect():
         policy = make_policy("RiFSSD", T, model, recheck_reread=recheck)
         total = 0
         for _ in range(300):
-            total += policy.plan_read(0.012).uncorrectable_transfers
+            total += compile_plan(policy, 0.012).uncorrectable_transfers
         return total
 
     assert uncor_count(True) <= uncor_count(False)

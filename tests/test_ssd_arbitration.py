@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import small_test_config
 from repro.ssd.events import Simulator
-from repro.ssd.resources import EccEngine, Job, SerialResource
+from repro.ssd.resources import Channel, Ecc
 from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
 
@@ -12,41 +12,44 @@ from repro.workloads import generate
 # --- resource-level behaviour ---------------------------------------------------
 
 
+def _channel(sim, arbitrated):
+    """A channel wired to a one-page decoder buffer."""
+    ecc = Ecc(sim, "ecc", buffer_pages=1)
+    channel = Channel(sim, "ch", ecc, arbitrated=arbitrated)
+    ecc.subscribe_on_release(channel.kick)
+    return channel, ecc
+
+
 def test_arbitrated_resource_prefers_priority():
     sim = Simulator()
-    res = SerialResource(sim, "r", arbitrated=True)
+    res, _ecc = _channel(sim, arbitrated=True)
     order = []
     # occupy the resource so the contenders queue up
-    res.submit(Job(duration=5.0, tag="T"))
-    res.submit(Job(duration=1.0, tag="low", priority=0,
-                   on_complete=lambda: order.append("low")))
-    res.submit(Job(duration=1.0, tag="high", priority=1,
-                   on_complete=lambda: order.append("high")))
+    res.occupy(5.0, "T", None)
+    res.occupy(1.0, "low", lambda: order.append("low"), priority=0)
+    res.occupy(1.0, "high", lambda: order.append("high"), priority=1)
     sim.run()
     assert order == ["high", "low"]
 
 
 def test_arbitrated_resource_fifo_within_priority():
     sim = Simulator()
-    res = SerialResource(sim, "r", arbitrated=True)
+    res, _ecc = _channel(sim, arbitrated=True)
     order = []
-    res.submit(Job(duration=5.0, tag="T"))
+    res.occupy(5.0, "T", None)
     for i in range(3):
-        res.submit(Job(duration=1.0, tag="x", priority=1,
-                       on_complete=lambda i=i: order.append(i)))
+        res.occupy(1.0, "x", lambda i=i: order.append(i), priority=1)
     sim.run()
     assert order == [0, 1, 2]
 
 
 def test_fifo_resource_ignores_priority():
     sim = Simulator()
-    res = SerialResource(sim, "r", arbitrated=False)
+    res, _ecc = _channel(sim, arbitrated=False)
     order = []
-    res.submit(Job(duration=5.0, tag="T"))
-    res.submit(Job(duration=1.0, tag="low", priority=0,
-                   on_complete=lambda: order.append("low")))
-    res.submit(Job(duration=1.0, tag="high", priority=9,
-                   on_complete=lambda: order.append("high")))
+    res.occupy(5.0, "T", None)
+    res.occupy(1.0, "low", lambda: order.append("low"), priority=0)
+    res.occupy(1.0, "high", lambda: order.append("high"), priority=9)
     sim.run()
     assert order == ["low", "high"]
 
@@ -55,18 +58,14 @@ def test_ungated_job_bypasses_stalled_head():
     """The payoff case: a read transfer gated on a full decoder buffer no
     longer blocks a write transfer behind it."""
     sim = Simulator()
-    channel = SerialResource(sim, "ch", arbitrated=True)
-    ecc = EccEngine(sim, "ecc", buffer_pages=1)
-    ecc.subscribe_on_release(channel.kick)
+    channel, ecc = _channel(sim, arbitrated=True)
     ecc.reserve_slot()  # decoder buffer full until t=100
     sim.after(100.0, ecc.release_slot)
     done = []
-    channel.submit(Job(duration=10.0, tag="COR", priority=1,
-                       can_start=ecc.can_reserve,
-                       on_start=ecc.reserve_slot,
-                       on_complete=lambda: done.append(("read", sim.now))))
-    channel.submit(Job(duration=10.0, tag="WRITE", priority=0,
-                       on_complete=lambda: done.append(("write", sim.now))))
+    channel.occupy(10.0, "COR", lambda: done.append(("read", sim.now)),
+                   gated=True, priority=1)
+    channel.occupy(10.0, "WRITE", lambda: done.append(("write", sim.now)),
+                   priority=0)
     sim.run()
     # the write went first (the read was stalled), the read followed the
     # slot release

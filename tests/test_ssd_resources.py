@@ -1,19 +1,26 @@
-"""Serial resources, head gating, and the ECC buffer (ECCWAIT source)."""
+"""Serial resources, decoder gating, and the ECC buffer (ECCWAIT source)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.ssd.events import Simulator
-from repro.ssd.resources import EccEngine, Job, SerialResource
+from repro.ssd.resources import Channel, Ecc, Fifo
+
+
+def _gated_channel(sim, buffer_pages=1):
+    """A FIFO channel whose gated entries wait on its decoder buffer."""
+    ecc = Ecc(sim, "ecc", buffer_pages=buffer_pages)
+    channel = Channel(sim, "ch", ecc)
+    ecc.subscribe_on_release(channel.kick)
+    return channel, ecc
 
 
 def test_jobs_run_serially_fifo():
     sim = Simulator()
-    res = SerialResource(sim, "r")
+    res = Fifo(sim, "r")
     done = []
     for i in range(3):
-        res.submit(Job(duration=10.0, tag="T",
-                       on_complete=lambda i=i: done.append((i, sim.now))))
+        res.occupy(10.0, "T", lambda i=i: done.append((i, sim.now)))
     sim.run()
     assert done == [(0, 10.0), (1, 20.0), (2, 30.0)]
     assert res.busy_time_by_tag["T"] == 30.0
@@ -22,10 +29,10 @@ def test_jobs_run_serially_fifo():
 
 def test_busy_time_split_by_tag():
     sim = Simulator()
-    res = SerialResource(sim, "r")
-    res.submit(Job(duration=5.0, tag="A"))
-    res.submit(Job(duration=7.0, tag="B"))
-    res.submit(Job(duration=3.0, tag="A"))
+    res = Fifo(sim, "r")
+    res.occupy(5.0, "A", None)
+    res.occupy(7.0, "B", None)
+    res.occupy(3.0, "A", None)
     sim.run()
     assert res.busy_time_by_tag == {"A": 8.0, "B": 7.0}
     assert res.total_busy_time() == 15.0
@@ -33,65 +40,43 @@ def test_busy_time_split_by_tag():
 
 def test_gated_job_waits_and_blocked_time_recorded():
     sim = Simulator()
-    res = SerialResource(sim, "r")
-    gate = {"open": False}
+    channel, ecc = _gated_channel(sim)
+    ecc.hold_slots()  # decoder buffer shut until t=10
+    sim.after(10.0, ecc.release_held_slots)
     done = []
-
-    res.submit(Job(duration=2.0, tag="T",
-                   can_start=lambda: gate["open"],
-                   on_complete=lambda: done.append(sim.now)))
-
-    def open_gate():
-        gate["open"] = True
-        res.kick()
-
-    sim.after(10.0, open_gate)
+    channel.occupy(2.0, "T", lambda: done.append(sim.now), gated=True)
     sim.run()
     assert done == [12.0]
-    assert res.blocked_time == pytest.approx(10.0)
+    assert channel.blocked_time == pytest.approx(10.0)
 
 
 def test_gate_blocks_queue_head_only():
     """Head-of-line blocking is intentional: FIFO order is preserved."""
     sim = Simulator()
-    res = SerialResource(sim, "r")
-    gate = {"open": False}
+    channel, ecc = _gated_channel(sim)
+    ecc.hold_slots()
+    sim.after(5.0, ecc.release_held_slots)
     order = []
-    res.submit(Job(duration=1.0, tag="gated",
-                   can_start=lambda: gate["open"],
-                   on_complete=lambda: order.append("gated")))
-    res.submit(Job(duration=1.0, tag="free",
-                   on_complete=lambda: order.append("free")))
-
-    def open_gate():
-        gate["open"] = True
-        res.kick()
-
-    sim.after(5.0, open_gate)
+    channel.occupy(1.0, "gated", lambda: order.append("gated"), gated=True)
+    channel.occupy(1.0, "free", lambda: order.append("free"))
     sim.run()
     assert order == ["gated", "free"]
 
 
-def test_negative_duration_rejected():
-    sim = Simulator()
-    res = SerialResource(sim, "r")
-    with pytest.raises(SimulationError):
-        res.submit(Job(duration=-1.0, tag="T"))
-
-
 def test_finalize_closes_open_block():
     sim = Simulator()
-    res = SerialResource(sim, "r")
-    res.submit(Job(duration=1.0, tag="T", can_start=lambda: False))
+    channel, ecc = _gated_channel(sim)
+    ecc.hold_slots()  # never released
+    channel.occupy(1.0, "T", None, gated=True)
     sim.after(7.0, lambda: None)
     sim.run()
-    res.finalize()
-    assert res.blocked_time == pytest.approx(7.0)
+    channel.finalize()
+    assert channel.blocked_time == pytest.approx(7.0)
 
 
 def test_ecc_slots_reserve_release():
     sim = Simulator()
-    ecc = EccEngine(sim, "ecc", buffer_pages=2)
+    ecc = Ecc(sim, "ecc", buffer_pages=2)
     assert ecc.can_reserve()
     ecc.reserve_slot()
     ecc.reserve_slot()
@@ -105,7 +90,7 @@ def test_ecc_slots_reserve_release():
 
 def test_ecc_overflow_rejected():
     sim = Simulator()
-    ecc = EccEngine(sim, "ecc", buffer_pages=1)
+    ecc = Ecc(sim, "ecc", buffer_pages=1)
     ecc.reserve_slot()
     with pytest.raises(SimulationError):
         ecc.reserve_slot()
@@ -113,12 +98,17 @@ def test_ecc_overflow_rejected():
 
 def test_decode_releases_slot_and_notifies():
     sim = Simulator()
-    ecc = EccEngine(sim, "ecc", buffer_pages=1)
+    ecc = Ecc(sim, "ecc", buffer_pages=1)
     released = []
     ecc.subscribe_on_release(lambda: released.append(sim.now))
     ecc.reserve_slot()
     done = []
-    ecc.submit_decode(4.0, "COR", lambda: done.append(sim.now))
+
+    def decoded():
+        ecc.release_slot()
+        done.append(sim.now)
+
+    ecc.decoder.occupy(4.0, "COR", decoded)
     sim.run()
     assert done == [4.0]
     assert released == [4.0]
@@ -129,22 +119,17 @@ def test_full_buffer_stalls_channel_until_decode_done():
     """End-to-end ECCWAIT: a slow decode holding the last slot delays the
     channel's next transfer by exactly the remaining decode time."""
     sim = Simulator()
-    channel = SerialResource(sim, "ch")
-    ecc = EccEngine(sim, "ecc", buffer_pages=1)
-    ecc.subscribe_on_release(channel.kick)
+    channel, ecc = _gated_channel(sim)
     finished = []
 
     def transfer(label, decode_us):
-        def on_start():
-            ecc.reserve_slot()
+        def decoded():
+            ecc.release_slot()
+            finished.append((label, sim.now))
 
-        def on_complete():
-            ecc.submit_decode(decode_us, "COR",
-                              lambda: finished.append((label, sim.now)))
-
-        channel.submit(Job(duration=10.0, tag="COR", on_start=on_start,
-                           on_complete=on_complete,
-                           can_start=ecc.can_reserve))
+        channel.occupy(10.0, "COR",
+                       lambda: ecc.decoder.occupy(decode_us, "COR", decoded),
+                       gated=True)
 
     transfer("slow", 30.0)   # transfer 0-10, decode 10-40
     transfer("next", 1.0)    # transfer must wait until t=40
@@ -157,4 +142,4 @@ def test_full_buffer_stalls_channel_until_decode_done():
 def test_min_buffer_validation():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        EccEngine(sim, "e", buffer_pages=0)
+        Ecc(sim, "e", buffer_pages=0)

@@ -5,11 +5,13 @@ import pytest
 from repro.config import NandTimings
 from repro.ssd.ecc_model import DecodeDraw, EccOutcomeModel, ScriptedEccOutcomeModel
 from repro.ssd.retry_policies import (
+    K_SENSE,
     MAX_RETRY_ROUNDS,
-    PhaseKind,
     ReadRetryPolicy,
     make_policy,
 )
+
+from tests.plans import compile_plan
 
 T = NandTimings()
 
@@ -23,13 +25,13 @@ class _HopelessRetryModel(ScriptedEccOutcomeModel):
 
 def test_soft_recovery_terminates_hopeless_swift_loop():
     model = _HopelessRetryModel(decode_script=[False])
-    plan = make_policy("SWR", T, model).plan_read(0.02)
+    plan = compile_plan(make_policy("SWR", T, model), 0.02)
     # budget exhausted, then one soft round that always succeeds
     assert plan.phases[-1].tag == "COR"
     assert plan.phases[-1].decode_us == pytest.approx(2 * model.ecc.t_ecc_max)
     # the soft sense combines several reads
     soft_sense = plan.phases[-2]
-    assert soft_sense.kind is PhaseKind.SENSE
+    assert soft_sense.kind == K_SENSE
     assert soft_sense.duration == pytest.approx(
         T.t_read * ReadRetryPolicy.SOFT_RECOVERY_READS
     )
@@ -39,14 +41,14 @@ def test_soft_recovery_terminates_hopeless_swift_loop():
 
 def test_soft_recovery_terminates_hopeless_ssdone():
     model = _HopelessRetryModel(decode_script=[False])
-    plan = make_policy("SSDone", T, model).plan_read(0.02)
+    plan = compile_plan(make_policy("SSDone", T, model), 0.02)
     assert plan.phases[-1].tag == "COR"
     assert plan.retried
 
 
 def test_soft_recovery_terminates_hopeless_sentinel():
     model = _HopelessRetryModel(decode_script=[False])
-    plan = make_policy("SENC", T, model, p_vref_miss=0.0).plan_read(0.02)
+    plan = compile_plan(make_policy("SENC", T, model, p_vref_miss=0.0), 0.02)
     assert plan.phases[-1].tag == "COR"
 
 
@@ -57,10 +59,10 @@ def test_soft_recovery_never_used_when_retries_work():
     policy = make_policy("SWR", T, model)
     long_senses = ReadRetryPolicy.SOFT_RECOVERY_READS
     for _ in range(200):
-        plan = policy.plan_read(0.02)
+        plan = compile_plan(policy, 0.02)
         soft_rounds = [
             p for p in plan.phases
-            if p.kind is PhaseKind.SENSE
+            if p.kind == K_SENSE
             and p.duration == pytest.approx(T.t_read * long_senses)
         ]
         assert not soft_rounds
