@@ -127,6 +127,14 @@ class AddressMapper:
         )
 
     def _address_uncached(self, ppn: int) -> PageAddress:
+        _pidx, channel, die, plane, block, page = self.decode(ppn)
+        return PageAddress(channel, die, plane, block, page)
+
+    def decode(self, ppn: int) -> tuple:
+        """``(plane_index, channel, die, plane, block, page)`` of ``ppn``:
+        the range-checked integer decode behind :meth:`address`, for
+        callers that need the fields but not a :class:`PageAddress`
+        (``plane_index`` is :meth:`plane_index_of` of that address)."""
         g = self.geometry
         self._check_range(ppn, g.total_pages, "ppn")
         planes_total = self._planes_total
@@ -140,7 +148,7 @@ class AddressMapper:
         plane = rest // g.dies_per_channel
         block = page_in_plane // g.pages_per_block
         page = page_in_plane % g.pages_per_block
-        return PageAddress(channel, die, plane, block, page)
+        return pidx, channel, die, plane, block, page
 
     # --- validation ----------------------------------------------------------
 

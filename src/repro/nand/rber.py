@@ -81,8 +81,9 @@ class RberModel:
         self._disturb_cache = MemoCache("rber.disturb_per_read",
                                         max_entries=4096)
         self._factor_cache = MemoCache("rber.variation_factor")
+        # per block: (block factor, folded page-hash prefix), so a new
+        # page of a seen block folds one hash key instead of six
         self._block_factor_cache = MemoCache("rber.block_factor")
-        self._base_cache = MemoCache("rber.retention_base")
         # The anchors describe the weakest pages (the `anchor_quantile` of
         # the crossing distribution); the median page crosses later by the
         # inverse lognormal quantile of the combined variation sigma.
@@ -107,8 +108,7 @@ class RberModel:
 
     def _caches(self) -> List[MemoCache]:
         return [self._anchor_cache, self._prog_cache, self._disturb_cache,
-                self._factor_cache, self._block_factor_cache,
-                self._base_cache]
+                self._factor_cache, self._block_factor_cache]
 
     def anchor_cross_days(self, pe_cycles: float) -> float:
         """Retention time (days) at which the weakest (``anchor_quantile``)
@@ -211,24 +211,17 @@ class RberModel:
 
         The transcendental pieces — variation hashes through the inverse
         normal, the retention power law — evaluate through the same
-        memoized scalar functions (numpy's SIMD transcendentals differ
-        from libm in the last ulp, so vectorizing them would break
-        bit-identity with the scalar path); the read-disturb combine and
-        the 0.5 ceiling are one exact vectorized pass.  Lane ``i`` equals
+        scalar functions (numpy's SIMD transcendentals differ from libm
+        in the last ulp, so vectorizing them would break bit-identity
+        with the scalar path); the read-disturb combine and the 0.5
+        ceiling are one exact vectorized pass.  Lane ``i`` equals
         ``page_rber(states[i], block_keys[i], pages[i])`` bit for bit.
         """
         n = len(states)
         bases = np.fromiter(
-            (self._base_cache.get_or_compute(
-                (s.pe_cycles, s.retention_days, f),
-                lambda s=s, f=f: self._retention_base(
-                    s.pe_cycles, s.retention_days, f
-                ),
-            ) for s, f in zip(
-                states,
-                (self._page_variation(bk, pg)
-                 for bk, pg in zip(block_keys, pages)),
-            )),
+            (self._retention_base(s.pe_cycles, s.retention_days,
+                                  self._page_variation(bk, pg))
+             for s, bk, pg in zip(states, block_keys, pages)),
             dtype=np.float64, count=n,
         )
         disturb = np.fromiter(
@@ -241,45 +234,45 @@ class RberModel:
     def _page_variation(self, block_key: tuple, page: int) -> float:
         """Combined block*page strength factor, memoized per physical page
         (the hash + inverse-normal evaluation is pure in (seed, key)).
-        The block term is memoized separately so the first read of a new
-        page in an already-seen block only pays the page hash."""
+        The block term and the block's folded page-hash prefix are
+        memoized separately, so the first read of a new page in an
+        already-seen block folds only the page into the hash."""
         key = (block_key, page)
         cache = self._factor_cache
+        variation = self.variation
         if _perf_cache._ENABLED:
             table = cache._table
             factor = table.get(key)
             if factor is not None:
                 cache.hits += 1
                 return factor
-            # Hand-inlined miss path (same counter discipline as the
-            # nested get_or_compute chain below, which the caches-disabled
-            # reference keeps): probe the block factor, then combine.
+            # Hand-inlined miss path (get_or_compute's counter discipline
+            # on both tables): probe the block entry, then combine.
             cache.misses += 1
             bcache = self._block_factor_cache
             btable = bcache._table
-            bf = btable.get(block_key)
-            if bf is None:
+            block = btable.get(block_key)
+            if block is None:
                 bcache.misses += 1
-                bf = self.variation.block_factor(block_key)
+                block = (variation.block_factor(block_key),
+                         variation.page_prefix(block_key))
                 if len(btable) >= bcache.max_entries:
                     btable.clear()
                     bcache.evictions += 1
-                btable[block_key] = bf
+                btable[block_key] = block
             else:
                 bcache.hits += 1
-            factor = bf * self.variation.page_factor(block_key, page)
+            factor = block[0] * variation.page_factor_at(block[1], page)
             if len(table) >= cache.max_entries:
                 table.clear()
                 cache.evictions += 1
             table[key] = factor
             return factor
-        return cache.get_or_compute(
-            key,
-            lambda: self._block_factor_cache.get_or_compute(
-                block_key, lambda: self.variation.block_factor(block_key)
-            )
-            * self.variation.page_factor(block_key, page),
-        )
+        # caches off: both lookups miss and every hash runs in full
+        cache.misses += 1
+        self._block_factor_cache.misses += 1
+        return (variation.block_factor(block_key)
+                * variation.page_factor(block_key, page))
 
     def rber_with_strength(self, state: PageState, strength_factor: float) -> float:
         """RBER of a page with an explicit process-variation strength factor
@@ -287,33 +280,11 @@ class RberModel:
         return self._rber_with_factor(state, strength_factor)
 
     def _rber_with_factor(self, state: PageState, strength_factor: float) -> float:
-        # The retention base (everything except read disturb) is memoized:
-        # a page's wear and age repeat across reads, its read count does
-        # not.  ``base + disturb`` associates exactly like the original
-        # ``r_prog + retention_term + disturb``.  Miss path hand-inlined
-        # with get_or_compute's exact counter discipline — per-page ages
-        # make misses common here.
-        cache = self._base_cache
-        key = (state.pe_cycles, state.retention_days, strength_factor)
-        if _perf_cache._ENABLED:
-            table = cache._table
-            base = table.get(key)
-            if base is not None:
-                cache.hits += 1
-            else:
-                cache.misses += 1
-                base = self._retention_base(
-                    state.pe_cycles, state.retention_days, strength_factor
-                )
-                if len(table) >= cache.max_entries:
-                    table.clear()
-                    cache.evictions += 1
-                table[key] = base
-        else:
-            cache.misses += 1
-            base = self._retention_base(
-                state.pe_cycles, state.retention_days, strength_factor
-            )
+        # ``base + disturb`` is the model's left-to-right sum
+        # ``(r_prog + retention_term) + disturb``.
+        base = self._retention_base(
+            state.pe_cycles, state.retention_days, strength_factor
+        )
         rber = base + self.read_disturb_rber(state.pe_cycles, state.read_count)
         # physical ceiling: a completely scrambled page is 50% wrong
         return min(rber, 0.5)

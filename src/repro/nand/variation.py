@@ -29,18 +29,16 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _hash_to_unit(seed: int, *keys: int) -> float:
-    """Map (seed, keys...) to a uniform float in (0, 1), deterministically.
+def _fold(h: int, *keys: int) -> int:
+    """Fold ``keys`` into the hash state ``h``: ``h = mix(h ^ mix(k))``
+    per key, left to right.
 
-    The SplitMix64 rounds are inlined (exact integer arithmetic, same
-    values as :func:`_mix64`): this runs twice per key on every
-    block/page-factor miss, where the call frames dominate the hashing.
+    A left fold, so ``_fold(_fold(h, *a), *b) == _fold(h, *a, *b)``: a
+    caller that hashes many key tuples sharing a prefix stores the folded
+    prefix once and resumes from it.  The SplitMix64 rounds are inlined
+    (exact integer arithmetic, same values as :func:`_mix64`): the call
+    frames would otherwise dominate the hashing.
     """
-    x = seed & 0xFFFFFFFFFFFFFFFF
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    h = x ^ (x >> 31)
     for k in keys:
         x = ((k & 0xFFFFFFFFFFFFFFFF) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
@@ -50,8 +48,24 @@ def _hash_to_unit(seed: int, *keys: int) -> float:
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         h = x ^ (x >> 31)
-    # keep strictly inside (0,1) so the normal quantile below is finite
+    return h
+
+
+def _hash_state(seed: int, *keys: int) -> int:
+    """The folded hash state of ``(seed, *keys)`` — a prefix to resume
+    with :func:`_fold`."""
+    return _fold(_mix64(seed & 0xFFFFFFFFFFFFFFFF), *keys)
+
+
+def _unit(h: int) -> float:
+    """Map a 64-bit hash state to a float strictly inside (0, 1), so the
+    normal quantile below is finite."""
     return (h + 0.5) / 2.0**64
+
+
+def _hash_to_unit(seed: int, *keys: int) -> float:
+    """Map (seed, keys...) to a uniform float in (0, 1), deterministically."""
+    return _unit(_hash_state(seed, *keys))
 
 
 def _mix64_batch(x: np.ndarray) -> np.ndarray:
@@ -66,18 +80,17 @@ def _mix64_batch(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def hash_to_unit_batch(seed: int, key: int, values: np.ndarray) -> np.ndarray:
-    """Vectorized ``_hash_to_unit(seed, key, v)`` over an int array.
+def hash_to_unit_batch(prefix: int, values: np.ndarray) -> np.ndarray:
+    """Vectorized ``_unit(_fold(prefix, v))`` over an int array.
 
-    Bit-exact per lane: the (seed, key) prefix folds to one scalar
-    constant, the per-value fold and the (h + 0.5) / 2**64 mapping use
-    only exact uint64/float64 operations.  Used by the read pipeline
-    to sample a whole batch of cold ages at once.
+    ``prefix`` is a folded state (:func:`_hash_state`), so lane ``i``
+    equals ``_hash_to_unit(seed, *keys, values[i])`` bit for bit: the
+    one-key fold and the (h + 0.5) / 2**64 mapping use only exact
+    uint64/float64 operations.  Used by the reliability samplers to draw
+    a whole batch of cold ages at once.
     """
-    prefix = np.uint64(_mix64(_mix64(seed & 0xFFFFFFFFFFFFFFFF)
-                              ^ _mix64(key & 0xFFFFFFFFFFFFFFFF)))
     with np.errstate(over="ignore"):
-        h = _mix64_batch(prefix ^ _mix64_batch(
+        h = _mix64_batch(np.uint64(prefix) ^ _mix64_batch(
             np.asarray(values, dtype=np.uint64)))
     return (h.astype(np.float64) + 0.5) / 2.0**64
 
@@ -120,17 +133,29 @@ class VariationModel:
     def __init__(self, config: ReliabilityConfig, seed: int = 0):
         self.config = config
         self.seed = int(seed)
+        # folded (seed, stream) prefixes of the block and page hashes
+        self._block_state = _hash_state(self.seed, 0xB10C)
+        self._page_state = _hash_state(self.seed, 0x9A6E)
 
     def block_factor(self, block_key: tuple) -> float:
         """Lognormal strength factor of a block, median 1."""
-        u = _hash_to_unit(self.seed, 0xB10C, *[int(k) for k in block_key])
+        u = _unit(_fold(self._block_state, *[int(k) for k in block_key]))
         z = _unit_to_standard_normal(u)
         return math.exp(self.config.block_variation_sigma * z)
 
+    def page_prefix(self, block_key: tuple) -> int:
+        """The folded hash state of ``(seed, 0x9A6E, *block_key)``: what
+        :meth:`page_factor_at` resumes for every page of the block."""
+        return _fold(self._page_state, *[int(k) for k in block_key])
+
     def page_factor(self, block_key: tuple, page: int) -> float:
         """Secondary per-page factor (smaller sigma), median 1."""
-        u = _hash_to_unit(self.seed, 0x9A6E, *[int(k) for k in block_key], int(page))
-        z = _unit_to_standard_normal(u)
+        return self.page_factor_at(self.page_prefix(block_key), page)
+
+    def page_factor_at(self, prefix: int, page: int) -> float:
+        """:meth:`page_factor` of ``page`` in the block whose
+        :meth:`page_prefix` is ``prefix`` — one key folded, not six."""
+        z = _unit_to_standard_normal(_unit(_fold(prefix, int(page))))
         return math.exp(self.config.page_variation_sigma * z)
 
     def block_factors_array(self, n: int, stream: int = 0) -> np.ndarray:

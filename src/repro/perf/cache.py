@@ -19,27 +19,21 @@ Two properties are deliberate and load-bearing:
   linked-list overhead on the hot path, and a hard memory ceiling.  The
   clear is recorded in the stats as an ``evictions`` generation bump.
 
-Every cache registers itself in a per-process registry so telemetry can
-snapshot hit rates (:func:`cache_stats_snapshot`), and a global switch
-(:func:`caches_disabled`) turns all lookups into forced misses that also
-skip the store — the reference path used by the equivalence tests and the
-``bench-gate`` speedup measurements.
+A cache belongs to the object that built it (a sampler or model), which
+reports its counters through its own ``cache_stats()`` — the simulator's
+``perf.cache_stats`` telemetry instant gathers them per run.  A global
+switch (:func:`caches_disabled`) turns all lookups into forced misses
+that also skip the store — the reference path used by the equivalence
+tests and the ``bench-gate`` speedup measurements.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator
 
 from ..errors import ConfigError
-
-#: Process-wide registry of live caches (weak: a dropped sampler's caches
-#: disappear from telemetry instead of leaking).
-_REGISTRY: "weakref.WeakSet[MemoCache]" = weakref.WeakSet()
-_REGISTRY_LOCK = threading.Lock()
 
 #: Global enable flag — flipped by :func:`caches_disabled` only.
 _ENABLED = True
@@ -91,7 +85,7 @@ class MemoCache:
     """
 
     __slots__ = ("name", "max_entries", "hits", "misses", "evictions",
-                 "_table", "__weakref__")
+                 "_table")
 
     def __init__(self, name: str, max_entries: int = 1 << 16):
         if max_entries < 1:
@@ -102,8 +96,6 @@ class MemoCache:
         self.misses = 0
         self.evictions = 0
         self._table: Dict[Hashable, Any] = {}
-        with _REGISTRY_LOCK:
-            _REGISTRY.add(self)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -184,16 +176,3 @@ def caches_disabled() -> Iterator[None]:
     finally:
         _ENABLED = previous
 
-
-def iter_caches() -> List[MemoCache]:
-    """All live caches, in registration order (best effort)."""
-    with _REGISTRY_LOCK:
-        return list(_REGISTRY)
-
-
-def cache_stats_snapshot(caches: Optional[List[MemoCache]] = None) -> List[Dict[str, Any]]:
-    """JSON-ready stats for the given caches (default: every live cache),
-    sorted by name for stable output — the payload the simulator's
-    ``perf.cache_stats`` telemetry instant carries."""
-    pool = iter_caches() if caches is None else caches
-    return sorted((c.stats().to_dict() for c in pool), key=lambda d: d["name"])

@@ -78,11 +78,9 @@ class EccOutcomeModel:
         # draw stays on the live stream, so the sampled outcome sequence is
         # bit-identical with caches on or off.
         self._decode_cache = MemoCache("ecc.decode_params")
-        self._p_retry_cache = MemoCache("ecc.p_predict_retry")
-        # bound tables for the inline probes below; the caches never store
-        # None and only ever clear() their tables in place
+        # bound table for the inline probe below; the cache never stores
+        # None and only ever clear()s its table in place
         self._decode_table = self._decode_cache._table
-        self._p_retry_table = self._p_retry_cache._table
 
     def invalidate_caches(self) -> None:
         """Drop memoized curve evaluations (the curves are immutable; use
@@ -95,7 +93,7 @@ class EccOutcomeModel:
         return [c.stats().to_dict() for c in self._caches()]
 
     def _caches(self) -> List[MemoCache]:
-        return [self._decode_cache, self._p_retry_cache]
+        return [self._decode_cache]
 
     def _decode_params(self, rber: float) -> tuple:
         """(P[fail], tECC on success, tECC on failure) at ``rber`` — one
@@ -232,25 +230,8 @@ class EccOutcomeModel:
     def rp_predicts_retry(self, rber: float) -> bool:
         """Sample the on-die (or controller-side) RP comparator.
 
-        Miss path hand-inlined with :meth:`MemoCache.get_or_compute`'s
-        exact counter discipline — per-read rber keys make misses the
-        common case here (see ``_decode_params``)."""
-        cache = self._p_retry_cache
-        if _perf_cache._ENABLED:
-            table = self._p_retry_table
-            p = table.get(rber)
-            if p is None:
-                cache.misses += 1
-                p = self.rp_model.p_predict_retry(rber)
-                if len(table) >= cache.max_entries:
-                    table.clear()
-                    cache.evictions += 1
-                table[rber] = p
-            else:
-                cache.hits += 1
-        else:
-            cache.misses += 1
-            p = self.rp_model.p_predict_retry(rber)
+        Not memoized: per-read rber keys almost never repeat here."""
+        p = self.rp_model.p_predict_retry(rber)
         return bool(self._next_uniform() < p)
 
     #: P[RP flags a page | that page's decode would fail] — Fig. 11's

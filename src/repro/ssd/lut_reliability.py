@@ -25,7 +25,7 @@ import numpy as np
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
 from ..nand.characterization import CharacterizationCampaign
-from ..nand.variation import _hash_to_unit, hash_to_unit_batch
+from ..nand.variation import _hash_state, _hash_to_unit, hash_to_unit_batch
 from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
@@ -138,7 +138,7 @@ class LutReliabilitySampler:
         same exactness argument, same cache seeding)."""
         if len(lpns) < _VEC_MIN:
             return [self.cold_age_days(lpn) for lpn in lpns]
-        us = hash_to_unit_batch(self.seed, 0xC01D,
+        us = hash_to_unit_batch(_hash_state(self.seed, 0xC01D),
                                 np.asarray(lpns, dtype=np.uint64))
         ages = (us * self.reliability.refresh_days).tolist()
         self._cold_age_cache.seed_many(zip(lpns, ages))

@@ -8,9 +8,11 @@ the contended resources of :mod:`repro.ssd.resources` by:
 
 * **An explicit per-read state machine** (:class:`ReadPipeline`) over
   structure-of-arrays slot storage: one parallel array per field (phase
-  list, cursor, owning resources, fault bookkeeping), one persistent bound
-  callback per slot and transition, so steady-state execution allocates
-  nothing per phase.  Writes and GC copies use the same slots.
+  list, cursor, owning resources, fault bookkeeping).  Each transition is
+  a method bound once per pipeline; the resources call it with the slot
+  index (``cb(slot)``), so steady-state execution allocates nothing per
+  phase and a new slot costs only its data fields.  Writes and GC copies
+  use the same slots.
 * **Vectorized sampling**: whole requests resolve their cold ages and
   RBERs through the batch entry points
   (:meth:`~repro.ssd.reliability.PageReliabilitySampler.cold_age_days_batch`
@@ -34,7 +36,7 @@ diff, and ``tests/test_golden.py`` pins every output bit for bit):
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..errors import ReproError, RetryExhaustedError
 from .reliability import _VEC_MIN
@@ -53,9 +55,10 @@ class ReadPipeline:
 
     Every in-flight page read owns a *slot* — an index into a set of
     parallel arrays (phase tuples, cursor, owning resources, fault state,
-    trace fields).  Slot transitions are persistent ``partial`` callbacks
-    created once per slot, so steady-state execution allocates nothing per
-    phase.  Slots are pooled through a free list and reused.
+    trace fields).  Transitions are methods bound once per pipeline and
+    called with the slot index by the resource that completes the phase,
+    so steady-state execution allocates nothing per phase.  Slots are
+    pooled through a free list and reused.
 
     The phase walk per slot::
 
@@ -85,6 +88,7 @@ class ReadPipeline:
         self._eccs = ssd.eccs
         self._host_link = ssd.host_link
         self._plane_index_of = ssd.mapper.plane_index_of
+        self._decode = ssd.mapper.decode
         self._account_plan = ssd._account_plan
         self.attach_tracer(ssd.tracer)
         #: reads that mutate shared state mid-batch (fault mitigation,
@@ -121,21 +125,20 @@ class ReadPipeline:
         self._fault_failures: List[int] = []
         self._gc_in: List[object] = []         # GC copy: inbound channel
         self._gc_dst: List[object] = []        # GC copy: destination plane
-        # persistent per-slot transition callbacks
-        self._sense_cb: List[Callable] = []
-        self._xfer_cb: List[Callable] = []
-        self._xferdec_cb: List[Callable] = []
-        self._s2x_cb: List[Callable] = []
-        self._decode_cb: List[Callable] = []
-        self._host_cb: List[Callable] = []
-        self._fault_cb: List[Callable] = []
-        self._fault_retry_cb: List[Callable] = []
-        self._advance_cb: List[Callable] = []
-        self._whost_cb: List[Callable] = []
-        self._wdma_cb: List[Callable] = []
-        self._gc_sense_cb: List[Callable] = []
-        self._gc_out_cb: List[Callable] = []
-        self._gc_in_cb: List[Callable] = []
+        # transitions, bound once; resources call them as cb(slot)
+        self._sense_cb = self._sense_done
+        self._xfer_cb = self._xfer_done
+        self._xferdec_cb = self._xferdec_done
+        self._s2x_cb = self._sense2x_done
+        self._decode_cb = self._decode_done
+        self._host_cb = self._host_done
+        self._fault_cb = self._fault_sense_done
+        self._advance_cb = self._advance
+        self._whost_cb = self._write_host_done
+        self._wdma_cb = self._write_dma_done
+        self._gc_sense_cb = self._gc_sense_done
+        self._gc_out_cb = self._gc_out_done
+        self._gc_in_cb = self._gc_in_done
 
     def attach_tracer(self, tracer) -> None:
         """(Re)bind trace wiring — called from the simulator's ``tracer``
@@ -168,20 +171,6 @@ class ReadPipeline:
         self._fault_failures.append(0)
         self._gc_in.append(None)
         self._gc_dst.append(None)
-        self._sense_cb.append(partial(self._sense_done, i))
-        self._xfer_cb.append(partial(self._xfer_done, i))
-        self._xferdec_cb.append(partial(self._xferdec_done, i))
-        self._s2x_cb.append(partial(self._sense2x_done, i))
-        self._decode_cb.append(partial(self._decode_done, i))
-        self._host_cb.append(partial(self._host_done, i))
-        self._fault_cb.append(partial(self._fault_sense_done, i))
-        self._fault_retry_cb.append(partial(self._fault_retry, i))
-        self._advance_cb.append(partial(self._advance, i))
-        self._whost_cb.append(partial(self._write_host_done, i))
-        self._wdma_cb.append(partial(self._write_dma_done, i))
-        self._gc_sense_cb.append(partial(self._gc_sense_done, i))
-        self._gc_out_cb.append(partial(self._gc_out_done, i))
-        self._gc_in_cb.append(partial(self._gc_in_done, i))
         return i
 
     def _release(self, i: int) -> None:
@@ -315,14 +304,14 @@ class ReadPipeline:
         ``(block_key, page, plane, channel, ecc, read_key)`` — all pure in
         ppn.  ``read_key`` is the FTL's ``(plane_index, block)``
         read-counter key (the same integers
-        :meth:`~repro.ssd.ftl.PageMapFtl.read` derives)."""
-        addr = self.mapper.address(ppn)
-        channel = addr.channel
-        pidx = self._plane_index_of(addr)
-        route = (addr.block_key(), addr.page,
+        :meth:`~repro.ssd.ftl.PageMapFtl.read` derives).  Decoded from
+        the integers alone: no :class:`~repro.nand.geometry.PageAddress`
+        is built for a first-read page."""
+        pidx, channel, die, plane, block, page = self._decode(ppn)
+        route = ((channel, die, plane, block), page,
                  self._planes[pidx],
                  self._channels[channel], self._eccs[channel],
-                 (pidx, addr.block))
+                 (pidx, block))
         routes = self._routes
         if len(routes) >= 1 << 20:  # same bound policy as the memo caches
             routes.clear()
@@ -369,7 +358,7 @@ class ReadPipeline:
             # single fused transition instead of the cursor machinery
             # (identical call order, so identical tie-breaks and times)
             self._cursor[i] = 2
-            route[2].occupy(slot_phases[0][1], "SENSE", self._s2x_cb[i],
+            route[2].occupy(slot_phases[0][1], "SENSE", self._s2x_cb, i,
                             label)
             return
         self._cursor[i] = 0
@@ -384,7 +373,7 @@ class ReadPipeline:
                                self.sim.now, "SENSE", kind="sense",
                                request_id=self._rid[i])
         phase = self._phases[i][1]
-        self._channel[i].occupy(phase[1], phase[2], self._xferdec_cb[i],
+        self._channel[i].occupy(phase[1], phase[2], self._xferdec_cb, i,
                                 self._label[i], gated=True, priority=1)
 
     def _compile_and_dispatch(self, lpn: int, target, rber: float, state,
@@ -426,7 +415,7 @@ class ReadPipeline:
         if faults is not None and faults.sense_failures:
             self._fault_round[i] = 0
             self._fault_failures[i] = faults.sense_failures
-            self._plane[i].occupy(self.t_read, "FAULT", self._fault_cb[i],
+            self._plane[i].occupy(self.t_read, "FAULT", self._fault_cb, i,
                                   self._label[i])
         else:
             self._advance(i)
@@ -476,15 +465,15 @@ class ReadPipeline:
             # and re-enter _advance directly
             self._plane[i].occupy(
                 duration, "SENSE",
-                self._sense_cb[i] if traced else self._advance_cb[i],
+                self._sense_cb if traced else self._advance_cb, i,
                 self._label[i])
         elif decode_us is None:
             self._channel[i].occupy(
                 duration, tag,
-                self._xfer_cb[i] if traced else self._advance_cb[i],
+                self._xfer_cb if traced else self._advance_cb, i,
                 self._label[i], gated=False, priority=1)
         else:
-            self._channel[i].occupy(duration, tag, self._xferdec_cb[i],
+            self._channel[i].occupy(duration, tag, self._xferdec_cb, i,
                                     self._label[i], gated=True, priority=1)
 
     def _sense_done(self, i: int) -> None:
@@ -512,7 +501,7 @@ class ReadPipeline:
                                channel.last_start, self.sim.now, phase[2],
                                kind="transfer", request_id=self._rid[i])
         self._decode_start[i] = self.sim.now
-        self._ecc[i].decoder.occupy(phase[3], phase[2], self._decode_cb[i],
+        self._ecc[i].decoder.occupy(phase[3], phase[2], self._decode_cb, i,
                                     self._label[i])
 
     def _decode_done(self, i: int) -> None:
@@ -538,8 +527,7 @@ class ReadPipeline:
         fired = self._fired[i]
         if fired is not None:
             self.metrics.faults_absorbed += fired
-        self._host_link.occupy(self._host_page_us, "READ",
-                               self._host_cb[i], None)
+        self._host_link.occupy(self._host_page_us, "READ", self._host_cb, i)
 
     def _host_done(self, i: int) -> None:
         state = self._state[i]
@@ -563,15 +551,14 @@ class ReadPipeline:
         self._state[i] = state
         self._plane[i] = self._planes[self._plane_index_of(address)]
         self._channel[i] = self._channels[address.channel]
-        self._host_link.occupy(self._host_page_us, "WRITE",
-                               self._whost_cb[i], None)
+        self._host_link.occupy(self._host_page_us, "WRITE", self._whost_cb, i)
 
     def _write_host_done(self, i: int) -> None:
-        self._channel[i].occupy(self._t_dma, TAG_WRITE, self._wdma_cb[i])
+        self._channel[i].occupy(self._t_dma, TAG_WRITE, self._wdma_cb, i)
 
     def _write_dma_done(self, i: int) -> None:
         # program completion is release-then-_page_done: exactly _host_done
-        self._plane[i].occupy(self._t_prog, TAG_WRITE, self._host_cb[i])
+        self._plane[i].occupy(self._t_prog, TAG_WRITE, self._host_cb, i)
 
     def start_relocation(self, result) -> None:
         """Issue an FTL operation's internal traffic: GC copies of live
@@ -592,13 +579,13 @@ class ReadPipeline:
         self._gc_in[i] = self._channels[dst.channel]
         self._gc_dst[i] = self._planes[self._plane_index_of(dst)]
         self._planes[self._plane_index_of(src)].occupy(
-            self.t_read, TAG_GC, self._gc_sense_cb[i])
+            self.t_read, TAG_GC, self._gc_sense_cb, i)
 
     def _gc_sense_done(self, i: int) -> None:
-        self._channel[i].occupy(self._t_dma, TAG_GC, self._gc_out_cb[i])
+        self._channel[i].occupy(self._t_dma, TAG_GC, self._gc_out_cb, i)
 
     def _gc_out_done(self, i: int) -> None:
-        self._gc_in[i].occupy(self._t_dma, TAG_GC, self._gc_in_cb[i])
+        self._gc_in[i].occupy(self._t_dma, TAG_GC, self._gc_in_cb, i)
 
     def _gc_in_done(self, i: int) -> None:
         self._gc_dst[i].occupy(self._t_prog, TAG_GC, None)
@@ -633,11 +620,11 @@ class ReadPipeline:
         self.metrics.fault_retries += 1
         if nxt >= self._fault_failures[i]:
             # the re-issued sense succeeds: it is the plan's own first SENSE
-            self.sim.after(backoff, self._advance_cb[i])
+            self.sim.after(backoff, partial(self._advance, i))
         else:
             self._fault_round[i] = nxt
-            self.sim.after(backoff, self._fault_retry_cb[i])
+            self.sim.after(backoff, partial(self._fault_retry, i))
 
     def _fault_retry(self, i: int) -> None:
-        self._plane[i].occupy(self.t_read, "FAULT", self._fault_cb[i],
+        self._plane[i].occupy(self.t_read, "FAULT", self._fault_cb, i,
                               self._label[i])

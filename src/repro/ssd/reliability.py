@@ -24,7 +24,7 @@ from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
 from ..nand.rber import PageState, RberModel
 from ..nand.thermal import ThermalModel
-from ..nand.variation import _hash_to_unit, hash_to_unit_batch
+from ..nand.variation import _fold, _hash_state, _unit, hash_to_unit_batch
 from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
@@ -59,6 +59,9 @@ class PageReliabilitySampler:
         self.ecc = ecc or EccConfig()
         self.model = RberModel(self.reliability, self.ecc, seed=seed)
         self.seed = seed
+        #: folded hash prefix of (seed, cold-age stream): a cold-age miss
+        #: folds only the lpn
+        self._cold_state = _hash_state(seed, 0xC01D)
         self.thermal = thermal or ThermalModel()
         self.thermal_acceleration = (
             1.0 if operating_temp_c is None
@@ -112,7 +115,7 @@ class PageReliabilitySampler:
         )
 
     def _cold_age_days_uncached(self, lpn: int) -> float:
-        u = _hash_to_unit(self.seed, 0xC01D, int(lpn))
+        u = _unit(_fold(self._cold_state, int(lpn)))
         age = u * self.reliability.refresh_days
         offset = self.retention_offset_days
         return age + offset if offset else age
@@ -127,7 +130,7 @@ class PageReliabilitySampler:
         """
         if len(lpns) < _VEC_MIN:
             return [self.cold_age_days(lpn) for lpn in lpns]
-        us = hash_to_unit_batch(self.seed, 0xC01D,
+        us = hash_to_unit_batch(self._cold_state,
                                 np.asarray(lpns, dtype=np.uint64))
         ages = (us * self.reliability.refresh_days).tolist()
         offset = self.retention_offset_days
@@ -249,27 +252,15 @@ class PageReliabilitySampler:
             # Flattened miss path (perf layer only; the caches-disabled
             # reference keeps the full object chain below).  Equivalent to
             # ``model.page_rber(PageState(pe, ret, 0), bk, pg)`` step for
-            # step: same variation factor, same retention-base memo key and
-            # compute, and the read-disturb term is exactly ``per_read*0``,
-            # so ``base + 0.0`` and the 0.5 ceiling reduce to ``min(base,
-            # 0.5)`` bit for bit (the base is strictly positive).
+            # step: same variation factor, same retention base, and the
+            # read-disturb term is exactly ``per_read*0``, so ``base +
+            # 0.0`` and the 0.5 ceiling reduce to ``min(base, 0.5)`` bit
+            # for bit (the base is strictly positive).
             model = self.model
-            ret = retention_days * self.thermal_acceleration
             factor = model._page_variation(block_key, page)
-            bcache = model._base_cache
-            btable = bcache._table
-            bkey = (self.pe_cycles, ret, factor)
-            rb = btable.get(bkey)
-            if rb is None:
-                bcache.misses += 1
-                rb = model._retention_base(self.pe_cycles, ret, factor)
-                if len(btable) >= bcache.max_entries:
-                    btable.clear()
-                    bcache.evictions += 1
-                btable[bkey] = rb
-            else:
-                bcache.hits += 1
-            base = min(rb, 0.5)
+            base = min(model._retention_base(
+                self.pe_cycles, retention_days * self.thermal_acceleration,
+                factor), 0.5)
             if len(table) >= cache.max_entries:
                 table.clear()
                 cache.evictions += 1

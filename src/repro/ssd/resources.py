@@ -14,14 +14,17 @@ classification of Fig. 18 falls out of this):
   serial decode unit; releasing a slot kicks the gated channel so it can
   re-evaluate its queue.
 
-Work is enqueued through ``occupy(duration, tag, cb, label)``; ``cb``
-runs when the work completes.  The resources are allocation-free on that
-path (one reused tuple per in-flight job, completion events pushed
-straight onto the event heap), and their handler order is part of the
-simulation's determinism contract: a finish handler clears ``busy``,
-accounts busy time, bumps ``jobs_completed``, calls the probes, runs the
-callback and only then starts the next queued entry — a callback that
-enqueues on the same resource starts the *queue head*, not its own job.
+Work is enqueued through ``occupy(duration, tag, cb, slot, label)``;
+``cb(slot)`` runs when the work completes, so a caller serving many
+in-flight jobs (the read pipeline's slots) hands over one bound method
+and an index instead of a closure per job.  The resources are
+allocation-free on that path (one reused tuple per in-flight job,
+completion events pushed straight onto the event heap), and their
+handler order is part of the simulation's determinism contract: a
+finish handler clears ``busy``, accounts busy time, bumps
+``jobs_completed``, calls the probes, runs the callback and only then
+starts the next queued entry — a callback that enqueues on the same
+resource starts the *queue head*, not its own job.
 """
 
 from __future__ import annotations
@@ -55,27 +58,27 @@ class Fifo:
         self.jobs_completed: int = 0
         self.last_start: float = 0.0
         self._probes: List[Callable] = []
-        #: the in-flight job as one tuple — (duration, tag, cb, label,
-        #: start) — written once per start, read once per finish
-        self._cur: tuple = (0.0, "", None, None, 0.0)
+        #: the in-flight job as one tuple — (duration, tag, cb, slot,
+        #: label, start) — written once per start, read once per finish
+        self._cur: tuple = (0.0, "", None, 0, None, 0.0)
         self._finish_cb = self._finish
 
     def occupy(self, duration: float, tag: str,
-               cb: Optional[Callable[[], None]],
+               cb: Optional[Callable[[int], None]], slot: int = 0,
                label: Optional[str] = None) -> None:
-        """Enqueue one unit of work; ``cb`` runs when it completes."""
+        """Enqueue one unit of work; ``cb(slot)`` runs when it completes."""
         if self._busy:
-            self._queue.append((duration, tag, cb, label))
+            self._queue.append((duration, tag, cb, slot, label))
             return
         if self._queue:
             # only reachable from inside a completion callback (busy was
             # cleared but the next entry has not started yet): keep FIFO
             # order by starting the queue head
-            self._queue.append((duration, tag, cb, label))
-            duration, tag, cb, label = self._queue.popleft()
+            self._queue.append((duration, tag, cb, slot, label))
+            duration, tag, cb, slot, label = self._queue.popleft()
         self._busy = True
         now = self.sim.now
-        self._cur = (duration, tag, cb, label, now)
+        self._cur = (duration, tag, cb, slot, label, now)
         # inlined EventQueue.push — completions are the simulation's
         # hottest schedule site (plan durations are never negative, so
         # Simulator.after's guard is redundant here)
@@ -85,10 +88,10 @@ class Fifo:
         heappush(events._heap, (now + duration, seq, self._finish_cb))
 
     def _start_next(self) -> None:
-        duration, tag, cb, label = self._queue.popleft()
+        duration, tag, cb, slot, label = self._queue.popleft()
         self._busy = True
         now = self.sim.now
-        self._cur = (duration, tag, cb, label, now)
+        self._cur = (duration, tag, cb, slot, label, now)
         events = self._events
         seq = events.tie_break
         events.tie_break = seq + 1
@@ -96,7 +99,7 @@ class Fifo:
 
     def _finish(self) -> None:
         self._busy = False
-        duration, tag, cb, label, start = self._cur
+        duration, tag, cb, slot, label, start = self._cur
         self.last_start = start
         self.busy_time_by_tag[tag] = (
             self.busy_time_by_tag.get(tag, 0.0) + duration
@@ -107,7 +110,7 @@ class Fifo:
             for probe in self._probes:
                 probe(self.name, tag, start, now, label)
         if cb is not None:
-            cb()
+            cb(slot)
         if not self._busy and self._queue:
             self._start_next()
 
@@ -167,18 +170,19 @@ class Channel:
         self.jobs_completed: int = 0
         self.last_start: float = 0.0
         self._probes: List[Callable] = []
-        #: in-flight job as one (duration, tag, cb, label, start) tuple
-        self._cur: tuple = (0.0, "", None, None, 0.0)
+        #: in-flight job as one (duration, tag, cb, slot, label, start)
+        #: tuple
+        self._cur: tuple = (0.0, "", None, 0, None, 0.0)
         self._finish_cb = self._finish
 
     def occupy(self, duration: float, tag: str,
-               cb: Optional[Callable[[], None]],
+               cb: Optional[Callable[[int], None]], slot: int = 0,
                label: Optional[str] = None, gated: bool = False,
                priority: int = 0) -> None:
-        """Enqueue one transfer; ``gated`` ones wait for (and reserve) a
-        decoder-buffer slot, larger ``priority`` runs first when the
-        channel arbitrates."""
-        self._queue.append((gated, priority, duration, tag, cb, label))
+        """Enqueue one transfer; ``cb(slot)`` runs when it completes.
+        ``gated`` ones wait for (and reserve) a decoder-buffer slot, larger
+        ``priority`` runs first when the channel arbitrates."""
+        self._queue.append((gated, priority, duration, tag, cb, slot, label))
         if not self._busy:
             self._try_start()
 
@@ -217,12 +221,12 @@ class Channel:
         else:
             entry = queue[chosen]
             del queue[chosen]
-        gated, _priority, duration, tag, cb, label = entry
+        gated, _priority, duration, tag, cb, slot, label = entry
         self._busy = True
         if gated:
             self._ecc.reserve_slot()
         now = self.sim.now
-        self._cur = (duration, tag, cb, label, now)
+        self._cur = (duration, tag, cb, slot, label, now)
         # inlined EventQueue.push (see Fifo.occupy)
         events = self._events
         seq = events.tie_break
@@ -231,7 +235,7 @@ class Channel:
 
     def _finish(self) -> None:
         self._busy = False
-        duration, tag, cb, label, start = self._cur
+        duration, tag, cb, slot, label, start = self._cur
         self.last_start = start
         self.busy_time_by_tag[tag] = (
             self.busy_time_by_tag.get(tag, 0.0) + duration
@@ -242,7 +246,7 @@ class Channel:
             for probe in self._probes:
                 probe(self.name, tag, start, now, label)
         if cb is not None:
-            cb()
+            cb(slot)
         self._try_start()
 
     def _close_blocked(self) -> None:

@@ -18,6 +18,8 @@ them, the timed replayer honours them.
 from __future__ import annotations
 
 import math
+import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -99,27 +101,40 @@ def generate(
     device; the cold/hot regions partition it.  The generator writes every
     hot page at least once early (so hot reads are genuinely "updated during
     the simulation"), keeping the measured cold-read ratio on target.
+    Without a ``seed`` the stream is seeded from a CRC-32 of the workload
+    name, so the trace is the same in every process.
     """
     spec = WORKLOADS[spec_or_name] if isinstance(spec_or_name, str) else spec_or_name
     if n_requests < 1:
         raise TraceError("n_requests must be >= 1")
     if user_pages < 16:
         raise TraceError("user_pages too small to partition")
-    rng = make_rng(seed if seed is not None else hash(spec.name) & 0xFFFF)
+    rng = make_rng(seed if seed is not None
+                   else zlib.crc32(spec.name.encode("utf-8")))
 
     hot_pages = max(4, int(user_pages * spec.hot_fraction))
     cold_pages = user_pages - hot_pages
     hot_base = cold_pages  # hot region sits above the cold region
 
-    sizes = np.array(spec.sizes)
+    sizes = [int(size) for size in np.array(spec.sizes)]
     weights = np.array(spec.size_weights, dtype=float)
+    if not (np.isfinite(weights).all() and (weights >= 0).all()
+            and weights.sum() > 0):
+        raise ConfigError(f"{spec.name}: size_weights must be finite, "
+                          "non-negative and sum to more than 0")
     weights = weights / weights.sum()
+    # the CDF numpy's Generator.choice(sizes, p=weights) rebuilds on every
+    # call: one uniform draw bisected into it picks the same index from
+    # the same stream position
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
     requests = []
     t = 0.0
     for _ in range(n_requests):
         t += float(rng.exponential(spec.mean_interarrival_us))
-        size = int(rng.choice(sizes, p=weights))
+        size = sizes[bisect_right(cdf, rng.random())]
         n_pages = max(1, math.ceil(size / page_size))
         if rng.random() < spec.read_ratio:
             op = READ

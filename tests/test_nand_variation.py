@@ -1,15 +1,87 @@
 """Process-variation model: determinism and statistics."""
 
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ReliabilityConfig
 from repro.nand.variation import (
     VariationModel,
+    _fold,
+    _hash_state,
     _hash_to_unit,
+    _unit,
     _unit_to_standard_normal,
+    hash_to_unit_batch,
 )
+
+
+def _reference_hash_to_unit(seed: int, *keys: int) -> float:
+    """The unfolded hash every prefix resume must reproduce: seed and
+    keys through SplitMix64 in one pass."""
+    mask = 0xFFFFFFFFFFFFFFFF
+
+    def mix(x):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    h = mix(seed & mask)
+    for k in keys:
+        h = mix(h ^ mix(k & mask))
+    return (h + 0.5) / 2.0**64
+
+
+_ANY_INT = st.integers(min_value=-2**70, max_value=2**70)
+
+
+@given(seed=_ANY_INT, keys=st.lists(_ANY_INT, min_size=1, max_size=6),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_prefix_fold_resumes_to_the_full_hash(seed, keys, data):
+    """Folding a stored prefix of any length, then the rest of the keys,
+    equals hashing everything at once (negative keys and keys >= 2**64
+    included: both reduce mod 2**64)."""
+    split = data.draw(st.integers(min_value=0, max_value=len(keys)))
+    expected = _reference_hash_to_unit(seed, *keys)
+    assert _hash_to_unit(seed, *keys) == expected
+    prefix = _hash_state(seed, *keys[:split])
+    assert _unit(_fold(prefix, *keys[split:])) == expected
+
+
+@given(seed=_ANY_INT, prefix_keys=st.lists(_ANY_INT, max_size=3),
+       values=st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                       min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_batch_hash_resumes_a_prefix_per_lane(seed, prefix_keys, values):
+    prefix = _hash_state(seed, *prefix_keys)
+    lanes = hash_to_unit_batch(prefix, np.array(values, dtype=np.uint64))
+    assert lanes.tolist() == [_reference_hash_to_unit(seed, *prefix_keys, v)
+                              for v in values]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**40),
+       block_key=st.tuples(*[st.integers(min_value=0, max_value=4096)] * 4),
+       page=st.integers(min_value=0, max_value=1152))
+@settings(max_examples=100, deadline=None)
+def test_factors_match_the_unfolded_hash(seed, block_key, page):
+    config = ReliabilityConfig()
+    model = VariationModel(config, seed=seed)
+
+    def factor(sigma, *keys):
+        z = _unit_to_standard_normal(_reference_hash_to_unit(seed, *keys))
+        return math.exp(sigma * z)
+
+    assert model.block_factor(block_key) == factor(
+        config.block_variation_sigma, 0xB10C, *block_key)
+    expected_page = factor(config.page_variation_sigma, 0x9A6E, *block_key,
+                           page)
+    assert model.page_factor(block_key, page) == expected_page
+    assert model.page_factor_at(model.page_prefix(block_key),
+                                page) == expected_page
 
 
 @pytest.fixture()

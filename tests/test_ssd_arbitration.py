@@ -23,11 +23,16 @@ def _channel(sim, arbitrated):
 def test_arbitrated_resource_prefers_priority():
     sim = Simulator()
     res, _ecc = _channel(sim, arbitrated=True)
+    names = ("low", "high")
     order = []
+
+    def record(i):
+        order.append(names[i])
+
     # occupy the resource so the contenders queue up
     res.occupy(5.0, "T", None)
-    res.occupy(1.0, "low", lambda: order.append("low"), priority=0)
-    res.occupy(1.0, "high", lambda: order.append("high"), priority=1)
+    res.occupy(1.0, "low", record, 0, priority=0)
+    res.occupy(1.0, "high", record, 1, priority=1)
     sim.run()
     assert order == ["high", "low"]
 
@@ -37,8 +42,8 @@ def test_arbitrated_resource_fifo_within_priority():
     res, _ecc = _channel(sim, arbitrated=True)
     order = []
     res.occupy(5.0, "T", None)
-    for i in range(3):
-        res.occupy(1.0, "x", lambda i=i: order.append(i), priority=1)
+    for slot in range(3):
+        res.occupy(1.0, "x", order.append, slot, priority=1)
     sim.run()
     assert order == [0, 1, 2]
 
@@ -46,10 +51,15 @@ def test_arbitrated_resource_fifo_within_priority():
 def test_fifo_resource_ignores_priority():
     sim = Simulator()
     res, _ecc = _channel(sim, arbitrated=False)
+    names = ("low", "high")
     order = []
+
+    def record(i):
+        order.append(names[i])
+
     res.occupy(5.0, "T", None)
-    res.occupy(1.0, "low", lambda: order.append("low"), priority=0)
-    res.occupy(1.0, "high", lambda: order.append("high"), priority=9)
+    res.occupy(1.0, "low", record, 0, priority=0)
+    res.occupy(1.0, "high", record, 1, priority=9)
     sim.run()
     assert order == ["low", "high"]
 
@@ -61,11 +71,14 @@ def test_ungated_job_bypasses_stalled_head():
     channel, ecc = _channel(sim, arbitrated=True)
     ecc.reserve_slot()  # decoder buffer full until t=100
     sim.after(100.0, ecc.release_slot)
+    names = ("read", "write")
     done = []
-    channel.occupy(10.0, "COR", lambda: done.append(("read", sim.now)),
-                   gated=True, priority=1)
-    channel.occupy(10.0, "WRITE", lambda: done.append(("write", sim.now)),
-                   priority=0)
+
+    def record(i):
+        done.append((names[i], sim.now))
+
+    channel.occupy(10.0, "COR", record, 0, gated=True, priority=1)
+    channel.occupy(10.0, "WRITE", record, 1, priority=0)
     sim.run()
     # the write went first (the read was stalled), the read followed the
     # slot release

@@ -16,11 +16,12 @@ def _gated_channel(sim, buffer_pages=1):
 
 
 def test_jobs_run_serially_fifo():
+    """One callback serves every job: it is called with the job's slot."""
     sim = Simulator()
     res = Fifo(sim, "r")
     done = []
-    for i in range(3):
-        res.occupy(10.0, "T", lambda i=i: done.append((i, sim.now)))
+    for slot in range(3):
+        res.occupy(10.0, "T", lambda i: done.append((i, sim.now)), slot)
     sim.run()
     assert done == [(0, 10.0), (1, 20.0), (2, 30.0)]
     assert res.busy_time_by_tag["T"] == 30.0
@@ -44,9 +45,10 @@ def test_gated_job_waits_and_blocked_time_recorded():
     ecc.hold_slots()  # decoder buffer shut until t=10
     sim.after(10.0, ecc.release_held_slots)
     done = []
-    channel.occupy(2.0, "T", lambda: done.append(sim.now), gated=True)
+    channel.occupy(2.0, "T", lambda i: done.append((i, sim.now)), 5,
+                   gated=True)
     sim.run()
-    assert done == [12.0]
+    assert done == [(5, 12.0)]
     assert channel.blocked_time == pytest.approx(10.0)
 
 
@@ -56,9 +58,14 @@ def test_gate_blocks_queue_head_only():
     channel, ecc = _gated_channel(sim)
     ecc.hold_slots()
     sim.after(5.0, ecc.release_held_slots)
+    names = ("gated", "free")
     order = []
-    channel.occupy(1.0, "gated", lambda: order.append("gated"), gated=True)
-    channel.occupy(1.0, "free", lambda: order.append("free"))
+
+    def record(i):
+        order.append(names[i])
+
+    channel.occupy(1.0, "gated", record, 0, gated=True)
+    channel.occupy(1.0, "free", record, 1)
     sim.run()
     assert order == ["gated", "free"]
 
@@ -104,13 +111,13 @@ def test_decode_releases_slot_and_notifies():
     ecc.reserve_slot()
     done = []
 
-    def decoded():
+    def decoded(i):
         ecc.release_slot()
-        done.append(sim.now)
+        done.append((i, sim.now))
 
-    ecc.decoder.occupy(4.0, "COR", decoded)
+    ecc.decoder.occupy(4.0, "COR", decoded, 3)
     sim.run()
-    assert done == [4.0]
+    assert done == [(3, 4.0)]
     assert released == [4.0]
     assert ecc.slots_in_use == 0
 
@@ -120,19 +127,19 @@ def test_full_buffer_stalls_channel_until_decode_done():
     channel's next transfer by exactly the remaining decode time."""
     sim = Simulator()
     channel, ecc = _gated_channel(sim)
+    labels = ("slow", "next")
+    decode_us = (30.0, 1.0)
     finished = []
 
-    def transfer(label, decode_us):
-        def decoded():
-            ecc.release_slot()
-            finished.append((label, sim.now))
+    def transferred(i):
+        ecc.decoder.occupy(decode_us[i], "COR", decoded, i)
 
-        channel.occupy(10.0, "COR",
-                       lambda: ecc.decoder.occupy(decode_us, "COR", decoded),
-                       gated=True)
+    def decoded(i):
+        ecc.release_slot()
+        finished.append((labels[i], sim.now))
 
-    transfer("slow", 30.0)   # transfer 0-10, decode 10-40
-    transfer("next", 1.0)    # transfer must wait until t=40
+    channel.occupy(10.0, "COR", transferred, 0, gated=True)  # 0-10, decode 10-40
+    channel.occupy(10.0, "COR", transferred, 1, gated=True)  # waits until t=40
     sim.run()
     assert finished == [("slow", 40.0), ("next", 51.0)]
     channel.finalize()

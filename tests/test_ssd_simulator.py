@@ -1,5 +1,8 @@
 """The full SSD simulator: request flow, accounting, and policy effects."""
 
+import functools
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -140,6 +143,31 @@ def test_same_seed_same_result(ssd_config):
         return ssd.run_trace(trace).io_bandwidth_mb_s
 
     assert run() == run()
+
+
+def test_fault_free_drive_creates_no_partials(ssd_config):
+    """Pipeline transitions are bound once per pipeline and called with
+    the slot index, so growing to 64+ slots builds no per-slot closures.
+    The collector is off during the run, so a partial caught in a
+    reference cycle would still be alive to count."""
+    trace = generate("Ali124", n_requests=400, user_pages=4000, seed=12)
+    ssd = SSDSimulator(ssd_config, policy="RiFSSD", pe_cycles=2000, seed=12)
+
+    def partials():
+        return sum(isinstance(obj, functools.partial)
+                   for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = partials()
+        result = ssd.run_trace(trace, queue_depth=64)
+        after = partials()
+    finally:
+        gc.enable()
+    assert result.metrics.faults_injected == 0
+    assert len(ssd._pipeline._cursor) >= 64  # the slot pool grew
+    assert after == before
 
 
 def test_tracer_records_phases(ssd_config):
