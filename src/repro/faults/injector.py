@@ -3,9 +3,14 @@
 The :class:`FaultInjector` is instantiated from a :class:`~.plan.FaultPlan`
 once per simulation and consulted from inside the simulator's normal event
 flow.  It is deliberately RNG-free: every trigger is a pure function of the
-global read index, the simulation clock, and the target address, so two
-runs of the same (spec, plan, seed) fire exactly the same faults at exactly
-the same points — the determinism guarantee the campaign cache relies on.
+global read index, the simulation clock, and the target block, so two runs
+of the same (spec, plan, seed) fire exactly the same faults at exactly the
+same points — the determinism guarantee the campaign cache relies on.
+
+A read's target is named by its *block key*, the integer tuple
+``(channel, die, plane, block)`` the read pipeline's route carries; a
+spec's ``channel`` / ``die`` / ``plane`` / ``block`` fields match it
+position by position.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from ..nand.geometry import PageAddress
 from .plan import FaultPlan, FaultSpec
 
 
@@ -55,7 +59,7 @@ class FaultInjector:
 
     # --- trigger evaluation -----------------------------------------------
 
-    def _matches(self, spec: FaultSpec, address: PageAddress,
+    def _matches(self, spec: FaultSpec, block_key: tuple,
                  read_index: int, now_us: float) -> bool:
         if read_index < spec.start_read:
             return False
@@ -65,16 +69,13 @@ class FaultInjector:
             return False
         if spec.end_us is not None and now_us > spec.end_us:
             return False
-        for name in ("channel", "die", "plane", "block"):
-            want = getattr(spec, name)
-            if want is not None and want != getattr(address, name):
-                return False
-        return (read_index - spec.start_read) % spec.period == 0
+        return (_in_scope(spec, block_key)
+                and (read_index - spec.start_read) % spec.period == 0)
 
-    def on_page_read(self, address: PageAddress,
+    def on_page_read(self, block_key: tuple,
                      now_us: float) -> ReadFaultDecision:
         """Advance the read counter and fold every firing fault into one
-        decision for this read."""
+        decision for this read of a page in ``block_key``."""
         read_index = self.reads_seen
         self.reads_seen += 1
         decision = ReadFaultDecision()
@@ -83,9 +84,9 @@ class FaultInjector:
             if spec.kind == "ecc_saturation" or state.exhausted():
                 continue
             if (spec.kind == "grown_bad_block"
-                    and address.block_key() in state.retired_blocks):
+                    and block_key in state.retired_blocks):
                 continue
-            if not self._matches(spec, address, read_index, now_us):
+            if not self._matches(spec, block_key, read_index, now_us):
                 continue
             decision.fired += 1
             if spec.kind == "transient_sense":
@@ -112,24 +113,15 @@ class FaultInjector:
                 decision.grown_bad_block = True
         return decision
 
-    def note_block_retired(self, address: PageAddress) -> None:
+    def note_block_retired(self, block_key: tuple) -> None:
         """Record a successful grown-bad-block retirement so the fault does
         not re-fire on the block's reincarnation after erase."""
-        key = address.block_key()
         for state in self._states:
             if state.spec.kind != "grown_bad_block":
                 continue
-            if self._address_matches_scope(state.spec, address):
+            if _in_scope(state.spec, block_key):
                 state.fired += 1
-                state.retired_blocks.add(key)
-
-    @staticmethod
-    def _address_matches_scope(spec: FaultSpec, address: PageAddress) -> bool:
-        return all(
-            getattr(spec, name) is None
-            or getattr(spec, name) == getattr(address, name)
-            for name in ("channel", "die", "plane", "block")
-        )
+                state.retired_blocks.add(block_key)
 
     # --- time-window faults ----------------------------------------------
 
@@ -146,3 +138,12 @@ class FaultInjector:
         for state in self._states:
             out[state.spec.kind] = out.get(state.spec.kind, 0) + state.fired
         return out
+
+
+def _in_scope(spec: FaultSpec, block_key: tuple) -> bool:
+    """Whether every non-``None`` address field of ``spec`` matches the
+    ``(channel, die, plane, block)`` key."""
+    return ((spec.channel is None or spec.channel == block_key[0])
+            and (spec.die is None or spec.die == block_key[1])
+            and (spec.plane is None or spec.plane == block_key[2])
+            and (spec.block is None or spec.block == block_key[3]))

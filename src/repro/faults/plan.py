@@ -29,7 +29,9 @@ errors, Park et al. on read-retry — for the physical phenomena):
     :class:`~repro.errors.DegradedReadError`, per ``on_degraded``).
 ``ecc_saturation``
     The channel's decoder input buffer is held full for a sim-time window
-    (``magnitude`` slots, 0 = all), producing ECCWAIT stalls.
+    (``magnitude`` slots, 0 = all), producing ECCWAIT stalls.  Overlapping
+    windows on one channel hold the sum of their slots (capped at the
+    buffer), and each window's end releases only its own.
 ``worker_crash`` / ``worker_hang``
     Campaign-level chaos: the *worker process* executing this cell calls
     ``os._exit`` / sleeps for ``magnitude`` seconds.  Absorbed by the

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from ..config import NandGeometry
 from ..errors import GeometryError
-from ..perf import cache as _perf_cache
-from ..perf.cache import MemoCache
 
 
 @dataclass(frozen=True, order=True)
@@ -53,14 +51,7 @@ class AddressMapper:
         self.geometry = geometry
         g = geometry
         self._planes_total = g.channels * g.dies_per_channel * g.planes_per_die
-        self._chan_dies = g.channels * g.dies_per_channel
-        # ppn -> PageAddress is pure and PageAddress is immutable, so the
-        # decode arithmetic is memoized (repro.perf); the FTL resolves the
-        # same hot physical pages on every re-read
-        self._address_cache = MemoCache("geometry.address")
-        # bound table for the inline probe in address(); the cache never
-        # stores None and only ever clear()s the table in place
-        self._address_table = self._address_cache._table
+        self._total_pages = g.total_pages
 
     # --- plane numbering -----------------------------------------------------
 
@@ -71,16 +62,6 @@ class AddressMapper:
         self._check_range(die, g.dies_per_channel, "die")
         self._check_range(plane, g.planes_per_die, "plane")
         return plane * (g.channels * g.dies_per_channel) + die * g.channels + channel
-
-    def plane_index_of(self, addr: PageAddress) -> int:
-        """:meth:`plane_index` of an address this mapper produced.
-
-        Unchecked fast path: every :class:`PageAddress` decoded by
-        :meth:`address` is in range by construction, so the per-field
-        validation of :meth:`plane_index` would be pure overhead on the
-        simulator's per-read path."""
-        g = self.geometry
-        return addr.plane * self._chan_dies + addr.die * g.channels + addr.channel
 
     def plane_from_index(self, idx: int) -> tuple:
         """Inverse of :meth:`plane_index` → (channel, die, plane)."""
@@ -103,30 +84,7 @@ class AddressMapper:
         return page_in_plane * self._planes_total + pidx
 
     def address(self, ppn: int) -> PageAddress:
-        """Inverse of :meth:`ppn` (memoized; addresses are immutable).
-
-        Miss path hand-inlined with :meth:`MemoCache.get_or_compute`'s
-        exact counter discipline: every freshly written page carries a
-        never-seen ppn, so write-heavy runs miss here once per write."""
-        cache = self._address_cache
-        if _perf_cache._ENABLED:
-            table = self._address_table
-            addr = table.get(ppn)
-            if addr is not None:
-                cache.hits += 1
-                return addr
-            cache.misses += 1
-            addr = self._address_uncached(ppn)
-            if len(table) >= cache.max_entries:
-                table.clear()
-                cache.evictions += 1
-            table[ppn] = addr
-            return addr
-        return cache.get_or_compute(
-            ppn, lambda: self._address_uncached(ppn)
-        )
-
-    def _address_uncached(self, ppn: int) -> PageAddress:
+        """Inverse of :meth:`ppn`."""
         _pidx, channel, die, plane, block, page = self.decode(ppn)
         return PageAddress(channel, die, plane, block, page)
 
@@ -134,9 +92,11 @@ class AddressMapper:
         """``(plane_index, channel, die, plane, block, page)`` of ``ppn``:
         the range-checked integer decode behind :meth:`address`, for
         callers that need the fields but not a :class:`PageAddress`
-        (``plane_index`` is :meth:`plane_index_of` of that address)."""
+        (``plane_index`` is :meth:`plane_index` of those fields)."""
+        total_pages = self._total_pages
+        if not 0 <= ppn < total_pages:
+            raise GeometryError(f"ppn={ppn} out of range [0, {total_pages})")
         g = self.geometry
-        self._check_range(ppn, g.total_pages, "ppn")
         planes_total = self._planes_total
         pidx = ppn % planes_total
         page_in_plane = ppn // planes_total

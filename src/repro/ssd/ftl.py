@@ -14,44 +14,32 @@ of reads to pages never updated during the trace).  We model that exactly:
 * greedy garbage collection reclaims the emptiest block of a plane when its
   free pool runs dry, emitting the page-copy list the simulator turns into
   SSD-internal read+program traffic.
+
+The FTL speaks integers.  A physical page is its flat page number (ppn) in
+the stripe order of :class:`~repro.nand.geometry.AddressMapper`,
+``ppn = (block * pages_per_block + page) * total_planes + pidx``, and a
+block is ``(pidx, block)`` with ``pidx = ppn % total_planes`` the flat
+plane index.  The operations return plain tuples:
+
+* :meth:`PageMapFtl.read` -> ``(ppn, written_at_us, block_read_count)``;
+* :meth:`PageMapFtl.write` -> ``(ppn, copies, erased)``;
+* :meth:`PageMapFtl.relocate_block` -> ``(copies, erased)``, or ``None``;
+
+where ``copies`` lists the ``(src_ppn, dst_ppn)`` live-page moves and
+``erased`` the ``(pidx, block)`` blocks erased, both in FTL order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SSDConfig
-from ..errors import CapacityError, TraceError
-from ..nand.geometry import AddressMapper, PageAddress
+from ..errors import CapacityError, GeometryError, TraceError
 
-
-@dataclass(frozen=True)
-class ReadTarget:
-    """Where a logical page lives and how old its data is."""
-
-    address: PageAddress
-    cold: bool                      # never written during this simulation
-    written_at_us: Optional[float]  # None for cold pages
-    block_read_count: int
-
-
-@dataclass(frozen=True)
-class GcCopy:
-    """One valid-page relocation performed by garbage collection."""
-
-    source: PageAddress
-    destination: PageAddress
-
-
-@dataclass(frozen=True)
-class WriteResult:
-    """Outcome of a logical write (or of a pure relocation, where no host
-    page is written and ``address`` is ``None``)."""
-
-    address: Optional[PageAddress]
-    gc_copies: Tuple[GcCopy, ...] = ()
-    erased_blocks: Tuple[Tuple[int, int], ...] = ()  # (plane_index, block)
+#: ``(src_ppn, dst_ppn)`` live-page moves of one FTL operation
+Copies = List[Tuple[int, int]]
+#: ``(pidx, block)`` blocks erased by one FTL operation
+Erases = List[Tuple[int, int]]
 
 
 class _PlaneState:
@@ -71,9 +59,12 @@ class PageMapFtl:
     def __init__(self, config: SSDConfig):
         self.config = config
         g = config.geometry
-        self.mapper = AddressMapper(g)
         self._planes_total = g.total_planes
         self._pages_per_block = g.pages_per_block
+        self._blocks_per_plane = g.blocks_per_plane
+        self._total_pages = g.total_pages
+        #: ppns per block row: ``ppn // _block_stride`` is the block number
+        self._block_stride = g.pages_per_block * g.total_planes
         if g.blocks_per_plane < 3:
             raise CapacityError("page-mapped GC needs >= 3 blocks per plane")
         # user-visible blocks per plane (identity / preconditioned region).
@@ -119,8 +110,19 @@ class PageMapFtl:
         return lpn
 
     def _plane_and_block(self, ppn: int) -> Tuple[int, int]:
-        addr = self.mapper.address(ppn)
-        return self.mapper.plane_index_of(addr), addr.block
+        """``(pidx, block)`` of a physical page (range-checked)."""
+        if not 0 <= ppn < self._total_pages:
+            raise GeometryError(
+                f"ppn={ppn} out of range [0, {self._total_pages})")
+        return ppn % self._planes_total, ppn // self._block_stride
+
+    def _check_block(self, pidx: int, block: int) -> None:
+        if not 0 <= pidx < self._planes_total:
+            raise GeometryError(
+                f"plane index={pidx} out of range [0, {self._planes_total})")
+        if not 0 <= block < self._blocks_per_plane:
+            raise GeometryError(
+                f"block={block} out of range [0, {self._blocks_per_plane})")
 
     def _check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.user_pages:
@@ -133,38 +135,24 @@ class PageMapFtl:
 
     # --- reads -----------------------------------------------------------------------
 
-    def read(self, lpn: int) -> ReadTarget:
-        """Resolve a logical read and bump the block's read counter.
-
-        Inlines :meth:`current_ppn` (and evaluates the identity fallback
-        lazily) — this is the per-read hot path."""
-        if not 0 <= lpn < self.user_pages:
-            raise TraceError(f"lpn {lpn} outside user space [0, {self.user_pages})")
-        ppn = self._map.get(lpn)
-        if ppn is None:
-            ppn = self._ppn_identity(lpn)
-        addr = self.mapper.address(ppn)
-        key = (self.mapper.plane_index_of(addr), addr.block)
+    def read(self, lpn: int) -> Tuple[int, Optional[float], int]:
+        """Resolve a logical read and bump its block's read counter:
+        ``(ppn, written_at_us, block_read_count)``, where
+        ``written_at_us`` is ``None`` for a cold page (never written during
+        this simulation)."""
+        ppn, written = self.resolve_fast(lpn)
+        key = self._plane_and_block(ppn)
         reads = self._block_reads.get(key, 0) + 1
         self._block_reads[key] = reads
-        written = self.written_at_us.get(ppn)
-        return ReadTarget(
-            address=addr,
-            cold=written is None,
-            written_at_us=written,
-            block_read_count=reads,
-        )
+        return ppn, written, reads
 
     def resolve_fast(self, lpn: int) -> tuple:
         """``(ppn, written_at_us)`` of one logical read, nothing else.
 
-        Allocation-lean resolver for the read pipeline: same lookup as
-        :meth:`read` but no :class:`ReadTarget`, no address decode, and no
-        read-counter bump — the caller's memoized route carries the
-        ``block_reads`` key and bumps the counter itself (same key values,
-        same per-lpn order, so the counts match :meth:`read` exactly).
-        ``written_at_us`` is ``None`` for a cold page, exactly
-        :attr:`ReadTarget.cold`.
+        :meth:`read` without the read-counter bump: the read pipeline's
+        memoized route carries the ``block_reads`` key and bumps the
+        counter itself (same key values, same per-lpn order, so the counts
+        match :meth:`read` exactly).
         """
         if not 0 <= lpn < self.user_pages:
             raise TraceError(
@@ -176,31 +164,29 @@ class PageMapFtl:
 
     # --- writes ------------------------------------------------------------------------
 
-    def write(self, lpn: int, now_us: float) -> WriteResult:
-        """Allocate a fresh physical page for ``lpn``; may trigger GC."""
+    def write(self, lpn: int, now_us: float) -> Tuple[int, Copies, Erases]:
+        """Allocate a fresh physical page for ``lpn``; may trigger GC.
+
+        Returns ``(ppn, copies, erased)``: the new page plus the traffic of
+        any GC the allocation ran."""
         self._check_lpn(lpn)
-        gc_copies: List[GcCopy] = []
-        erased: List[Tuple[int, int]] = []
+        copies: Copies = []
+        erased: Erases = []
         pidx = self._write_cursor
         self._write_cursor = (self._write_cursor + 1) % self._planes_total
         # Allocate first: GC inside the allocation may relocate this lpn's
         # current page, so the superseded location must be resolved *after*
         # allocation for the invalidation bookkeeping to stay consistent.
-        ppn = self._allocate_page(pidx, now_us, gc_copies, erased)
+        ppn = self._allocate_page(pidx, now_us, copies, erased)
         old_ppn = self.current_ppn(lpn)
-        old_pidx, old_block = self._plane_and_block(old_ppn)
-        key = (old_pidx, old_block)
+        key = self._plane_and_block(old_ppn)
         self._invalid_counts[key] = self._invalid_counts.get(key, 0) + 1
         self._reverse.pop(old_ppn, None)
         self.written_at_us.pop(old_ppn, None)
         self._map[lpn] = ppn
         self._reverse[ppn] = lpn
         self.written_at_us[ppn] = now_us
-        return WriteResult(
-            address=self.mapper.address(ppn),
-            gc_copies=tuple(gc_copies),
-            erased_blocks=tuple(erased),
-        )
+        return ppn, copies, erased
 
     # --- allocation & GC ---------------------------------------------------------------------
 
@@ -208,8 +194,8 @@ class PageMapFtl:
         self,
         pidx: int,
         now_us: float,
-        gc_copies: List[GcCopy],
-        erased: List[Tuple[int, int]],
+        copies: Copies,
+        erased: Erases,
     ) -> int:
         state = self._planes[pidx]
         self._retire_full_active(state)
@@ -217,7 +203,7 @@ class PageMapFtl:
             # keep one block in reserve so GC relocations never deadlock;
             # GC is a no-op when no block holds any invalid page
             if not self._in_gc and len(state.free_blocks) <= 1:
-                self._collect_garbage(pidx, now_us, gc_copies, erased)
+                self._collect_garbage(pidx, now_us, copies, erased)
                 self._retire_full_active(state)
             if state.active_block is None:
                 if not state.free_blocks:
@@ -226,11 +212,17 @@ class PageMapFtl:
                     )
                 state.active_block = self._pick_free_block(pidx, state)
                 state.next_page = 0
+        block = state.active_block
         page = state.next_page
-        state.next_page += 1
-        channel, die, plane = self.mapper.plane_from_index(pidx)
-        addr = PageAddress(channel, die, plane, state.active_block, page)
-        return self.mapper.ppn(addr)
+        state.next_page = page + 1
+        pages_per_block = self._pages_per_block
+        if not (0 <= pidx < self._planes_total
+                and 0 <= block < self._blocks_per_plane
+                and 0 <= page < pages_per_block):
+            self._check_block(pidx, block)
+            raise GeometryError(
+                f"page={page} out of range [0, {pages_per_block})")
+        return (block * pages_per_block + page) * self._planes_total + pidx
 
     def _pick_free_block(self, pidx: int, state: _PlaneState) -> int:
         """Wear-levelled allocation: take the least-erased free block (FIFO
@@ -257,18 +249,17 @@ class PageMapFtl:
         self,
         pidx: int,
         now_us: float,
-        gc_copies: List[GcCopy],
-        erased: List[Tuple[int, int]],
+        copies: Copies,
+        erased: Erases,
     ) -> None:
         """Greedy GC: reclaim the block with the fewest valid pages.
 
         A no-op when every candidate is fully valid — collecting such a
         block would copy a whole block's pages for zero net space."""
         state = self._planes[pidx]
-        g = self.config.geometry
         free = set(state.free_blocks)
         candidates = [
-            b for b in range(g.blocks_per_plane)
+            b for b in range(self._blocks_per_plane)
             if b != state.active_block and b not in free
         ]
         if not candidates:
@@ -277,28 +268,28 @@ class PageMapFtl:
         if self._invalid_counts.get((pidx, victim), 0) == 0:
             return
         self.gc_runs += 1
-        self._reclaim_block(pidx, victim, now_us, gc_copies, erased)
+        self._reclaim_block(pidx, victim, now_us, copies, erased)
 
     def _reclaim_block(
         self,
         pidx: int,
         victim: int,
         now_us: float,
-        gc_copies: List[GcCopy],
-        erased: List[Tuple[int, int]],
+        copies: Copies,
+        erased: Erases,
     ) -> None:
         """Relocate every live page of ``victim``, erase it, and return it
         to the plane's free pool.  Shared by GC and read-disturb
         relocation."""
         state = self._planes[pidx]
         self._in_gc = True
-        channel, die, plane = self.mapper.plane_from_index(pidx)
+        # the victim's pages in page order: one block row, one plane
+        first = victim * self._block_stride + pidx
         # relocate live pages: destination pages come from the same plane's
         # remaining frontier (the victim is erased afterwards, so GC frees
         # net space as long as the victim is not fully valid)
-        for page in range(self._pages_per_block):
-            src = PageAddress(channel, die, plane, victim, page)
-            src_ppn = self.mapper.ppn(src)
+        for src_ppn in range(first, first + self._block_stride,
+                             self._planes_total):
             lpn = self._reverse.get(src_ppn)
             if lpn is None:
                 # identity-region page: live iff its lpn was never remapped
@@ -310,13 +301,13 @@ class PageMapFtl:
                 lpn = implied_lpn
             elif self._map.get(lpn) != src_ppn:
                 continue  # stale reverse entry
-            dst_ppn = self._allocate_page(pidx, now_us, gc_copies, erased)
+            dst_ppn = self._allocate_page(pidx, now_us, copies, erased)
             self._map[lpn] = dst_ppn
             self._reverse.pop(src_ppn, None)
             self._reverse[dst_ppn] = lpn
             self.written_at_us[dst_ppn] = now_us
             self.written_at_us.pop(src_ppn, None)
-            gc_copies.append(GcCopy(source=src, destination=self.mapper.address(dst_ppn)))
+            copies.append((src_ppn, dst_ppn))
             self.pages_copied_by_gc += 1
         # the victim is now empty: erase and return to the pool
         self._invalid_counts.pop((pidx, victim), None)
@@ -333,13 +324,15 @@ class PageMapFtl:
         return self._block_reads.get((pidx, block), 0)
 
     def relocate_block(self, pidx: int, block: int, now_us: float
-                       ) -> Optional[WriteResult]:
+                       ) -> Optional[Tuple[Copies, Erases]]:
         """Proactively rewrite a block (read-disturb management): move its
         live pages elsewhere and erase it, clearing the read counter.
 
-        Returns the relocation traffic, or ``None`` when relocation is not
-        currently safe (the block is the active frontier or in the free
-        pool, or the plane has no spare block to relocate into)."""
+        Returns the relocation traffic ``(copies, erased)``, or ``None``
+        when relocation is not currently safe (the block is the active
+        frontier or in the free pool, or the plane has no spare block to
+        relocate into)."""
+        self._check_block(pidx, block)
         state = self._planes[pidx]
         if block in state.free_blocks:
             return None
@@ -350,15 +343,11 @@ class PageMapFtl:
             state.next_page = 0
         if not state.free_blocks:
             return None  # defer until GC replenishes the pool
-        gc_copies: List[GcCopy] = []
-        erased: List[Tuple[int, int]] = []
-        self._reclaim_block(pidx, block, now_us, gc_copies, erased)
+        copies: Copies = []
+        erased: Erases = []
+        self._reclaim_block(pidx, block, now_us, copies, erased)
         self.disturb_relocations += 1
-        return WriteResult(
-            address=None,  # no host page is written
-            gc_copies=tuple(gc_copies),
-            erased_blocks=tuple(erased),
-        )
+        return copies, erased
 
     # --- introspection ---------------------------------------------------------------------------
 

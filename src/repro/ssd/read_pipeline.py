@@ -13,6 +13,15 @@ the contended resources of :mod:`repro.ssd.resources` by:
   index (``cb(slot)``), so steady-state execution allocates nothing per
   phase and a new slot costs only its data fields.  Writes and GC copies
   use the same slots.
+* **One dispatch path**: every page read — batched or sequential, clean
+  or fault-injected — reaches its resources through a memoized per-ppn
+  *route* and :meth:`ReadPipeline._dispatch`, which folds a read's faults
+  into its plan only when it has some.
+* **Integer addressing**: the FTL hands out flat page numbers, so writes
+  and GC copies pick their plane as ``pidx = ppn % total_planes`` and
+  their channel as ``pidx % channels`` (the stripe order of
+  :class:`~repro.nand.geometry.AddressMapper`); nothing on the simulator's
+  path builds a :class:`~repro.nand.geometry.PageAddress`.
 * **Vectorized sampling**: whole requests resolve their cold ages and
   RBERs through the batch entry points
   (:meth:`~repro.ssd.reliability.PageReliabilitySampler.cold_age_days_batch`
@@ -87,7 +96,8 @@ class ReadPipeline:
         self._channels = ssd.channels
         self._eccs = ssd.eccs
         self._host_link = ssd.host_link
-        self._plane_index_of = ssd.mapper.plane_index_of
+        self._planes_total = len(ssd.planes)
+        self._n_channels = len(ssd.channels)
         self._decode = ssd.mapper.decode
         self._account_plan = ssd._account_plan
         self.attach_tracer(ssd.tracer)
@@ -97,9 +107,8 @@ class ReadPipeline:
                             or ssd.read_disturb_threshold is not None)
         self._build = PlanBuild()
         # ppn -> (block_key, page, plane, channel, ecc, read_key):
-        # everything the
-        # dispatch needs, pure in ppn (geometry and wiring never change),
-        # so the clean hot loop skips the PageAddress/ReadTarget hops
+        # everything the dispatch needs, pure in ppn (geometry and wiring
+        # never change)
         self._routes: dict = {}
         # history-driven policies (repro.ssd.adaptive): hand each page's
         # identity to the policy before compiling its plan, and key the
@@ -196,15 +205,15 @@ class ReadPipeline:
         management); otherwise each page runs the full sequence on its own
         (:meth:`_start_read_sequential`).
         """
-        if self._sequential:
-            for lpn in lpns:
-                self._start_read_sequential(lpn, state)
-            return
         if self._stateful and self.policy.state_version != self._routes_version:
             # learned state was invalidated (fast-forward): drop routes
             # memoized under the old epoch
             self._routes.clear()
             self._routes_version = self.policy.state_version
+        if self._sequential:
+            for lpn in lpns:
+                self._start_read_sequential(lpn, state)
+            return
         resolve = self.ftl.resolve_fast
         block_reads = self.ftl._block_reads
         sampler = self.sampler
@@ -217,7 +226,7 @@ class ReadPipeline:
             # The interleaved loop is bit-identical: sampling is pure
             # (deterministic hashes, no rng draws) and dispatch never
             # touches FTL or sampler state.
-            dispatch = self._dispatch_clean
+            dispatch = self._dispatch
             cold_age = sampler.cold_age_days
             warm_age = sampler.warm_age_days
             rber_of = sampler.rber
@@ -261,7 +270,7 @@ class ReadPipeline:
             retentions,
             read_counts,
         )
-        dispatch = self._dispatch_clean
+        dispatch = self._dispatch
         for lpn, route, rber, retention in zip(lpns, page_routes, rbers,
                                                retentions):
             dispatch(lpn, route, rber, state, retention)
@@ -270,43 +279,45 @@ class ReadPipeline:
         """One page, in order: resolve -> inject -> sample -> compile ->
         dispatch -> disturb management."""
         ssd = self.ssd
-        target = ssd.ftl.read(lpn)
+        now = self.sim.now
+        resolved = self.ftl.read(lpn)
+        route = self._routes.get(resolved[0]) or self._route(resolved[0])
         faults = None
         if ssd.fault_injector is not None:
-            faults = ssd.fault_injector.on_page_read(target.address,
-                                                     self.sim.now)
+            faults = ssd.fault_injector.on_page_read(route[0], now)
             if faults.any:
                 self.metrics.faults_injected += faults.fired
-                target = ssd._mitigate_read_faults(lpn, target, faults, state)
-                if target is None:
+                resolved = ssd._mitigate_read_faults(lpn, resolved, route[0],
+                                                     route[5], faults, state)
+                if resolved is None:
                     return  # degraded: the page was completed (or raised)
+                # a retired block moved the page: follow it
+                route = (self._routes.get(resolved[0])
+                         or self._route(resolved[0]))
             else:
                 faults = None
+        _ppn, written, reads = resolved
         sampler = self.sampler
-        if target.cold:
+        if written is None:
             retention = sampler.cold_age_days(lpn)
         else:
-            retention = sampler.warm_age_days(target.written_at_us,
-                                              self.sim.now)
-        rber = sampler.rber(target.address.block_key(), target.address.page,
-                            retention, target.block_read_count)
-        if self._stateful:
-            self.policy.begin_read(target.address.block_key(), retention)
-        self._compile_and_dispatch(lpn, target, rber, state, faults)
+            retention = sampler.warm_age_days(written, now)
+        rber = sampler.rber(route[0], route[1], retention, reads)
+        self._dispatch(lpn, route, rber, state, retention, faults)
         if (ssd.read_disturb_threshold is not None
-                and target.block_read_count >= ssd.read_disturb_threshold):
-            ssd._relocate_disturbed_block(target.address)
+                and reads >= ssd.read_disturb_threshold):
+            ssd._relocate_disturbed_block(route[5])
 
     # --- compile + dispatch -------------------------------------------------
 
     def _route(self, ppn: int) -> tuple:
         """Resolve and memoize the dispatch route of one physical page:
         ``(block_key, page, plane, channel, ecc, read_key)`` — all pure in
-        ppn.  ``read_key`` is the FTL's ``(plane_index, block)``
-        read-counter key (the same integers
-        :meth:`~repro.ssd.ftl.PageMapFtl.read` derives).  Decoded from
-        the integers alone: no :class:`~repro.nand.geometry.PageAddress`
-        is built for a first-read page."""
+        ppn.  ``block_key`` is ``(channel, die, plane, block)``, the key of
+        the reliability sampler, the history-driven policies and the fault
+        injector; ``read_key`` is the FTL's ``(pidx, block)`` read-counter
+        key (the same integers :meth:`~repro.ssd.ftl.PageMapFtl.read`
+        derives)."""
         pidx, channel, die, plane, block, page = self._decode(ppn)
         route = ((channel, die, plane, block), page,
                  self._planes[pidx],
@@ -318,13 +329,14 @@ class ReadPipeline:
         routes[ppn] = route
         return route
 
-    def _dispatch_clean(self, lpn: int, route: tuple, rber: float,
-                        state, retention: float = 0.0) -> None:
-        """Fault-free twin of :meth:`_compile_and_dispatch` fed by a
-        memoized route instead of a :class:`ReadTarget`.
+    def _dispatch(self, lpn: int, route: tuple, rber: float, state,
+                  retention: float, faults=None) -> None:
+        """Compile one page read's plan and start it along its route.
 
-        ``_exhausted``/``_fired`` are left untouched: only the fault path
-        sets them, and :meth:`_release` restores ``None``.
+        ``faults`` is the read's fired
+        :class:`~repro.faults.ReadFaultDecision`, or ``None`` for a clean
+        read; only then are ``_exhausted``/``_fired`` set (:meth:`_release`
+        restores ``None``).
         """
         build = self._build
         build.reset(rber)
@@ -337,10 +349,18 @@ class ReadPipeline:
                 "read.plan", self.sim.now, request_id=state.request_id,
                 args=dict(build.trace_args(), lpn=lpn),
             )
+        phases = build.phases
+        if faults is not None:
+            phases, exhausted = self._apply_transfer_faults(phases, faults)
+            scale = faults.latency_scale
+            if scale > 1.0:
+                phases = [(kind, duration * scale, tag, decode)
+                          if kind == K_SENSE else (kind, duration, tag, decode)
+                          for kind, duration, tag, decode in phases]
         free = self._free
         i = free.pop() if free else self._grow()
         slot_phases = self._phases[i]
-        slot_phases.extend(build.phases)
+        slot_phases.extend(phases)
         self._state[i] = state
         self._plane[i] = route[2]
         self._ecc[i] = route[4]
@@ -351,6 +371,15 @@ class ReadPipeline:
         else:
             label = None
         self._channel[i] = route[3]
+        if faults is not None:
+            self._exhausted[i] = exhausted
+            self._fired[i] = faults.fired
+            if faults.sense_failures:
+                self._cursor[i] = 0
+                self._fault_round[i] = 0
+                self._fault_failures[i] = faults.sense_failures
+                route[2].occupy(self.t_read, "FAULT", self._fault_cb, i, label)
+                return
         if (len(slot_phases) == 2 and slot_phases[1][3] is not None
                 and slot_phases[0][0] == K_SENSE):
             # the no-retry shape every policy's clean round compiles to:
@@ -375,50 +404,6 @@ class ReadPipeline:
         phase = self._phases[i][1]
         self._channel[i].occupy(phase[1], phase[2], self._xferdec_cb, i,
                                 self._label[i], gated=True, priority=1)
-
-    def _compile_and_dispatch(self, lpn: int, target, rber: float, state,
-                              faults) -> None:
-        build = self._build
-        build.reset(rber)
-        self.policy.plan_into(build, rber)
-        self._account_plan(build)
-        if self._trace_requests and state.traced:
-            self.tracer.record_instant(
-                "read.plan", self.sim.now, request_id=state.request_id,
-                args=dict(build.trace_args(), lpn=lpn),
-            )
-        phases = build.phases
-        exhausted: Optional[ReproError] = None
-        if faults is not None:
-            phases, exhausted = self._apply_transfer_faults(phases, faults)
-            scale = faults.latency_scale
-            if scale > 1.0:
-                phases = [(kind, duration * scale, tag, decode)
-                          if kind == K_SENSE else (kind, duration, tag, decode)
-                          for kind, duration, tag, decode in phases]
-        free = self._free
-        i = free.pop() if free else self._grow()
-        slot_phases = self._phases[i]
-        slot_phases.extend(phases)
-        self._cursor[i] = 0
-        self._state[i] = state
-        address = target.address
-        channel = address.channel
-        self._plane[i] = self._planes[self._plane_index_of(address)]
-        self._channel[i] = self._channels[channel]
-        self._ecc[i] = self._eccs[channel]
-        self._exhausted[i] = exhausted
-        self._fired[i] = faults.fired if faults is not None else None
-        self._label[i] = f"R:lpn{lpn}" if self._want_label else None
-        self._rid[i] = state.request_id
-        self._traced[i] = state.traced
-        if faults is not None and faults.sense_failures:
-            self._fault_round[i] = 0
-            self._fault_failures[i] = faults.sense_failures
-            self._plane[i].occupy(self.t_read, "FAULT", self._fault_cb, i,
-                                  self._label[i])
-        else:
-            self._advance(i)
 
     def _apply_transfer_faults(self, phases: List[tuple], faults):
         """Fold channel-corruption faults into a phase list.
@@ -542,15 +527,16 @@ class ReadPipeline:
         GC copies and erases first (FTL order), then host-link transfer ->
         channel DMA -> plane program.
         """
-        result = self.ftl.write(lpn, self.sim.now)
+        ppn, copies, erased = self.ftl.write(lpn, self.sim.now)
         self.metrics.page_writes += 1
-        self.start_relocation(result)
-        address = result.address
+        if copies or erased:
+            self.start_relocation(copies, erased)
+        pidx = ppn % self._planes_total
         free = self._free
         i = free.pop() if free else self._grow()
         self._state[i] = state
-        self._plane[i] = self._planes[self._plane_index_of(address)]
-        self._channel[i] = self._channels[address.channel]
+        self._plane[i] = self._planes[pidx]
+        self._channel[i] = self._channels[pidx % self._n_channels]
         self._host_link.occupy(self._host_page_us, "WRITE", self._whost_cb, i)
 
     def _write_host_done(self, i: int) -> None:
@@ -560,25 +546,30 @@ class ReadPipeline:
         # program completion is release-then-_page_done: exactly _host_done
         self._plane[i].occupy(self._t_prog, TAG_WRITE, self._host_cb, i)
 
-    def start_relocation(self, result) -> None:
-        """Issue an FTL operation's internal traffic: GC copies of live
-        pages, then erases of the freed blocks — for writes, bad-block
-        retirement and read-disturb management alike."""
-        self.metrics.gc_page_copies += len(result.gc_copies)
-        for copy in result.gc_copies:
-            self._start_gc_copy(copy.source, copy.destination)
+    def start_relocation(self, copies, erased) -> None:
+        """Start an FTL operation's internal traffic: the ``(src_ppn,
+        dst_ppn)`` GC copies of live pages, then erases of the freed
+        ``(pidx, block)`` blocks — for writes, bad-block retirement and
+        read-disturb management alike."""
+        self.metrics.gc_page_copies += len(copies)
+        for src_ppn, dst_ppn in copies:
+            self._start_gc_copy(src_ppn, dst_ppn)
         t_erase = self._t_erase
-        for pidx, _block in result.erased_blocks:
+        for pidx, _block in erased:
             self._planes[pidx].occupy(t_erase, "ERASE", None)
 
-    def _start_gc_copy(self, src, dst) -> None:
+    def _start_gc_copy(self, src_ppn: int, dst_ppn: int) -> None:
         """Internal relocation: sense, move out, move back, program."""
+        planes_total = self._planes_total
+        n_channels = self._n_channels
+        src_pidx = src_ppn % planes_total
+        dst_pidx = dst_ppn % planes_total
         free = self._free
         i = free.pop() if free else self._grow()
-        self._channel[i] = self._channels[src.channel]
-        self._gc_in[i] = self._channels[dst.channel]
-        self._gc_dst[i] = self._planes[self._plane_index_of(dst)]
-        self._planes[self._plane_index_of(src)].occupy(
+        self._channel[i] = self._channels[src_pidx % n_channels]
+        self._gc_in[i] = self._channels[dst_pidx % n_channels]
+        self._gc_dst[i] = self._planes[dst_pidx]
+        self._planes[src_pidx].occupy(
             self.t_read, TAG_GC, self._gc_sense_cb, i)
 
     def _gc_sense_done(self, i: int) -> None:

@@ -283,7 +283,7 @@ class Ecc:
     """
 
     __slots__ = ("sim", "name", "buffer_pages", "slots_in_use", "held_slots",
-                 "peak_slots_in_use", "decoder", "_slot_waiters")
+                 "peak_slots_in_use", "decoder", "_slot_waiters", "_holds")
 
     def __init__(self, sim, name: str, buffer_pages: int):
         if buffer_pages < 1:
@@ -295,6 +295,8 @@ class Ecc:
         #: slots squatted by fault injection (ECC-buffer saturation bursts);
         #: they shrink the usable buffer without holding real pages
         self.held_slots = 0
+        #: one entry per active burst: the slots it asked for
+        self._holds: List[int] = []
         #: high-water mark of occupied slots (real + held) — a passive
         #: observability counter, never consulted by gating logic
         self.peak_slots_in_use = 0
@@ -318,19 +320,27 @@ class Ecc:
     def hold_slots(self, n: int = 0) -> None:
         """Squat ``n`` buffer slots (0 = the whole buffer) so incoming
         transfers gate on the shrunken remainder — the fault-injection model
-        of an ECC-buffer saturation burst."""
+        of an ECC-buffer saturation burst.  Overlapping bursts add up,
+        capped at the buffer."""
         if n < 0:
             raise SimulationError(f"{self.name}: cannot hold {n} slots")
-        self.held_slots = min(n or self.buffer_pages, self.buffer_pages)
+        self._holds.append(n or self.buffer_pages)
+        self.held_slots = min(sum(self._holds), self.buffer_pages)
         self._note_occupancy()
 
-    def release_held_slots(self) -> None:
-        """End a saturation burst and re-kick gated channels."""
-        if self.held_slots == 0:
+    def release_held_slots(self, n: int = 0) -> None:
+        """End the saturation burst that held ``n`` slots (as passed to
+        :meth:`hold_slots`) and re-kick gated channels if the usable buffer
+        grew; other bursts keep their holds."""
+        hold = n or self.buffer_pages
+        if hold not in self._holds:
             return
-        self.held_slots = 0
-        for waiter in self._slot_waiters:
-            waiter()
+        self._holds.remove(hold)
+        held = min(sum(self._holds), self.buffer_pages)
+        if held < self.held_slots:
+            self.held_slots = held
+            for waiter in self._slot_waiters:
+                waiter()
 
     def release_slot(self) -> None:
         if self.slots_in_use <= 0:

@@ -44,7 +44,7 @@ from ..errors import (
     SimulationError,
 )
 from ..faults import FaultInjector, FaultPlan, ReadFaultDecision
-from ..nand.geometry import AddressMapper, PageAddress
+from ..nand.geometry import AddressMapper
 from ..obs.export import write_chrome_trace
 from ..obs.snapshots import SnapshotRecorder
 from ..obs.trace import SimTracer, SpanEvent, TraceConfig
@@ -282,9 +282,10 @@ class SSDSimulator:
 
     def _schedule_saturation_windows(self) -> None:
         """Wire ``ecc_saturation`` faults as sim-time events: hold decoder
-        buffer slots at window start, release (and re-kick the gated
-        channels) at window end.  Windows should lie inside the measured
-        run — the edge events advance the clock like any other event."""
+        buffer slots at window start, release that window's hold (and
+        re-kick the gated channels) at window end.  Windows should lie
+        inside the measured run — the edge events advance the clock like
+        any other event."""
         for spec in self.fault_injector.saturation_windows():
             if spec.channel is not None:
                 if not 0 <= spec.channel < len(self.eccs):
@@ -300,7 +301,7 @@ class SSDSimulator:
                 self.sim.at(spec.start_us,
                             lambda e=ecc, n=slots: e.hold_slots(n))
                 self.sim.at(spec.end_us,
-                            lambda e=ecc: e.release_held_slots())
+                            lambda e=ecc, n=slots: e.release_held_slots(n))
 
     # --- request entry point ------------------------------------------------------------
 
@@ -367,32 +368,35 @@ class SSDSimulator:
 
     # --- fault mitigation (repro.faults) ---------------------------------------------
 
-    def _mitigate_read_faults(self, lpn: int, target, faults: ReadFaultDecision,
-                              state: _RequestState):
+    def _mitigate_read_faults(self, lpn: int, resolved: tuple,
+                              block_key: tuple, read_key: tuple,
+                              faults: ReadFaultDecision,
+                              state: _RequestState) -> Optional[tuple]:
         """Controller-level mitigation that must happen before the plan is
-        compiled.  Returns the (possibly re-resolved) read target, or
+        compiled, for a read of ``lpn`` resolved (by
+        :meth:`~repro.ssd.ftl.PageMapFtl.read`) to ``resolved`` in the
+        block ``block_key`` = ``(channel, die, plane, block)``, FTL key
+        ``read_key`` = ``(pidx, block)``.  Returns the (possibly
+        re-resolved) ``(ppn, written_at_us, block_read_count)``, or
         ``None`` when the read was dispatched as degraded."""
         if faults.offline:
-            addr = target.address
             self._degraded_read(state, DegradedReadError(
-                f"die (channel={addr.channel}, die={addr.die}) is offline"
+                f"die (channel={block_key[0]}, die={block_key[1]}) is offline"
             ))
             return None
         if faults.grown_bad_block:
-            addr = target.address
-            pidx = self.mapper.plane_index_of(addr)
-            result = self.ftl.relocate_block(pidx, addr.block, self.sim.now)
-            if result is not None:
+            relocation = self.ftl.relocate_block(*read_key, self.sim.now)
+            if relocation is not None:
                 # retirement: live pages (ours included) moved off the bad
                 # block through the existing relocation path
                 self.metrics.retired_blocks += 1
-                self.fault_injector.note_block_retired(addr)
-                self._pipeline.start_relocation(result)
-                target = self.ftl.read(lpn)  # re-resolve to the new home
+                self.fault_injector.note_block_retired(block_key)
+                self._pipeline.start_relocation(*relocation)
+                resolved = self.ftl.read(lpn)  # re-resolve to the new home
             # the triggering read pays at least one retry round either way
             # (an unretired block struggles through like a transient fault)
             faults.sense_failures = max(faults.sense_failures, 1)
-        return target
+        return resolved
 
     def _degraded_read(self, state: _RequestState, error: ReproError) -> None:
         """A read the controller cannot serve: absorb it into the metrics
@@ -403,16 +407,15 @@ class SSDSimulator:
         self.metrics.degraded_reads += 1
         self._page_done(state)
 
-    def _relocate_disturbed_block(self, address: PageAddress) -> None:
-        """Read-disturb management: rewrite a heavily-read block, resetting
-        its disturb counter (SecI's 'read-disturb management' internal
-        traffic)."""
-        pidx = self.mapper.plane_index_of(address)
-        result = self.ftl.relocate_block(pidx, address.block, self.sim.now)
-        if result is None:
+    def _relocate_disturbed_block(self, read_key: tuple) -> None:
+        """Read-disturb management: rewrite the heavily-read block
+        ``read_key`` = ``(pidx, block)``, resetting its disturb counter
+        (SecI's 'read-disturb management' internal traffic)."""
+        relocation = self.ftl.relocate_block(*read_key, self.sim.now)
+        if relocation is None:
             return  # unsafe right now; the next read will retry
         self.metrics.disturb_relocations += 1
-        self._pipeline.start_relocation(result)
+        self._pipeline.start_relocation(*relocation)
 
     def _account_plan(self, plan: PlanBuild) -> None:
         m = self.metrics

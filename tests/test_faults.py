@@ -20,11 +20,13 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.nand.chip import FlashDie
-from repro.nand.geometry import PageAddress
+from repro.nand.geometry import AddressMapper
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.metrics import SimMetrics
 from repro.ssd.simulator import SSDSimulator
+from repro.units import KIB
 from repro.workloads import generate
+from repro.workloads.trace import IORequest
 
 #: Same fast sizing the campaign tests use: tens of milliseconds per cell.
 FAST = dict(n_requests=60, user_pages=2000, queue_depth=16)
@@ -146,12 +148,12 @@ def test_injector_schedule_is_deterministic():
     plan = FaultPlan(faults=(
         FaultSpec(kind="transient_sense", start_read=1, period=3, count=2),
     ))
-    addr = PageAddress(0, 0, 0, 0, 0)
+    block_key = (0, 0, 0, 0)  # (channel, die, plane, block)
 
     def firing_reads():
         injector = FaultInjector(plan)
         return [i for i in range(12)
-                if injector.on_page_read(addr, float(i)).sense_failures]
+                if injector.on_page_read(block_key, float(i)).sense_failures]
 
     first = firing_reads()
     assert first == firing_reads()  # pure function of the read sequence
@@ -164,8 +166,8 @@ def test_injector_address_predicate_and_windows():
                   start_us=10.0, end_us=20.0),
     ))
     injector = FaultInjector(plan)
-    hit = PageAddress(1, 2, 0, 0, 0)
-    miss = PageAddress(0, 2, 0, 0, 0)
+    hit = (1, 2, 0, 0)   # (channel, die, plane, block)
+    miss = (0, 2, 0, 0)
     assert injector.on_page_read(hit, 15.0).latency_scale == 4.0
     assert injector.on_page_read(miss, 15.0).latency_scale == 1.0
     assert injector.on_page_read(hit, 25.0).latency_scale == 1.0  # past window
@@ -250,6 +252,31 @@ def test_grown_bad_block_retired_through_ftl():
     assert result.metrics.degraded_reads == 0
 
 
+def test_retiring_read_samples_the_relocated_page(monkeypatch):
+    """The read that retires a grown-bad block samples its page where the
+    relocation moved it, not in the retired block."""
+    config = small_test_config()
+    plan = FaultPlan(faults=(
+        FaultSpec(kind="grown_bad_block", block=0, count=1),
+    ))
+    ssd = SSDSimulator(config, policy="SSDzero", seed=3, fault_plan=plan)
+    sampled = []
+    rber = ssd.sampler.rber
+
+    def spy(block_key, page, *args):
+        sampled.append((block_key, page))
+        return rber(block_key, page, *args)
+
+    monkeypatch.setattr(ssd.sampler, "rber", spy)
+    # lpn 0 is a cold page at ppn 0: block 0 of plane 0
+    ssd.submit_request(IORequest(0.0, "R", 0, 16 * KIB))
+    ssd.run()
+    assert ssd.metrics.retired_blocks == 1
+    home = AddressMapper(config.geometry).address(ssd.ftl.current_ppn(0))
+    assert home.block != 0
+    assert sampled == [(home.block_key(), home.page)]
+
+
 def test_ecc_saturation_produces_eccwait():
     plan = FaultPlan(faults=(
         FaultSpec(kind="ecc_saturation", start_us=0.0, end_us=300.0,
@@ -268,6 +295,26 @@ def test_saturation_channel_out_of_range_rejected():
     ))
     with pytest.raises(FaultInjectionError):
         execute(_spec(plan))
+
+
+def test_nested_saturation_windows_keep_the_outer_hold():
+    """An inner ``ecc_saturation`` window that ends inside an outer one on
+    the same ECC must not lift the outer window's hold."""
+    config = small_test_config()
+    assert config.ecc.buffer_pages == 2
+    plan = FaultPlan(faults=(
+        FaultSpec(kind="ecc_saturation", channel=0, start_us=100.0,
+                  end_us=1000.0, magnitude=0),   # the whole buffer
+        FaultSpec(kind="ecc_saturation", channel=0, start_us=200.0,
+                  end_us=300.0, magnitude=1),
+    ))
+    ssd = SSDSimulator(config, fault_plan=plan)
+    ecc = ssd.eccs[0]
+    held = {}
+    for t in (150.0, 250.0, 400.0, 1100.0):
+        ssd.sim.at(t, lambda t=t: held.__setitem__(t, ecc.held_slots))
+    ssd.run()
+    assert held == {150.0: 2, 250.0: 2, 400.0: 2, 1100.0: 0}
 
 
 def test_fault_runs_are_deterministic():

@@ -79,6 +79,69 @@ def test_ftl_mapping_is_always_a_bijection(lpns, salt):
         seen[ppn] = lpn
 
 
+_TINY_FTL = SSDConfig().scaled(
+    channels=1, dies_per_channel=1, planes_per_die=2,
+    blocks_per_plane=8, pages_per_block=8,
+)
+
+#: one FTL call: ("write" | "read", lpn seed) or ("relocate", pidx, block)
+_FTL_OPS = st.one_of(
+    st.tuples(st.sampled_from(["write", "read"]), st.integers(0, 10**6)),
+    st.tuples(st.just("relocate"),
+              st.integers(0, _TINY_FTL.geometry.total_planes - 1),
+              st.integers(0, _TINY_FTL.geometry.blocks_per_plane - 1)),
+)
+
+
+@given(st.lists(_FTL_OPS, min_size=1, max_size=150))
+@settings(max_examples=80, deadline=None)
+def test_ftl_invariants_under_random_interleavings(ops):
+    """Whatever the interleaving of writes, reads and block relocations,
+    the mapping stays a bijection, ``_map``/``_reverse`` stay inverse, and
+    every reported copy and erase matches the mapping's change."""
+    ftl = PageMapFtl(_TINY_FTL)
+    lpns = range(ftl.user_pages)
+    reported_copies = 0
+    for step, op in enumerate(ops):
+        before = {lpn: ftl.current_ppn(lpn) for lpn in lpns}
+        written = new_ppn = None
+        copies, erased = [], []
+        if op[0] == "write":
+            written = op[1] % ftl.user_pages
+            new_ppn, copies, erased = ftl.write(written, now_us=float(step))
+        elif op[0] == "read":
+            lpn = op[1] % ftl.user_pages
+            ppn, _written_at, reads = ftl.read(lpn)
+            assert ppn == before[lpn]
+            assert reads == ftl.block_read_count(*ftl._plane_and_block(ppn))
+        else:
+            relocation = ftl.relocate_block(op[1], op[2], now_us=float(step))
+            if relocation is not None:
+                copies, erased = relocation
+        after = {lpn: ftl.current_ppn(lpn) for lpn in lpns}
+        # no two lpns share a ppn
+        assert len(set(after.values())) == len(after)
+        # _map and _reverse are inverse
+        assert {ppn: lpn for lpn, ppn in ftl._map.items()} == ftl._reverse
+        # each copy moved one lpn's page from where it was to where it is
+        # (a write's own lpn is then superseded by the written page)
+        owner = {ppn: lpn for lpn, ppn in before.items()}
+        for src_ppn, dst_ppn in copies:
+            lpn = owner[src_ppn]
+            if lpn != written:
+                assert after[lpn] == dst_ppn
+        if written is not None:
+            assert after[written] == new_ppn
+        # no live page stays in an erased block (only a write may land in
+        # one, after its erase)
+        erased_set = set(erased)
+        for lpn, ppn in after.items():
+            if ftl._plane_and_block(ppn) in erased_set:
+                assert lpn == written and ppn == new_ppn
+        reported_copies += len(copies)
+    assert ftl.pages_copied_by_gc == reported_copies
+
+
 @given(
     st.integers(min_value=0, max_value=2**30),
     st.integers(min_value=1, max_value=512 * KIB),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import GeometryError, SimulationError
+from repro.nand.geometry import AddressMapper
 from repro.ssd.ftl import PageMapFtl
 from repro.ssd.simulator import SSDSimulator
 from repro.units import KIB
@@ -31,9 +32,10 @@ def test_ftl_block_read_count_resets_on_relocation(tiny_ssd_config):
     assert ftl.block_read_count(pidx, block) == 0
     assert ftl.disturb_relocations == 1
     # the page remains readable, now from a different block
-    target = ftl.read(0)
-    assert (target.address.block != block
-            or target.address.plane_key() != ftl.mapper.address(0).plane_key())
+    mapper = AddressMapper(tiny_ssd_config.geometry)
+    ppn, _written, _reads = ftl.read(0)
+    assert (mapper.address(ppn).block != block
+            or mapper.address(ppn).plane_key() != mapper.address(0).plane_key())
 
 
 def test_ftl_relocation_preserves_all_data(tiny_ssd_config):
@@ -45,7 +47,8 @@ def test_ftl_relocation_preserves_all_data(tiny_ssd_config):
         ftl.read(lpn)
     result = ftl.relocate_block(0, 0, now_us=5.0)
     assert result is not None
-    assert len(result.gc_copies) == len(victims)
+    copies, _erased = result
+    assert len(copies) == len(victims)
     for lpn in victims:
         # resolvable and no longer in the erased block
         assert ftl._plane_and_block(ftl.current_ppn(lpn)) != (0, 0)
@@ -58,18 +61,29 @@ def test_ftl_relocation_refuses_free_blocks(tiny_ssd_config):
     assert ftl.relocate_block(0, state.free_blocks[0], now_us=1.0) is None
 
 
+def test_ftl_relocation_rejects_out_of_range_blocks(tiny_ssd_config):
+    ftl = PageMapFtl(tiny_ssd_config)
+    g = tiny_ssd_config.geometry
+    for pidx, block in ((0, g.blocks_per_plane), (0, -1),
+                        (g.total_planes, 0), (-1, 0)):
+        with pytest.raises(GeometryError):
+            ftl.relocate_block(pidx, block, now_us=0.0)
+    assert ftl.disturb_relocations == 0
+
+
 def test_ftl_relocation_of_active_block_retires_it(tiny_ssd_config):
     """An overheated write frontier is closed and relocated; the written
     page survives."""
     ftl = PageMapFtl(tiny_ssd_config)
-    result = ftl.write(0, now_us=0.0)
+    written_ppn, _copies, _erased = ftl.write(0, now_us=0.0)
     active = ftl._planes[0].active_block
     relocation = ftl.relocate_block(0, active, now_us=1.0)
     assert relocation is not None
-    assert len(relocation.gc_copies) == 1  # the one written page moved
-    target = ftl.read(0)
-    assert not target.cold
-    assert target.address != result.address
+    copies, _erased = relocation
+    assert len(copies) == 1  # the one written page moved
+    ppn, written_at_us, _reads = ftl.read(0)
+    assert written_at_us is not None  # still warm
+    assert ppn != written_ppn
 
 
 def test_ftl_erase_counts_accumulate(tiny_ssd_config):

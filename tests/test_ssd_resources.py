@@ -70,6 +70,23 @@ def test_gate_blocks_queue_head_only():
     assert order == ["gated", "free"]
 
 
+def test_overlapping_holds_add_up_and_release_their_own_share():
+    """Each burst releases only its own hold; the gated head starts as
+    soon as the usable buffer grows."""
+    sim = Simulator()
+    channel, ecc = _gated_channel(sim, buffer_pages=2)
+    ecc.hold_slots(1)
+    ecc.hold_slots(1)
+    assert ecc.held_slots == 2
+    sim.after(5.0, lambda: ecc.release_held_slots(1))
+    sim.after(9.0, lambda: ecc.release_held_slots(1))
+    done = []
+    channel.occupy(1.0, "T", lambda i: done.append(sim.now), gated=True)
+    sim.run()
+    assert done == [6.0]
+    assert ecc.held_slots == 0
+
+
 def test_finalize_closes_open_block():
     sim = Simulator()
     channel, ecc = _gated_channel(sim)

@@ -5,7 +5,10 @@ import gc
 
 import pytest
 
+from repro.campaign.spec import RunSpec, execute
 from repro.errors import SimulationError
+from repro.faults import FaultPlan, FaultSpec
+from repro.nand.geometry import PageAddress
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.simulator import SSDSimulator, TimelineTracer
 from repro.units import KIB
@@ -168,6 +171,40 @@ def test_fault_free_drive_creates_no_partials(ssd_config):
     assert result.metrics.faults_injected == 0
     assert len(ssd._pipeline._cursor) >= 64  # the slot pool grew
     assert after == before
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+def test_write_heavy_run_builds_no_page_address(monkeypatch, faulted):
+    """The FTL and the pipeline speak page numbers: a write-heavy run with
+    GC (Ali2 at the small scale) builds no ``PageAddress`` — nor, faulted,
+    does the sequential read path with its block retirement, fault
+    folding and read-disturb relocation."""
+    built = []
+    init = PageAddress.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PageAddress, "__init__", counting_init)
+    plan = FaultPlan(faults=(
+        FaultSpec(kind="grown_bad_block", block=0, start_read=5, count=1),
+        FaultSpec(kind="transient_sense", period=7, count=5),
+        FaultSpec(kind="latency_spike", period=9, count=5, magnitude=3.0),
+        FaultSpec(kind="channel_corrupt", period=13, count=3),
+    )) if faulted else None
+    result = execute(RunSpec(
+        workload="Ali2", policy="RiFSSD", n_requests=4000, seed=7,
+        fault_plan=plan, read_disturb_threshold=16 if faulted else None))
+    m = result.metrics
+    assert result.completed
+    assert m.page_writes > 10_000 and m.gc_page_copies > 0
+    if faulted:
+        assert m.retired_blocks and m.disturb_relocations
+        assert m.faults_injected
+    assert built == []
+    PageAddress(0, 0, 0, 0, 0)
+    assert len(built) == 1  # the patch does count constructions
 
 
 def test_tracer_records_phases(ssd_config):
