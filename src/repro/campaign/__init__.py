@@ -10,25 +10,23 @@ that structure explicit:
 * :mod:`.spec` — :class:`RunSpec`, a frozen value describing one run, with
   a stable content hash and builders that rebuild trace + simulator from
   the spec alone;
-* :mod:`.scheduler` — :class:`JobScheduler`, the async job queue every
-  campaign executes through (submit/poll/stream/cancel, priorities,
-  ``max_in_flight`` backpressure, deterministic ordering), plus
-  :func:`run_campaign`, the one shared replay/execute/observe driver
-  behind both :func:`run_specs` and :func:`run_specs_durable`;
-* :mod:`.executor` — :class:`SerialExecutor` / :class:`ParallelExecutor`,
-  the scheduler backends (``jobs=N`` gives bit-identical results to
-  ``jobs=1``), and the :func:`run_specs` entry point; the parallel
-  executor survives worker crashes, hangs (``cell_timeout_s``) and
-  deterministic cell errors, turning them into per-cell
-  :class:`CellFailure` records under ``on_failure="record"``;
+* :mod:`.executor` — :func:`run_specs`, the one campaign body every
+  entry point goes through (dedupe, cache or ledger replay, one executor
+  ``map`` over the fresh cells, a spec-order fleet rollup), and its
+  :class:`SerialExecutor` / :class:`ParallelExecutor` (``jobs=N`` gives
+  bit-identical results to ``jobs=1``); the parallel executor survives
+  worker crashes, hangs (``cell_timeout_s``) and deterministic cell
+  errors, turning them into per-cell :class:`CellFailure` records under
+  ``on_failure="record"``;
 * :mod:`.cache` — :class:`ResultCache`, a content-addressed on-disk store
   (spec hash -> result JSON) that skips already-computed cells, with
   atomic fsync'd writes, checksummed reads, and quarantine of damaged
   entries;
-* :mod:`.durable` — the crash-safe campaign runtime: :class:`RunLedger`
-  (a write-ahead JSONL journal of per-cell state transitions),
-  checkpoint/resume via ``run_specs(..., ledger_dir=...)``, supervised
-  SIGINT/SIGTERM shutdown, and :func:`verify_ledger` (the fsck behind
+* :mod:`.durable` — the crash-safe campaign runtime that
+  ``run_specs(..., ledger_dir=...)`` wires in: :class:`RunLedger` (a
+  write-ahead JSONL journal of per-cell state transitions, replayed on
+  resume), SIGTERM-as-interrupt shutdown, the campaign chaos driver, and
+  :func:`verify_ledger` (the fsck behind
   ``python -m repro.campaign verify-ledger``);
 * :mod:`.serialize` — exact JSON round-tripping of results;
 * :mod:`.progress` — per-cell completion and wall-clock hooks, including
@@ -43,7 +41,6 @@ from .durable import (
     RunLedger,
     grid_hash,
     replay_ledger,
-    run_specs_durable,
     verify_ledger,
 )
 from .executor import (
@@ -52,12 +49,6 @@ from .executor import (
     SerialExecutor,
     make_executor,
     run_specs,
-)
-from .scheduler import (
-    JOB_STATES,
-    Job,
-    JobScheduler,
-    run_campaign,
 )
 from .progress import (
     CampaignStats,
@@ -96,12 +87,7 @@ __all__ = [
     "ParallelExecutor",
     "CellFailure",
     "make_executor",
-    "Job",
-    "JobScheduler",
-    "JOB_STATES",
-    "run_campaign",
     "run_specs",
-    "run_specs_durable",
     "ResultCache",
     "RunLedger",
     "CampaignFaultDriver",

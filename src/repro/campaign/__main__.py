@@ -92,7 +92,6 @@ def _cmd_smoke_grid(args) -> int:
                 specs, jobs=args.jobs, ledger_dir=args.ledger,
                 lease_s=args.lease_s, on_failure="record",
                 campaign_faults=_campaign_faults(args), progress=progress,
-                max_in_flight=args.max_in_flight,
             )
     except CampaignInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
@@ -145,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     smoke.add_argument("--ledger", required=True,
                        help="ledger directory (created if missing)")
     smoke.add_argument("--jobs", type=int, default=1)
-    smoke.add_argument("--max-in-flight", type=int, default=None, metavar="N",
-                       help="cap cells per scheduler wave")
     smoke.add_argument("--seed", type=int, default=7)
     smoke.add_argument("--lease-s", type=float, default=900.0)
     smoke.add_argument("--kill-after", type=int, default=None, metavar="N",

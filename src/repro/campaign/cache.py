@@ -58,10 +58,9 @@ def fsync_dir(path: Path) -> None:
 class ResultCache:
     """Spec-hash -> result store rooted at a directory."""
 
-    def __init__(self, root, fsync: bool = True):
+    def __init__(self, root):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         #: Test/chaos seam: ``hook(spec, text) -> Optional[float]``; a
         #: float return tears this write to that fraction of its bytes.
         self.torn_write_hook: Optional[
@@ -120,13 +119,11 @@ class ResultCache:
             with open(tmp, "w") as handle:
                 handle.write(text)
                 handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        if self.fsync:
-            fsync_dir(self.root)
+        fsync_dir(self.root)
         return path
 
     def verify(self) -> Tuple[int, List[Tuple[str, str]]]:

@@ -2,8 +2,10 @@
 
 A plain campaign keeps all bookkeeping in process memory: a SIGKILL, OOM
 kill, or host reboot mid-grid loses everything except whatever the result
-cache happened to persist.  This module makes the *campaign process
-itself* crash-safe:
+cache happened to persist.  This module holds the pieces that make the
+*campaign process itself* crash-safe;
+:func:`~repro.campaign.executor.run_specs` wires them in whenever it is
+given a ``ledger_dir``:
 
 * **write-ahead run ledger** (:class:`RunLedger`) — an append-only JSONL
   journal per campaign directory recording the grid identity
@@ -11,20 +13,21 @@ itself* crash-safe:
   ``pending → claimed → done | failed``.  Each line carries a CRC and is
   fsync'd before the transition is acted on, so the journal is a prefix
   of the truth at every instant; a torn final line (the only damage a
-  crash can inflict) is detected and truncated on the next open.
-* **resume** — :func:`~repro.campaign.executor.run_specs` with
-  ``ledger_dir`` replays the journal: ``done`` cells load from the
-  ledger-owned cache with zero recomputation, ``failed`` cells replay
-  their :class:`~repro.campaign.executor.CellFailure` (record mode),
-  ``claimed`` cells whose owner died or whose lease expired are
-  reclaimed, and a changed grid hash is a hard
+  crash can inflict) is detected and truncated on the next open, and the
+  ``open`` record of that reopen journals the ``recovered_bytes``.
+* **resume** — reopening a ledger replays the journal: ``done`` cells
+  load from the ledger-owned cache with zero recomputation, ``failed``
+  cells replay their :class:`~repro.campaign.executor.CellFailure`
+  (record mode), ``claimed`` cells whose owner died or whose lease
+  expired are reclaimed, and a changed grid hash is a hard
   :class:`~repro.errors.LedgerError` — never a silent partial reuse.
   Because every cell is a pure function of its spec, the resumed
   campaign's final mapping is bit-identical to an uninterrupted run.
-* **supervised shutdown** — SIGINT/SIGTERM stop the claim loop, terminate
-  workers (no orphans), release this run's claims, flush ledger and
-  telemetry, and surface :class:`~repro.errors.CampaignInterrupted`
-  carrying the partial results and a resume hint.
+* **supervised shutdown** — :func:`deliver_termination_as_interrupt`
+  turns SIGTERM into the same graceful path as Ctrl-C: the claim loop
+  stops, workers are terminated (no orphans), this run's claims are
+  released, and :class:`~repro.errors.CampaignInterrupted` carries the
+  partial results and a resume hint.
 * **chaos seams** — :class:`CampaignFaultDriver` consumes the
   ``campaign_kill`` / ``torn_cache_write`` fault kinds
   (:mod:`repro.faults`), SIGKILLing the campaign or tearing a cache write
@@ -54,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigError, LedgerError
 from ..faults import CAMPAIGN_FAULT_KINDS, FaultPlan, FaultSpec
 from ..obs.telemetry import wall_clock
-from ..ssd import SimulationResult
 from .cache import ResultCache
 from .spec import SPEC_SCHEMA_VERSION, RunSpec
 
@@ -252,7 +254,7 @@ class RunLedger:
     """
 
     def __init__(self, directory, specs: Sequence[RunSpec],
-                 lease_s: float = 900.0, fsync: bool = True):
+                 lease_s: float = 900.0):
         if lease_s <= 0:
             raise ConfigError("lease_s must be positive")
         self.root = Path(directory).expanduser()
@@ -262,7 +264,6 @@ class RunLedger:
         self.cells = {spec.content_hash(): spec for spec in self.specs}
         self.grid = grid_hash(self.specs)
         self.lease_s = float(lease_s)
-        self.fsync = fsync
 
         replay = replay_ledger(self.path, strict=True)
         if replay.grid is not None and replay.grid != self.grid:
@@ -292,11 +293,14 @@ class RunLedger:
         #: on close so a graceful exit never strands a claim
         self._owned: set = set()
         self._handle = open(self.path, "ab")
-        self._append({
+        opened = {
             "event": "open", "grid": self.grid, "schema":
             LEDGER_SCHEMA_VERSION, "cells": len(self.specs),
             "pid": os.getpid(), "host": _HOSTNAME, "at": wall_clock(),
-        })
+        }
+        if self.recovered_bytes:
+            opened["recovered_bytes"] = self.recovered_bytes
+        self._append(opened)
 
     # --- low-level append -------------------------------------------------
 
@@ -305,8 +309,7 @@ class RunLedger:
             return
         self._handle.write(encode_record(record))
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     # --- state queries ----------------------------------------------------
 
@@ -484,118 +487,6 @@ def deliver_termination_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
-def run_specs_durable(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = 1,
-    cache: "ResultCache | str | os.PathLike | None" = None,
-    progress=None,
-    cell_timeout_s: Optional[float] = None,
-    max_cell_retries: int = 1,
-    on_failure: str = "raise",
-    ledger_dir: "str | os.PathLike | None" = None,
-    lease_s: float = 900.0,
-    campaign_faults: "FaultPlan | dict | None" = None,
-    fsync: bool = True,
-    fleet=None,
-    max_in_flight: Optional[int] = None,
-):
-    """The ledger-backed body of :func:`~repro.campaign.executor.run_specs`
-    (which delegates here whenever ``ledger_dir`` is given).
-
-    Every completed cell is journaled ``claim`` → (cache write) → ``done``
-    in write-ahead order, so a SIGKILL between any two instructions leaves
-    a journal the next invocation recovers from: the worst case re-runs
-    exactly the in-flight cells.  Structurally this is
-    :func:`~repro.campaign.scheduler.run_campaign` with the ledger wired
-    into its hooks: ``replay`` serves ledger/cache state, ``on_fresh``
-    journals completions (and fires the chaos windows), ``on_claim``
-    journals claims.  See the module docstring for the full contract.
-    """
-    from .executor import CellFailure
-    from .scheduler import JobScheduler, run_campaign
-
-    if ledger_dir is None:
-        raise ConfigError("run_specs_durable requires ledger_dir")
-    ledger_root = Path(ledger_dir).expanduser()
-    if cache is None:
-        cache = ResultCache(ledger_root / LEDGER_CACHE_DIR, fsync=fsync)
-    elif not isinstance(cache, ResultCache):
-        cache = ResultCache(cache, fsync=fsync)
-    driver = CampaignFaultDriver(campaign_faults)
-    unique: List[RunSpec] = list(dict.fromkeys(specs))
-    ledger = RunLedger(ledger_root, unique, lease_s=lease_s, fsync=fsync)
-
-    def replay(spec: RunSpec):
-        """Ledger/cache disposition of one cell: a replayed outcome, or
-        ``None`` to (re)compute it."""
-        cell = spec.content_hash()
-        state = ledger.state(cell)
-        if state == FAILED and on_failure == "record":
-            # round-trip the journaled failure; ledger records carry the
-            # to_dict fields plus journal framing from_dict ignores
-            return CellFailure.from_dict({
-                "label": spec.label(), **ledger.failures[cell],
-                "spec_hash": cell,
-            })
-        if state == CLAIMED and ledger.claim_disposition(cell) == "live":
-            claim = ledger.claims[cell]
-            raise LedgerError(
-                f"cell {cell[:12]}... is claimed by a live campaign "
-                f"(pid {claim.get('pid')} on {claim.get('host')}, lease "
-                f"{claim.get('lease_s', lease_s):g}s); two campaigns "
-                "must not share one ledger concurrently"
-            )
-        # DONE replays from the cache; a lost/quarantined entry (or a
-        # cache that learned the cell before the ledger did) falls
-        # through to the heal/recompute path.
-        hit = cache.get(spec)
-        if hit is not None and ledger.state(cell) != DONE:
-            ledger.done(spec)  # heal: cache knew, journal did not
-        return hit
-
-    def on_fresh(spec: RunSpec, outcome) -> None:
-        if isinstance(outcome, SimulationResult):
-            index = driver.next_completion()
-            fraction = driver.torn_fraction(index)
-            if fraction is not None:
-                cache.torn_write_hook = lambda _s, _t: fraction
-            try:
-                cache.put(spec, outcome)
-            finally:
-                cache.torn_write_hook = None
-            window = driver.kill_window(index)
-            if window == "pre_ledger":  # pragma: no cover - dies
-                driver.kill()
-            ledger.done(spec)
-            if window == "post_ledger":  # pragma: no cover - dies
-                driver.kill()
-        else:
-            ledger.failed(spec, outcome)
-
-    scheduler = JobScheduler(jobs=jobs, cell_timeout_s=cell_timeout_s,
-                             max_cell_retries=max_cell_retries,
-                             on_failure=on_failure,
-                             max_in_flight=max_in_flight)
-    try:
-        return run_campaign(
-            scheduler, unique,
-            replay=replay, on_fresh=on_fresh, on_claim=ledger.claim,
-            progress=progress, fleet=fleet,
-            execution_guard=deliver_termination_as_interrupt,
-            catch_signals=True,
-            on_interrupt=ledger.interrupt,
-            on_finish=lambda executed, replayed: ledger.finish(
-                executed=executed, cached=replayed),
-            resume_hint=(
-                "re-run the identical grid with "
-                f"ledger_dir={str(ledger_root)!r} to resume; finished "
-                "cells replay from the ledger without recomputation"
-            ),
-        )
-    finally:
-        ledger.close()
-
-
 # --- fsck -------------------------------------------------------------------
 
 
@@ -613,7 +504,7 @@ def verify_ledger(directory,
     replay = replay_ledger(path, strict=False)
     counts = replay.counts()
     cache = ResultCache(cache_dir if cache_dir is not None
-                        else root / LEDGER_CACHE_DIR, fsync=False)
+                        else root / LEDGER_CACHE_DIR)
     cache_ok, cache_bad = cache.verify()
     quarantined = len(list(cache.quarantine_root.glob("*.json")))
     done_without_cache = sorted(

@@ -1,4 +1,4 @@
-"""Campaign executors: serial and crash-hardened process-parallel grids.
+"""Campaign executors and :func:`run_specs`, the one campaign body.
 
 Every cell of a campaign is an independent, fully-seeded simulation
 (:func:`repro.campaign.spec.execute`), so the grid is embarrassingly
@@ -25,28 +25,47 @@ hash; ``"record"`` stores a :class:`CellFailure` record under the spec in
 the returned mapping so the rest of the grid completes — the mode chaos
 campaigns run in.
 
-:func:`run_specs` is the one entry point most callers want: it layers the
-optional on-disk cache and progress reporting over whichever executor the
-``jobs`` count selects (failures are never cached).
+:func:`run_specs` is the entry point every campaign goes through: it
+dedupes the specs, replays what the cache (or, with ``ledger_dir``, the
+write-ahead ledger of :mod:`repro.campaign.durable`) already knows, hands
+the rest to one executor ``map`` call, and folds every outcome into the
+fleet rollup in spec order (failures are never cached).
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
-import random
 import signal
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import CampaignExecutionError, CampaignInterrupted, ConfigError
+from ..errors import (
+    CampaignExecutionError,
+    CampaignInterrupted,
+    ConfigError,
+    LedgerError,
+)
 from ..ssd import SimulationResult
 from .cache import ResultCache
+from .durable import (
+    CLAIMED,
+    DONE,
+    FAILED,
+    LEDGER_CACHE_DIR,
+    CampaignFaultDriver,
+    RunLedger,
+    deliver_termination_as_interrupt,
+)
 from .progress import ProgressHook
 from .spec import RunSpec, build_trace, execute
 
@@ -62,6 +81,11 @@ ClaimFn = Callable[[RunSpec], None]
 
 #: Failure dispositions for a cell that crashed, hung, or errored.
 ON_FAILURE = ("raise", "record")
+
+#: Watchdog period of the process pool: even with no cell timeout the
+#: main loop wakes at least this often and restarts a pool whose workers
+#: died without delivering ``BrokenProcessPool`` (a silently-wedged pool).
+HEARTBEAT_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -118,12 +142,24 @@ def _run_worker_chaos(spec: RunSpec) -> None:
         time.sleep(fault.magnitude)  # worker_hang
 
 
-def _default_sigterm() -> None:
-    """Pool-worker initializer: forked workers inherit the parent's signal
+def _exit_when_orphaned() -> None:
+    # the parent sentinel is a pipe the campaign process holds open; it
+    # reads EOF once that process is gone, under fork, spawn and forkserver
+    # alike (os.getppid() cannot tell: under forkserver it names the
+    # forkserver, which lives as long as its workers do)
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
+def _init_worker() -> None:
+    """Pool-worker initializer.  Forked workers inherit the parent's signal
     handlers, including the durable runtime's SIGTERM-to-KeyboardInterrupt
     conversion; a worker the pool terminates must just die, not print a
-    traceback."""
+    traceback.  A worker whose campaign process is gone (SIGKILL, OOM
+    kill) exits too, instead of holding the caller's pipes and the
+    ledger's file handle open forever."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(target=_exit_when_orphaned, daemon=True).start()
 
 
 def _execute_cell(spec: RunSpec) -> Tuple[RunSpec, SimulationResult, float]:
@@ -244,14 +280,8 @@ class ParallelExecutor:
     raising a typed :class:`~repro.errors.CampaignExecutionError` and
     recording a :class:`CellFailure` in the result mapping.
 
-    Supervision knobs: ``heartbeat_s`` is the watchdog period — even with
-    no cell timeout the main loop wakes at least this often and restarts a
-    pool whose workers died without delivering ``BrokenProcessPool`` (a
-    silently-wedged pool); pool restarts back off exponentially from
-    ``restart_backoff_s`` (0 disables sleeping, the default) up to
-    ``restart_backoff_max_s``, with a deterministic ±``backoff_jitter``
-    fraction of spread so co-scheduled campaigns don't restart in
-    lockstep.
+    A watchdog wakes the main loop at least every :data:`HEARTBEAT_S`
+    seconds and restarts a pool whose workers died without telling it.
 
     A SIGINT (KeyboardInterrupt) terminates every worker — the pool is
     killed both on the exit path and by an ``atexit`` guard, so no orphan
@@ -261,10 +291,7 @@ class ParallelExecutor:
     """
 
     def __init__(self, jobs: Optional[int] = None, cell_timeout_s: Optional[float] = None,
-                 max_cell_retries: int = 1, on_failure: str = "raise",
-                 heartbeat_s: float = 5.0, restart_backoff_s: float = 0.0,
-                 restart_backoff_max_s: float = 30.0,
-                 backoff_jitter: float = 0.1):
+                 max_cell_retries: int = 1, on_failure: str = "raise"):
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -273,20 +300,10 @@ class ParallelExecutor:
             raise ConfigError("cell_timeout_s must be positive (or None)")
         if max_cell_retries < 0:
             raise ConfigError("max_cell_retries must be >= 0")
-        if heartbeat_s <= 0:
-            raise ConfigError("heartbeat_s must be positive")
-        if restart_backoff_s < 0 or restart_backoff_max_s < 0:
-            raise ConfigError("restart backoff values must be >= 0")
-        if not 0.0 <= backoff_jitter <= 1.0:
-            raise ConfigError("backoff_jitter must be in [0, 1]")
         self.jobs = jobs
         self.cell_timeout_s = cell_timeout_s
         self.max_cell_retries = max_cell_retries
         self.on_failure = _check_on_failure(on_failure)
-        self.heartbeat_s = heartbeat_s
-        self.restart_backoff_s = restart_backoff_s
-        self.restart_backoff_max_s = restart_backoff_max_s
-        self.backoff_jitter = backoff_jitter
 
     def map(self, specs: Sequence[RunSpec],
             report: Optional[ReportFn] = None,
@@ -322,7 +339,7 @@ class _PoolRun:
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.max_workers,
-                                   initializer=_default_sigterm)
+                                   initializer=_init_worker)
 
     def _kill_pool(self) -> None:
         """Terminate worker processes (they may be hung) and drop the pool."""
@@ -345,25 +362,8 @@ class _PoolRun:
                 f"worker pool kept dying ({self.restarts} restarts); "
                 "aborting the campaign"
             )
-        self._backoff()
         self.running.clear()
         self.pool = self._new_pool()
-
-    def _backoff(self) -> None:
-        """Exponential backoff (with deterministic jitter) before a pool
-        restart, so a persistently-crashing environment is retried gently
-        rather than hammered."""
-        base = self.executor.restart_backoff_s
-        if base <= 0:
-            return
-        delay = min(base * (2 ** (self.restarts - 1)),
-                    self.executor.restart_backoff_max_s)
-        jitter = self.executor.backoff_jitter
-        if jitter:
-            # seeded by the restart ordinal: reproducible, but spread
-            spread = random.Random(self.restarts).uniform(-jitter, jitter)
-            delay *= 1.0 + spread
-        time.sleep(max(0.0, delay))
 
     def _workers_died_silently(self) -> bool:
         """Watchdog probe: true when a worker process is dead while cells
@@ -451,12 +451,11 @@ class _PoolRun:
         """Sleep bound for one drain: the earliest cell deadline when a
         cell timeout is configured, but never longer than the watchdog
         heartbeat — a wedged pool must not block the loop forever."""
-        heartbeat = self.executor.heartbeat_s
         limit = self.executor.cell_timeout_s
         if limit is None:
-            return heartbeat
+            return HEARTBEAT_S
         earliest = min(t for _, t in self.running.values())
-        return min(heartbeat, max(0.0, earliest + limit - time.monotonic()))
+        return min(HEARTBEAT_S, max(0.0, earliest + limit - time.monotonic()))
 
     def _drain_once(self) -> None:
         done, _ = wait(set(self.running), timeout=self._wait_timeout(),
@@ -579,10 +578,8 @@ def run_specs(
     lease_s: float = 900.0,
     campaign_faults=None,
     fleet=None,
-    max_in_flight: Optional[int] = None,
-    fsync: bool = True,
 ) -> Dict[RunSpec, CellOutcome]:
-    """Execute a campaign: cache lookup, (parallel) execution, cache fill.
+    """Execute a campaign: replay what is known, execute the rest, observe.
 
     Returns ``{spec: outcome}`` covering every distinct spec in ``specs``
     (duplicates are computed once).  With a ``cache``, already-computed
@@ -594,61 +591,159 @@ def run_specs(
     grid.
 
     With ``ledger_dir``, the campaign becomes *durable*
-    (:mod:`repro.campaign.durable`): every cell state transition is
-    journaled to a write-ahead ledger, SIGINT/SIGTERM shut the run down
-    gracefully (:class:`~repro.errors.CampaignInterrupted` carries the
-    partial results and a resume hint), and re-invoking the identical grid
-    with the same ``ledger_dir`` resumes bit-identically — completed cells
-    replay from the ledger-owned cache with zero recomputation, stale
-    claims are reclaimed after ``lease_s`` seconds (immediately when the
-    owning process is dead).  ``campaign_faults`` injects runtime chaos
-    (``campaign_kill`` / ``torn_cache_write``) for crash-recovery tests.
+    (:mod:`repro.campaign.durable`): every cell is journaled ``claim`` →
+    (cache write) → ``done``/``failed`` in write-ahead order, so a SIGKILL
+    between any two instructions leaves a journal the next invocation
+    recovers from — the worst case re-runs exactly the in-flight cells.
+    SIGINT/SIGTERM shut the run down gracefully
+    (:class:`~repro.errors.CampaignInterrupted` carries the partial
+    results and a resume hint), and re-invoking the identical grid with
+    the same ``ledger_dir`` resumes bit-identically: completed cells
+    replay from the ledger-owned cache (``<ledger_dir>/cache`` unless a
+    ``cache`` is given) with zero recomputation, journaled failures replay
+    in record mode, and stale claims are reclaimed after ``lease_s``
+    seconds (immediately when the owning process is dead).
+    ``campaign_faults`` injects runtime chaos (``campaign_kill`` /
+    ``torn_cache_write``) for crash-recovery tests and needs a ledger.
 
-    With a ``fleet`` (:class:`~repro.obs.registry.FleetAggregator`), every
-    cell outcome — fresh, cached, or ledger-replayed — is folded into the
-    cross-cell metric rollup in one pass in *spec order* after execution
-    (never in completion or replay order), so serial vs ``jobs=N`` runs
-    and resumed vs uninterrupted runs accumulate floating-point sums in
-    exactly the same sequence: the resulting fleet aggregates are
-    bit-identical, not just commutatively equivalent.
-
-    ``max_in_flight`` bounds how many cells one scheduler wave may hand
-    the executor at once (backpressure for very large grids); ``None``
-    runs everything in a single wave.  Results are identical either way.
+    A fresh cell's cache write and ledger record land before its
+    ``progress.on_result``.  With a ``fleet``
+    (:class:`~repro.obs.registry.FleetAggregator`), every outcome — fresh,
+    cached, or ledger-replayed — is folded into the cross-cell rollup in
+    one pass in *spec order* after execution (never in completion or
+    replay order), so serial vs ``jobs=N`` runs and resumed vs
+    uninterrupted runs accumulate floating-point sums in exactly the same
+    sequence: the fleet aggregates are bit-identical, not just
+    commutatively equivalent.  An interrupted campaign folds nothing.
     """
-    if ledger_dir is not None:
-        from .durable import run_specs_durable
-
-        return run_specs_durable(
-            specs, jobs=jobs, cache=cache, progress=progress,
-            cell_timeout_s=cell_timeout_s, max_cell_retries=max_cell_retries,
-            on_failure=on_failure, ledger_dir=ledger_dir, lease_s=lease_s,
-            campaign_faults=campaign_faults, fsync=fsync, fleet=fleet,
-            max_in_flight=max_in_flight,
-        )
-    from .scheduler import JobScheduler, run_campaign
-
-    if campaign_faults is not None:
+    if campaign_faults is not None and ledger_dir is None:
         raise ConfigError("campaign_faults requires ledger_dir (the durable "
                           "runtime is what consumes them)")
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache, fsync=fsync)
-
-    replay = cache.get if cache is not None else None
-
-    def on_fresh(spec: RunSpec, outcome: CellOutcome) -> None:
-        if isinstance(outcome, SimulationResult):
-            cache.put(spec, outcome)
-
-    scheduler = JobScheduler(jobs=jobs, cell_timeout_s=cell_timeout_s,
+    driver = CampaignFaultDriver(campaign_faults)
+    executor = make_executor(jobs, cell_timeout_s=cell_timeout_s,
                              max_cell_retries=max_cell_retries,
-                             on_failure=on_failure,
-                             max_in_flight=max_in_flight)
-    return run_campaign(
-        scheduler, specs,
-        replay=replay,
-        on_fresh=on_fresh if cache is not None else None,
-        progress=progress, fleet=fleet,
-        resume_hint="re-run with a --cache (or --ledger) directory "
-                    "to keep finished cells",
-    )
+                             on_failure=on_failure)
+    if ledger_dir is not None and cache is None:
+        cache = Path(ledger_dir).expanduser() / LEDGER_CACHE_DIR
+    if cache is not None and not isinstance(cache, ResultCache):
+        cache = ResultCache(cache)
+    unique: List[RunSpec] = list(dict.fromkeys(specs))
+    ledger = (None if ledger_dir is None
+              else RunLedger(ledger_dir, unique, lease_s=lease_s))
+    started = time.perf_counter()
+    results: Dict[RunSpec, CellOutcome] = {}
+    replayed: set = set()
+    executed = 0
+
+    def replay(spec: RunSpec) -> Optional[CellOutcome]:
+        """The known outcome of ``spec``, or ``None`` to execute it."""
+        if ledger is None:
+            return None if cache is None else cache.get(spec)
+        cell = spec.content_hash()
+        state = ledger.state(cell)
+        if state == FAILED and on_failure == "record":
+            # ledger records carry the to_dict fields plus journal framing
+            # that from_dict ignores
+            return CellFailure.from_dict({
+                "label": spec.label(), **ledger.failures[cell],
+                "spec_hash": cell,
+            })
+        if state == CLAIMED and ledger.claim_disposition(cell) == "live":
+            claim = ledger.claims[cell]
+            raise LedgerError(
+                f"cell {cell[:12]}... is claimed by a live campaign "
+                f"(pid {claim.get('pid')} on {claim.get('host')}, lease "
+                f"{claim.get('lease_s', lease_s):g}s); two campaigns "
+                "must not share one ledger concurrently"
+            )
+        # a done cell whose entry is lost or quarantined recomputes; a
+        # cache that learned the cell before the journal did heals it
+        hit = cache.get(spec)
+        if hit is not None and state != DONE:
+            ledger.done(spec)
+        return hit
+
+    def report(spec: RunSpec, outcome: CellOutcome, elapsed: float) -> None:
+        nonlocal executed
+        if ledger is None:
+            if cache is not None and isinstance(outcome, SimulationResult):
+                cache.put(spec, outcome)
+        elif isinstance(outcome, SimulationResult):
+            index = driver.next_completion()
+            fraction = driver.torn_fraction(index)
+            if fraction is not None:
+                cache.torn_write_hook = lambda _s, _t: fraction
+            try:
+                cache.put(spec, outcome)
+            finally:
+                cache.torn_write_hook = None
+            window = driver.kill_window(index)
+            if window == "pre_ledger":  # pragma: no cover - dies
+                driver.kill()
+            ledger.done(spec)
+            if window == "post_ledger":  # pragma: no cover - dies
+                driver.kill()
+        else:
+            ledger.failed(spec, outcome)
+        executed += 1
+        if progress is not None:
+            progress.on_result(spec, outcome, elapsed, cached=False)
+
+    try:
+        if progress is not None:
+            progress.on_start(len(unique))
+        fresh: List[RunSpec] = []
+        for spec in unique:
+            outcome = replay(spec)
+            if outcome is None:
+                fresh.append(spec)
+                continue
+            results[spec] = outcome
+            replayed.add(spec)
+            if progress is not None:
+                progress.on_result(spec, outcome, 0.0, cached=True)
+        if fresh:
+            with (nullcontext() if ledger is None
+                  else deliver_termination_as_interrupt()):
+                results.update(executor.map(
+                    fresh, report, None if ledger is None else ledger.claim))
+        # one observation pass in spec order, replayed and fresh alike
+        # (this is what makes fleet rollups bit-identical across
+        # executors and across resume boundaries)
+        if fleet is not None:
+            for spec in unique:
+                fleet.observe(spec, results[spec], cached=spec in replayed)
+        if ledger is not None:
+            ledger.finish(executed=executed, cached=len(replayed))
+        if progress is not None:
+            progress.on_finish(time.perf_counter() - started)
+        return {spec: results[spec] for spec in unique}
+    except KeyboardInterrupt as exc:  # includes CampaignInterrupted
+        # a raw Ctrl-C outside execution propagates as-is from a plain
+        # run: it has nothing to resume
+        if ledger is None and not isinstance(exc, CampaignInterrupted):
+            raise
+        partial = dict(results)
+        if isinstance(exc, CampaignInterrupted):
+            # the executor's message already names the reason and counts
+            # the cells it was handed (replayed cells are not among them)
+            partial.update(exc.results)
+            message = str(exc)
+        else:
+            message = (f"campaign interrupted{_reason(exc)} with "
+                       f"{len(partial)} of {len(unique)} cells finished")
+        if ledger is None:
+            hint = ("re-run with a --cache (or --ledger) directory to keep "
+                    "finished cells")
+        else:
+            ledger.interrupt(message)
+            hint = (f"re-run the identical grid with ledger_dir="
+                    f"{str(ledger.root)!r} to resume; finished cells replay "
+                    "from the ledger without recomputation")
+        if progress is not None:
+            progress.on_interrupt(message)
+        raise CampaignInterrupted(message, results=partial,
+                                  resume_hint=hint) from None
+    finally:
+        if ledger is not None:
+            ledger.close()

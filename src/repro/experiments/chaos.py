@@ -72,8 +72,7 @@ def chaos_plan(intensity: str) -> Optional[FaultPlan]:
 @register("chaos", "Retry policies under deterministic fault injection")
 def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None, fleet=None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+        ledger_dir: Optional[str] = None, fleet=None) -> ExperimentResult:
     specs = {
         (intensity, policy): RunSpec(
             workload=CHAOS_WORKLOAD, policy=policy, pe_cycles=1000.0,
@@ -83,8 +82,7 @@ def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         for policy in CHAOS_POLICIES
     }
     results = run_specs(list(specs.values()), jobs=jobs, cache=cache_dir,
-                        progress=progress, ledger_dir=ledger_dir, fleet=fleet,
-                        max_in_flight=max_in_flight)
+                        progress=progress, ledger_dir=ledger_dir, fleet=fleet)
 
     rows = []
     for intensity in INTENSITIES:

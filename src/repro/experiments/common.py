@@ -47,7 +47,6 @@ def run_grid(
     progress: Optional[ProgressHook] = None,
     ledger_dir: Optional[str] = None,
     fleet=None,
-    max_in_flight: Optional[int] = None,
 ) -> Dict[Tuple[str, float, str], SimulationResult]:
     """Run every (workload, P/E, policy) combination once.
 
@@ -61,13 +60,10 @@ def run_grid(
     results are bit-identical to an uninterrupted run.  ``fleet`` (a
     :class:`repro.obs.registry.FleetAggregator`) observes every cell for
     fleet-level metric rollups — passive, so it changes nothing either.
-    ``max_in_flight`` bounds how many cells each scheduler wave hands the
-    executor (backpressure for very large grids; results identical).
     """
     specs = grid_specs(workloads, policies, pe_points, scale=scale, seed=seed)
     results = run_specs(specs, jobs=jobs, cache=cache_dir, progress=progress,
-                        ledger_dir=ledger_dir, fleet=fleet,
-                        max_in_flight=max_in_flight)
+                        ledger_dir=ledger_dir, fleet=fleet)
     keyed: Dict[Tuple[str, float, str], SimulationResult] = {}
     for spec, (workload, pe, policy) in zip(
         specs,

@@ -19,11 +19,10 @@ WORKLOADS = ("Ali121", "Ali124", "Sys0", "Sys1")
 @register("fig6", "I/O bandwidth of SSDone vs SSDzero")
 def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+        ledger_dir: Optional[str] = None) -> ExperimentResult:
     results = run_grid(WORKLOADS, ("SSDzero", "SSDone"), PE_POINTS, scale,
                        seed, jobs=jobs, cache_dir=cache_dir, progress=progress,
-                       ledger_dir=ledger_dir, max_in_flight=max_in_flight)
+                       ledger_dir=ledger_dir)
     rows = []
     headline = {}
     for pe in PE_POINTS:

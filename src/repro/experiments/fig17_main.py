@@ -18,12 +18,11 @@ from .registry import ExperimentResult, register
 @register("fig17", "Normalized I/O bandwidth, all workloads and schemes")
 def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+        ledger_dir: Optional[str] = None) -> ExperimentResult:
     workloads = workload_names()
     results = run_grid(workloads, FIG17_POLICIES, PE_POINTS, scale, seed,
                        jobs=jobs, cache_dir=cache_dir, progress=progress,
-                       ledger_dir=ledger_dir, max_in_flight=max_in_flight)
+                       ledger_dir=ledger_dir)
     rows = []
     headline = {}
     for pe in PE_POINTS:

@@ -20,11 +20,10 @@ POLICIES = ("SENC", "SWR", "SWR+", "RPSSD", "RiFSSD")
 @register("fig18", "Channel usage breakdown (COR/UNCOR/ECCWAIT/IDLE)")
 def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+        ledger_dir: Optional[str] = None) -> ExperimentResult:
     results = run_grid(WORKLOADS, POLICIES, PE_POINTS, scale, seed,
                        jobs=jobs, cache_dir=cache_dir, progress=progress,
-                       ledger_dir=ledger_dir, max_in_flight=max_in_flight)
+                       ledger_dir=ledger_dir)
     rows = []
     headline = {}
     for workload in WORKLOADS:

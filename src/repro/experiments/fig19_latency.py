@@ -21,11 +21,10 @@ PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 @register("fig19", "Read-latency CDF and tail latency in Ali124")
 def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+        ledger_dir: Optional[str] = None) -> ExperimentResult:
     results = run_grid((WORKLOAD,), POLICIES, PE_POINTS, scale, seed,
                        jobs=jobs, cache_dir=cache_dir, progress=progress,
-                       ledger_dir=ledger_dir, max_in_flight=max_in_flight)
+                       ledger_dir=ledger_dir)
     rows = []
     for pe in PE_POINTS:
         for policy in POLICIES:

@@ -64,8 +64,7 @@ def _spec(workload: str, policy: str, refresh_days: float,
 @register("frontier", "Adaptive-policy frontier across retention ages")
 def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None, fleet=None,
-        max_in_flight: Optional[int] = None) -> ExperimentResult:
+        ledger_dir: Optional[str] = None, fleet=None) -> ExperimentResult:
     specs = {
         (workload, days, policy): _spec(workload, policy, days, scale, seed)
         for workload in FRONTIER_WORKLOADS
@@ -73,8 +72,7 @@ def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         for policy in FRONTIER_POLICIES
     }
     results = run_specs(list(specs.values()), jobs=jobs, cache=cache_dir,
-                        progress=progress, ledger_dir=ledger_dir, fleet=fleet,
-                        max_in_flight=max_in_flight)
+                        progress=progress, ledger_dir=ledger_dir, fleet=fleet)
 
     rows = []
     for workload in FRONTIER_WORKLOADS:

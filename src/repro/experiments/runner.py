@@ -53,8 +53,6 @@ def _experiment_kwargs(experiment, exp_id: str, args) -> dict:
     accepted = inspect.signature(experiment.run).parameters
     if "jobs" in accepted:
         kwargs["jobs"] = args.jobs
-    if "max_in_flight" in accepted and args.max_in_flight:
-        kwargs["max_in_flight"] = args.max_in_flight
     if "cache_dir" in accepted:
         kwargs["cache_dir"] = args.cache
     if "ledger_dir" in accepted and args.ledger:
@@ -85,11 +83,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for the SSD-level campaign "
                              "grids (results are identical to --jobs 1)")
-    parser.add_argument("--max-in-flight", type=int, default=None,
-                        metavar="N",
-                        help="cap how many cells one scheduler wave hands "
-                             "the executor (backpressure for huge grids; "
-                             "results are identical)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="content-addressed result cache: skip "
                              "(workload, P/E, policy) cells already "
@@ -130,8 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_in_flight is not None and args.max_in_flight < 1:
-        parser.error(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
 
     if args.experiments and args.experiments[0] == "report-trace":
         paths = args.experiments[1:]

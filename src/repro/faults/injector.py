@@ -16,7 +16,7 @@ position by position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from .plan import FaultPlan, FaultSpec
 
@@ -129,15 +129,6 @@ class FaultInjector:
         """The ``ecc_saturation`` entries, for up-front sim scheduling."""
         return [s.spec for s in self._states
                 if s.spec.kind == "ecc_saturation"]
-
-    # --- introspection ----------------------------------------------------
-
-    def firings(self) -> Dict[str, int]:
-        """Total firings per fault kind (diagnostics)."""
-        out: Dict[str, int] = {}
-        for state in self._states:
-            out[state.spec.kind] = out.get(state.spec.kind, 0) + state.fired
-        return out
 
 
 def _in_scope(spec: FaultSpec, block_key: tuple) -> bool:

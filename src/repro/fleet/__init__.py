@@ -5,7 +5,7 @@ Turns the single-drive simulator into a datacenter-fleet study:
 * :mod:`.population` — declarative, content-hashed drive populations
   (:class:`FleetSpec` -> heterogeneous :class:`DriveSpec` drives).
 * :mod:`.service` — :func:`run_fleet` executes a whole population as one
-  scheduler-backed campaign, streaming every drive into a
+  campaign, folding every drive into a
   :class:`~repro.obs.registry.FleetAggregator` rollup.
 * :mod:`.__main__` — ``python -m repro.fleet`` CLI:
   ``generate`` / ``run`` / ``report`` / ``diff``.

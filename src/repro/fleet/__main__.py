@@ -6,7 +6,7 @@
     two hosts generating the same spec get byte-identical files.
 
 ``run``
-    simulate a fleet as one scheduler-backed campaign.  ``--jobs N``
+    simulate a fleet as one campaign.  ``--jobs N``
     fans drives over worker processes, ``--ledger DIR`` makes the run
     crash-resumable (re-invoke the identical command after a kill), and
     ``--kill-after N`` injects the chaos harness's mid-campaign SIGKILL
@@ -167,7 +167,6 @@ def _cmd_run(args) -> int:
             ledger_dir=args.ledger,
             lease_s=args.lease_s,
             campaign_faults=_campaign_faults(args),
-            max_in_flight=args.max_in_flight,
             progress=PrintProgress() if args.progress else None,
         )
     except CampaignInterrupted as exc:
@@ -245,8 +244,6 @@ def main(argv=None) -> int:
     _add_spec_options(run)
     run.add_argument("--jobs", type=int, default=1,
                      help="worker processes (1 = serial)")
-    run.add_argument("--max-in-flight", type=int, default=None, metavar="N",
-                     help="cap drives per scheduler wave")
     run.add_argument("--cache", default=None,
                      help="result cache directory (reused across runs)")
     run.add_argument("--ledger", default=None,

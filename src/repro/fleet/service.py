@@ -1,14 +1,12 @@
-"""Fleet execution service: thousands of drives through one scheduler.
+"""Fleet execution service: thousands of drives as one campaign.
 
 :func:`run_fleet` expands a :class:`~repro.fleet.population.FleetSpec`
-into per-drive campaign cells and runs them as *one* campaign through the
-job scheduler (:mod:`repro.campaign.scheduler`), which is what buys every
+into per-drive campaign cells and runs them as *one* campaign through
+:func:`~repro.campaign.executor.run_specs`, which is what buys every
 fleet property for free:
 
-* **sharded execution** — ``max_in_flight`` bounds how many drives each
-  scheduler wave hands the executor, so a 10k-drive fleet streams
-  through a bounded working set instead of materialising every future at
-  once; ``jobs=N`` fans each wave over worker processes.
+* **parallel execution** — ``jobs=N`` fans the drives over worker
+  processes, at most ``jobs`` cells in flight at a time.
 * **bit-identical rollups** — every drive outcome is folded into one
   :class:`~repro.obs.registry.FleetAggregator` in drive order after
   execution, so serial, ``jobs=N``, and resumed runs produce the same
@@ -105,11 +103,9 @@ def run_fleet(
     lease_s: float = 900.0,
     campaign_faults=None,
     fleet_aggregator: Optional[FleetAggregator] = None,
-    max_in_flight: Optional[int] = None,
     cell_timeout_s: Optional[float] = None,
     max_cell_retries: int = 1,
     on_failure: str = "record",
-    fsync: bool = True,
 ) -> FleetRunResult:
     """Simulate every drive of ``fleet`` as one campaign.
 
@@ -136,11 +132,9 @@ def run_fleet(
         lease_s=lease_s,
         campaign_faults=campaign_faults,
         fleet=aggregator,
-        max_in_flight=max_in_flight,
         cell_timeout_s=cell_timeout_s,
         max_cell_retries=max_cell_retries,
         on_failure=on_failure,
-        fsync=fsync,
     )
     outcomes = {drive.drive_id: results[spec]
                 for drive, spec in zip(drives, specs)}

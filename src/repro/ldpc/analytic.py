@@ -72,11 +72,6 @@ class SyndromeStatistics:
         """Mean syndrome weight at ``rber`` (the Fig.-10 y-axis)."""
         return self.n_checks * self.check_unsatisfied_probability(rber)
 
-    def weight_std(self, rber: float) -> float:
-        """Standard deviation under the binomial approximation."""
-        q = self.check_unsatisfied_probability(rber)
-        return math.sqrt(self.n_checks * q * (1.0 - q))
-
     # --- threshold / comparator --------------------------------------------------
 
     def threshold_for_rber(self, rber: float) -> int:
@@ -90,10 +85,9 @@ class SyndromeStatistics:
         probability the RP comparator predicts "needs retry"  (normal
         approximation with continuity correction).
 
-        ``q`` is evaluated once and shared between the mean and the
-        standard deviation (this runs once per simulated page read; the
-        combined expressions are exactly those of :meth:`expected_weight`
-        and :meth:`weight_std`)."""
+        ``q`` is evaluated once and shared between the mean (exactly
+        :meth:`expected_weight`) and the binomial standard deviation; this
+        runs once per simulated page read."""
         q = self.check_unsatisfied_probability(rber)
         mu = self.n_checks * q
         sigma = math.sqrt(self.n_checks * q * (1.0 - q))

@@ -158,10 +158,6 @@ class QcLdpcCode:
     def row_weight(self) -> int:
         return self.c
 
-    @property
-    def column_weight(self) -> int:
-        return self.r
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QcLdpcCode(r={self.r}, c={self.c}, t={self.t}, "

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
@@ -200,36 +198,6 @@ class RberModel:
         same variation factor.
         """
         return self._rber_with_factor(state, self._page_variation(block_key, page))
-
-    def page_rber_batch(
-        self,
-        states: Sequence[PageState],
-        block_keys: Sequence[tuple],
-        pages: Sequence[int],
-    ) -> np.ndarray:
-        """Vectorized :meth:`page_rber` over a batch of reads.
-
-        The transcendental pieces — variation hashes through the inverse
-        normal, the retention power law — evaluate through the same
-        scalar functions (numpy's SIMD transcendentals differ from libm
-        in the last ulp, so vectorizing them would break bit-identity
-        with the scalar path); the read-disturb combine and the 0.5
-        ceiling are one exact vectorized pass.  Lane ``i`` equals
-        ``page_rber(states[i], block_keys[i], pages[i])`` bit for bit.
-        """
-        n = len(states)
-        bases = np.fromiter(
-            (self._retention_base(s.pe_cycles, s.retention_days,
-                                  self._page_variation(bk, pg))
-             for s, bk, pg in zip(states, block_keys, pages)),
-            dtype=np.float64, count=n,
-        )
-        disturb = np.fromiter(
-            (self.read_disturb_rber(s.pe_cycles, s.read_count)
-             for s in states),
-            dtype=np.float64, count=n,
-        )
-        return np.minimum(bases + disturb, 0.5)
 
     def _page_variation(self, block_key: tuple, page: int) -> float:
         """Combined block*page strength factor, memoized per physical page

@@ -64,10 +64,6 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (1 = serial)")
-    parser.add_argument("--max-in-flight", type=int, default=None,
-                        metavar="N",
-                        help="cap cells per scheduler wave (backpressure "
-                             "for huge grids; results identical)")
     parser.add_argument("--cache", default=None,
                         help="result cache directory (reused across runs)")
     parser.add_argument("--ledger", default=None,
@@ -95,7 +91,6 @@ def _grid_fleet(args, progress_hooks=None) -> FleetAggregator:
         progress=progress_hooks,
         on_failure="record",
         fleet=fleet,
-        max_in_flight=args.max_in_flight,
     )
     return fleet
 

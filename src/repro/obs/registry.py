@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 from .histogram import LatencyHistogram
 
 #: Bump when the serialised registry layout changes meaning.
@@ -613,9 +613,3 @@ def reconcile_with_metrics(registry: MetricRegistry, metrics,
             metrics.read_latency_hist.to_dict():
         problems.append("ssd_read_latency_us: histogram mismatch")
     return problems
-
-
-def _require_count(hist: Optional[LatencyHistogram]) -> LatencyHistogram:
-    if hist is None or hist.count == 0:
-        raise SimulationError("no latency samples in the registry")
-    return hist

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -185,19 +185,6 @@ class EccOutcomeModel:
         if self._next_uniform() >= p_fail:
             return True, t_ok
         return False, t_fail
-
-    def first_decode_batch(self, rbers: Sequence[float]) -> List[DecodeDraw]:
-        """Decode outcomes for a batch of independent first senses: one
-        vectorized uniform draw for the whole batch, consumed in batch
-        order (exactly the stream positions the scalar loop would use)."""
-        us = self.uniform_batch(len(rbers))
-        draws = []
-        for rber, u in zip(rbers, us):
-            p_fail, t_ok, t_fail = self._decode_params(rber)
-            success = u >= p_fail
-            draws.append(DecodeDraw(success=bool(success),
-                                    t_ecc=t_ok if success else t_fail))
-        return draws
 
     def retry_rber(self, rber: float) -> float:
         """Effective RBER after a near-optimal VREF adjustment: the residual

@@ -348,9 +348,3 @@ class PageMapFtl:
         self._reclaim_block(pidx, block, now_us, copies, erased)
         self.disturb_relocations += 1
         return copies, erased
-
-    # --- introspection ---------------------------------------------------------------------------
-
-    def mapped_pages(self) -> int:
-        """Number of logical pages explicitly remapped this run."""
-        return len(self._map)

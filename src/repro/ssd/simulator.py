@@ -485,16 +485,6 @@ class SSDSimulator:
             eccwait=eccwait, idle=max(total - busy, 0.0),
         )
 
-    def scrape_metrics(self, registry=None, labels=None):
-        """Pull the run's metrics into a labeled registry
-        (:func:`repro.obs.registry.scrape_simulator`): SimMetrics counters
-        and latency histograms, per-channel busy/ECCWAIT time, decoder-
-        buffer occupancy, and the offline-die gauge.  Purely a read — a
-        scraped run stays bit-identical to an unscraped one."""
-        from ..obs.registry import scrape_simulator
-
-        return scrape_simulator(self, registry=registry, labels=labels)
-
     def export_chrome_trace(self, path, title: Optional[str] = None):
         """Write the run's trace as Chrome ``trace_event`` JSON (open in
         ``chrome://tracing`` or Perfetto); requires tracing to be enabled."""

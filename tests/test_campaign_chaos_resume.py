@@ -6,11 +6,13 @@ in a subprocess with a ``campaign_kill`` fault scheduled at a randomized
 resumes from the ledger in a fresh process and asserts the final results
 are *exactly* equal to an uninterrupted reference run — with the already-
 completed cells never re-executed.  The nastiest window (``pre``: after
-the cache write, before the ledger's ``done`` record) and a kill landing
-right after a torn cache write are both covered.
+the cache write, before the ledger's ``done`` record), a kill landing
+right after a torn cache write, and a kill of a ``--jobs 2`` campaign
+(whose pool workers must not outlive it) are all covered.
 """
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -29,12 +31,14 @@ KILL_SCENARIOS = sorted({
 })
 
 
+def _cli(*args):
+    return [sys.executable, "-m", "repro.campaign", *args]
+
+
 def _run_cli(*args):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    return subprocess.run(
-        [sys.executable, "-m", "repro.campaign", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run(_cli(*args), capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +114,52 @@ def test_kill_after_torn_cache_write_recovers(tmp_path, reference):
     healed = _run_cli("verify-ledger", str(ledger), "--json")
     assert healed.returncode == 0
     assert json.loads(healed.stdout)["cache"]["quarantined"] == 1
+
+
+def _cli_started_by(start_method, *args):
+    """The campaign CLI with ``start_method`` as the process-wide default,
+    which is what a ``--jobs N`` pool starts its workers with."""
+    code = ("import multiprocessing, sys; "
+            f"multiprocessing.set_start_method({start_method!r}); "
+            "from repro.campaign.__main__ import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    return [sys.executable, "-c", code, *args]
+
+
+@pytest.mark.parametrize("start_method", [
+    method for method in ("fork", "forkserver")
+    if method in multiprocessing.get_all_start_methods()])
+def test_sigkilled_pool_campaign_leaves_no_workers(tmp_path, reference,
+                                                   start_method):
+    """SIGKILL a ``--jobs 2`` campaign: its pool workers must exit with it.
+    An orphaned worker keeps the caller's stdout/stderr (and the ledger's
+    append handle) open, so a caller reading the pipes never sees EOF.
+    Under forkserver the workers' parent is the forkserver, which exits
+    with the campaign.  The kill runs in its own session, which teardown
+    reaps either way."""
+    ledger = tmp_path / "ledger"
+    proc = subprocess.Popen(
+        _cli_started_by(start_method, "smoke-grid", "--ledger", str(ledger),
+                        "--jobs", "2", "--kill-after", "2",
+                        "--out", str(tmp_path / "never.json")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=REPO_SRC), start_new_session=True,
+    )
+    try:
+        assert proc.wait(timeout=120) == -signal.SIGKILL
+        try:
+            proc.communicate(timeout=10)  # EOF: every pipe holder is gone
+        except subprocess.TimeoutExpired:
+            pytest.fail("pool workers outlived the SIGKILLed campaign")
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+
+    out = tmp_path / "resumed.json"
+    resumed = _run_cli("smoke-grid", "--ledger", str(ledger), "--jobs", "2",
+                       "--out", str(out))
+    assert resumed.returncode == 0, resumed.stderr
+    assert json.loads(out.read_text())["cells"] == reference["cells"]

@@ -30,6 +30,7 @@ from repro.campaign import (
 from repro.campaign.__main__ import main as campaign_cli
 from repro.campaign.durable import (
     LEDGER_FILENAME,
+    decode_record,
     deliver_termination_as_interrupt,
     encode_record,
     format_verify_report,
@@ -107,6 +108,12 @@ def test_ledger_truncated_tail_is_recovered(tmp_path):
     assert ledger.recovered_bytes > 0
     assert ledger.state(specs[0].content_hash()) == "done"
     ledger.close()
+    # the reopen journaled the damage it cut
+    opens = [record for record, _ in map(decode_record,
+                                         path.read_bytes().splitlines())
+             if record["event"] == "open"]
+    assert [record.get("recovered_bytes") for record in opens] == [
+        None, ledger.recovered_bytes]
     # the torn bytes are gone for good: a third open recovers nothing
     assert RunLedger(tmp_path, specs).recovered_bytes == 0
 
@@ -348,11 +355,47 @@ def test_interrupt_mid_campaign_then_resume_exactly(tmp_path):
     assert len(exc.results) == 2  # partial results surface
     assert str(tmp_path) in exc.resume_hint
 
+    class InterruptFresh(CampaignStats):
+        def on_result(self, spec, result, elapsed_s, cached):
+            super().on_result(spec, result, elapsed_s, cached)
+            if not cached:
+                raise KeyboardInterrupt
+
+    # an interrupted resume counts the cells it executed, not the two it
+    # replayed from the ledger
+    with pytest.raises(CampaignInterrupted,
+                       match="with 1 of 2 cells finished$"):
+        run_specs(specs, ledger_dir=tmp_path, progress=InterruptFresh())
+
     stats = CampaignStats()
     resumed = run_specs(specs, ledger_dir=tmp_path, progress=stats)
-    assert stats.executed == 2  # only the unfinished half re-runs
-    assert stats.cached == 2
+    assert stats.executed == 1  # only the unfinished cell re-runs
+    assert stats.cached == 3
     assert _dicts(resumed) == _dicts(baseline)
+
+
+def test_interrupt_in_on_start_is_journaled_and_closes_ledger(
+        tmp_path, monkeypatch):
+    """A Ctrl-C that lands in ``progress.on_start``, before any cell runs,
+    still ends a durable run cleanly: it surfaces as CampaignInterrupted,
+    the journal gets its ``interrupt`` record and the ledger is closed."""
+    closed = []
+    close = RunLedger.close
+    monkeypatch.setattr(RunLedger, "close",
+                        lambda self: closed.append(close(self)))
+
+    class InterruptOnStart(CampaignStats):
+        def on_start(self, total):
+            raise KeyboardInterrupt
+
+    with pytest.raises(CampaignInterrupted,
+                       match="with 0 of 2 cells finished$"):
+        run_specs(_grid(2), ledger_dir=tmp_path,
+                  progress=InterruptOnStart())
+    assert closed == [None]
+    events = [record["event"] for record, _ in map(
+        decode_record, (tmp_path / LEDGER_FILENAME).read_bytes().splitlines())]
+    assert events[-1] == "interrupt"
 
 
 def test_sigterm_is_a_graceful_shutdown(tmp_path):

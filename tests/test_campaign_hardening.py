@@ -7,6 +7,10 @@ a deterministic error — either by raising a typed
 completing every other cell (``on_failure="record"``, chaos mode).
 """
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.campaign import (
@@ -53,12 +57,6 @@ def test_executor_knob_validation():
         ParallelExecutor(jobs=2, on_failure="ignore")
     with pytest.raises(ConfigError):
         SerialExecutor(on_failure="ignore")
-    with pytest.raises(ConfigError):
-        ParallelExecutor(jobs=2, heartbeat_s=0.0)
-    with pytest.raises(ConfigError):
-        ParallelExecutor(jobs=2, restart_backoff_s=-1.0)
-    with pytest.raises(ConfigError):
-        ParallelExecutor(jobs=2, backoff_jitter=1.5)
 
 
 # --- worker crash -------------------------------------------------------------------
@@ -222,21 +220,24 @@ def test_serial_interrupt_keeps_finished_cells():
     assert info.value.results[specs[0]] == execute(specs[0])
 
 
-def test_watchdog_probe_spots_dead_worker_and_heartbeat_bounds_waits():
+def test_watchdog_probe_spots_dead_worker_and_heartbeat_bounds_waits(
+        monkeypatch):
     """The supervision layer's two halves: ``_workers_died_silently``
     notices a worker that died behind the pool's back, and the drain wait
-    is bounded by ``heartbeat_s`` even with no cell timeout configured —
+    is bounded by ``HEARTBEAT_S`` even with no cell timeout configured —
     so a wedged pool can never block the main loop indefinitely."""
     import os as _os
     import signal as _signal
     import time as _time
 
+    from repro.campaign import executor as executor_module
     from repro.campaign.executor import _PoolRun
 
+    monkeypatch.setattr(executor_module, "HEARTBEAT_S", 0.2)
     slow = _spec(fault_plan=FaultPlan(faults=(
         FaultSpec(kind="worker_hang", magnitude=30.0),)))
     executor = ParallelExecutor(jobs=1, max_cell_retries=0,
-                                on_failure="record", heartbeat_s=0.2)
+                                on_failure="record")
     run = _PoolRun(executor, [slow], None)
     run.pool = run._new_pool()
     try:
@@ -254,30 +255,24 @@ def test_watchdog_probe_spots_dead_worker_and_heartbeat_bounds_waits():
         run._kill_pool()
 
 
-def test_restart_backoff_schedule_is_bounded_and_deterministic():
-    executor = ParallelExecutor(jobs=2, restart_backoff_s=0.01,
-                                restart_backoff_max_s=0.04,
-                                backoff_jitter=0.0)
-    from repro.campaign.executor import _PoolRun
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method on this platform")
+def test_pool_runs_under_forkserver_start_method(monkeypatch):
+    """Under forkserver (the default start method on Linux from Python
+    3.14) a pool worker's parent is the forkserver, not the campaign
+    process: the orphan watchdog must not take that for a dead campaign
+    and kill every worker as it starts."""
+    from repro.campaign import executor as executor_module
 
-    run = _PoolRun(executor, [_spec()], None)
-    import time as _time
-
-    delays = []
-    for restarts in (1, 2, 3, 4, 5):
-        run.restarts = restarts
-        start = _time.perf_counter()
-        run._backoff()
-        delays.append(_time.perf_counter() - start)
-    assert delays[0] < delays[2]          # exponential growth...
-    assert max(delays) < 0.08             # ...capped at the maximum
-    # zero base disables sleeping entirely
-    executor_off = ParallelExecutor(jobs=2)
-    run_off = _PoolRun(executor_off, [_spec()], None)
-    run_off.restarts = 10
-    start = _time.perf_counter()
-    run_off._backoff()
-    assert _time.perf_counter() - start < 0.05
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                        functools.partial(
+                            ProcessPoolExecutor,
+                            mp_context=multiprocessing.get_context(
+                                "forkserver")))
+    grid = [_spec(), _spec(policy="RiFSSD"), _spec(policy="SENC")]
+    results = ParallelExecutor(jobs=2, max_cell_retries=0).map(grid)
+    assert results == {spec: execute(spec) for spec in grid}
 
 
 # --- run_specs orchestration --------------------------------------------------------

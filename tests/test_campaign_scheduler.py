@@ -1,12 +1,9 @@
-"""Job scheduler: submit/poll/stream/cancel, waves, and equivalence.
+"""The one campaign path: equivalence, replay, and failure records.
 
-The scheduler is the single execution path behind every campaign entry
-point, so these tests pin two different things: the queue semantics
-themselves (deterministic priority ordering, backpressure wave caps,
-cancellation windows, interrupt restating) against a recording fake
-backend, and the refactor's prime directive — that routing through the
-scheduler changes *no result bit* (serial vs pool, capped vs uncapped
-waves, ledger replay through the new backend).
+Every campaign entry point goes through :func:`run_specs`, so these tests
+pin its prime directive — the executor and the replay source change *no
+result bit* (serial vs pool, ledger replay after a reclaimed claim) —
+plus the replay contract itself and the :class:`CellFailure` round trip.
 """
 
 import socket
@@ -16,24 +13,19 @@ import pytest
 from repro.campaign import (
     CampaignStats,
     CellFailure,
-    JobScheduler,
+    ProgressHook,
+    ResultCache,
     RunLedger,
     RunSpec,
-    run_campaign,
+    execute,
+    replay_ledger,
     run_specs,
 )
 from repro.campaign.durable import LEDGER_FILENAME, encode_record
-from repro.campaign.scheduler import (
-    JOB_CANCELLED,
-    JOB_DONE,
-    JOB_PENDING,
-)
 from repro.campaign.serialize import result_to_dict
-from repro.errors import (
-    CampaignExecutionError,
-    CampaignInterrupted,
-    ConfigError,
-)
+from repro.errors import ConfigError
+from repro.faults import FaultPlan, FaultSpec
+from repro.obs.registry import FleetAggregator
 
 FAST = dict(n_requests=60, user_pages=2000, queue_depth=16)
 
@@ -43,222 +35,6 @@ def _spec(seed=3, **overrides) -> RunSpec:
                 **FAST)
     base.update(overrides)
     return RunSpec(**base)
-
-
-class RecordingBackend:
-    """Fake backend: finishes every cell instantly, recording the waves it
-    was handed (the scheduler's observable scheduling decisions)."""
-
-    def __init__(self, hook=None, outcome=None):
-        self.waves = []
-        self.claimed = []
-        self.hook = hook          # hook(spec) runs before a cell "executes"
-        self.outcome = outcome or (lambda spec: f"ran:{spec.seed}")
-
-    def map(self, specs, report, on_claim):
-        self.waves.append(list(specs))
-        out = {}
-        for spec in specs:
-            if self.hook is not None:
-                self.hook(spec)
-            if on_claim is not None:
-                on_claim(spec)
-                self.claimed.append(spec)
-            out[spec] = self.outcome(spec)
-            if report is not None:
-                report(spec, out[spec], 0.0)
-        return out
-
-
-# --- queue semantics ----------------------------------------------------------------
-
-
-def test_submit_poll_run_results_in_submission_order():
-    backend = RecordingBackend()
-    sched = JobScheduler(backend)
-    specs = [_spec(seed=s) for s in (5, 3, 9)]
-    ids = sched.submit_many(specs)
-    assert [sched.poll(i) for i in ids] == [JOB_PENDING] * 3
-    results = sched.run()
-    assert [sched.poll(i) for i in ids] == [JOB_DONE] * 3
-    # keyed in submission order regardless of completion order
-    assert list(results) == specs
-    assert results[specs[1]] == "ran:3"
-
-
-def test_submit_dedupes_by_spec_and_promotes_priority():
-    sched = JobScheduler(RecordingBackend())
-    a = sched.submit(_spec(seed=1), priority=1)
-    b = sched.submit(_spec(seed=1), priority=5)  # same cell
-    assert a == b
-    assert sched.job(a).priority == 5
-    assert sched.submit(_spec(seed=1), priority=2) == a  # never demoted
-    assert sched.job(a).priority == 5
-    # a cancelled job's spec may be resubmitted as a fresh job
-    assert sched.cancel(a)
-    c = sched.submit(_spec(seed=1))
-    assert c != a
-    assert sched.poll(c) == JOB_PENDING
-
-
-def test_waves_follow_priority_then_submission_order():
-    backend = RecordingBackend()
-    sched = JobScheduler(backend, max_in_flight=1)
-    low, mid, high = _spec(seed=1), _spec(seed=2), _spec(seed=3)
-    sched.submit(low, priority=0)
-    sched.submit(mid, priority=1)
-    sched.submit(high, priority=9)
-    sched.submit(_spec(seed=4), priority=1)  # ties with mid, later seq
-    sched.run()
-    assert backend.waves == [[high], [mid], [_spec(seed=4)], [low]]
-
-
-def test_max_in_flight_caps_every_wave():
-    backend = RecordingBackend()
-    sched = JobScheduler(backend, max_in_flight=2)
-    sched.submit_many([_spec(seed=s) for s in range(5)])
-    sched.run()
-    assert [len(wave) for wave in backend.waves] == [2, 2, 1]
-    # uncapped: the pre-scheduler behaviour, one wave runs everything
-    backend2 = RecordingBackend()
-    sched2 = JobScheduler(backend2)
-    sched2.submit_many([_spec(seed=s) for s in range(5)])
-    sched2.run()
-    assert [len(wave) for wave in backend2.waves] == [5]
-
-
-def test_max_in_flight_must_be_positive():
-    with pytest.raises(ConfigError, match="max_in_flight"):
-        JobScheduler(RecordingBackend(), max_in_flight=0)
-
-
-def test_cancel_pending_job_never_executes():
-    backend = RecordingBackend()
-    sched = JobScheduler(backend)
-    keep = sched.submit(_spec(seed=1))
-    drop = sched.submit(_spec(seed=2))
-    assert sched.cancel(drop)
-    assert sched.poll(drop) == JOB_CANCELLED
-    results = sched.run()
-    assert list(results) == [_spec(seed=1)]
-    assert backend.waves == [[_spec(seed=1)]]
-    assert sched.poll(keep) == JOB_DONE
-    # terminal and cancelled jobs refuse further transitions quietly
-    assert not sched.cancel(keep)
-    assert not sched.cancel(drop)
-
-
-def test_cancel_mid_flight_from_report_callback():
-    """A consumer reacting to early results can cancel queued work: with
-    wave size 1, cancelling a later pending job from the report callback
-    keeps it out of every subsequent wave."""
-    sched = JobScheduler(RecordingBackend(), max_in_flight=1)
-    ids = sched.submit_many([_spec(seed=s) for s in range(4)])
-    cancelled = []
-
-    def report(spec, outcome, elapsed):
-        if spec.seed == 0 and sched.cancel(ids[2]):
-            cancelled.append(ids[2])
-
-    results = sched.run(report)
-    assert cancelled == [ids[2]]
-    assert sched.poll(ids[2]) == JOB_CANCELLED
-    assert [s.seed for s in results] == [0, 1, 3]
-
-
-def test_cancel_running_job_is_refused():
-    """Once a wave hands a cell to the backend it must complete — results
-    stay deterministic because cancellation can't race execution."""
-    sched = JobScheduler(None)
-    refused = []
-
-    def hook(spec):
-        refused.append(sched.cancel(job_id))
-
-    sched.backend = RecordingBackend(hook=hook)
-    job_id = sched.submit(_spec(seed=1))
-    sched.run()
-    assert refused == [False]
-    assert sched.poll(job_id) == JOB_DONE
-
-
-def test_resolve_replays_without_executing():
-    backend = RecordingBackend()
-    sched = JobScheduler(backend)
-    job_id = sched.submit(_spec(seed=1))
-    sched.resolve(job_id, "from-cache")
-    assert sched.job(job_id).cached
-    assert sched.run() == {_spec(seed=1): "from-cache"}
-    assert backend.waves == []  # nothing left to execute
-    with pytest.raises(ConfigError, match="already done"):
-        sched.resolve(job_id, "again")
-
-
-def test_unknown_job_id_raises():
-    sched = JobScheduler(RecordingBackend())
-    with pytest.raises(ConfigError, match="unknown job id"):
-        sched.poll(404)
-
-
-def test_backend_dropping_a_cell_is_an_error():
-    class Lossy:
-        def map(self, specs, report, on_claim):
-            return {}  # never reports, never returns outcomes
-
-    sched = JobScheduler(Lossy())
-    sched.submit(_spec(seed=1))
-    with pytest.raises(CampaignExecutionError, match="no outcome"):
-        sched.run()
-
-
-def test_stream_yields_scheduling_order_with_backpressure():
-    backend = RecordingBackend()
-    sched = JobScheduler(backend, max_in_flight=2)
-    sched.submit(_spec(seed=1), priority=0)
-    sched.submit(_spec(seed=2), priority=7)
-    sched.submit(_spec(seed=3), priority=3)
-    seeds = [job.spec.seed for job in sched.stream()]
-    assert seeds == [2, 3, 1]  # (-priority, seq), never submission order
-    assert [len(w) for w in backend.waves] == [2, 1]
-
-
-def test_stream_runs_waves_lazily():
-    """The stream executes a wave only when its next job in order is
-    unfinished — a consumer that stops early leaves later waves unrun."""
-    backend = RecordingBackend()
-    sched = JobScheduler(backend, max_in_flight=1)
-    sched.submit_many([_spec(seed=s) for s in range(3)])
-    stream = sched.stream()
-    next(stream)
-    assert len(backend.waves) == 1
-    assert len(sched.pending()) == 2
-
-
-def test_backend_interrupt_requeues_and_restates_counts():
-    """An interrupt mid-wave keeps finished cells, returns unfinished ones
-    to the queue, and restates the message with campaign-level counts."""
-    done_spec, lost_spec = _spec(seed=1), _spec(seed=2)
-
-    class Interrupting:
-        def map(self, specs, report, on_claim):
-            report(done_spec, "partial", 0.0)
-            raise CampaignInterrupted(
-                "campaign interrupted (terminated by signal 15) "
-                "with 1 of 2 cells finished",
-                results={done_spec: "partial"},
-            )
-
-    sched = JobScheduler(Interrupting())
-    # one pre-resolved (replayed) cell: it must not count as "fresh"
-    sched.resolve(sched.submit(_spec(seed=9)), "cached-outcome")
-    sched.submit_many([done_spec, lost_spec])
-    with pytest.raises(CampaignInterrupted) as excinfo:
-        sched.run()
-    assert str(excinfo.value) == (
-        "campaign interrupted (terminated by signal 15) "
-        "with 1 of 2 cells finished")
-    assert excinfo.value.results[done_spec] == "partial"
-    assert sched.poll(sched.submit(lost_spec)) == JOB_PENDING  # requeued
 
 
 # --- equivalence: the refactor must not move a single bit ---------------------------
@@ -275,22 +51,15 @@ def reference_results():
     return specs, run_specs(specs)
 
 
-def test_run_specs_capped_waves_bit_identical(reference_results):
-    specs, reference = reference_results
-    capped = run_specs(specs, max_in_flight=1)
-    assert _dicts(capped) == _dicts(reference)
-    assert list(capped) == list(reference)
-
-
 def test_run_specs_pool_with_backpressure_bit_identical(reference_results):
     specs, reference = reference_results
-    pooled = run_specs(specs, jobs=2, max_in_flight=2)
+    pooled = run_specs(specs, jobs=2)
     assert _dicts(pooled) == _dicts(reference)
 
 
 def test_durable_stale_claim_reclaimed_through_scheduler(tmp_path):
-    """A dead owner's claim must not strand the cell: the durable backend
-    reclaims it and the scheduler re-executes, matching a clean run."""
+    """A dead owner's claim must not strand the cell: the ledger reclaims
+    it and the campaign re-executes it, matching a clean run."""
     specs = [_spec(seed=11)]
     clean = run_specs(specs)
     with RunLedger(tmp_path, specs):
@@ -314,20 +83,82 @@ def test_durable_stale_claim_reclaimed_through_scheduler(tmp_path):
     assert _dicts(replayed) == _dicts(clean)
 
 
-def test_run_campaign_replay_hook_skips_execution():
+def test_run_specs_cache_replay_skips_execution(tmp_path):
     known = _spec(seed=1)
     fresh = _spec(seed=2)
-    backend = RecordingBackend()
+    cache = ResultCache(tmp_path)
+    cache.put(known, run_specs([known])[known])
+
+    class Puts(ResultCache):
+        def put(self, spec, result):
+            puts.append(spec.seed)
+            return super().put(spec, result)
+
+    puts = []
+    stats = CampaignStats()
+    results = run_specs([known, fresh, known],  # duplicates collapse
+                        cache=Puts(tmp_path), progress=stats)
+    assert list(results) == [known, fresh]
+    assert results[known] == cache.get(known)
+    assert results[fresh] == execute(fresh)
+    assert (stats.executed, stats.cached) == (1, 1)
+    assert puts == [2]  # replayed cells are not "fresh"
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "ledger"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_hook_order_store_and_journal_before_progress_then_fleet(
+        tmp_path, jobs, durable):
+    """What a fresh cell's hooks may rely on: its cache put (and ledger
+    ``done``) land before its ``on_result``; a failure is journaled
+    ``failed`` before its ``on_result`` and never cached; a replayed cell
+    reports ``cached=True`` without a put; and the fleet rollup observes
+    every cell after the last ``on_result``, in spec order."""
+    known, fresh, fresh2 = _spec(seed=1), _spec(seed=2), _spec(seed=4)
+    bad = _spec(seed=3, fault_plan=FaultPlan(faults=(
+        FaultSpec(kind="worker_crash"),)))
+    specs = [known, fresh, bad, fresh2]
+    ResultCache(tmp_path / "cache").put(known, execute(known))
+    ledger_dir = tmp_path / "ledger" if durable else None
     events = []
-    results = run_campaign(
-        JobScheduler(backend),
-        [known, fresh, known],  # duplicates collapse
-        replay=lambda spec: "replayed" if spec == known else None,
-        on_fresh=lambda spec, outcome: events.append((spec.seed, outcome)),
-    )
-    assert results == {known: "replayed", fresh: "ran:2"}
-    assert backend.waves == [[fresh]]
-    assert events == [(2, "ran:2")]  # replayed cells are not "fresh"
+
+    def journaled(spec):
+        if ledger_dir is None:
+            return None
+        states = replay_ledger(ledger_dir / LEDGER_FILENAME).states
+        return states.get(spec.content_hash())
+
+    class Cache(ResultCache):
+        def put(self, spec, result):
+            events.append(("put", spec))
+            return super().put(spec, result)
+
+    class Progress(ProgressHook):
+        def on_result(self, spec, result, elapsed_s, cached):
+            events.append(("result", spec, cached, journaled(spec)))
+
+    class Fleet(FleetAggregator):
+        def observe(self, spec, outcome, cached=False):
+            events.append(("observe", spec, cached))
+            super().observe(spec, outcome, cached)
+
+    results = run_specs(specs, jobs=jobs, cache=Cache(tmp_path / "cache"),
+                        progress=Progress(), on_failure="record",
+                        max_cell_retries=0, ledger_dir=ledger_dir,
+                        fleet=Fleet())
+    assert isinstance(results[bad], CellFailure)
+    done, failed = ("done", "failed") if durable else (None, None)
+    # the replayed cell comes first, healed into the journal, never put
+    assert events[0] == ("result", known, True, done)
+    for spec in (fresh, fresh2):
+        at = events.index(("result", spec, False, done))
+        assert events[at - 1] == ("put", spec)
+    assert ("result", bad, False, failed) in events
+    assert ("put", bad) not in events
+    kinds = [event[0] for event in events]
+    assert kinds.count("result") == kinds.count("observe") == len(specs)
+    assert events[-len(specs):] == [("observe", spec, spec == known)
+                                    for spec in specs]
 
 
 # --- CellFailure serialisation (satellite) ------------------------------------------

@@ -141,7 +141,7 @@ def test_thousand_drive_fleet_rollup_bit_identical():
     1000 heterogeneous drives, serial vs pooled, exact rollup equality."""
     fleet = _fleet(n_drives=1000, fault_rate=0.2)
     serial = run_fleet(fleet)
-    pooled = run_fleet(fleet, jobs=2, max_in_flight=256)
+    pooled = run_fleet(fleet, jobs=2)
     assert serial.rollup() == pooled.rollup()
     assert serial.aggregator.cells == 1000
     assert serial.to_payload()["fleet_hash"] == fleet.content_hash()
