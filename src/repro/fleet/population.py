@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
-from ..campaign.spec import RunSpec
+from ..campaign.spec import RunSpec, check_sizing
 from ..errors import ConfigError
 from ..faults import FaultPlan, FaultSpec
 from ..rng import make_rng, spawn
@@ -138,6 +138,7 @@ class FleetSpec:
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ConfigError(
                 f"fault_rate must be in [0, 1], got {self.fault_rate}")
+        check_sizing(self)
 
     # --- serialisation & identity ----------------------------------------
 

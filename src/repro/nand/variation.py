@@ -68,33 +68,6 @@ def _hash_to_unit(seed: int, *keys: int) -> float:
     return _unit(_hash_state(seed, *keys))
 
 
-def _mix64_batch(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finaliser over a uint64 array.
-
-    uint64 arithmetic wraps modulo 2**64, which is exactly the ``& mask``
-    of the scalar :func:`_mix64` — every lane equals the scalar hash.
-    """
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def hash_to_unit_batch(prefix: int, values: np.ndarray) -> np.ndarray:
-    """Vectorized ``_unit(_fold(prefix, v))`` over an int array.
-
-    ``prefix`` is a folded state (:func:`_hash_state`), so lane ``i``
-    equals ``_hash_to_unit(seed, *keys, values[i])`` bit for bit: the
-    one-key fold and the (h + 0.5) / 2**64 mapping use only exact
-    uint64/float64 operations.  Used by the reliability samplers to draw
-    a whole batch of cold ages at once.
-    """
-    with np.errstate(over="ignore"):
-        h = _mix64_batch(np.uint64(prefix) ^ _mix64_batch(
-            np.asarray(values, dtype=np.uint64)))
-    return (h.astype(np.float64) + 0.5) / 2.0**64
-
-
 def _unit_to_standard_normal(u: float) -> float:
     """Inverse-CDF of the standard normal (Acklam's rational approximation,
     |error| < 1.15e-9 — ample for reliability factors)."""

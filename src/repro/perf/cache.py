@@ -120,24 +120,6 @@ class MemoCache:
         self._table[key] = value
         return value
 
-    def seed_many(self, items) -> None:
-        """Bulk-insert precomputed ``(key, value)`` pairs.
-
-        For the vectorized batch entry points: when a whole batch was
-        computed bit-identically to the scalar path, its results may warm
-        the table so later scalar queries hit.  Honours the generational
-        bound and the global disable switch (a disabled cache stores
-        nothing, matching :meth:`get_or_compute`).
-        """
-        if not _ENABLED:
-            return
-        table = self._table
-        for key, value in items:
-            if len(table) >= self.max_entries:
-                table.clear()
-                self.evictions += 1
-            table[key] = value
-
     def invalidate(self) -> None:
         """Explicitly drop all entries (counters survive; an invalidation
         is not an eviction)."""

@@ -43,10 +43,10 @@ class DecodeDraw:
 
 #: Uniform draws prefetched per ``Generator.random(n)`` call.  PCG64's
 #: ``random(n)`` returns exactly the next ``n`` doubles of the stream, so
-#: serving scalar draws out of a prefetched chunk consumes the *same
-#: values in the same order* as one ``random()`` call per draw — the RNG
-#: stream-order contract the read pipeline's batch sampling relies on,
-#: pinned by ``tests/test_perf_equivalence.py``.
+#: serving draws out of a prefetched chunk consumes the *same values in
+#: the same order* as one ``random()`` call per draw.  Every decode, RP
+#: and policy draw relies on that; ``tests/test_perf_equivalence.py``
+#: pins it across chunk boundaries.
 _UNIFORM_CHUNK = 512
 
 
@@ -143,30 +143,6 @@ class EccOutcomeModel:
             pos = 0
         self._uniform_pos = pos + 1
         return float(chunk[pos])
-
-    def uniform_batch(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms of the stream as one array.
-
-        Drains the buffered chunk first, so interleaving batch and scalar
-        draws consumes the stream in strict call order — the contract that
-        lets the read pipeline pre-sample whole batches while staying
-        bit-identical to per-draw calls.
-        """
-        if n < 0:
-            raise ConfigError("n must be non-negative")
-        out = np.empty(n, dtype=np.float64)
-        filled = 0
-        while filled < n:
-            pos = self._uniform_pos
-            chunk = self._uniform_chunk
-            if chunk is None or pos == len(chunk):
-                chunk = self._uniform_chunk = self.rng.random(_UNIFORM_CHUNK)
-                pos = 0
-            take = min(n - filled, len(chunk) - pos)
-            out[filled:filled + take] = chunk[pos:pos + take]
-            self._uniform_pos = pos + take
-            filled += take
-        return out
 
     # --- decode attempts -------------------------------------------------------------
 

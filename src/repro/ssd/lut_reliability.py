@@ -20,16 +20,13 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
 from ..nand.characterization import CharacterizationCampaign
-from ..nand.variation import _hash_state, _hash_to_unit, hash_to_unit_batch
+from ..nand.variation import _hash_to_unit
 from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
-from .reliability import _VEC_MIN
 
 
 def _interp_axis(grid: Sequence[float], value: float) -> Tuple[int, int, float]:
@@ -132,18 +129,6 @@ class LutReliabilitySampler:
         u = _hash_to_unit(self.seed, 0xC01D, int(lpn))
         return u * self.reliability.refresh_days
 
-    def cold_age_days_batch(self, lpns: Sequence[int]) -> List[float]:
-        """Vectorized cold ages (see
-        :meth:`PageReliabilitySampler.cold_age_days_batch` — same hash,
-        same exactness argument, same cache seeding)."""
-        if len(lpns) < _VEC_MIN:
-            return [self.cold_age_days(lpn) for lpn in lpns]
-        us = hash_to_unit_batch(_hash_state(self.seed, 0xC01D),
-                                np.asarray(lpns, dtype=np.uint64))
-        ages = (us * self.reliability.refresh_days).tolist()
-        self._cold_age_cache.seed_many(zip(lpns, ages))
-        return ages
-
     def warm_age_days(self, written_at_us: float, now_us: float) -> float:
         if now_us < written_at_us:
             raise ConfigError("read before write")
@@ -174,70 +159,6 @@ class LutReliabilitySampler:
             self._base_cache.hits += 1
         disturb = self._disturb_per_read * read_count
         return float(min(base + disturb, 0.5))
-
-    def rber_batch(
-        self,
-        block_keys: Sequence[Tuple[int, ...]],
-        pages: Sequence[int],
-        retention_days: Sequence[float],
-        read_counts: Sequence[int],
-    ) -> List[float]:
-        """RBERs for a whole batch of reads, element-wise equal to
-        :meth:`rber`.
-
-        Unlike the parametric sampler, the LUT path is pure arithmetic —
-        gather, bilinear blend, extrapolate, clamp — so the entire batch
-        vectorizes exactly: ``searchsorted(side='right')`` is
-        ``bisect_right``, and every float op is the same IEEE operation
-        the scalar expression performs per lane.  Computed bases seed the
-        memo table for later scalar queries.
-        """
-        del pages  # per-page variation is folded into the block LUTs
-        n = len(block_keys)
-        if n < _VEC_MIN:
-            return [self.rber(bk, 0, rd, rc)
-                    for bk, rd, rc in zip(block_keys, retention_days,
-                                          read_counts)]
-        idx = np.fromiter(
-            (self.lut_index_for_block(bk) for bk in block_keys),
-            dtype=np.intp, count=n,
-        )
-        ages = np.asarray(retention_days, dtype=np.float64)
-        grid = np.asarray(self.retention_grid, dtype=np.float64)
-        last = len(grid) - 1
-        low_m = ages <= grid[0]
-        high_m = ages >= grid[-1]
-        hi = np.clip(np.searchsorted(grid, ages, side="right"), 1, last)
-        lo = hi - 1
-        rf = (ages - grid[lo]) / (grid[hi] - grid[lo])
-        clamped = low_m | high_m
-        rf[clamped] = 0.0
-        lo[low_m] = 0
-        hi[low_m] = 0
-        lo[high_m] = last
-        hi[high_m] = last
-        pi0, pi1, pf = self._pe_lo, self._pe_hi, self._pe_frac
-        lane = np.arange(n)
-        t0 = self.luts[idx, pi0]  # (n, n_retention) rows at the lower P/E
-        t1 = self.luts[idx, pi1]
-        v00, v01 = t0[lane, lo], t0[lane, hi]
-        v10, v11 = t1[lane, lo], t1[lane, hi]
-        low = v00 + rf * (v01 - v00)
-        high = v10 + rf * (v11 - v10)
-        base = low + pf * (high - low)
-        ext = ages > grid[-1]
-        if ext.any() and len(self.retention_grid) > 1:
-            r_lo, r_hi = self.retention_grid[-2], self.retention_grid[-1]
-            slope = (t1[ext, -1] - t1[ext, -2]) / (r_hi - r_lo)
-            base[ext] = base[ext] + np.maximum(slope, 0.0) * (ages[ext] - r_hi)
-        self._base_cache.seed_many(
-            zip(zip(idx.tolist(), retention_days), base))
-        rbers = np.minimum(
-            base + self._disturb_per_read * np.asarray(read_counts,
-                                                       dtype=np.float64),
-            0.5,
-        )
-        return rbers.tolist()
 
     def _base_rber(self, lut_index: int, retention_days: float) -> float:
         """Read-count-independent RBER of a test block at a retention age."""

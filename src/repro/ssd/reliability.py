@@ -16,23 +16,16 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
 from ..nand.rber import PageState, RberModel
 from ..nand.thermal import ThermalModel
-from ..nand.variation import _fold, _hash_state, _unit, hash_to_unit_batch
+from ..nand.variation import _fold, _hash_state, _unit
 from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
-
-#: Below this batch size the numpy fixed overhead outweighs the per-lane
-#: win; the batch entry points fall back to the scalar loop (results are
-#: bit-identical either way, so the threshold is pure tuning).
-_VEC_MIN = 24
 
 
 class PageReliabilitySampler:
@@ -120,26 +113,6 @@ class PageReliabilitySampler:
         offset = self.retention_offset_days
         return age + offset if offset else age
 
-    def cold_age_days_batch(self, lpns: Sequence[int]) -> List[float]:
-        """Cold ages for a whole batch of pages, vectorized and bit-exact.
-
-        The SplitMix64 hash runs as one uint64 array pass
-        (:func:`~repro.nand.variation.hash_to_unit_batch`); because every
-        lane equals the scalar hash, the results may seed the memo table
-        for later scalar queries.  Small batches use the scalar path.
-        """
-        if len(lpns) < _VEC_MIN:
-            return [self.cold_age_days(lpn) for lpn in lpns]
-        us = hash_to_unit_batch(self._cold_state,
-                                np.asarray(lpns, dtype=np.uint64))
-        ages = (us * self.reliability.refresh_days).tolist()
-        offset = self.retention_offset_days
-        if offset:
-            # python-float add, matching the scalar path bit for bit
-            ages = [age + offset for age in ages]
-        self._cold_age_cache.seed_many(zip(lpns, ages))
-        return ages
-
     def warm_age_days(self, written_at_us: float, now_us: float) -> float:
         """Retention age of a page written during the simulation."""
         if now_us < written_at_us:
@@ -200,37 +173,6 @@ class PageReliabilitySampler:
             raise ConfigError("read_count must be non-negative")
         base = self._page_base(block_key, page, retention_days)
         return min(base + self._disturb_per_read * read_count, 0.5)
-
-    def rber_batch(
-        self,
-        block_keys: Sequence[Tuple[int, ...]],
-        pages: Sequence[int],
-        retention_days: Sequence[float],
-        read_counts: Sequence[int],
-    ) -> List[float]:
-        """RBERs for a whole batch of reads, element-wise equal to
-        :meth:`rber`.
-
-        The transcendental retention base goes through the same memoized
-        scalar path as the scalar query (libm and numpy transcendentals
-        differ in the last ulp, so vectorizing them would break
-        bit-identity); the disturb term and the 0.5 ceiling — plain
-        multiply/add/min — are applied as one vectorized pass.
-        """
-        n = len(block_keys)
-        if n < _VEC_MIN:
-            return [self.rber(bk, pg, rd, rc)
-                    for bk, pg, rd, rc in zip(block_keys, pages,
-                                              retention_days, read_counts)]
-        bases = [self._page_base(bk, pg, rd)
-                 for bk, pg, rd in zip(block_keys, pages, retention_days)]
-        rbers = np.minimum(
-            np.asarray(bases, dtype=np.float64)
-            + self._disturb_per_read * np.asarray(read_counts,
-                                                  dtype=np.float64),
-            0.5,
-        )
-        return rbers.tolist()
 
     def _page_base(self, block_key: Tuple[int, ...], page: int,
                    retention_days: float) -> float:

@@ -373,8 +373,8 @@ class SSDSimulator:
                               faults: ReadFaultDecision,
                               state: _RequestState) -> Optional[tuple]:
         """Controller-level mitigation that must happen before the plan is
-        compiled, for a read of ``lpn`` resolved (by
-        :meth:`~repro.ssd.ftl.PageMapFtl.read`) to ``resolved`` in the
+        compiled, for a read of ``lpn`` resolved to ``resolved`` (the
+        tuple :meth:`~repro.ssd.ftl.PageMapFtl.read` returns) in the
         block ``block_key`` = ``(channel, die, plane, block)``, FTL key
         ``read_key`` = ``(pidx, block)``.  Returns the (possibly
         re-resolved) ``(ppn, written_at_us, block_read_count)``, or

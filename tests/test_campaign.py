@@ -18,6 +18,7 @@ from repro.campaign import (
 from repro.config import small_test_config
 from repro.errors import ConfigError
 from repro.experiments.common import run_grid
+from repro.fleet import FleetSpec
 from repro.ssd import SimulationResult, SSDSimulator
 from repro.ssd.metrics import ChannelUsage, SimMetrics
 from repro.workloads import generate
@@ -84,6 +85,21 @@ def test_spec_rejects_unknown_fields_and_modes():
                            "bogus": 1})
     with pytest.raises(ConfigError):
         RunSpec(workload="Ali124", policy="SWR", mode="open")
+    # a zero size is not "the scale's default": it would run the default
+    # under a second content hash
+    for field in ("n_requests", "user_pages", "queue_depth"):
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ConfigError, match=f"RunSpec.{field}"):
+                _fast_spec(**{field: bad})
+            with pytest.raises(ConfigError, match=f"FleetSpec.{field}"):
+                FleetSpec(n_drives=1, **{field: bad})
+    for bad in (0.0, -5.0, float("nan")):
+        with pytest.raises(ConfigError, match="time_limit_us"):
+            _fast_spec(mode="timed", time_limit_us=bad)
+    with pytest.raises(ConfigError, match="valid workloads: Ali2, "):
+        _fast_spec(workload="Ali999")
+    with pytest.raises(ConfigError, match="unknown workload 'Ali999'"):
+        generate("Ali999", n_requests=10, user_pages=2000)
 
 
 def test_config_overrides_applied():

@@ -14,7 +14,6 @@ from repro.nand.variation import (
     _hash_to_unit,
     _unit,
     _unit_to_standard_normal,
-    hash_to_unit_batch,
 )
 
 
@@ -50,17 +49,6 @@ def test_prefix_fold_resumes_to_the_full_hash(seed, keys, data):
     assert _hash_to_unit(seed, *keys) == expected
     prefix = _hash_state(seed, *keys[:split])
     assert _unit(_fold(prefix, *keys[split:])) == expected
-
-
-@given(seed=_ANY_INT, prefix_keys=st.lists(_ANY_INT, max_size=3),
-       values=st.lists(st.integers(min_value=0, max_value=2**64 - 1),
-                       min_size=1, max_size=40))
-@settings(max_examples=100, deadline=None)
-def test_batch_hash_resumes_a_prefix_per_lane(seed, prefix_keys, values):
-    prefix = _hash_state(seed, *prefix_keys)
-    lanes = hash_to_unit_batch(prefix, np.array(values, dtype=np.uint64))
-    assert lanes.tolist() == [_reference_hash_to_unit(seed, *prefix_keys, v)
-                              for v in values]
 
 
 @given(seed=st.integers(min_value=0, max_value=2**40),

@@ -30,7 +30,8 @@ from repro.ldpc.syndrome import (
 from repro.nand.vth import PageType, TlcVthModel
 from repro.perf import kernels
 from repro.perf.cache import MemoCache, caches_disabled, caches_enabled
-from repro.ssd.ecc_model import EccOutcomeModel
+from repro.rng import make_rng
+from repro.ssd.ecc_model import _UNIFORM_CHUNK, EccOutcomeModel
 from repro.ssd.lut_reliability import LutReliabilitySampler
 from repro.ssd.reliability import PageReliabilitySampler
 
@@ -198,13 +199,12 @@ def test_batched_core_matches_seed_path_uncached():
     assert not report, report
 
 
-def test_uniform_batch_preserves_stream_order():
-    """The vectorized-sampling contract: ``uniform_batch`` consumes the
-    model's uniform stream at exactly the positions the scalar draws
-    would, so batch and scalar calls interleave freely."""
-    a = EccOutcomeModel(seed=42)
-    b = EccOutcomeModel(seed=42)
-    got = list(a.uniform_batch(5)) + [a._next_uniform()] \
-        + list(a.uniform_batch(3))
-    want = [b._next_uniform() for _ in range(9)]
-    assert got == want
+def test_uniform_stream_matches_per_draw_rng():
+    """The prefetch contract every decode draw relies on: values served
+    from ``_UNIFORM_CHUNK``-sized chunks, across three chunks, equal one
+    ``random()`` call per draw on the same seed."""
+    model = EccOutcomeModel(seed=42)
+    rng = make_rng(42)
+    got = [model._next_uniform() for _ in range(1100)]
+    assert 2 * _UNIFORM_CHUNK < len(got) <= 3 * _UNIFORM_CHUNK
+    assert got == [rng.random() for _ in range(1100)]
