@@ -16,13 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SSDConfig, small_test_config
 from ..errors import ConfigError
 from ..faults import FaultPlan
+from ..nand.thermal import check_temperature
 from ..ssd import SimulationResult, SSDSimulator
 from ..ssd.ecc_model import EccOutcomeModel
+from ..ssd.reliability import check_finite_non_negative
 from ..workloads import generate
 from ..workloads.synthetic import workload_spec
 from ..workloads.trace import Trace
@@ -174,6 +176,10 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pe_cycles", float(self.pe_cycles))
+        check_finite_non_negative("RunSpec.pe_cycles", self.pe_cycles)
+        if self.operating_temp_c is not None:
+            check_temperature("RunSpec.operating_temp_c",
+                              self.operating_temp_c)
         if self.fault_plan is not None and not isinstance(self.fault_plan,
                                                           FaultPlan):
             object.__setattr__(self, "fault_plan",
@@ -240,6 +246,16 @@ class RunSpec:
         given = {name: getattr(self, name) for name in SIZING_FIELDS}
         return replace(ssd_scale(self.scale),
                        **{k: v for k, v in given.items() if v is not None})
+
+    def run_kwargs(self) -> Dict[str, Any]:
+        """The host-side keyword arguments of
+        :meth:`SSDSimulator.run_trace` this spec asks for."""
+        kwargs: Dict[str, Any] = {"mode": self.mode}
+        if self.mode == "closed":
+            kwargs["queue_depth"] = self.resolved_sizing().queue_depth
+        if self.time_limit_us is not None:
+            kwargs["time_limit_us"] = self.time_limit_us
+        return kwargs
 
     def trace_key(self) -> tuple:
         """Identity of the trace this spec replays (for trace sharing)."""
@@ -320,15 +336,9 @@ def execute(spec: RunSpec, trace: Optional[Trace] = None,
     (burn-rate SLO evaluation needs its time slices) without affecting
     the result or the spec's cache identity.
     """
-    sizing = spec.resolved_sizing()
     ssd = build_simulator(spec, snapshot_interval_us=snapshot_interval_us)
-    run_kwargs = dict(mode=spec.mode)
-    if spec.mode == "closed":
-        run_kwargs["queue_depth"] = sizing.queue_depth
-    if spec.time_limit_us is not None:
-        run_kwargs["time_limit_us"] = spec.time_limit_us
     return ssd.run_trace(trace if trace is not None else build_trace(spec),
-                         **run_kwargs)
+                         **spec.run_kwargs())
 
 
 def grid_specs(

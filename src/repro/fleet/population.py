@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
@@ -83,6 +84,8 @@ def _freeze_mix(value) -> Tuple[Tuple[str, float], ...]:
 
 def _check_range(name: str, value, minimum: float = 0.0) -> Tuple[float, float]:
     lo, hi = (float(value[0]), float(value[1]))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name} bounds must be finite, got ({lo}, {hi})")
     if lo < minimum or hi < lo:
         raise ConfigError(
             f"{name} must satisfy {minimum:g} <= lo <= hi, got ({lo}, {hi})")

@@ -134,8 +134,11 @@ class CharacterizationCampaign:
 
         factors = self._page_strength_factors(n_pages)
         state = PageState(pe_cycles=pe_cycles, retention_days=retention_days)
+        # one wear level for every page: compute the model's terms once
+        wear = self.model.wear_terms(state.pe_cycles)
         rbers = np.clip(
-            [self.model.rber_with_strength(state, float(f)) for f in factors],
+            [self.model.rber_at(wear, state.retention_days, float(f))
+             for f in factors],
             1e-6,
             0.5,
         )

@@ -17,13 +17,20 @@ produce the distributions of Fig. 4.
 
 ``T_cross`` is log-linear-interpolated between the configured anchors and
 extrapolated geometrically beyond them.
+
+Wear enters only through four terms — the clamped ``r_prog``,
+``cap - r_prog``, ``T_cross`` and the disturb coefficient — which
+:meth:`RberModel.wear_terms` returns for one P/E level and
+:meth:`RberModel.rber_at` turns into an RBER.  The simulator's sampler
+keeps a drive's terms for the whole run; every other caller computes
+them per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
@@ -43,6 +50,20 @@ class PageState:
     def __post_init__(self) -> None:
         if self.pe_cycles < 0 or self.retention_days < 0 or self.read_count < 0:
             raise ConfigError("PageState fields must be non-negative")
+
+
+class WearTerms(NamedTuple):
+    """The wear-dependent constants of the RBER model at one P/E level
+    (see :meth:`RberModel.wear_terms`)."""
+
+    #: program-time RBER of the median page, clamped below the capability
+    r_prog: float
+    #: ``cap - r_prog``: what the retention term adds by ``t_cross``
+    span: float
+    #: retention days at which the median page crosses the capability
+    t_cross: float
+    #: additive RBER per read since the last program
+    per_read: float
 
 
 class RberModel:
@@ -69,15 +90,10 @@ class RberModel:
         self.ecc = ecc or EccConfig()
         self.variation = VariationModel(self.reliability, seed=seed)
         self._anchors = list(self.reliability.t_cross_anchors)
+        self._alpha = self.reliability.retention_exponent
         # --- hot-path memo caches (repro.perf; exact keys, bit-identical) ---
-        # The simulator queries one fixed P/E point millions of times, so
-        # the log/exp anchor interpolation and the per-page variation
-        # hashes are ideal memoization targets.
-        self._anchor_cache = MemoCache("rber.anchor_cross_days",
-                                       max_entries=4096)
-        self._prog_cache = MemoCache("rber.rber_prog", max_entries=4096)
-        self._disturb_cache = MemoCache("rber.disturb_per_read",
-                                        max_entries=4096)
+        # The per-page variation hashes are pure in (seed, key) and a
+        # workload re-reads the same physical pages constantly.
         self._factor_cache = MemoCache("rber.variation_factor")
         # per block: (block factor, folded page-hash prefix), so a new
         # page of a seen block folds one hash key instead of six
@@ -92,8 +108,6 @@ class RberModel:
         z_anchor = _unit_to_standard_normal(self.reliability.anchor_quantile)
         self._median_scale = math.exp(-z_anchor * sigma_total)
 
-    # --- calibration curves ----------------------------------------------------
-
     def invalidate_caches(self) -> None:
         """Drop all memoized values (the model itself is immutable; use
         after monkeypatching config in tests, or for memory pressure)."""
@@ -105,25 +119,13 @@ class RberModel:
         return [c.stats().to_dict() for c in self._caches()]
 
     def _caches(self) -> List[MemoCache]:
-        return [self._anchor_cache, self._prog_cache, self._disturb_cache,
-                self._factor_cache, self._block_factor_cache]
+        return [self._factor_cache, self._block_factor_cache]
+
+    # --- calibration curves ----------------------------------------------------
 
     def anchor_cross_days(self, pe_cycles: float) -> float:
         """Retention time (days) at which the weakest (``anchor_quantile``)
-        pages cross the ECC correction capability — Fig. 4's left edge.
-        Memoized on the exact wear level (inline probe: a simulation runs
-        at one wear point, so this is all hits after the first call)."""
-        cache = self._anchor_cache
-        if _perf_cache._ENABLED:
-            days = cache._table.get(pe_cycles)
-            if days is not None:
-                cache.hits += 1
-                return days
-        return cache.get_or_compute(
-            pe_cycles, lambda: self._anchor_cross_days_uncached(pe_cycles)
-        )
-
-    def _anchor_cross_days_uncached(self, pe_cycles: float) -> float:
+        pages cross the ECC correction capability — Fig. 4's left edge."""
         if pe_cycles < 0:
             raise ConfigError("pe_cycles must be non-negative")
         anchors = self._anchors
@@ -147,48 +149,40 @@ class RberModel:
         return self.anchor_cross_days(pe_cycles) * self._median_scale
 
     def rber_prog(self, pe_cycles: float) -> float:
-        """Program-time RBER (retention age zero) of the median page.
-        Memoized on the exact wear level (inline probe, see
-        :meth:`anchor_cross_days`)."""
-        cache = self._prog_cache
-        if _perf_cache._ENABLED:
-            prog = cache._table.get(pe_cycles)
-            if prog is not None:
-                cache.hits += 1
-                return prog
+        """Program-time RBER (retention age zero) of the median page."""
         r = self.reliability
-        return cache.get_or_compute(
-            pe_cycles,
-            lambda: r.rber_prog_fresh
-            * (1.0 + r.rber_prog_pe_slope * pe_cycles / 1000.0),
-        )
+        return r.rber_prog_fresh * (1.0 + r.rber_prog_pe_slope * pe_cycles / 1000.0)
 
-    def read_disturb_rber(self, pe_cycles: float, read_count: int) -> float:
-        """Additive RBER contribution of repeated reads since last program.
+    def wear_terms(self, pe_cycles: float) -> WearTerms:
+        """The model's constants at one wear level, for :meth:`rber_at`.
 
-        The per-read coefficient is memoized on the wear level; the
-        ``coefficient * read_count`` product is left-associated exactly as
-        the unmemoized expression evaluates, so results are bit-identical.
-        """
-        cache = self._disturb_cache
-        if _perf_cache._ENABLED:
-            per_read = cache._table.get(pe_cycles)
-            if per_read is not None:
-                cache.hits += 1
-                return per_read * read_count
+        A drive reads at one P/E level for a whole run, so the simulator's
+        sampler computes these once (and again when the drive wears)
+        instead of interpolating the anchors on every read."""
+        cap = self.ecc.correction_capability
+        r_prog = min(self.rber_prog(pe_cycles), cap * 0.9)
         r = self.reliability
-        per_read = cache.get_or_compute(
-            pe_cycles,
-            lambda: r.read_disturb_per_read
-            * (1.0 + r.read_disturb_pe_slope * pe_cycles / 1000.0),
-        )
-        return per_read * read_count
+        per_read = r.read_disturb_per_read * (
+            1.0 + r.read_disturb_pe_slope * pe_cycles / 1000.0)
+        return WearTerms(r_prog, cap - r_prog, self.t_cross_days(pe_cycles),
+                         per_read)
+
+    def rber_at(self, wear: WearTerms, retention_days: float,
+                strength_factor: float, read_count: int = 0) -> float:
+        """RBER of a page with variation factor ``strength_factor`` (which
+        scales ``T_cross``) at the wear level ``wear`` was computed for.
+        The one evaluation of the module docstring's curve."""
+        r_prog, span, t_cross, per_read = wear
+        ratio = retention_days / (t_cross * strength_factor)
+        rber = r_prog + span * ratio ** self._alpha + per_read * read_count
+        # physical ceiling: a completely scrambled page is 50% wrong
+        return min(rber, 0.5)
 
     # --- main model --------------------------------------------------------------
 
     def median_rber(self, state: PageState) -> float:
         """RBER of the median (factor-1) page under ``state``."""
-        return self._rber_with_factor(state, 1.0)
+        return self.rber_with_strength(state, 1.0)
 
     def page_rber(self, state: PageState, block_key: tuple, page: int = 0) -> float:
         """RBER of a specific physical page, including process variation.
@@ -197,7 +191,7 @@ class RberModel:
         (e.g. ``PageAddress.block_key()``); the same key always yields the
         same variation factor.
         """
-        return self._rber_with_factor(state, self._page_variation(block_key, page))
+        return self.rber_with_strength(state, self._page_variation(block_key, page))
 
     def _page_variation(self, block_key: tuple, page: int) -> float:
         """Combined block*page strength factor, memoized per physical page
@@ -245,27 +239,9 @@ class RberModel:
     def rber_with_strength(self, state: PageState, strength_factor: float) -> float:
         """RBER of a page with an explicit process-variation strength factor
         (1.0 = median page; larger = more reliable)."""
-        return self._rber_with_factor(state, strength_factor)
-
-    def _rber_with_factor(self, state: PageState, strength_factor: float) -> float:
-        # ``base + disturb`` is the model's left-to-right sum
-        # ``(r_prog + retention_term) + disturb``.
-        base = self._retention_base(
-            state.pe_cycles, state.retention_days, strength_factor
-        )
-        rber = base + self.read_disturb_rber(state.pe_cycles, state.read_count)
-        # physical ceiling: a completely scrambled page is 50% wrong
-        return min(rber, 0.5)
-
-    def _retention_base(
-        self, pe_cycles: float, retention_days: float, strength_factor: float
-    ) -> float:
-        cap = self.ecc.correction_capability
-        alpha = self.reliability.retention_exponent
-        r_prog = min(self.rber_prog(pe_cycles), cap * 0.9)
-        t_cross = self.t_cross_days(pe_cycles) * strength_factor
-        retention_term = (cap - r_prog) * (retention_days / t_cross) ** alpha
-        return r_prog + retention_term
+        return self.rber_at(self.wear_terms(state.pe_cycles),
+                            state.retention_days, strength_factor,
+                            state.read_count)
 
     # --- convenience -------------------------------------------------------------
 

@@ -27,6 +27,14 @@ from ..errors import ConfigError
 BOLTZMANN_EV = 8.617333262e-5
 
 
+def check_temperature(name: str, temp_c: float) -> None:
+    """Reject a temperature that is NaN, infinite, or not above absolute
+    zero (where the Arrhenius factor divides by zero kelvin)."""
+    if not (math.isfinite(temp_c) and temp_c > -273.15):
+        raise ConfigError(
+            f"{name} must be finite and above -273.15 C, got {temp_c!r}")
+
+
 @dataclass(frozen=True)
 class ThermalConfig:
     """Arrhenius parameters."""
@@ -37,8 +45,7 @@ class ThermalConfig:
     def __post_init__(self) -> None:
         if self.activation_energy_ev <= 0:
             raise ConfigError("activation energy must be positive")
-        if self.reference_temp_c < -273.15:
-            raise ConfigError("reference temperature below absolute zero")
+        check_temperature("reference_temp_c", self.reference_temp_c)
 
 
 class ThermalModel:
@@ -51,8 +58,7 @@ class ThermalModel:
         """AF(T): how much faster retention ages at ``temp_c`` than at the
         reference temperature (1.0 at the reference; >1 hotter; <1 colder).
         """
-        if temp_c < -273.15:
-            raise ConfigError("temperature below absolute zero")
+        check_temperature("temperature", temp_c)
         t = temp_c + 273.15
         t_ref = self.config.reference_temp_c + 273.15
         exponent = (self.config.activation_energy_ev / BOLTZMANN_EV) * (

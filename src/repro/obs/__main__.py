@@ -156,10 +156,8 @@ def _burn_reports(args, slos):
     workload, policy, pe = _parse_burn_cell(args.burn)
     spec = RunSpec(workload=workload, policy=policy, pe_cycles=pe,
                    seed=args.seed, scale=args.scale)
-    sizing = spec.resolved_sizing()
     ssd = build_simulator(spec, snapshot_interval_us=args.burn_window_us)
-    ssd.run_trace(build_trace(spec), mode="closed",
-                  queue_depth=sizing.queue_depth)
+    ssd.run_trace(build_trace(spec), **spec.run_kwargs())
     snapshots = ssd.snapshots.snapshots()
     reports = []
     for slo in slos:

@@ -1,10 +1,13 @@
 """Exact-key memoization caches for the simulator's per-read hot path.
 
-The per-read cost of the simulator is dominated by a handful of pure
-functions evaluated over and over with the *same* arguments: reliability
-anchors at the run's fixed P/E point, interpolated LUT rows for a page
-whose cold retention age never changes, process-variation hashes for the
-same physical page.  :class:`MemoCache` memoizes those calls.
+The per-read cost of the simulator includes a few pure functions
+evaluated over and over with the *same* arguments: the cold retention age
+of a logical page, the process-variation hashes of a physical page,
+interpolated LUT rows for a page whose cold age never changes.
+:class:`MemoCache` memoizes those calls.  Values that are constant for a
+whole run, such as the RBER model's terms at the drive's wear level, are
+computed once by their owner instead; a memo table there would only
+count hits.
 
 Two properties are deliberate and load-bearing:
 

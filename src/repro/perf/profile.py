@@ -17,7 +17,9 @@ spends its time:
 
 The report also snapshots the run's memo-cache counters so a profile
 always states its cache regime (a cold-cache profile looks nothing like a
-steady-state one).
+steady-state one).  Its table lists every cache of
+``SSDSimulator.cache_stats()`` with hits, lookups and hit rate, so a memo
+audit starts from the caches the code actually has.
 """
 
 from __future__ import annotations
@@ -97,11 +99,12 @@ class ProfileReport:
             for key, us in sorted(self.sim_busy_us.items(),
                                   key=lambda kv: -kv[1]):
                 lines.append(f"  {key:<24s} {us:14.1f}")
-        hits = sum(c.get("hits", 0) for c in self.cache_stats)
-        lookups = hits + sum(c.get("misses", 0) for c in self.cache_stats)
-        if lookups:
-            lines.append(f"-- memo caches: {hits}/{lookups} hits "
-                         f"({hits / lookups:.1%}) --")
+        if self.cache_stats:
+            lines.append("-- memo caches (hits / lookups) --")
+            for cache in self.cache_stats:
+                lookups = cache["hits"] + cache["misses"]
+                lines.append(f"  {cache['name']:<24s} {cache['hits']:>10d} / "
+                             f"{lookups:<10d} {cache['hit_rate']:6.1%}")
         return "\n".join(lines)
 
 
@@ -171,13 +174,7 @@ def profile_spec(
             ecc.decoder.attach_probe(tracer.record_resource)
     phases["build_simulator"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sizing = spec.resolved_sizing()
-    run_kwargs: Dict[str, Any] = dict(mode=spec.mode)
-    if spec.mode == "closed":
-        run_kwargs["queue_depth"] = sizing.queue_depth
-    if spec.time_limit_us is not None:
-        run_kwargs["time_limit_us"] = spec.time_limit_us
-    ssd.run_trace(trace, **run_kwargs)
+    ssd.run_trace(trace, **spec.run_kwargs())
     phases["run_trace"] = time.perf_counter() - t0
     profiler.disable()
     total = time.perf_counter() - wall0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from ..core.accuracy import RpAccuracyModel
 from ..errors import ConfigError
 from ..ldpc.capability import CapabilityCurve
 from ..ldpc.latency import EccLatencyModel
-from ..perf import cache as _perf_cache
-from ..perf.cache import MemoCache
 from ..rng import SeedLike, make_rng
 
 
@@ -73,62 +71,6 @@ class EccOutcomeModel:
         # buffered uniform stream (see _next_uniform / _UNIFORM_CHUNK)
         self._uniform_chunk: Optional[np.ndarray] = None
         self._uniform_pos = 0
-        # --- hot-path memo caches (repro.perf; exact rber keys) ------------
-        # Only the *probabilities* and *latencies* are cached — every rng
-        # draw stays on the live stream, so the sampled outcome sequence is
-        # bit-identical with caches on or off.
-        self._decode_cache = MemoCache("ecc.decode_params")
-        # bound table for the inline probe below; the cache never stores
-        # None and only ever clear()s its table in place
-        self._decode_table = self._decode_cache._table
-
-    def invalidate_caches(self) -> None:
-        """Drop memoized curve evaluations (the curves are immutable; use
-        after monkeypatching them in tests)."""
-        for cache in self._caches():
-            cache.invalidate()
-
-    def cache_stats(self) -> List[dict]:
-        """JSON-ready hit/miss counters of this model's memo caches."""
-        return [c.stats().to_dict() for c in self._caches()]
-
-    def _caches(self) -> List[MemoCache]:
-        return [self._decode_cache]
-
-    def _decode_params(self, rber: float) -> tuple:
-        """(P[fail], tECC on success, tECC on failure) at ``rber`` — one
-        fused lookup per decode; all three are pure curve evaluations.
-
-        The miss path is hand-inlined (same counter discipline as
-        :meth:`MemoCache.get_or_compute`): per-read rber keys shift with
-        the disturb term, so misses are the common case on the hot path.
-        """
-        cache = self._decode_cache
-        if _perf_cache._ENABLED:
-            table = self._decode_table
-            params = table.get(rber)
-            if params is not None:
-                cache.hits += 1
-                return params
-            cache.misses += 1
-            params = (
-                self.failure_curve.failure_probability(rber),
-                self.latency.latency_us(rber, failed=False),
-                # == latency_us(rber, failed=True), which returns this
-                # constant unconditionally
-                self.latency.ecc.t_ecc_max,
-            )
-            if len(table) >= cache.max_entries:
-                table.clear()
-                cache.evictions += 1
-            table[rber] = params
-            return params
-        cache.misses += 1
-        return (
-            self.failure_curve.failure_probability(rber),
-            self.latency.latency_us(rber, failed=False),
-            self.latency.latency_us(rber, failed=True),
-        )
 
     # --- the uniform stream ----------------------------------------------------------
 
@@ -146,21 +88,27 @@ class EccOutcomeModel:
 
     # --- decode attempts -------------------------------------------------------------
 
+    def _decode(self, rber: float):
+        """``(success, t_ecc)`` of one decode at ``rber``: one uniform draw
+        against the failure curve; a failed decode burns the full
+        iteration budget.  Not memoized: per-read rber keys shift with the
+        retention age and the disturb term, and a table of them (hitting
+        10-52 % on the benchmark workloads) made no workload faster."""
+        p_fail = self.failure_curve.failure_probability(rber)
+        if self._next_uniform() >= p_fail:
+            return True, self.latency.latency_us(rber, failed=False)
+        return False, self.latency.latency_us(rber, failed=True)
+
     def first_decode(self, rber: float) -> DecodeDraw:
         """Outcome of decoding the default-VREF sense."""
-        p_fail, t_ok, t_fail = self._decode_params(rber)
-        success = self._next_uniform() >= p_fail
-        return DecodeDraw(success=success, t_ecc=t_ok if success else t_fail)
+        return DecodeDraw(*self._decode(rber))
 
     def first_decode_outcome(self, rber: float):
         """``(success, t_ecc)`` of :meth:`first_decode` without the
         :class:`DecodeDraw` wrapper — the plan compilers run once per page
-        read, so the per-draw allocation is worth skipping.  Same params,
-        same single uniform draw, bit-identical outcome."""
-        p_fail, t_ok, t_fail = self._decode_params(rber)
-        if self._next_uniform() >= p_fail:
-            return True, t_ok
-        return False, t_fail
+        read, so the per-draw allocation is worth skipping.  Same single
+        uniform draw, bit-identical outcome."""
+        return self._decode(rber)
 
     def retry_rber(self, rber: float) -> float:
         """Effective RBER after a near-optimal VREF adjustment: the residual
@@ -169,17 +117,12 @@ class EccOutcomeModel:
 
     def retried_decode(self, rber: float) -> DecodeDraw:
         """Outcome of decoding a re-read with near-optimal VREF."""
-        p_fail, t_ok, t_fail = self._decode_params(self.retry_rber(rber))
-        success = self._next_uniform() >= p_fail
-        return DecodeDraw(success=success, t_ecc=t_ok if success else t_fail)
+        return DecodeDraw(*self._decode(self.retry_rber(rber)))
 
     def retried_decode_outcome(self, rber: float):
         """``(success, t_ecc)`` twin of :meth:`retried_decode` (see
         :meth:`first_decode_outcome`)."""
-        p_fail, t_ok, t_fail = self._decode_params(self.retry_rber(rber))
-        if self._next_uniform() >= p_fail:
-            return True, t_ok
-        return False, t_fail
+        return self._decode(self.retry_rber(rber))
 
     def healthy_decode(self, rber: float) -> DecodeDraw:
         """Decode of a page as seen by the hypothetical SSDzero: always

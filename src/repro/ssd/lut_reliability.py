@@ -27,6 +27,7 @@ from ..nand.variation import _hash_to_unit
 from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
+from .reliability import check_finite_non_negative
 
 
 def _interp_axis(grid: Sequence[float], value: float) -> Tuple[int, int, float]:
@@ -55,8 +56,7 @@ class LutReliabilitySampler:
         pe_grid: Sequence[float] = (0, 200, 500, 1000, 2000, 3000),
         retention_grid_days: Sequence[float] = (0, 1, 3, 7, 14, 21, 28, 30),
     ):
-        if pe_cycles < 0:
-            raise ConfigError("pe_cycles must be non-negative")
+        check_finite_non_negative("pe_cycles", pe_cycles)
         if n_lut_blocks < 1:
             raise ConfigError("need at least one characterized block")
         self.pe_cycles = pe_cycles
@@ -80,9 +80,7 @@ class LutReliabilitySampler:
         self._pe_lo, self._pe_hi, self._pe_frac = _interp_axis(
             self.pe_grid, self.pe_cycles
         )
-        self._disturb_per_read = self.reliability.read_disturb_per_read * (
-            1.0 + self.reliability.read_disturb_pe_slope * self.pe_cycles / 1000.0
-        )
+        self._disturb_per_read = campaign.model.wear_terms(pe_cycles).per_read
         self._base_cache = MemoCache("lut.base_rber")
         self._cold_age_cache = MemoCache("lut.cold_age")
         # bound tables for the inline probes below; the caches never store

@@ -16,16 +16,24 @@ Responsibilities:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
-from ..nand.rber import PageState, RberModel
+from ..nand.rber import RberModel
 from ..nand.thermal import ThermalModel
 from ..nand.variation import _fold, _hash_state, _unit
 from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
+
+
+def check_finite_non_negative(name: str, value: float) -> None:
+    """Reject a wear or age input that is negative, infinite or NaN (NaN
+    fails every comparison, so ``value < 0`` alone lets it through)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class PageReliabilitySampler:
@@ -45,8 +53,7 @@ class PageReliabilitySampler:
         operating_temp_c: Optional[float] = None,
         thermal: Optional[ThermalModel] = None,
     ):
-        if pe_cycles < 0:
-            raise ConfigError("pe_cycles must be non-negative")
+        check_finite_non_negative("pe_cycles", pe_cycles)
         self.pe_cycles = pe_cycles
         self.reliability = reliability or ReliabilityConfig()
         self.ecc = ecc or EccConfig()
@@ -67,18 +74,14 @@ class PageReliabilitySampler:
         # cold ages are pure in (seed, lpn) and workloads re-read the same
         # logical pages constantly — memoize the hash (repro.perf)
         self._cold_age_cache = MemoCache("reliability.cold_age")
-        # fused per-read fast path: everything except the read-disturb term
-        # is pure in (page, retention age), so a re-read costs one lookup
-        self._page_base_cache = MemoCache("reliability.page_base")
-        # Bound table references for the inline probes below.  MemoCache
-        # only ever clear()s its table in place, so these stay valid across
-        # evictions and invalidations; neither cache can store None, so
+        # Bound table reference for the inline probe below.  MemoCache
+        # only ever clear()s its table in place, so this stays valid across
+        # evictions and invalidations; the cache never stores None, so
         # ``table.get(key)`` doubles as the miss test.
         self._cold_age_table = self._cold_age_cache._table
-        self._page_base_table = self._page_base_cache._table
-        #: additive RBER per accumulated read at this wear level (x*1 is
-        #: exact in floating point, so this equals the model's coefficient)
-        self._disturb_per_read = self.model.read_disturb_rber(pe_cycles, 1)
+        #: the model's constants at this drive's wear (refreshed by
+        #: :meth:`advance_pe`), so a read evaluates only the curve
+        self._wear = self.model.wear_terms(pe_cycles)
 
     # --- retention ages ------------------------------------------------------------
 
@@ -131,8 +134,7 @@ class PageReliabilitySampler:
         ages both shift by the accumulated offset.  Cold ages are cached
         offset-inclusive, so the memo table is dropped here.
         """
-        if days < 0:
-            raise ConfigError(f"retention advance must be >= 0, got {days!r}")
+        check_finite_non_negative("retention advance", days)
         if days == 0:
             return
         self.retention_offset_days += days
@@ -141,16 +143,14 @@ class PageReliabilitySampler:
     def advance_pe(self, delta: float) -> None:
         """Advance the drive's wear by ``delta`` P/E cycles.
 
-        Recomputes the read-disturb coefficient and drops the per-page
-        base cache (its keys carry retention but not wear).
+        Recomputes the model's wear terms; the memoized strength factors
+        and cold ages do not depend on wear.
         """
-        if delta < 0:
-            raise ConfigError(f"P/E advance must be >= 0, got {delta!r}")
+        check_finite_non_negative("P/E advance", delta)
         if delta == 0:
             return
         self.pe_cycles += delta
-        self._disturb_per_read = self.model.read_disturb_rber(self.pe_cycles, 1)
-        self._page_base_cache.invalidate()
+        self._wear = self.model.wear_terms(self.pe_cycles)
 
     # --- RBER -----------------------------------------------------------------------
 
@@ -161,63 +161,18 @@ class PageReliabilitySampler:
         retention_days: float,
         read_count: int = 0,
     ) -> float:
-        """RBER of one sense of a physical page right now.
-
-        Decomposed as ``min(base + disturb, 0.5)`` with the read-count-free
-        ``base`` memoized per (page, age): the disturb term is non-negative,
-        so folding the model's 0.5 ceiling into the cached base and applying
-        it again here is exact (both clamps saturate together), and the
-        fast path is bit-identical to :meth:`RberModel.page_rber`.
+        """RBER of one sense of a physical page right now: the model's
+        :meth:`~repro.nand.rber.RberModel.page_rber` at this drive's wear,
+        with the retention age scaled by the thermal acceleration, from the
+        precomputed wear terms and the page's memoized strength factor.
         """
         if read_count < 0:
             raise ConfigError("read_count must be non-negative")
-        base = self._page_base(block_key, page, retention_days)
-        return min(base + self._disturb_per_read * read_count, 0.5)
-
-    def _page_base(self, block_key: Tuple[int, ...], page: int,
-                   retention_days: float) -> float:
-        """The memoized read-count-free base of :meth:`rber`.
-
-        Miss path hand-inlined with :meth:`MemoCache.get_or_compute`'s
-        exact counter discipline — page ages advance with simulated time,
-        so warm re-reads miss often enough that the lambda + double lookup
-        of the generic path showed up in profiles."""
-        key = (block_key, page, retention_days)
-        cache = self._page_base_cache
-        if _perf_cache._ENABLED:
-            table = self._page_base_table
-            base = table.get(key)
-            if base is not None:
-                cache.hits += 1
-                return base
-            cache.misses += 1
-            # Flattened miss path (perf layer only; the caches-disabled
-            # reference keeps the full object chain below).  Equivalent to
-            # ``model.page_rber(PageState(pe, ret, 0), bk, pg)`` step for
-            # step: same variation factor, same retention base, and the
-            # read-disturb term is exactly ``per_read*0``, so ``base +
-            # 0.0`` and the 0.5 ceiling reduce to ``min(base, 0.5)`` bit
-            # for bit (the base is strictly positive).
-            model = self.model
-            factor = model._page_variation(block_key, page)
-            base = min(model._retention_base(
-                self.pe_cycles, retention_days * self.thermal_acceleration,
-                factor), 0.5)
-            if len(table) >= cache.max_entries:
-                table.clear()
-                cache.evictions += 1
-            table[key] = base
-            return base
-        cache.misses += 1
-        return self.model.page_rber(
-            PageState(
-                pe_cycles=self.pe_cycles,
-                retention_days=retention_days * self.thermal_acceleration,
-                read_count=0,
-            ),
-            block_key,
-            page,
-        )
+        model = self.model
+        return model.rber_at(self._wear,
+                             retention_days * self.thermal_acceleration,
+                             model._page_variation(block_key, page),
+                             read_count)
 
     def exceeds_capability(self, rber: float) -> bool:
         """Whether a conventional read at this RBER enters read-retry."""
@@ -229,11 +184,9 @@ class PageReliabilitySampler:
         """Drop the sampler's and the underlying RBER model's memoized
         values."""
         self._cold_age_cache.invalidate()
-        self._page_base_cache.invalidate()
         self.model.invalidate_caches()
 
     def cache_stats(self) -> List[dict]:
         """JSON-ready hit/miss counters of this sampler and the underlying
         RBER model."""
-        return [self._cold_age_cache.stats().to_dict(),
-                self._page_base_cache.stats().to_dict()] + self.model.cache_stats()
+        return [self._cold_age_cache.stats().to_dict()] + self.model.cache_stats()

@@ -362,9 +362,9 @@ class SSDSimulator:
             )
 
     def cache_stats(self) -> List[dict]:
-        """JSON-ready hit/miss counters of the reliability sampler's and
-        outcome model's memo caches (see :mod:`repro.perf.cache`)."""
-        return self.sampler.cache_stats() + self.outcome_model.cache_stats()
+        """JSON-ready hit/miss counters of the reliability sampler's memo
+        caches (see :mod:`repro.perf.cache`)."""
+        return self.sampler.cache_stats()
 
     # --- fault mitigation (repro.faults) ---------------------------------------------
 

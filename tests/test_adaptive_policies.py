@@ -217,7 +217,7 @@ def test_fast_forward_invalidates_learned_state_and_shifts_ages():
     assert policy.export_state()["blocks"], "run learned nothing"
     version = policy.state_version
     age_before = ssd.sampler.cold_age_days(12345)
-    disturb_before = ssd.sampler._disturb_per_read
+    disturb_before = ssd.sampler._wear.per_read
     pe_before = ssd.pe_cycles
 
     fast_forward(ssd, retention_days=30.0, pe_delta=500.0)
@@ -228,7 +228,7 @@ def test_fast_forward_invalidates_learned_state_and_shifts_ages():
     assert ssd.pe_cycles == pe_before + 500.0
     assert ssd.sampler.pe_cycles == pe_before + 500.0
     # wear raises the read-disturb coefficient
-    assert ssd.sampler._disturb_per_read > disturb_before
+    assert ssd.sampler._wear.per_read > disturb_before
 
 
 def test_fast_forward_flushes_the_route_memo():

@@ -96,6 +96,14 @@ def test_spec_rejects_unknown_fields_and_modes():
     for bad in (0.0, -5.0, float("nan")):
         with pytest.raises(ConfigError, match="time_limit_us"):
             _fast_spec(mode="timed", time_limit_us=bad)
+    # non-finite wear or temperature would otherwise be content-hashed and
+    # then fail mid-run (or not at all)
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigError, match="RunSpec.pe_cycles"):
+            _fast_spec(pe_cycles=bad)
+    for bad in (float("nan"), float("inf"), -273.15):
+        with pytest.raises(ConfigError, match="RunSpec.operating_temp_c"):
+            _fast_spec(operating_temp_c=bad)
     with pytest.raises(ConfigError, match="valid workloads: Ali2, "):
         _fast_spec(workload="Ali999")
     with pytest.raises(ConfigError, match="unknown workload 'Ali999'"):

@@ -115,6 +115,13 @@ def test_population_validation():
         FleetSpec(n_drives=1, fault_rate=1.5)
     with pytest.raises(ConfigError, match="pe_cycles_range"):
         FleetSpec(n_drives=1, pe_cycles_range=(100.0, 50.0))
+    # NaN fails every comparison, so only an explicit finiteness check
+    # stops it from reaching every drive of the population
+    for field in ("pe_cycles_range", "retention_days_range", "temp_c_range"):
+        for bad in ((0.0, float("nan")), (float("nan"), 10.0),
+                    (0.0, float("inf"))):
+            with pytest.raises(ConfigError, match=field):
+                FleetSpec(n_drives=3, **{field: bad})
     with pytest.raises(ConfigError, match="at least one policy"):
         FleetSpec(n_drives=1, policies=())
     with pytest.raises(ConfigError, match="unknown FleetSpec"):

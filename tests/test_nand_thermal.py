@@ -61,8 +61,11 @@ def test_integration_with_rber_model(model):
 
 
 def test_validation(model):
-    with pytest.raises(ConfigError):
-        model.acceleration_factor(-300.0)
+    for bad in (-300.0, -273.15, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="temperature"):
+            model.acceleration_factor(bad)
+        with pytest.raises(ConfigError, match="reference_temp_c"):
+            ThermalConfig(reference_temp_c=bad)
     with pytest.raises(ConfigError):
         model.equivalent_days(-1.0, 40.0)
     with pytest.raises(ConfigError):

@@ -172,7 +172,12 @@ def test_profile_spec_reports_phases_and_subsystems():
     assert len(report.top_functions) == 5
     # resource probes aggregated by class, not instance
     assert any(key.startswith("plane:") for key in report.sim_busy_us)
-    assert any(c["name"] == "reliability.page_base" for c in report.cache_stats)
+    # a parametric drive keeps one memo table per key: lpn, page, block
+    names = [c["name"] for c in report.cache_stats]
+    assert names == ["reliability.cold_age", "rber.variation_factor",
+                     "rber.block_factor"]
     table = report.format_table()
     assert "hottest functions" in table
+    for name in names:  # one line per cache, straight from cache_stats()
+        assert f"  {name} " in table
     json.dumps(report.to_dict())  # JSON-ready

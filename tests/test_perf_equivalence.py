@@ -123,19 +123,20 @@ def test_repeated_queries_hit_cache():
     before = {s["name"]: s["hits"] for s in sampler.cache_stats()}
     _query_mix(sampler)
     after = {s["name"]: s["hits"] for s in sampler.cache_stats()}
-    assert after["reliability.page_base"] > before["reliability.page_base"]
     assert after["reliability.cold_age"] > before["reliability.cold_age"]
+    assert after["rber.variation_factor"] > before["rber.variation_factor"]
 
 
 def test_invalidate_caches_empties_tables():
     sampler = PageReliabilitySampler(pe_cycles=1000.0, seed=1)
-    _query_mix(sampler)
-    assert len(sampler._page_base_cache) > 0
+    tables = (sampler._cold_age_cache, sampler.model._factor_cache,
+              sampler.model._block_factor_cache)
+    first = _query_mix(sampler)
+    assert all(len(cache) > 0 for cache in tables)
     sampler.invalidate_caches()
-    assert len(sampler._page_base_cache) == 0
-    assert len(sampler._cold_age_cache) == 0
+    assert all(len(cache) == 0 for cache in tables)
     # results after invalidation are unchanged (cache is transparent)
-    assert _query_mix(sampler) == _query_mix(sampler)
+    assert _query_mix(sampler) == first
 
 
 # --- cache machinery ---------------------------------------------------------------

@@ -1,8 +1,12 @@
 """SSD-side reliability glue."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
+from repro.nand.rber import PageState
+from repro.perf.cache import caches_disabled
+from repro.ssd.lut_reliability import LutReliabilitySampler
 from repro.ssd.reliability import PageReliabilitySampler
 from repro.units import US_PER_DAY
 
@@ -58,3 +62,65 @@ def test_wear_raises_rber():
 def test_negative_pe_rejected():
     with pytest.raises(ConfigError):
         PageReliabilitySampler(pe_cycles=-1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_wear_and_age_rejected(bad):
+    with pytest.raises(ConfigError, match="pe_cycles"):
+        PageReliabilitySampler(pe_cycles=bad)
+    with pytest.raises(ConfigError, match="pe_cycles"):
+        LutReliabilitySampler(pe_cycles=bad, n_lut_blocks=1)
+    sampler = PageReliabilitySampler(pe_cycles=1000)
+    with pytest.raises(ConfigError, match="P/E advance"):
+        sampler.advance_pe(bad)
+    with pytest.raises(ConfigError, match="retention advance"):
+        sampler.advance_retention(bad)
+    assert sampler.pe_cycles == 1000
+    assert sampler.retention_offset_days == 0.0
+
+
+# --- the read path against the model --------------------------------------------
+
+
+@given(
+    pe=st.floats(min_value=0.0, max_value=4000.0),
+    age=st.floats(min_value=0.0, max_value=365.0),
+    read_count=st.integers(min_value=0, max_value=10**6),
+    temp=st.sampled_from([None, 25.0, 70.0]),
+    block=st.integers(min_value=0, max_value=1000),
+    page=st.integers(min_value=0, max_value=383),
+)
+@settings(max_examples=200, deadline=None)
+def test_sampler_rber_is_the_model_page_rber(pe, age, read_count, temp,
+                                             block, page):
+    """The sampler's hoisted wear terms and memoized strength factor give
+    the model's RBER bit for bit; the reference evaluates everything per
+    call, with the memo tables off."""
+    sampler = PageReliabilitySampler(pe_cycles=pe, seed=4,
+                                     operating_temp_c=temp)
+    key = (block % 4, block % 3, block % 2, block)
+    got = sampler.rber(key, page, age, read_count)
+    with caches_disabled():
+        want = sampler.model.page_rber(
+            PageState(pe, age * sampler.thermal_acceleration, read_count),
+            key, page)
+    assert got == want
+
+
+def _queries(sampler):
+    return [sampler.rber((0, 0, block % 2, block), page, 2.0 + 3.5 * block,
+                         read_count=rc)
+            for block in range(6) for page in range(4)
+            for rc in (0, 1000, 10**6)]
+
+
+def test_advance_pe_answers_like_a_sampler_built_at_the_new_wear():
+    advanced = PageReliabilitySampler(pe_cycles=1000, seed=4,
+                                      operating_temp_c=55.0)
+    before = _queries(advanced)  # fills the memo tables at the old wear
+    advanced.advance_pe(500)
+    fresh = PageReliabilitySampler(pe_cycles=1500, seed=4,
+                                   operating_temp_c=55.0)
+    after = _queries(advanced)
+    assert after == _queries(fresh)  # exact float equality
+    assert after != before
