@@ -24,6 +24,7 @@ from ..faults import FaultPlan
 from ..nand.thermal import check_temperature
 from ..ssd import SimulationResult, SSDSimulator
 from ..ssd.ecc_model import EccOutcomeModel
+from ..ssd.host import check_size
 from ..ssd.reliability import check_finite_non_negative
 from ..workloads import generate
 from ..workloads.synthetic import workload_spec
@@ -81,10 +82,7 @@ def check_sizing(owner) -> None:
     """``owner``'s :data:`SIZING_FIELDS` are ``None`` (the scale's default)
     or ints >= 1: a zero must not silently run the default."""
     for name in SIZING_FIELDS:
-        value = getattr(owner, name)
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise ConfigError(f"{type(owner).__name__}.{name} must be None "
-                              f"or an int >= 1, got {value!r}")
+        check_size(owner, name, getattr(owner, name))
 
 
 def _freeze_kwargs(value) -> Tuple[Tuple[str, object], ...]:

@@ -5,8 +5,10 @@ spends its time:
 
 * **Wall clock** — :func:`profile_spec` runs the spec's three phases
   (trace generation, simulator construction, event loop) under
-  ``cProfile``, buckets the cumulative time by ``repro`` subsystem, and
-  keeps the top functions by self-time.  This is the view that drove the
+  ``cProfile``, buckets the self time by ``repro`` subsystem, splits the
+  ``repro/ssd`` bucket by module (event loop, resources, pipeline
+  transitions, plan compile, reliability/ECC sampling, FTL, simulator),
+  and keeps the top functions by self-time.  This is the view that drove the
   memoization work: it shows *Python* cost, not simulated time.
 * **Simulated time** — the same run attaches a :class:`SimTracer` with
   resource probes enabled and aggregates the recorded occupancy spans
@@ -33,10 +35,25 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..campaign.spec import RunSpec, build_simulator, build_trace
 from ..obs.trace import SimTracer, TraceConfig
 
-#: Cumulative-time buckets, matched by module-path prefix (first hit wins).
+#: Self-time buckets, matched by module-path prefix (first hit wins).
 SUBSYSTEMS: Tuple[str, ...] = (
     "repro/ssd", "repro/nand", "repro/ldpc", "repro/workloads",
     "repro/perf", "repro/core", "repro/obs",
+)
+
+#: The ``repro/ssd`` bucket split by the layer a read crosses: group name
+#: and the module files in it.  Every other ``repro/ssd`` module (host
+#: drivers, metrics, refresh, energy) is ``other``, so the groups add up
+#: to the bucket.
+SSD_MODULES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    ("events", ("events.py",)),
+    ("resources", ("resources.py",)),
+    ("read_pipeline", ("read_pipeline.py",)),
+    ("retry_policies", ("retry_policies.py", "adaptive.py")),
+    ("reliability", ("reliability.py", "lut_reliability.py",
+                     "ecc_model.py")),
+    ("ftl", ("ftl.py",)),
+    ("simulator", ("simulator.py",)),
 )
 
 
@@ -68,6 +85,8 @@ class ProfileReport:
     #: simulated busy microseconds per (resource, tag)
     sim_busy_us: Dict[str, float]
     cache_stats: List[Dict[str, Any]] = field(default_factory=list)
+    #: the ``repro/ssd`` self time by module group (:data:`SSD_MODULES`)
+    ssd_modules: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -75,6 +94,7 @@ class ProfileReport:
             "total_seconds": self.total_seconds,
             "phases": self.phases,
             "subsystems": self.subsystems,
+            "ssd_modules": self.ssd_modules,
             "top_functions": [f.to_dict() for f in self.top_functions],
             "sim_busy_us": self.sim_busy_us,
             "cache_stats": self.cache_stats,
@@ -91,6 +111,11 @@ class ProfileReport:
         for name, secs in sorted(self.subsystems.items(),
                                  key=lambda kv: -kv[1]):
             lines.append(f"  {name:<18s} {secs:8.3f} s")
+        if self.ssd_modules:
+            lines.append("-- repro/ssd self-time by module --")
+            for name, secs in sorted(self.ssd_modules.items(),
+                                     key=lambda kv: -kv[1]):
+                lines.append(f"  {name:<18s} {secs:8.3f} s")
         lines.append("-- hottest functions (self time) --")
         for fn in self.top_functions:
             lines.append(f"  {fn.tottime:7.3f} s {fn.calls:>9d}x  {fn.where}")
@@ -114,6 +139,18 @@ def _bucket(path: str) -> Optional[str]:
         if prefix in norm:
             return prefix
     return "other" if "repro" in norm else None
+
+
+def _ssd_module(path: str) -> Optional[str]:
+    """The :data:`SSD_MODULES` group of a ``repro/ssd`` file, else None."""
+    norm = path.replace("\\", "/")
+    if "repro/ssd/" not in norm:
+        return None
+    filename = norm.rsplit("/", 1)[-1]
+    for group, files in SSD_MODULES:
+        if filename in files:
+            return group
+    return "other"
 
 
 def _short_location(func: Tuple[str, int, str]) -> str:
@@ -181,11 +218,15 @@ def profile_spec(
 
     stats = pstats.Stats(profiler)
     subsystems: Dict[str, float] = {}
+    ssd_modules: Dict[str, float] = {}
     rows: List[HotFunction] = []
     for func, (_cc, ncalls, tottime, cumtime, _callers) in stats.stats.items():
         bucket = _bucket(func[0])
         if bucket is not None:
             subsystems[bucket] = subsystems.get(bucket, 0.0) + tottime
+        group = _ssd_module(func[0])
+        if group is not None:
+            ssd_modules[group] = ssd_modules.get(group, 0.0) + tottime
         rows.append(HotFunction(_short_location(func), ncalls,
                                 tottime, cumtime))
     rows.sort(key=lambda r: -r.tottime)
@@ -198,4 +239,5 @@ def profile_spec(
         top_functions=rows[:top],
         sim_busy_us=_aggregate_sim_spans(tracer) if tracer is not None else {},
         cache_stats=ssd.cache_stats(),
+        ssd_modules=ssd_modules,
     )

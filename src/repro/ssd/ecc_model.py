@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..config import EccConfig
 from ..core.accuracy import RpAccuracyModel
@@ -41,10 +39,11 @@ class DecodeDraw:
 
 #: Uniform draws prefetched per ``Generator.random(n)`` call.  PCG64's
 #: ``random(n)`` returns exactly the next ``n`` doubles of the stream, so
-#: serving draws out of a prefetched chunk consumes the *same values in
-#: the same order* as one ``random()`` call per draw.  Every decode, RP
-#: and policy draw relies on that; ``tests/test_perf_equivalence.py``
-#: pins it across chunk boundaries.
+#: serving draws out of a prefetched chunk (kept as a Python list of those
+#: doubles) consumes the *same values in the same order* as one
+#: ``random()`` call per draw.  Every decode, RP and policy draw relies on
+#: that; ``tests/test_perf_equivalence.py`` pins it across chunk
+#: boundaries.
 _UNIFORM_CHUNK = 512
 
 
@@ -69,8 +68,11 @@ class EccOutcomeModel:
         self.retry_rber_factor = retry_rber_factor
         self.rng = make_rng(seed)
         # buffered uniform stream (see _next_uniform / _UNIFORM_CHUNK)
-        self._uniform_chunk: Optional[np.ndarray] = None
+        self._uniform_chunk: List[float] = []
         self._uniform_pos = 0
+        #: a failed decode burns the full iteration budget (what
+        #: ``latency.latency_us(rber, failed=True)`` returns)
+        self._t_failed = self.latency.ecc.t_ecc_max
 
     # --- the uniform stream ----------------------------------------------------------
 
@@ -80,11 +82,12 @@ class EccOutcomeModel:
         ``self.rng.random()`` once per draw; see :data:`_UNIFORM_CHUNK`)."""
         pos = self._uniform_pos
         chunk = self._uniform_chunk
-        if chunk is None or pos == len(chunk):
-            chunk = self._uniform_chunk = self.rng.random(_UNIFORM_CHUNK)
+        if pos == len(chunk):
+            chunk = self._uniform_chunk = (
+                self.rng.random(_UNIFORM_CHUNK).tolist())
             pos = 0
         self._uniform_pos = pos + 1
-        return float(chunk[pos])
+        return chunk[pos]
 
     # --- decode attempts -------------------------------------------------------------
 
@@ -97,7 +100,7 @@ class EccOutcomeModel:
         p_fail = self.failure_curve.failure_probability(rber)
         if self._next_uniform() >= p_fail:
             return True, self.latency.latency_us(rber, failed=False)
-        return False, self.latency.latency_us(rber, failed=True)
+        return False, self._t_failed
 
     def first_decode(self, rber: float) -> DecodeDraw:
         """Outcome of decoding the default-VREF sense."""

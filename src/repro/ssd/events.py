@@ -17,6 +17,7 @@ would have processed it.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Optional
 
 from ..errors import SimulationError
@@ -107,19 +108,26 @@ class Simulator:
         heap = self.events._heap
         pop = heapq.heappop
         push = heapq.heappush
+        horizon = math.inf if until is None else until
+        now = self.now
         batch: list = []
         # the lifetime total is folded in once on exit (the finally below)
         # instead of per event; nothing observes it mid-run
         try:
             while heap and not self._stopped:
-                time = heap[0][0]
-                if until is not None and time > until:
+                # pop first; an entry past the horizon goes back unchanged
+                # ((time, tie_break) is a total order, so the pop order
+                # is too)
+                entry = pop(heap)
+                time = entry[0]
+                if time > horizon:
+                    push(heap, entry)
                     self.now = until
                     break
-                if time < self.now:
+                if time < now:
+                    push(heap, entry)
                     raise SimulationError("event queue went backwards in time")
-                self.now = time
-                entry = pop(heap)
+                self.now = now = time
                 if not heap or heap[0][0] != time:
                     # singleton fast path: nothing shares this timestamp, so
                     # skip the batch bookkeeping entirely

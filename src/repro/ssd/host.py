@@ -11,8 +11,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..workloads.trace import Trace
+
+
+def check_size(owner, name: str, value) -> None:
+    """A size such as a driver's ``queue_depth`` / ``max_requests`` is
+    ``None`` (the default) or an int >= 1: a zero must not silently run
+    the default, and a negative must not issue nothing."""
+    if value is not None and (not isinstance(value, int) or value < 1):
+        raise ConfigError(f"{type(owner).__name__}.{name} must be None or "
+                          f"an int >= 1, got {value!r}")
 
 
 class ClosedLoopHost:
@@ -22,9 +31,12 @@ class ClosedLoopHost:
                  max_requests: Optional[int] = None):
         if len(trace) == 0:
             raise SimulationError("cannot drive an empty trace")
+        check_size(self, "queue_depth", queue_depth)
+        check_size(self, "max_requests", max_requests)
         self.ssd = ssd
         self.trace = trace
-        self.queue_depth = queue_depth or ssd.config.queue_depth
+        self.queue_depth = (queue_depth if queue_depth is not None
+                            else ssd.config.queue_depth)
         self.max_requests = min(
             max_requests if max_requests is not None else len(trace), len(trace)
         )
@@ -72,11 +84,12 @@ class MultiQueueHost:
             raise SimulationError("cannot drive an empty trace")
         if n_queues < 1:
             raise SimulationError("need at least one queue")
+        check_size(self, "queue_depth", queue_depth)
+        check_size(self, "max_requests", max_requests)
         self.ssd = ssd
         self.n_queues = n_queues
-        per_queue_depth = queue_depth or max(
-            1, ssd.config.queue_depth // n_queues
-        )
+        per_queue_depth = (queue_depth if queue_depth is not None
+                           else max(1, ssd.config.queue_depth // n_queues))
         limit = min(max_requests if max_requests is not None else len(trace),
                     len(trace))
         partitions = [
@@ -118,6 +131,7 @@ class TimedReplayHost:
             raise SimulationError("cannot drive an empty trace")
         if time_scale <= 0:
             raise SimulationError("time_scale must be positive")
+        check_size(self, "max_requests", max_requests)
         self.ssd = ssd
         self.trace = trace
         self.max_requests = min(

@@ -23,6 +23,19 @@ the contended resources of :mod:`repro.ssd.resources` by:
   their channel as ``pidx % channels`` (the stripe order of
   :class:`~repro.nand.geometry.AddressMapper`); nothing on the simulator's
   path builds a :class:`~repro.nand.geometry.PageAddress`.
+* **A closed-form host link**: every page crosses the host link in the
+  same time, so :class:`~repro.ssd.resources.HostLink` fixes a page's end
+  (``max(now, previous end) + page time``) when the page is handed over;
+  a decode that completes a read's plan finishes the read directly.  A
+  read page that is not its request's last frees its slot and schedules
+  nothing.  A request completes at the latest end of its pages: the last
+  page handed over schedules the completion at its end (the link is
+  FIFO), and a degraded page finishes when it degrades, so a request
+  whose last page degrades still waits for its pages on the link.
+  Writes schedule their channel DMA at their end.  Planes, channels and
+  decoders keep pushing each completion event when the job starts:
+  same-length jobs started together finish at one timestamp in push
+  order, and fixing their ends at enqueue changed all 26 golden digests.
 
 Ordering contracts (load-bearing — any deviation shows up as a timestamp
 diff, and ``tests/test_golden.py`` pins every output bit for bit):
@@ -43,7 +56,7 @@ diff, and ``tests/test_golden.py`` pins every output bit for bit):
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..errors import ReproError, RetryExhaustedError
 from .retry_policies import (
@@ -87,7 +100,6 @@ class ReadPipeline:
         self._t_dma = timings.t_dma
         self._t_prog = timings.t_prog
         self._t_erase = timings.t_erase
-        self._host_page_us = ssd._host_page_us
         # bound hot-path references (one attribute hop instead of two)
         self._planes = ssd.planes
         self._channels = ssd.channels
@@ -96,7 +108,8 @@ class ReadPipeline:
         self._planes_total = len(ssd.planes)
         self._n_channels = len(ssd.channels)
         self._decode = ssd.mapper.decode
-        self._account_plan = ssd._account_plan
+        self._snapshots = ssd.snapshots
+        self._request_done = ssd._request_done
         self.attach_tracer(ssd.tracer)
         self._build = PlanBuild()
         # ppn -> (block_key, page, plane, channel, ecc, read_key):
@@ -133,7 +146,7 @@ class ReadPipeline:
         self._xferdec_cb = self._xferdec_done
         self._s2x_cb = self._sense2x_done
         self._decode_cb = self._decode_done
-        self._host_cb = self._host_done
+        self._wdone_cb = self._write_done
         self._fault_cb = self._fault_sense_done
         self._advance_cb = self._advance
         self._whost_cb = self._write_host_done
@@ -176,19 +189,17 @@ class ReadPipeline:
         return i
 
     def _release(self, i: int) -> None:
+        # the route fields (plane, channel, ecc, label) are written by
+        # every start that reads them, so only state and faults reset
         del self._phases[i][:]
         self._state[i] = None
-        self._plane[i] = None
-        self._channel[i] = None
-        self._ecc[i] = None
         self._exhausted[i] = None
         self._fired[i] = None
-        self._label[i] = None
         self._free.append(i)
 
     # --- request entry -----------------------------------------------------
 
-    def start_reads(self, lpns: List[int], state) -> None:
+    def start_reads(self, lpns: Sequence[int], state) -> None:
         """Start one read request's pages, each through resolve -> inject
         -> sample -> compile -> dispatch -> relocate before the next one
         resolves; injection runs only on a drive with a fault injector,
@@ -266,7 +277,8 @@ class ReadPipeline:
 
     def _dispatch(self, lpn: int, route: tuple, rber: float, state,
                   retention: float, faults=None) -> None:
-        """Compile one page read's plan and start it along its route.
+        """Compile one page read's plan, count it in the metrics and start
+        it along its route.
 
         ``faults`` is the read's fired
         :class:`~repro.faults.ReadFaultDecision`, or ``None`` for a clean
@@ -278,7 +290,24 @@ class ReadPipeline:
         if self._stateful:
             self.policy.begin_read(route[0], retention)
         self.policy.plan_into(build, rber)
-        self._account_plan(build)
+        m = self.metrics
+        m.page_reads += 1
+        m.total_senses += build.senses
+        if build.retried:
+            m.retried_reads += 1
+        if build.in_die_retry:
+            m.in_die_retries += 1
+        m.uncorrectable_transfers += build.uncorrectable_transfers
+        predicted = build.rp_predicted_retry
+        if predicted is not None and predicted != build.retried:
+            m.rp_mispredicts += 1
+        if self._snapshots is not None:
+            # one window lookup for the whole plan, not three note() calls
+            per = self._snapshots.window_counters(self.sim.now)
+            per["page_reads"] = per.get("page_reads", 0.0) + 1
+            per["senses"] = per.get("senses", 0.0) + build.senses
+            if build.retried:
+                per["retried_reads"] = per.get("retried_reads", 0.0) + 1
         if self._trace_requests and state.traced:
             self.tracer.record_instant(
                 "read.plan", self.sim.now, request_id=state.request_id,
@@ -301,10 +330,8 @@ class ReadPipeline:
         self._ecc[i] = route[4]
         self._rid[i] = state.request_id
         self._traced[i] = state.traced
-        if self._want_label:
-            self._label[i] = label = f"R:lpn{lpn}"
-        else:
-            label = None
+        label = f"R:lpn{lpn}" if self._want_label else None
+        self._label[i] = label
         self._channel[i] = route[3]
         if faults is not None:
             self._exhausted[i] = exhausted
@@ -420,21 +447,25 @@ class ReadPipeline:
             self.tracer.record(self._label[i], channel.name,
                                channel.last_start, self.sim.now, phase[2],
                                kind="transfer", request_id=self._rid[i])
-        self._decode_start[i] = self.sim.now
+            self._decode_start[i] = self.sim.now
         self._ecc[i].decoder.occupy(phase[3], phase[2], self._decode_cb, i,
                                     self._label[i])
 
     def _decode_done(self, i: int) -> None:
-        ecc = self._ecc[i]
-        # release before recording/advancing: the freed slot kicks the gated
-        # channel, so a blocked transfer starts ahead of this read's next
-        # event
-        ecc.release_slot()
+        # release before recording/advancing: the freed slot starts the
+        # gated channel's head, so a blocked transfer starts ahead of this
+        # read's next event
+        self._channel[i].release_slot()
+        phases = self._phases[i]
+        cursor = self._cursor[i]
         if self._traced[i]:
-            phase = self._phases[i][self._cursor[i] - 1]
-            self.tracer.record(self._label[i], ecc.name,
-                               self._decode_start[i], self.sim.now, phase[2],
+            self.tracer.record(self._label[i], self._ecc[i].name,
+                               self._decode_start[i], self.sim.now,
+                               phases[cursor - 1][2],
                                kind="decode", request_id=self._rid[i])
+        if cursor == len(phases):
+            self._finish_read(i)  # the plan is done: skip the _advance hop
+            return
         self._advance(i)
 
     def _finish_read(self, i: int) -> None:
@@ -447,9 +478,23 @@ class ReadPipeline:
         fired = self._fired[i]
         if fired is not None:
             self.metrics.faults_absorbed += fired
-        self._host_link.occupy(self._host_page_us, "READ", self._host_cb, i)
+        self._to_host(i)
 
-    def _host_done(self, i: int) -> None:
+    def _to_host(self, i: int) -> None:
+        """Hand a read page to the host link and free its slot.  Only the
+        request's last page schedules an event: the request completes when
+        that page has crossed, the latest end of its pages (host-link ends
+        only grow, and a degraded page finished earlier)."""
+        state = self._state[i]
+        self._release(i)
+        remaining = state.remaining - 1
+        state.remaining = remaining
+        if remaining:
+            state.done_us = self._host_link.book("READ")
+        else:
+            self._host_link.occupy("READ", self._request_done, state)
+
+    def _write_done(self, i: int) -> None:
         state = self._state[i]
         self._release(i)
         self.ssd._page_done(state)
@@ -472,14 +517,13 @@ class ReadPipeline:
         self._state[i] = state
         self._plane[i] = self._planes[pidx]
         self._channel[i] = self._channels[pidx % self._n_channels]
-        self._host_link.occupy(self._host_page_us, "WRITE", self._whost_cb, i)
+        self._host_link.occupy("WRITE", self._whost_cb, i)
 
     def _write_host_done(self, i: int) -> None:
         self._channel[i].occupy(self._t_dma, TAG_WRITE, self._wdma_cb, i)
 
     def _write_dma_done(self, i: int) -> None:
-        # program completion is release-then-_page_done: exactly _host_done
-        self._plane[i].occupy(self._t_prog, TAG_WRITE, self._host_cb, i)
+        self._plane[i].occupy(self._t_prog, TAG_WRITE, self._wdone_cb, i)
 
     def start_relocation(self, copies, erased) -> None:
         """Start an FTL operation's internal traffic: the ``(src_ppn,

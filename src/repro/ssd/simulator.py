@@ -10,7 +10,7 @@ compiles every page read into a timed phase plan; the
 :class:`~repro.ssd.read_pipeline.ReadPipeline` walks those plans (and every
 write and GC copy) through the contended resources of
 :mod:`repro.ssd.resources`.  This class is the wiring plus the accounting
-the pipeline shares: plan and completion metrics, degraded reads, fault
+the pipeline shares: request completion, degraded reads, fault
 mitigation and the Fig.-18 channel-usage breakdown.
 
 Use :meth:`SSDSimulator.run_trace` for whole-workload runs, or
@@ -34,6 +34,7 @@ bit-identical to an untraced one):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 from ..config import SSDConfig
@@ -58,8 +59,8 @@ from .host import ClosedLoopHost, TimedReplayHost
 from .metrics import ChannelUsage, SimMetrics
 from .read_pipeline import ReadPipeline
 from .reliability import PageReliabilitySampler
-from .resources import Channel, Ecc, Fifo
-from .retry_policies import TAG_GC, TAG_WRITE, PlanBuild, make_policy
+from .resources import Channel, Ecc, Fifo, HostLink
+from .retry_policies import TAG_GC, TAG_WRITE, make_policy
 
 
 #: Legacy names for the structured tracer — same classes, same ``events``
@@ -121,16 +122,19 @@ class SimulationResult:
 
 
 class _RequestState:
-    """Tracks completion of a multi-page host request."""
+    """Tracks completion of a multi-page host request: ``remaining`` pages
+    are unfinished, and ``done_us`` is the latest end of the finished ones
+    (a read page finishes once it is booked on the host link)."""
 
-    __slots__ = ("remaining", "started_us", "is_read", "bytes", "on_complete",
-                 "request_id", "traced")
+    __slots__ = ("remaining", "started_us", "done_us", "is_read", "bytes",
+                 "on_complete", "request_id", "traced")
 
     def __init__(self, remaining: int, started_us: float, is_read: bool,
                  nbytes: int, on_complete: Optional[Callable[[], None]],
                  request_id: int = 0, traced: bool = False):
         self.remaining = remaining
         self.started_us = started_us
+        self.done_us = started_us
         self.is_read = is_read
         self.bytes = nbytes
         self.on_complete = on_complete
@@ -220,7 +224,10 @@ class SSDSimulator:
         #: un-gated traffic may bypass a decoder-stalled read (the channel
         #: keeps moving write data during ECCWAIT)
         self.channel_arbitration = channel_arbitration
-        self.host_link = Fifo(self.sim, "host")
+        self._page_size = g.page_size
+        self._host_page_us = (self._page_size
+                              / self.config.bandwidth.host_bytes_per_us)
+        self.host_link = HostLink(self.sim, "host", self._host_page_us)
         self.planes = [
             Fifo(self.sim, f"plane{i}") for i in range(g.total_planes)
         ]
@@ -250,9 +257,6 @@ class SSDSimulator:
                                               channels=g.channels)
             for channel in self.channels:
                 channel.attach_probe(self.snapshots.observe_span)
-
-        self._page_size = g.page_size
-        self._host_page_us = self._page_size / self.config.bandwidth.host_bytes_per_us
 
         # --- fault injection (repro.faults) ---
         self.fault_plan = fault_plan
@@ -308,22 +312,16 @@ class SSDSimulator:
     def submit_request(self, request: IORequest,
                        on_complete: Optional[Callable[[], None]] = None) -> None:
         """Admit one host request; pages fan out immediately."""
-        lpns = list(request.lpns(self._page_size))
+        lpns = request.lpns(self._page_size)
         request_id = self._requests_submitted
         self._requests_submitted += 1
-        traced = (self.tracer is not None
-                  and self.tracer.trace_request(request_id))
-        state = _RequestState(
-            remaining=len(lpns),
-            started_us=self.sim.now,
-            is_read=request.is_read,
-            nbytes=request.size_bytes,
-            on_complete=on_complete,
-            request_id=request_id,
-            traced=traced,
-        )
-        if traced and self.tracer.config.trace_requests:
-            self.tracer.record_instant(
+        tracer = self._tracer
+        traced = tracer is not None and tracer.trace_request(request_id)
+        state = _RequestState(len(lpns), self.sim.now, request.is_read,
+                              request.size_bytes, on_complete, request_id,
+                              traced)
+        if traced and tracer.config.trace_requests:
+            tracer.record_instant(
                 "request.queued", self.sim.now, request_id=request_id,
                 args={"op": "read" if request.is_read else "write",
                       "bytes": request.size_bytes, "pages": len(lpns)},
@@ -342,6 +340,7 @@ class SSDSimulator:
         self.metrics.elapsed_us = self.sim.now
         for channel in self.channels:
             channel.finalize()
+        self.host_link.finalize()
         # history-driven policies: snapshot learned state and hit/miss
         # counters into the metrics so result JSON (and thus the campaign
         # cache and fleet rollups) carries them; idempotent on re-entry
@@ -417,30 +416,22 @@ class SSDSimulator:
         self.metrics.disturb_relocations += 1
         self._pipeline.start_relocation(*relocation)
 
-    def _account_plan(self, plan: PlanBuild) -> None:
-        m = self.metrics
-        m.page_reads += 1
-        m.total_senses += plan.senses
-        m.retried_reads += int(plan.retried)
-        m.in_die_retries += int(plan.in_die_retry)
-        m.uncorrectable_transfers += plan.uncorrectable_transfers
-        if plan.rp_predicted_retry is not None:
-            m.rp_mispredicts += int(plan.rp_predicted_retry != plan.retried)
-        if self.snapshots is not None:
-            # one window lookup for the whole plan — this runs per page
-            # read, so three separate note() calls are measurable
-            per = self.snapshots.window_counters(self.sim.now)
-            per["page_reads"] = per.get("page_reads", 0.0) + 1
-            per["senses"] = per.get("senses", 0.0) + plan.senses
-            if plan.retried:
-                per["retried_reads"] = per.get("retried_reads", 0.0) + 1
-
     # --- completion & metrics ---------------------------------------------------------------------
 
     def _page_done(self, state: _RequestState) -> None:
+        """A page of ``state`` finished now (a write programmed, a read
+        degraded).  The request completes with its last page, at the
+        latest end of its pages: an earlier read page may still be
+        crossing the host link."""
         state.remaining -= 1
         if state.remaining > 0:
             return
+        if state.done_us > self.sim.now:
+            self.sim.at(state.done_us, partial(self._request_done, state))
+            return
+        self._request_done(state)
+
+    def _request_done(self, state: _RequestState) -> None:
         latency = self.sim.now - state.started_us
         if state.is_read:
             self.metrics.host_read_bytes += state.bytes

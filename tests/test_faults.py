@@ -23,6 +23,7 @@ from repro.nand.chip import FlashDie
 from repro.nand.geometry import AddressMapper
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.metrics import SimMetrics
+from repro.ssd.resources import HostLink
 from repro.ssd.simulator import SSDSimulator
 from repro.units import KIB
 from repro.workloads import generate
@@ -275,6 +276,78 @@ def test_retiring_read_samples_the_relocated_page(monkeypatch):
     home = AddressMapper(config.geometry).address(ssd.ftl.current_ppn(0))
     assert home.block != 0
     assert sampled == [(home.block_key(), home.page)]
+
+
+def test_retiring_read_samples_the_read_count_of_the_new_home(monkeypatch):
+    """The read that retires a grown-bad block samples the read count that
+    re-resolving it through ``ftl.read`` returned (the new block's), not
+    the retired block's."""
+    plan = FaultPlan(faults=(
+        # the fourth read of block 0 retires it
+        FaultSpec(kind="grown_bad_block", block=0, start_read=3, count=1),
+    ))
+    ssd = SSDSimulator(small_test_config(), policy="SSDzero", seed=3,
+                       fault_plan=plan)
+    sampled, resolved = [], []
+    rber, read = ssd.sampler.rber, ssd.ftl.read
+
+    def spy_rber(block_key, page, retention_days, read_count=0):
+        sampled.append(read_count)
+        return rber(block_key, page, retention_days, read_count)
+
+    def spy_read(lpn):
+        resolved.append(read(lpn))
+        return resolved[-1]
+
+    monkeypatch.setattr(ssd.sampler, "rber", spy_rber)
+    monkeypatch.setattr(ssd.ftl, "read", spy_read)
+    for _ in range(4):  # lpn 0 (ppn 0, block 0) read one page at a time
+        ssd.submit_request(IORequest(ssd.sim.now, "R", 0, 16 * KIB))
+        ssd.run()
+    assert ssd.metrics.retired_blocks == 1
+    assert len(resolved) == 1  # only the retiring read re-resolves
+    assert sampled == [1, 2, 3, resolved[0][2]]
+    assert resolved[0][2] == 1  # the new home had not been read
+
+
+def test_degraded_last_page_completes_at_the_host_link_end(monkeypatch):
+    """A read whose last outstanding page degrades while an earlier page
+    is still crossing the host link completes when that page has crossed,
+    not when the last page degraded."""
+    plan = FaultPlan(max_retries=0, faults=(
+        # the read's second page: one corrupt transfer, no re-transfer
+        FaultSpec(kind="channel_corrupt", start_read=1, count=1),
+    ))
+    ssd = SSDSimulator(small_test_config(), policy="SSDzero", seed=3,
+                       fault_plan=plan, channel_arbitration=True)
+    booked, degraded_at, done_at = [], [], []
+    book = HostLink.book
+
+    def book_spy(link, tag):
+        end = book(link, tag)
+        booked.append((tag, ssd.sim.now, end))
+        return end
+
+    monkeypatch.setattr(HostLink, "book", book_spy)
+    degraded_read = ssd._degraded_read
+
+    def spy(state, error):
+        degraded_at.append(ssd.sim.now)
+        degraded_read(state, error)
+
+    monkeypatch.setattr(ssd, "_degraded_read", spy)
+    # 64 write pages keep the host link busy for 131 us; arbitration lets
+    # the read's transfers pass their DMAs
+    ssd.submit_request(IORequest(0.0, "W", 1024 * KIB, 1024 * KIB))
+    ssd.submit_request(IORequest(0.0, "R", 0, 32 * KIB),
+                       on_complete=lambda: done_at.append(ssd.sim.now))
+    ssd.run()
+    reads = [(at, end) for tag, at, end in booked if tag == "READ"]
+    assert len(reads) == 1 and ssd.metrics.degraded_reads == 1
+    (first_booked_at, first_end), = reads
+    assert first_booked_at < degraded_at[0] < first_end
+    assert done_at == [first_end]
+    assert ssd.metrics.read_latencies_us == [first_end]
 
 
 def test_ecc_saturation_produces_eccwait():

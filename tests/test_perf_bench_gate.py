@@ -169,6 +169,12 @@ def test_profile_spec_reports_phases_and_subsystems():
     assert set(report.phases) == {"build_trace", "build_simulator", "run_trace"}
     assert report.total_seconds > 0
     assert "repro/ssd" in report.subsystems
+    # the ssd bucket split by module: every group a read crosses, adding
+    # up to the bucket
+    assert {"events", "resources", "read_pipeline", "retry_policies",
+            "reliability", "ftl", "simulator"} <= set(report.ssd_modules)
+    assert sum(report.ssd_modules.values()) == pytest.approx(
+        report.subsystems["repro/ssd"])
     assert len(report.top_functions) == 5
     # resource probes aggregated by class, not instance
     assert any(key.startswith("plane:") for key in report.sim_busy_us)
@@ -178,6 +184,7 @@ def test_profile_spec_reports_phases_and_subsystems():
                      "rber.block_factor"]
     table = report.format_table()
     assert "hottest functions" in table
+    assert "repro/ssd self-time by module" in table
     for name in names:  # one line per cache, straight from cache_stats()
         assert f"  {name} " in table
     json.dumps(report.to_dict())  # JSON-ready

@@ -69,8 +69,8 @@ def test_ungated_job_bypasses_stalled_head():
     longer blocks a write transfer behind it."""
     sim = Simulator()
     channel, ecc = _channel(sim, arbitrated=True)
-    ecc.reserve_slot()  # decoder buffer full until t=100
-    sim.after(100.0, ecc.release_slot)
+    ecc.slots_in_use = 1  # a decode holds the one buffer slot until t=100
+    sim.after(100.0, channel.release_slot)
     names = ("read", "write")
     done = []
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import small_test_config
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.ssd.host import ClosedLoopHost, TimedReplayHost
 from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
@@ -141,3 +141,37 @@ def test_multiqueue_validation():
     trace = generate("Ali2", n_requests=5, user_pages=2000, seed=1)
     with pytest.raises(SimulationError):
         MultiQueueHost(ssd, trace, n_queues=0)
+
+
+@pytest.mark.parametrize("driver", ["closed", "multi"])
+@pytest.mark.parametrize("queue_depth", [0, -3, 2.5])
+def test_bad_queue_depth_rejected(driver, queue_depth):
+    """A zero depth must not silently run the config's default, and a
+    negative one must not issue nothing."""
+    from repro.ssd.host import MultiQueueHost
+
+    trace = generate("Ali121", n_requests=20, user_pages=2000, seed=1)
+    host = ClosedLoopHost if driver == "closed" else MultiQueueHost
+    with pytest.raises(ConfigError, match="queue_depth"):
+        host(_ssd(), trace, queue_depth=queue_depth)
+
+
+@pytest.mark.parametrize("driver", ["closed", "multi", "timed"])
+@pytest.mark.parametrize("max_requests", [0, -1])
+def test_bad_max_requests_rejected(driver, max_requests):
+    from repro.ssd.host import MultiQueueHost
+
+    trace = generate("Ali121", n_requests=20, user_pages=2000, seed=1)
+    host = {"closed": ClosedLoopHost, "multi": MultiQueueHost,
+            "timed": TimedReplayHost}[driver]
+    with pytest.raises(ConfigError, match="max_requests"):
+        host(_ssd(), trace, max_requests=max_requests)
+
+
+@pytest.mark.parametrize("kwargs", [{"queue_depth": 0},
+                                    {"queue_depth": -3},
+                                    {"max_requests": -1}])
+def test_run_trace_rejects_bad_sizes(kwargs):
+    trace = generate("Ali121", n_requests=20, user_pages=2000, seed=1)
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        _ssd().run_trace(trace, **kwargs)

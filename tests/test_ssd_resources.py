@@ -99,43 +99,58 @@ def test_finalize_closes_open_block():
 
 
 def test_ecc_slots_reserve_release():
+    """The channel reserves a decoder slot when a gated transfer starts
+    and frees one per release_slot(); freeing a free slot is an error."""
     sim = Simulator()
-    ecc = Ecc(sim, "ecc", buffer_pages=2)
-    assert ecc.can_reserve()
-    ecc.reserve_slot()
-    ecc.reserve_slot()
-    assert not ecc.can_reserve()
-    ecc.release_slot()
-    assert ecc.can_reserve()
+    channel, ecc = _gated_channel(sim, buffer_pages=2)
+    channel.occupy(1.0, "T", None, gated=True)
+    channel.occupy(1.0, "T", None, gated=True)
+    sim.run()
+    assert ecc.slots_in_use == 2
+    channel.release_slot()
+    assert ecc.slots_in_use == 1
     with pytest.raises(SimulationError):
-        ecc.release_slot()
-        ecc.release_slot()
+        channel.release_slot()
+        channel.release_slot()
 
 
 def test_ecc_overflow_rejected():
+    """A full decoder buffer is never over-reserved: the next gated
+    transfer waits for a release instead."""
     sim = Simulator()
-    ecc = Ecc(sim, "ecc", buffer_pages=1)
-    ecc.reserve_slot()
-    with pytest.raises(SimulationError):
-        ecc.reserve_slot()
+    channel, ecc = _gated_channel(sim, buffer_pages=1)
+    done = []
+    channel.occupy(1.0, "T", done.append, 0, gated=True)
+    channel.occupy(1.0, "T", done.append, 1, gated=True)
+    sim.run()
+    assert done == [0]
+    assert ecc.slots_in_use == ecc.peak_slots_in_use == 1
+    channel.release_slot()
+    sim.run()
+    assert done == [0, 1]
+    assert ecc.peak_slots_in_use == 1
 
 
 def test_decode_releases_slot_and_notifies():
+    """A decode completion frees its slot through the channel, which
+    starts the gated transfer waiting for it at that instant."""
     sim = Simulator()
-    ecc = Ecc(sim, "ecc", buffer_pages=1)
-    released = []
-    ecc.subscribe_on_release(lambda: released.append(sim.now))
-    ecc.reserve_slot()
+    channel, ecc = _gated_channel(sim, buffer_pages=1)
     done = []
 
-    def decoded(i):
-        ecc.release_slot()
-        done.append((i, sim.now))
+    def transferred(i):
+        done.append(("transferred", i, sim.now))
+        ecc.decoder.occupy(4.0, "COR", decoded, i)
 
-    ecc.decoder.occupy(4.0, "COR", decoded, 3)
+    def decoded(i):
+        channel.release_slot()
+        done.append(("decoded", i, sim.now))
+
+    channel.occupy(1.0, "COR", transferred, 0, gated=True)  # 0-1, decode 1-5
+    channel.occupy(1.0, "COR", transferred, 1, gated=True)  # 5-6, decode 6-10
     sim.run()
-    assert done == [(3, 4.0)]
-    assert released == [4.0]
+    assert done == [("transferred", 0, 1.0), ("decoded", 0, 5.0),
+                    ("transferred", 1, 6.0), ("decoded", 1, 10.0)]
     assert ecc.slots_in_use == 0
 
 
@@ -152,7 +167,7 @@ def test_full_buffer_stalls_channel_until_decode_done():
         ecc.decoder.occupy(decode_us[i], "COR", decoded, i)
 
     def decoded(i):
-        ecc.release_slot()
+        channel.release_slot()
         finished.append((labels[i], sim.now))
 
     channel.occupy(10.0, "COR", transferred, 0, gated=True)  # 0-10, decode 10-40
