@@ -22,6 +22,7 @@ from ..config import SSDConfig, small_test_config
 from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..nand.thermal import check_temperature
+from ..obs.trace import TraceConfig
 from ..ssd import SimulationResult, SSDSimulator
 from ..ssd.ecc_model import EccOutcomeModel
 from ..ssd.host import check_size
@@ -291,10 +292,11 @@ def build_trace(spec: RunSpec) -> Trace:
 
 def build_simulator(spec: RunSpec,
                     snapshot_interval_us: Optional[float] = None,
-                    keep_raw_latencies: bool = True) -> SSDSimulator:
+                    trace_config: Optional[TraceConfig] = None
+                    ) -> SSDSimulator:
     """Construct the fully-wired simulator the spec describes.
 
-    ``snapshot_interval_us`` and ``keep_raw_latencies`` are *observability*
+    ``snapshot_interval_us`` and ``trace_config`` are *observability*
     knobs, deliberately not :class:`RunSpec` fields: they never change a
     result (the obs layer is passive), so they must not perturb the spec's
     content hash or cache identity.
@@ -318,7 +320,7 @@ def build_simulator(spec: RunSpec,
         channel_arbitration=spec.channel_arbitration,
         fault_plan=spec.fault_plan,
         snapshot_interval_us=snapshot_interval_us,
-        keep_raw_latencies=keep_raw_latencies,
+        trace_config=trace_config,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 from typing import Optional
 
 from ..config import SSDConfig
-from ..obs import SimTracer, TraceConfig, write_chrome_trace
+from ..obs import TraceConfig, write_chrome_trace
 from ..ssd.ecc_model import ScriptedEccOutcomeModel
 from ..ssd.simulator import SSDSimulator
 from ..units import KIB
@@ -52,14 +52,13 @@ def _scripted_model(policy: str) -> ScriptedEccOutcomeModel:
 
 def run_timeline(policy: str):
     """Run the scenario for one policy; returns (makespan_us, tracer)."""
-    tracer = SimTracer(TraceConfig(enabled=True))
     ssd = SSDSimulator(
         _timeline_config(),
         policy=policy,
         pe_cycles=0.0,
         seed=1,
         outcome_model=_scripted_model(policy),
-        tracer=tracer,
+        trace_config=TraceConfig(enabled=True),
     )
     request = IORequest(timestamp_us=0.0, op="R", offset_bytes=0,
                         size_bytes=256 * KIB)
@@ -68,7 +67,7 @@ def run_timeline(policy: str):
     ssd.run()
     if not done["flag"]:
         raise AssertionError("timeline request did not complete")
-    return ssd.sim.now, tracer
+    return ssd.sim.now, ssd.tracer
 
 
 @register("fig7", "Execution timeline of a 256-KiB read (SSDzero/SSDone/RiF)")

@@ -1,20 +1,24 @@
 """Observability: structured tracing, streaming metrics, telemetry.
 
-The simulator's diagnostic substrate (ISSUE 3).  Everything in this
-package is **zero-RNG and passive** — enabling any of it never changes a
-simulation result, which the determinism tests pin down bit-for-bit.
+The simulator's diagnostic substrate.  Everything in this package is
+**zero-RNG and passive** — enabling any of it never changes a simulation
+result, which the determinism tests pin down bit-for-bit.  The engine
+feeds its per-phase observers two inputs only: the resource probes and
+:class:`~repro.ssd.metrics.SimMetrics`.
 
-* :mod:`.trace` — :class:`TraceConfig` / :class:`SimTracer`: per-request
-  lifecycle spans (queued -> sense -> RP/RVS decision -> transfer ->
-  decode -> retry hops), full resource-occupancy streams, and instant
-  events, with deterministic request-index sampling and an event budget.
+* :mod:`.trace` — :class:`TraceConfig` / :class:`SimTracer`: one
+  resource-occupancy stream from the probes (the read-path phase view of
+  the Fig. 7/8 timelines is part of it), per-request lifecycle spans and
+  instant events, with deterministic request-index sampling and an event
+  budget.
 * :mod:`.export` — Chrome ``trace_event`` JSON (one track per
   channel/die, loadable in ``chrome://tracing``/Perfetto), compact JSONL,
   a schema validator for CI, and the ``report-trace`` summary helpers.
 * :mod:`.histogram` — :class:`LatencyHistogram`, the O(1)-memory
   log-bucketed replacement for unbounded per-request latency lists.
 * :mod:`.snapshots` — :class:`SnapshotRecorder`: fixed-window channel
-  usage + counter time-series (bandwidth / ECCWAIT over time).
+  usage (a channel probe) + the per-window change of every SLO counter
+  and the host bytes (read off the metrics at each window edge).
 * :mod:`.telemetry` — JSONL sinks and live status lines the campaign
   progress reporters stream through.
 * :mod:`.registry` — the labeled metric plane: :class:`MetricRegistry`

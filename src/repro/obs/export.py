@@ -58,17 +58,9 @@ def _span_dict(ev: SpanEvent, tid: int) -> dict:
 
 
 def chrome_trace(tracer: SimTracer, title: str = "repro-ssd") -> dict:
-    """Render a tracer to a Chrome ``trace_event`` JSON object.
-
-    Resource tracks come from the full occupancy stream when the tracer
-    has one (the simulator attaches probes whenever tracing is enabled);
-    otherwise the read-path phase spans serve as the fallback, so a
-    hand-constructed tracer still exports.
-    """
-    spans: List[SpanEvent] = list(
-        tracer.resource_spans if tracer.resource_spans else tracer.events
-    )
-    spans += tracer.request_spans
+    """Render a tracer to a Chrome ``trace_event`` JSON object: one track
+    per resource from the occupancy stream, plus the request spans."""
+    spans: List[SpanEvent] = tracer.resource_spans + tracer.request_spans
     tracks = sorted({ev.resource for ev in spans}, key=_resource_sort_key)
     if tracer.instants:
         tracks.append("sim")

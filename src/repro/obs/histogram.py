@@ -54,14 +54,13 @@ class LatencyHistogram:
             )
         if self.buckets_per_decade < 1:
             raise SimulationError("buckets_per_decade must be >= 1")
-
-    # --- geometry ---------------------------------------------------------
-
-    @property
-    def n_buckets(self) -> int:
-        return math.ceil(
+        #: grid size, fixed with the grid (a plain attribute, not a field,
+        #: so ``==`` and :meth:`to_dict` see only the grid itself)
+        self.n_buckets = math.ceil(
             math.log10(self.hi_us / self.lo_us) * self.buckets_per_decade
         )
+
+    # --- geometry ---------------------------------------------------------
 
     @property
     def relative_error(self) -> float:

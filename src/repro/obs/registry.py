@@ -283,12 +283,16 @@ class MetricRegistry:
 
 # --- scraping the simulator --------------------------------------------------
 
-#: SimMetrics counter fields and the registry names they scrape into.
-_METRIC_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
+#: The host-byte counters: registry name, SimMetrics field, help.
+HOST_BYTE_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
     ("ssd_host_read_bytes_total", "host_read_bytes",
      "bytes returned to the host"),
     ("ssd_host_write_bytes_total", "host_write_bytes",
      "bytes accepted from the host"),
+)
+
+#: SimMetrics counter fields and the registry names they scrape into.
+_METRIC_COUNTERS: Tuple[Tuple[str, str, str], ...] = HOST_BYTE_COUNTERS + (
     ("ssd_page_reads_total", "page_reads", "page reads issued"),
     ("ssd_page_writes_total", "page_writes", "page programs issued"),
     ("ssd_senses_total", "total_senses", "NAND sense operations"),
@@ -314,6 +318,19 @@ _RETRY_HOPS: Tuple[Tuple[str, str], ...] = (
     ("in_die", "in_die_retries"),
     ("fault", "fault_retries"),
 )
+
+
+def metrics_field(family: str, labels: Dict[str, str]) -> str:
+    """The :class:`~repro.ssd.metrics.SimMetrics` field a scraped counter
+    child reads: the inverse of the scrape for one (family, labels)
+    pair, e.g. ``("ssd_retries_total", {"hop": "in_die"})`` ->
+    ``"in_die_retries"``."""
+    if family == "ssd_retries_total":
+        return dict(_RETRY_HOPS)[labels["hop"]]
+    for name, attr, _help in _METRIC_COUNTERS:
+        if name == family:
+            return attr
+    raise ConfigError(f"{family!r} is not scraped from a SimMetrics field")
 
 
 def _scrape_sim_metrics(registry: MetricRegistry, metrics,

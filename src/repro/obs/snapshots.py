@@ -3,26 +3,42 @@
 End-of-run aggregates say *that* a policy lost bandwidth; the per-window
 series says *when*.  :class:`SnapshotRecorder` bins the simulator's channel
 occupancy stream into fixed windows of ``interval_us`` and pairs each
-window with the counter deltas (page reads, retries, host bytes, faults)
-that landed in it — a :class:`UsageSnapshot` per window, i.e. Fig. 18 as a
-time-series plus a bandwidth curve.
+window with the change of the run's counters over it — a
+:class:`UsageSnapshot` per window, i.e. Fig. 18 as a time-series plus a
+bandwidth curve.
 
-The recorder is completely passive: it consumes the same resource probes
-the tracer does and never touches the event queue, so a run with
-snapshots enabled is bit-identical to one without.  Spans crossing a
-window boundary are split exactly, so summing any tag over all windows
-reproduces the end-of-run :class:`~repro.ssd.metrics.ChannelUsage` total
-to float precision.
+The recorder has two inputs and schedules nothing.  Channel busy time
+comes from the channel probes; spans crossing a window edge are split
+exactly, so summing any tag over all windows reproduces the end-of-run
+:class:`~repro.ssd.metrics.ChannelUsage` total to float precision.  The
+counters (:data:`WINDOW_COUNTERS`: every SLO event of
+:data:`~repro.obs.slo.EVENT_COUNTERS` and the host bytes) are read off
+:class:`~repro.ssd.metrics.SimMetrics`: ``SSDSimulator.run`` pauses the
+event loop just before each window edge and calls
+:meth:`SnapshotRecorder.close_window`, which stores each counter's change
+since the window opened.  A counter bumped at time ``t`` lands in the
+window holding ``t``; an event at an edge belongs to the later window.
+A run with snapshots on is bit-identical to one without.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..units import bytes_per_us_to_mb_per_s
+from .registry import HOST_BYTE_COUNTERS, metrics_field
+from .slo import EVENT_COUNTERS
+
+#: Window counter name -> the SimMetrics field it is the change of: every
+#: SLO event (named as in :data:`~repro.obs.slo.EVENT_COUNTERS`) and the
+#: two host-byte counters, resolved through the registry's scrape table.
+WINDOW_COUNTERS: Tuple[Tuple[str, str], ...] = tuple(
+    (event, metrics_field(family, labels))
+    for event, (family, labels) in EVENT_COUNTERS.items()
+) + tuple((attr, attr) for _name, attr, _help in HOST_BYTE_COUNTERS)
 
 
 @dataclass
@@ -34,7 +50,7 @@ class UsageSnapshot:
     channels: int
     #: channel busy/blocked time by Fig.-18 tag (COR/UNCOR/WRITE/GC/ECCWAIT)
     busy_us: Dict[str, float] = field(default_factory=dict)
-    #: counter deltas binned into this window (page_reads, host_read_bytes, ...)
+    #: each :data:`WINDOW_COUNTERS` counter's change over this window
     counters: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -76,12 +92,14 @@ class UsageSnapshot:
 
 
 class SnapshotRecorder:
-    """Accumulates per-window channel busy time and counter deltas.
+    """Accumulates per-window channel busy time and counter changes.
 
     Wire :meth:`observe_span` as a channel probe
-    (:meth:`~repro.ssd.resources.Fifo.attach_probe`) and call
-    :meth:`note` from the metric hooks; :meth:`finalize` closes the last
-    partial window and freezes the series.
+    (:meth:`~repro.ssd.resources.Fifo.attach_probe`), call
+    :meth:`close_window` at each pause before :attr:`window_end`, and
+    :meth:`finalize` to close the last window and freeze the series.
+    ``metrics`` is anything with the :data:`WINDOW_COUNTERS` fields (the
+    simulator passes its :class:`~repro.ssd.metrics.SimMetrics`).
     """
 
     def __init__(self, interval_us: float, channels: int):
@@ -94,25 +112,28 @@ class SnapshotRecorder:
         self.interval_us = interval_us
         self.channels = channels
         self._busy: Dict[int, Dict[str, float]] = {}
+        #: counter changes of the windows in which some counter changed
         self._counters: Dict[int, Dict[str, float]] = {}
+        #: counter totals when the open window opened
+        self._opened: Dict[str, float] = {
+            name: 0 for name, _attr in WINDOW_COUNTERS}
+        #: index of the window the counters accumulate in, and its end
+        self._open = 0
+        self.window_end = interval_us
         self._snapshots: Optional[List[UsageSnapshot]] = None
-        # Open-window caches for the two hook hot paths.  These hooks fire
-        # once per channel span / once per read plan — ~100k times in a
-        # short run — and simulated time only moves forward, so almost
-        # every call lands in the same window as the previous one.  The
-        # cached (lo, hi, dict) triple turns the common case into two
-        # float compares, no division and no index lookup.
+        # Open-window cache for the span hook: it fires once per channel
+        # span, simulated time only moves forward, so almost every span
+        # lands in the same window as the previous one.  The cached
+        # (lo, hi, dict) triple turns the common case into two float
+        # compares, no division and no index lookup.
         self._span_lo = 0.0
         self._span_hi = interval_us
         self._span_busy = self._busy[0] = {}
-        self._cnt_lo = 0.0
-        self._cnt_hi = interval_us
-        self._cnt_per = self._counters[0] = {}
 
     # --- recording hooks --------------------------------------------------
 
     def observe_span(self, resource: str, tag: str, start_us: float,
-                     end_us: float, label: Optional[str] = None) -> None:
+                     end_us: float, label: Optional[tuple] = None) -> None:
         """Bin one occupancy/blocked interval, splitting across windows."""
         del resource, label
         if start_us >= self._span_lo and end_us <= self._span_hi:
@@ -145,34 +166,36 @@ class SnapshotRecorder:
         self._span_hi = self._span_lo + interval
         self._span_busy = per
 
-    def note(self, name: str, t_us: float, value: float = 1) -> None:
-        """Bin a counter increment (e.g. one page read, N host bytes)."""
-        per = self.window_counters(t_us)
-        per[name] = per.get(name, 0.0) + value
+    def close_window(self, metrics, next_us: float) -> None:
+        """Store the open window's counter changes and open the window
+        holding ``next_us``, the next event's time (windows skipped on
+        the way saw no event, so no counter changed in them)."""
+        self._store(metrics)
+        index = max(self._open + 1, int(next_us // self.interval_us))
+        self._open = index
+        self.window_end = (index + 1) * self.interval_us
 
-    def window_counters(self, t_us: float) -> Dict[str, float]:
-        """The mutable counter dict for ``t_us``'s window — lets a hook
-        that bins several counters at the same instant (per-plan
-        accounting does three) pay the window lookup once."""
-        if self._cnt_lo <= t_us < self._cnt_hi:
-            return self._cnt_per
-        index = int(t_us // self.interval_us)
-        per = self._counters.get(index)
-        if per is None:
-            per = self._counters[index] = {}
-        self._cnt_lo = index * self.interval_us
-        self._cnt_hi = self._cnt_lo + self.interval_us
-        self._cnt_per = per
-        return per
+    def _store(self, metrics) -> None:
+        totals = {name: getattr(metrics, attr)
+                  for name, attr in WINDOW_COUNTERS}
+        if totals != self._opened:
+            opened = self._opened
+            self._counters[self._open] = {
+                name: float(value - opened[name])
+                for name, value in totals.items()}
+            self._opened = totals
 
     # --- results ----------------------------------------------------------
 
-    def finalize(self, elapsed_us: float) -> None:
-        """Freeze the series covering [0, elapsed_us]."""
+    def finalize(self, elapsed_us: float, metrics) -> None:
+        """Close the open window and freeze the series covering
+        [0, elapsed_us]."""
+        self._store(metrics)
         # An elapsed time landing exactly on a window edge closes that
         # window rather than opening an empty one after it.
         span_windows = int(math.ceil(elapsed_us / self.interval_us)) - 1
         last = max([span_windows, 0] + list(self._busy) + list(self._counters))
+        zeros = dict.fromkeys(self._opened, 0.0)
         snapshots = []
         for index in range(last + 1):
             start = index * self.interval_us
@@ -182,7 +205,7 @@ class SnapshotRecorder:
                 end_us=end if end > start else start + self.interval_us,
                 channels=self.channels,
                 busy_us=self._busy.get(index, {}),
-                counters=self._counters.get(index, {}),
+                counters=self._counters.get(index, dict(zeros)),
             ))
         self._snapshots = snapshots
 

@@ -1,21 +1,27 @@
-"""Structured tracing: per-request spans and resource occupancy streams.
+"""Structured tracing: resource occupancy, request spans and instants.
 
-:class:`SimTracer` is the one recorder every instrumentation hook in the
-simulator feeds.  It keeps three deterministic, append-only streams:
+:class:`SimTracer` is the one recorder the simulator's trace hooks feed.
+It keeps three deterministic, append-only streams:
 
-* ``events`` — the read-path *phase spans* (SENSE / TRANSFER / DECODE /
-  FAULT) the simulator records per traced page read, labelled with the
-  logical page and owning host request.  This is the stream the Fig. 7/8
-  timeline experiments consume (:meth:`SimTracer.by_resource`).
 * ``resource_spans`` — *every* occupancy interval of the instrumented
   hardware resources (channels, planes, host link, decoders), including
-  WRITE/GC/ERASE traffic and the channels' ECCWAIT blocked intervals.
-  Summing this stream per channel reproduces the Fig.-18
+  WRITE/GC/ERASE traffic and the channels' ECCWAIT blocked intervals,
+  recorded once, from the resource probes.  A read job's probe label
+  names its page and its request, so the spans of a read carry the
+  request id.  Summing this stream per channel reproduces the Fig.-18
   :class:`~repro.ssd.metrics.ChannelUsage` breakdown exactly — the
   reconciliation test of the observability layer.
-* ``instants`` + ``request_spans`` — point events (request queued/done,
-  the RP/RVS plan decision with its retry-hop summary, die commands) and
-  one whole-lifecycle span per traced host request.
+* ``request_spans`` — one whole-lifecycle span per traced host request.
+* ``instants`` — point events (request queued/done, the RP/RVS plan
+  decision with its retry-hop summary, the run's cache statistics).
+
+The read-path *phase view* the Fig. 7/8 timeline experiments consume
+(:attr:`SimTracer.events`, :meth:`SimTracer.by_resource`) is not a
+stream of its own: it is the part of ``resource_spans`` that belongs to
+requests traced under ``trace_requests`` — senses and fault retries on
+the planes, transfers on the channels and decodes on the decoders
+(``ecc<i>.decoder``, from decode start; a page's decoder wait is the gap
+between its transfer's end and its decode's start).
 
 Everything here is RNG-free and passive: recording only reads the clock,
 never schedules events, so a traced run is bit-identical to an untraced
@@ -26,6 +32,7 @@ the full one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -36,19 +43,19 @@ from ..errors import ConfigError
 class TraceConfig:
     """What to trace.  Off by default; tracing never perturbs results.
 
-    ``sample_every=k`` traces host requests whose submission index is a
-    multiple of k (request 0 is always traced); resource occupancy and
-    blocked intervals are not per-request and are either all captured
-    (``trace_resources``) or not at all.  ``max_events`` caps the total
-    event count across all streams — beyond it events are counted in
-    :attr:`SimTracer.dropped` instead of stored, so a runaway trace
-    degrades to a counter rather than exhausting memory.
+    An enabled trace records every resource occupancy interval.
+    ``trace_requests`` adds the request-level spans and instants and the
+    phase view; ``sample_every=k`` restricts those to host requests whose
+    submission index is a multiple of k (request 0 is always traced).
+    ``max_events`` caps the total event count across all streams — beyond
+    it events are counted in :attr:`SimTracer.dropped` instead of stored,
+    so a runaway trace degrades to a counter rather than exhausting
+    memory.
     """
 
     enabled: bool = False
     sample_every: int = 1
     max_events: Optional[int] = None
-    trace_resources: bool = True
     trace_requests: bool = True
 
     def __post_init__(self) -> None:
@@ -64,13 +71,9 @@ class TraceConfig:
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """One timed interval on a named track.
-
-    Field names are shared with the legacy ``TimelineEvent`` (``label``,
-    ``resource``, ``start_us``, ``end_us``, ``tag``) so pre-existing
-    consumers keep working; ``kind`` and ``request_id`` are the structured
-    additions.
-    """
+    """One timed interval on a named track: a resource occupancy
+    (``kind="occupancy"``, with the owning request's id on a read job's
+    spans) or a host request's lifecycle (``kind="request"``)."""
 
     label: str
     resource: str
@@ -105,21 +108,25 @@ def _freeze_args(args: Optional[dict]) -> tuple:
 
 
 class SimTracer:
-    """Deterministic recorder of spans, occupancies, and instant events.
+    """Deterministic recorder of occupancies, request spans and instants.
 
     Constructing a tracer directly (``SimTracer()``) enables tracing of
-    everything — the behaviour of the legacy ``TimelineTracer``.  Pass a
-    :class:`TraceConfig` to sample or bound the trace.
+    everything.  Pass a :class:`TraceConfig` to sample or bound the
+    trace.
     """
 
     def __init__(self, config: Optional[TraceConfig] = None):
         self.config = config or TraceConfig(enabled=True)
-        self.events: List[SpanEvent] = []
         self.resource_spans: List[SpanEvent] = []
         self.request_spans: List[SpanEvent] = []
         self.instants: List[InstantEvent] = []
+        #: events stored across all streams (kept as a running count: the
+        #: budget check runs for every recorded event)
+        self.total_events: int = 0
         #: events discarded once ``max_events`` was hit
         self.dropped: int = 0
+        budget = self.config.max_events
+        self._budget = math.inf if budget is None else budget
 
     # --- admission --------------------------------------------------------
 
@@ -128,38 +135,26 @@ class SimTracer:
         return (self.config.enabled
                 and request_index % self.config.sample_every == 0)
 
-    @property
-    def total_events(self) -> int:
-        return (len(self.events) + len(self.resource_spans)
-                + len(self.request_spans) + len(self.instants))
-
     def _admit(self) -> bool:
-        budget = self.config.max_events
-        if budget is not None and self.total_events >= budget:
+        if self.total_events >= self._budget:
             self.dropped += 1
             return False
+        self.total_events += 1
         return True
 
     # --- recording hooks --------------------------------------------------
 
-    def record(self, label: str, resource: str, start_us: float,
-               end_us: float, tag: str, kind: str = "",
-               request_id: Optional[int] = None) -> None:
-        """Record one read-path phase span (legacy ``TimelineTracer`` API)."""
-        if self._admit():
-            self.events.append(SpanEvent(label, resource, start_us, end_us,
-                                         tag, kind, request_id))
-
     def record_resource(self, resource: str, tag: str, start_us: float,
-                        end_us: float, label: Optional[str] = None) -> None:
+                        end_us: float, label: Optional[tuple] = None) -> None:
         """Probe target for :meth:`~repro.ssd.resources.Fifo.attach_probe`:
         one occupancy (or ECCWAIT blocked) interval of a hardware
-        resource."""
+        resource.  ``label`` is ``None`` or, for a read job, the pair
+        ``(page label, request id)``."""
         if self._admit():
+            text, request_id = (tag, None) if label is None else label
             self.resource_spans.append(SpanEvent(
-                label or tag, resource, start_us, end_us, tag,
-                kind="occupancy",
-            ))
+                text, resource, start_us, end_us, tag, "occupancy",
+                request_id))
 
     def record_request_span(self, request_id: int, label: str,
                             start_us: float, end_us: float,
@@ -180,8 +175,19 @@ class SimTracer:
 
     # --- views ------------------------------------------------------------
 
+    @property
+    def events(self) -> List[SpanEvent]:
+        """The read-path phase view: the occupancy spans of the read jobs
+        of requests traced under ``trace_requests``, in recording order
+        (the same :class:`SpanEvent` objects ``resource_spans`` holds)."""
+        if not self.config.trace_requests:
+            return []
+        every = self.config.sample_every
+        return [ev for ev in self.resource_spans
+                if ev.request_id is not None and ev.request_id % every == 0]
+
     def by_resource(self) -> Dict[str, List[SpanEvent]]:
-        """Read-path phase spans grouped by resource (legacy view)."""
+        """The phase view (:attr:`events`) grouped by resource."""
         out: Dict[str, List[SpanEvent]] = {}
         for ev in self.events:
             out.setdefault(ev.resource, []).append(ev)

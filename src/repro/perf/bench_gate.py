@@ -57,9 +57,10 @@ SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 0.15
 MICRO_FLOOR = 2.0
 #: The metrics plane must stay passive in cost as well as in behaviour: a
-#: fully metered cell (snapshot recorder on + registry scrape) may run at
-#: most 5% slower than the unmetered run, i.e. its "speedup" ratio
-#: (unmetered / metered) must stay above 1/1.05.  This floor is exempt
+#: fully metered cell (registry scrape, fleet rollup and SLO evaluation;
+#: the snapshot recorder stays off) may run at most 5% slower than the
+#: unmetered run, i.e. its "speedup" ratio (unmetered / metered) must stay
+#: above 1/1.05.  This floor is exempt
 #: from ``tolerance`` — relaxing an overhead cap with the same knob that
 #: relaxes optimization floors would quietly licence slow metrics.
 OVERHEAD_FLOOR = 1.0 / 1.05

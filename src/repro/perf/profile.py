@@ -10,12 +10,15 @@ spends its time:
   transitions, plan compile, reliability/ECC sampling, FTL, simulator),
   and keeps the top functions by self-time.  This is the view that drove the
   memoization work: it shows *Python* cost, not simulated time.
-* **Simulated time** — the same run attaches a :class:`SimTracer` with
-  resource probes enabled and aggregates the recorded occupancy spans
+* **Simulated time** — the same run is built with a resource-only
+  :class:`TraceConfig` (``trace_requests=False``), so its tracer stores
+  just the occupancy spans of the resource probes, and aggregates them
   into per-resource / per-tag busy-time totals.  This is the view that
   says where the *modeled hardware* spends its microseconds, and it is a
   pure piggyback on the observability layer — no extra instrumentation
-  on the hot path.
+  on the hot path.  ``trace_dropped`` counts the spans the event budget
+  turned away; when it is non-zero the busy times cover only the start
+  of the run, and the table says so.
 
 The report also snapshots the run's memo-cache counters so a profile
 always states its cache regime (a cold-cache profile looks nothing like a
@@ -87,6 +90,9 @@ class ProfileReport:
     cache_stats: List[Dict[str, Any]] = field(default_factory=list)
     #: the ``repro/ssd`` self time by module group (:data:`SSD_MODULES`)
     ssd_modules: Dict[str, float] = field(default_factory=dict)
+    #: trace events dropped at the event budget (``sim_busy_us`` then
+    #: stops short of the run's end)
+    trace_dropped: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -98,6 +104,7 @@ class ProfileReport:
             "top_functions": [f.to_dict() for f in self.top_functions],
             "sim_busy_us": self.sim_busy_us,
             "cache_stats": self.cache_stats,
+            "trace_dropped": self.trace_dropped,
         }
 
     def format_table(self) -> str:
@@ -121,6 +128,10 @@ class ProfileReport:
             lines.append(f"  {fn.tottime:7.3f} s {fn.calls:>9d}x  {fn.where}")
         if self.sim_busy_us:
             lines.append("-- simulated busy time by resource:tag (us) --")
+            if self.trace_dropped:
+                lines.append(f"  warning: {self.trace_dropped} trace events "
+                             "dropped at the event budget; busy times stop "
+                             "short of the run's end")
             for key, us in sorted(self.sim_busy_us.items(),
                                   key=lambda kv: -kv[1]):
                 lines.append(f"  {key:<24s} {us:14.1f}")
@@ -190,10 +201,9 @@ def profile_spec(
     """
     profiler = cProfile.Profile()
     phases: Dict[str, float] = {}
-    tracer = SimTracer(TraceConfig(
-        enabled=True, trace_resources=trace_resources,
-        trace_requests=False, max_events=max_trace_events,
-    )) if trace_resources else None
+    trace_config = TraceConfig(
+        enabled=True, trace_requests=False, max_events=max_trace_events,
+    ) if trace_resources else None
 
     wall0 = time.perf_counter()
     profiler.enable()
@@ -201,14 +211,7 @@ def profile_spec(
     trace = build_trace(spec)
     phases["build_trace"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ssd = build_simulator(spec)
-    if tracer is not None:
-        # the same wiring SSDSimulator does when built with a trace_config
-        ssd.tracer = tracer
-        for resource in (*ssd.channels, *ssd.planes, ssd.host_link):
-            resource.attach_probe(tracer.record_resource)
-        for ecc in ssd.eccs:
-            ecc.decoder.attach_probe(tracer.record_resource)
+    ssd = build_simulator(spec, trace_config=trace_config)
     phases["build_simulator"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     ssd.run_trace(trace, **spec.run_kwargs())
@@ -231,6 +234,7 @@ def profile_spec(
                                 tottime, cumtime))
     rows.sort(key=lambda r: -r.tottime)
 
+    tracer = ssd.tracer
     return ProfileReport(
         spec=spec.to_dict(),
         total_seconds=total,
@@ -240,4 +244,5 @@ def profile_spec(
         sim_busy_us=_aggregate_sim_spans(tracer) if tracer is not None else {},
         cache_stats=ssd.cache_stats(),
         ssd_modules=ssd_modules,
+        trace_dropped=tracer.dropped if tracer is not None else 0,
     )

@@ -27,13 +27,7 @@ from .retry_policies import (
 )
 from .ftl import PageMapFtl
 from .metrics import SimMetrics, ChannelUsage, percentile
-from .simulator import (
-    RESULT_SCHEMA_VERSION,
-    SSDSimulator,
-    SimulationResult,
-    TimelineEvent,
-    TimelineTracer,
-)
+from .simulator import RESULT_SCHEMA_VERSION, SSDSimulator, SimulationResult
 from .adaptive import (
     ADAPTIVE_POLICIES,
     AdaptivePolicy,
@@ -65,8 +59,6 @@ __all__ = [
     "SSDSimulator",
     "SimulationResult",
     "RESULT_SCHEMA_VERSION",
-    "TimelineTracer",
-    "TimelineEvent",
     "ClosedLoopHost",
     "MultiQueueHost",
     "TimedReplayHost",

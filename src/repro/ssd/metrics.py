@@ -10,11 +10,11 @@ separately so read-oriented comparisons stay clean.
 Latency distributions are kept two ways: streaming
 :class:`~repro.obs.histogram.LatencyHistogram` buckets (always on, O(1)
 memory — the path million-request campaigns use) and, by default, the raw
-per-request lists the original experiments were written against.  Pass
-``keep_raw_latencies=False`` (:class:`SimMetrics` field, forwarded by
-:class:`~repro.ssd.simulator.SSDSimulator`) to drop the raw lists;
-percentiles and CDFs then come from the histogram at its documented
-bucket resolution.
+per-request lists the original experiments were written against.  Set
+the :class:`SimMetrics` field ``keep_raw_latencies`` to ``False`` (on a
+simulator, ``ssd.metrics.keep_raw_latencies = False`` before the run) to
+drop the raw lists; percentiles and CDFs then come from the histogram at
+its documented bucket resolution.
 """
 
 from __future__ import annotations

@@ -42,15 +42,19 @@ diff, and ``tests/test_golden.py`` pins every output bit for bit):
 
 * gated channel entries reserve their decoder-buffer slot when the
   transfer *starts*; the slot is released when the decode completes,
-  **before** the decode's trace span is recorded and the plan advances
-  (release kicks the channel, so a waiting transfer starts within the same
-  callback, ahead of the advancing read's next event);
+  **before** the plan advances (release kicks the channel, so a waiting
+  transfer starts within the same callback, ahead of the advancing read's
+  next event);
 * each page of a request runs its whole sequence — resolve, inject,
   sample, compile, dispatch, relocate — before the next page resolves:
   fault mitigation and read-disturb relocation move pages, and the
   request's later pages must see where they moved;
 * a write enqueues its GC copies and erases (FTL order) before its host
   transfer.
+
+The pipeline feeds no observer.  It counts each compiled plan in the
+metrics and labels each read job ``(page label, request id)`` when a
+tracer is attached; the resource probes report the job's occupancy.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class ReadPipeline:
 
     Every in-flight page read owns a *slot* — an index into a set of
     parallel arrays (phase tuples, cursor, owning resources, fault state,
-    trace fields).  Transitions are methods bound once per pipeline and
+    probe label).  Transitions are methods bound once per pipeline and
     called with the slot index by the resource that completes the phase,
     so steady-state execution allocates nothing per phase.  Slots are
     pooled through a free list and reused.
@@ -108,9 +112,13 @@ class ReadPipeline:
         self._planes_total = len(ssd.planes)
         self._n_channels = len(ssd.channels)
         self._decode = ssd.mapper.decode
-        self._snapshots = ssd.snapshots
         self._request_done = ssd._request_done
-        self.attach_tracer(ssd.tracer)
+        tracer = ssd.tracer
+        self.tracer = tracer
+        #: read jobs carry a probe label only when a tracer records it
+        self._want_label = tracer is not None
+        self._trace_requests = (tracer is not None
+                                and tracer.config.trace_requests)
         self._build = PlanBuild()
         # ppn -> (block_key, page, plane, channel, ecc, read_key):
         # everything the dispatch needs, pure in ppn (geometry and wiring
@@ -132,17 +140,12 @@ class ReadPipeline:
         self._ecc: List[object] = []
         self._exhausted: List[Optional[ReproError]] = []
         self._fired: List[Optional[int]] = []  # injected faults, None=clean
-        self._label: List[Optional[str]] = []
-        self._rid: List[int] = []
-        self._traced: List[bool] = []
-        self._decode_start: List[float] = []
+        self._label: List[Optional[tuple]] = []
         self._fault_round: List[int] = []
         self._fault_failures: List[int] = []
         self._gc_in: List[object] = []         # GC copy: inbound channel
         self._gc_dst: List[object] = []        # GC copy: destination plane
         # transitions, bound once; resources call them as cb(slot)
-        self._sense_cb = self._sense_done
-        self._xfer_cb = self._xfer_done
         self._xferdec_cb = self._xferdec_done
         self._s2x_cb = self._sense2x_done
         self._decode_cb = self._decode_done
@@ -154,16 +157,6 @@ class ReadPipeline:
         self._gc_sense_cb = self._gc_sense_done
         self._gc_out_cb = self._gc_out_done
         self._gc_in_cb = self._gc_in_done
-
-    def attach_tracer(self, tracer) -> None:
-        """(Re)bind trace wiring — called from the simulator's ``tracer``
-        setter so post-construction attachment (profiling tooling) works."""
-        self.tracer = tracer
-        #: labels feed trace spans and resource probes; skip building the
-        #: per-read string entirely on untraced runs
-        self._want_label = tracer is not None
-        self._trace_requests = (tracer is not None
-                                and tracer.config.trace_requests)
 
     # --- slot pool ---------------------------------------------------------
 
@@ -179,9 +172,6 @@ class ReadPipeline:
         self._exhausted.append(None)
         self._fired.append(None)
         self._label.append(None)
-        self._rid.append(0)
-        self._traced.append(False)
-        self._decode_start.append(0.0)
         self._fault_round.append(0)
         self._fault_failures.append(0)
         self._gc_in.append(None)
@@ -301,13 +291,6 @@ class ReadPipeline:
         predicted = build.rp_predicted_retry
         if predicted is not None and predicted != build.retried:
             m.rp_mispredicts += 1
-        if self._snapshots is not None:
-            # one window lookup for the whole plan, not three note() calls
-            per = self._snapshots.window_counters(self.sim.now)
-            per["page_reads"] = per.get("page_reads", 0.0) + 1
-            per["senses"] = per.get("senses", 0.0) + build.senses
-            if build.retried:
-                per["retried_reads"] = per.get("retried_reads", 0.0) + 1
         if self._trace_requests and state.traced:
             self.tracer.record_instant(
                 "read.plan", self.sim.now, request_id=state.request_id,
@@ -328,9 +311,8 @@ class ReadPipeline:
         self._state[i] = state
         self._plane[i] = route[2]
         self._ecc[i] = route[4]
-        self._rid[i] = state.request_id
-        self._traced[i] = state.traced
-        label = f"R:lpn{lpn}" if self._want_label else None
+        label = ((f"R:lpn{lpn}", state.request_id) if self._want_label
+                 else None)
         self._label[i] = label
         self._channel[i] = route[3]
         if faults is not None:
@@ -356,13 +338,8 @@ class ReadPipeline:
         self._advance(i)
 
     def _sense2x_done(self, i: int) -> None:
-        """Fused sense-completion of the two-phase fast path: record the
-        span (traced runs) and start the gated transfer directly."""
-        if self._traced[i]:
-            plane = self._plane[i]
-            self.tracer.record(self._label[i], plane.name, plane.last_start,
-                               self.sim.now, "SENSE", kind="sense",
-                               request_id=self._rid[i])
+        """Fused sense-completion of the two-phase fast path: start the
+        gated transfer directly."""
         phase = self._phases[i][1]
         self._channel[i].occupy(phase[1], phase[2], self._xferdec_cb, i,
                                 self._label[i], gated=True, priority=1)
@@ -406,64 +383,27 @@ class ReadPipeline:
             return
         self._cursor[i] = cursor + 1
         kind, duration, tag, decode_us = phases[cursor]
-        traced = self._traced[i]
         if kind == K_SENSE:
-            # untraced completions skip the span-recording handler frame
-            # and re-enter _advance directly
-            self._plane[i].occupy(
-                duration, "SENSE",
-                self._sense_cb if traced else self._advance_cb, i,
-                self._label[i])
+            self._plane[i].occupy(duration, "SENSE", self._advance_cb, i,
+                                  self._label[i])
         elif decode_us is None:
-            self._channel[i].occupy(
-                duration, tag,
-                self._xfer_cb if traced else self._advance_cb, i,
-                self._label[i], gated=False, priority=1)
+            self._channel[i].occupy(duration, tag, self._advance_cb, i,
+                                    self._label[i], gated=False, priority=1)
         else:
             self._channel[i].occupy(duration, tag, self._xferdec_cb, i,
                                     self._label[i], gated=True, priority=1)
 
-    def _sense_done(self, i: int) -> None:
-        if self._traced[i]:
-            plane = self._plane[i]
-            self.tracer.record(self._label[i], plane.name, plane.last_start,
-                               self.sim.now, "SENSE", kind="sense",
-                               request_id=self._rid[i])
-        self._advance(i)
-
-    def _xfer_done(self, i: int) -> None:
-        if self._traced[i]:
-            channel = self._channel[i]
-            tag = self._phases[i][self._cursor[i] - 1][2]
-            self.tracer.record(self._label[i], channel.name,
-                               channel.last_start, self.sim.now, tag,
-                               kind="transfer", request_id=self._rid[i])
-        self._advance(i)
-
     def _xferdec_done(self, i: int) -> None:
         phase = self._phases[i][self._cursor[i] - 1]
-        if self._traced[i]:
-            channel = self._channel[i]
-            self.tracer.record(self._label[i], channel.name,
-                               channel.last_start, self.sim.now, phase[2],
-                               kind="transfer", request_id=self._rid[i])
-            self._decode_start[i] = self.sim.now
         self._ecc[i].decoder.occupy(phase[3], phase[2], self._decode_cb, i,
                                     self._label[i])
 
     def _decode_done(self, i: int) -> None:
-        # release before recording/advancing: the freed slot starts the
-        # gated channel's head, so a blocked transfer starts ahead of this
-        # read's next event
+        # release before advancing: the freed slot starts the gated
+        # channel's head, so a blocked transfer starts ahead of this read's
+        # next event
         self._channel[i].release_slot()
-        phases = self._phases[i]
-        cursor = self._cursor[i]
-        if self._traced[i]:
-            self.tracer.record(self._label[i], self._ecc[i].name,
-                               self._decode_start[i], self.sim.now,
-                               phases[cursor - 1][2],
-                               kind="decode", request_id=self._rid[i])
-        if cursor == len(phases):
+        if self._cursor[i] == len(self._phases[i]):
             self._finish_read(i)  # the plan is done: skip the _advance hop
             return
         self._advance(i)
@@ -571,11 +511,6 @@ class ReadPipeline:
         times, waiting ``retry_backoff_us * round`` between attempts, then
         gives up (degraded read)."""
         ssd = self.ssd
-        if self._traced[i]:
-            plane = self._plane[i]
-            self.tracer.record(self._label[i], plane.name, plane.last_start,
-                               self.sim.now, "FAULT", kind="fault",
-                               request_id=self._rid[i])
         fault_plan = ssd.fault_plan
         nxt = self._fault_round[i] + 1
         backoff = fault_plan.retry_backoff_us * nxt

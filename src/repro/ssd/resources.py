@@ -46,16 +46,11 @@ from ..errors import SimulationError
 
 
 class Fifo:
-    """Strict-FIFO serial resource (planes, decode units).
-
-    ``last_start`` holds the start time of the most recently finished job
-    so completion handlers can record exact spans without a per-job
-    closure.
-    """
+    """Strict-FIFO serial resource (planes, decode units)."""
 
     __slots__ = ("sim", "name", "busy_time_by_tag", "jobs_completed",
-                 "last_start", "_queue", "_busy", "_probes", "_cur",
-                 "_finish_cb", "_events")
+                 "_queue", "_busy", "_probes", "_cur", "_finish_cb",
+                 "_events")
 
     def __init__(self, sim, name: str):
         self.sim = sim
@@ -65,7 +60,6 @@ class Fifo:
         self._busy = False
         self.busy_time_by_tag: Dict[str, float] = {}
         self.jobs_completed: int = 0
-        self.last_start: float = 0.0
         self._probes: List[Callable] = []
         #: the in-flight job as one tuple — (duration, tag, cb, slot,
         #: label, start) — written once per start, read once per finish
@@ -74,7 +68,7 @@ class Fifo:
 
     def occupy(self, duration: float, tag: str,
                cb: Optional[Callable[[int], None]], slot: int = 0,
-               label: Optional[str] = None) -> None:
+               label: Optional[tuple] = None) -> None:
         """Enqueue one unit of work; ``cb(slot)`` runs when it completes."""
         if self._busy:
             self._queue.append((duration, tag, cb, slot, label))
@@ -109,7 +103,6 @@ class Fifo:
     def _finish(self) -> None:
         self._busy = False
         duration, tag, cb, slot, label, start = self._cur
-        self.last_start = start
         self.busy_time_by_tag[tag] = (
             self.busy_time_by_tag.get(tag, 0.0) + duration
         )
@@ -124,12 +117,14 @@ class Fifo:
             self._start_next()
 
     def attach_probe(
-        self, probe: Callable[[str, str, float, float, Optional[str]], None]
+        self, probe: Callable[[str, str, float, float, Optional[tuple]], None]
     ) -> None:
         """Register a passive occupancy observer.
 
         Each probe is called as ``probe(name, tag, start_us, end_us, label)``
-        when a job has finished (on the :class:`HostLink`: at the first
+        (``label`` is the job's, passed through untouched: ``None``, or a
+        read job's ``(page label, request id)`` on a traced run) when a job
+        has finished (on the :class:`HostLink`: at the first
         booking or :meth:`HostLink.finalize` after its end) or (on a
         :class:`Channel`) a blocked interval closes — the latter with tag
         ``"ECCWAIT"``.  Probes only observe; they must not touch the event
@@ -250,7 +245,7 @@ class Channel:
     """
 
     __slots__ = ("sim", "name", "arbitrated", "busy_time_by_tag",
-                 "blocked_time", "jobs_completed", "last_start", "_ecc",
+                 "blocked_time", "jobs_completed", "_ecc",
                  "_queue", "_busy", "_blocked_since", "_probes",
                  "_cur", "_finish_cb", "_events")
 
@@ -266,7 +261,6 @@ class Channel:
         self.busy_time_by_tag: Dict[str, float] = {}
         self.blocked_time: float = 0.0
         self.jobs_completed: int = 0
-        self.last_start: float = 0.0
         self._probes: List[Callable] = []
         #: in-flight job as one (duration, tag, cb, slot, label, start)
         #: tuple
@@ -275,7 +269,7 @@ class Channel:
 
     def occupy(self, duration: float, tag: str,
                cb: Optional[Callable[[int], None]], slot: int = 0,
-               label: Optional[str] = None, gated: bool = False,
+               label: Optional[tuple] = None, gated: bool = False,
                priority: int = 0) -> None:
         """Enqueue one transfer; ``cb(slot)`` runs when it completes.
         ``gated`` ones wait for (and reserve) a decoder-buffer slot, larger
@@ -338,7 +332,6 @@ class Channel:
     def _finish(self) -> None:
         self._busy = False
         duration, tag, cb, slot, label, start = self._cur
-        self.last_start = start
         self.busy_time_by_tag[tag] = (
             self.busy_time_by_tag.get(tag, 0.0) + duration
         )

@@ -14,25 +14,27 @@ the pipeline shares: request completion, degraded reads, fault
 mitigation and the Fig.-18 channel-usage breakdown.
 
 Use :meth:`SSDSimulator.run_trace` for whole-workload runs, or
-:meth:`SSDSimulator.submit_request` + :meth:`SSDSimulator.run` for custom
-drivers.  Observability (all off by default, all passive — a traced run is
-bit-identical to an untraced one):
+:meth:`SSDSimulator.submit_request` + :meth:`SSDSimulator.run` for a
+custom request loop.  Observability (off by default, passive — a traced
+run is bit-identical to an untraced one) has two inputs, the resource
+probes and :class:`~repro.ssd.metrics.SimMetrics`; the read pipeline
+feeds no observer:
 
-* ``trace_config=TraceConfig(enabled=True)`` records per-request lifecycle
-  spans (queued -> sense(s) -> plan decision -> transfer -> decode -> retry
-  hops) plus full resource-occupancy streams into a
-  :class:`~repro.obs.trace.SimTracer`; export with
+* ``trace_config=TraceConfig(enabled=True)`` attaches a
+  :class:`~repro.obs.trace.SimTracer` to the probes of every plane,
+  channel, decoder and the host link (one occupancy stream, whose read
+  spans carry their request; the Fig. 7/8 phase view is part of it) and
+  records per-request lifecycle spans and instants; export with
   :meth:`export_chrome_trace` or :func:`repro.obs.write_events_jsonl`.
-  ``TimelineTracer`` / ``TimelineEvent`` are kept as aliases of the new
-  classes for the Fig. 7/8 execution-timeline experiments.
-* ``snapshot_interval_us`` bins channel usage and counters into fixed
-  windows (:class:`~repro.obs.snapshots.SnapshotRecorder`).
-* ``keep_raw_latencies=False`` drops the unbounded per-request latency
-  lists; the always-on streaming histograms keep serving percentiles.
+* ``snapshot_interval_us`` bins channel usage (a channel probe) and the
+  change of every SLO counter and the host bytes into fixed windows
+  (:class:`~repro.obs.snapshots.SnapshotRecorder`): :meth:`run` pauses the
+  event loop just before each window edge to read the metrics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional
@@ -48,7 +50,7 @@ from ..faults import FaultInjector, FaultPlan, ReadFaultDecision
 from ..nand.geometry import AddressMapper
 from ..obs.export import write_chrome_trace
 from ..obs.snapshots import SnapshotRecorder
-from ..obs.trace import SimTracer, SpanEvent, TraceConfig
+from ..obs.trace import SimTracer, TraceConfig
 from ..rng import SeedLike, make_rng, spawn
 from ..units import SEC
 from ..workloads.trace import IORequest, Trace
@@ -62,11 +64,6 @@ from .reliability import PageReliabilitySampler
 from .resources import Channel, Ecc, Fifo, HostLink
 from .retry_policies import TAG_GC, TAG_WRITE, make_policy
 
-
-#: Legacy names for the structured tracer — same classes, same ``events``
-#: stream and ``by_resource()`` view the timeline experiments were built on.
-TimelineTracer = SimTracer
-TimelineEvent = SpanEvent
 
 #: Version stamp written into every serialised :class:`SimulationResult`.
 #: Readers ignore keys they do not know (see the ``from_dict`` methods), so
@@ -153,7 +150,6 @@ class SSDSimulator:
         seed: SeedLike = 7,
         outcome_model: Optional[EccOutcomeModel] = None,
         policy_kwargs: Optional[dict] = None,
-        tracer: Optional[TimelineTracer] = None,
         reliability_mode: str = "parametric",
         read_disturb_threshold: Optional[int] = None,
         operating_temp_c: Optional[float] = None,
@@ -161,13 +157,12 @@ class SSDSimulator:
         fault_plan: Optional[FaultPlan] = None,
         trace_config: Optional[TraceConfig] = None,
         snapshot_interval_us: Optional[float] = None,
-        keep_raw_latencies: bool = True,
     ):
         self.config = config or SSDConfig()
         self.sim = Simulator()
-        if tracer is None and trace_config is not None and trace_config.enabled:
-            tracer = SimTracer(trace_config)
-        self.tracer = tracer
+        self.tracer: Optional[SimTracer] = (
+            SimTracer(trace_config) if trace_config is not None
+            and trace_config.enabled else None)
         g = self.config.geometry
         self.mapper = AddressMapper(g)
 
@@ -212,7 +207,7 @@ class SSDSimulator:
         )
         self.pe_cycles = pe_cycles
         self.ftl = PageMapFtl(self.config)
-        self.metrics = SimMetrics(keep_raw_latencies=keep_raw_latencies)
+        self.metrics = SimMetrics()
         #: reads a block tolerates before read-disturb relocation (None =
         #: management off; real parts use ~100K, scale it to the trace)
         self.read_disturb_threshold = read_disturb_threshold
@@ -245,8 +240,7 @@ class SSDSimulator:
 
         # --- observability wiring (repro.obs; all hooks are passive) ---
         self._requests_submitted = 0
-        if (self.tracer is not None and self.tracer.config.enabled
-                and self.tracer.config.trace_resources):
+        if self.tracer is not None:
             for resource in (*self.channels, *self.planes, self.host_link):
                 resource.attach_probe(self.tracer.record_resource)
             for ecc in self.eccs:
@@ -270,19 +264,6 @@ class SSDSimulator:
         # --- read pipeline (constructed last: it captures the policy,
         # sampler, metrics, tracer and fault wiring above) ---
         self._pipeline = ReadPipeline(self)
-
-    @property
-    def tracer(self) -> Optional[SimTracer]:
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Optional[SimTracer]) -> None:
-        # tooling (repro.perf.profile) attaches a tracer post-construction;
-        # the pipeline caches trace wiring, so keep it in sync
-        self._tracer = value
-        pipeline = getattr(self, "_pipeline", None)
-        if pipeline is not None:
-            pipeline.attach_tracer(value)
 
     def _schedule_saturation_windows(self) -> None:
         """Wire ``ecc_saturation`` faults as sim-time events: hold decoder
@@ -315,7 +296,7 @@ class SSDSimulator:
         lpns = request.lpns(self._page_size)
         request_id = self._requests_submitted
         self._requests_submitted += 1
-        tracer = self._tracer
+        tracer = self.tracer
         traced = tracer is not None and tracer.trace_request(request_id)
         state = _RequestState(len(lpns), self.sim.now, request.is_read,
                               request.size_bytes, on_complete, request_id,
@@ -333,10 +314,13 @@ class SSDSimulator:
             for lpn in lpns:
                 pipeline.start_write(lpn, state)
 
-    def run(self, until: Optional[float] = None,
-            stop_condition: Optional[Callable[[], bool]] = None) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Drive the event loop (see :meth:`Simulator.run`)."""
-        self.sim.run(until=until, stop_condition=stop_condition)
+        snapshots = self.snapshots
+        if snapshots is None or snapshots.finalized:
+            self.sim.run(until=until)
+        else:
+            self._run_windows(until)
         self.metrics.elapsed_us = self.sim.now
         for channel in self.channels:
             channel.finalize()
@@ -350,15 +334,33 @@ class SSDSimulator:
             self.metrics.adaptive_state = self.policy.export_state()
         # snapshots consume the channels' closing ECCWAIT probes above, so
         # the window series freezes only after every interval is closed
-        if self.snapshots is not None and not self.snapshots.finalized:
-            self.snapshots.finalize(self.sim.now)
+        if snapshots is not None and not snapshots.finalized:
+            snapshots.finalize(self.sim.now, self.metrics)
         # passive perf telemetry: reliability-cache effectiveness for this
         # run, alongside the lifecycle events (repro.perf hook)
-        if self.tracer is not None and self.tracer.config.enabled:
+        if self.tracer is not None:
             self.tracer.record_instant(
                 "perf.cache_stats", self.sim.now,
                 args={"caches": self.cache_stats()},
             )
+
+    def _run_windows(self, until: Optional[float]) -> None:
+        """:meth:`Simulator.run` with a pause just before each snapshot
+        window edge, where the recorder reads the window's counter
+        changes off the metrics.  The event past the pause goes back on
+        the heap unchanged, so the run is the one :meth:`run` makes
+        without snapshots; an event at an edge counts in the later
+        window."""
+        sim = self.sim
+        events = sim.events
+        recorder = self.snapshots
+        horizon = math.inf if until is None else until
+        while recorder.window_end <= horizon:
+            sim.run(until=math.nextafter(recorder.window_end, -math.inf))
+            if not events:
+                return  # drained: finalize closes the open window
+            recorder.close_window(self.metrics, events.peek_time())
+        sim.run(until=until)
 
     def cache_stats(self) -> List[dict]:
         """JSON-ready hit/miss counters of the reliability sampler's memo
@@ -439,9 +441,6 @@ class SSDSimulator:
         else:
             self.metrics.host_write_bytes += state.bytes
             self.metrics.record_write_latency(latency)
-        if self.snapshots is not None:
-            key = "host_read_bytes" if state.is_read else "host_write_bytes"
-            self.snapshots.note(key, self.sim.now, state.bytes)
         if state.traced and self.tracer.config.trace_requests:
             op = "read" if state.is_read else "write"
             self.tracer.record_request_span(

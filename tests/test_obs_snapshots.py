@@ -2,11 +2,23 @@
 
 import pytest
 
+from repro.campaign import RunSpec
+from repro.campaign.spec import build_simulator, build_trace
 from repro.config import small_test_config
 from repro.errors import SimulationError
-from repro.obs.snapshots import SnapshotRecorder
+from repro.faults import FaultPlan, FaultSpec
+from repro.obs.slo import (
+    BurnRateRule,
+    SloSpec,
+    evaluate_slo,
+    windows_from_snapshots,
+)
+from repro.obs.snapshots import WINDOW_COUNTERS, SnapshotRecorder
+from repro.ssd.metrics import SimMetrics
 from repro.ssd.simulator import SSDSimulator
+from repro.units import KIB
 from repro.workloads import generate
+from repro.workloads.trace import IORequest
 
 
 def test_recorder_validation():
@@ -19,22 +31,28 @@ def test_recorder_validation():
 def test_span_split_across_windows_is_exact():
     rec = SnapshotRecorder(10.0, channels=1)
     rec.observe_span("ch0", "COR", 5.0, 25.0)
-    rec.finalize(30.0)
+    rec.finalize(30.0, SimMetrics())
     per_window = [s.busy_us.get("COR", 0.0) for s in rec.snapshots()]
     assert per_window == pytest.approx([5.0, 10.0, 5.0])
     assert sum(per_window) == pytest.approx(20.0)
 
 
 def test_counters_bin_by_time():
+    """Each window stores every counter's change over it; windows the
+    run skipped (no event) read zero."""
     rec = SnapshotRecorder(10.0, channels=1)
-    rec.note("page_reads", 1.0)
-    rec.note("page_reads", 9.5)
-    rec.note("host_read_bytes", 12.0, value=4096)
-    rec.finalize(20.0)
+    metrics = SimMetrics()
+    metrics.page_reads = 2
+    rec.close_window(metrics, next_us=12.0)    # window 0 closes
+    metrics.host_read_bytes = 4096
+    rec.close_window(metrics, next_us=35.0)    # window 1; 2 is skipped
+    metrics.page_reads = 3
+    rec.finalize(35.0, metrics)                # window 3
     snaps = rec.snapshots()
-    assert snaps[0].counters["page_reads"] == 2
-    assert snaps[1].counters["host_read_bytes"] == 4096
-    assert rec.series("page_reads") == [2, 0]
+    assert rec.series("page_reads") == [2.0, 0.0, 0.0, 1.0]
+    assert rec.series("host_read_bytes") == [0.0, 4096.0, 0.0, 0.0]
+    names = {name for name, _field in WINDOW_COUNTERS}
+    assert all(set(s.counters) == names for s in snaps)
 
 
 def test_snapshots_require_finalize():
@@ -47,7 +65,7 @@ def test_window_usage_partitions_wall_clock():
     rec = SnapshotRecorder(10.0, channels=2)
     rec.observe_span("ch0", "COR", 0.0, 6.0)
     rec.observe_span("ch1", "ECCWAIT", 2.0, 10.0)
-    rec.finalize(10.0)
+    rec.finalize(10.0, SimMetrics())
     usage = rec.snapshots()[0].usage()
     assert usage.cor == pytest.approx(6.0)
     assert usage.eccwait == pytest.approx(8.0)
@@ -80,3 +98,82 @@ def test_simulator_snapshots_reconcile_with_totals():
     # at least one window reports nonzero read bandwidth
     assert any(s.read_bandwidth_mb_s() > 0 for s in snaps)
     assert all(s.to_dict()["channels"] == len(ssd.channels) for s in snaps)
+
+
+#: The worn SENC cell of ``slo-report --burn Ali124:SENC:2000`` (20 ms
+#: windows), and a faulted run whose retries and degraded reads land in
+#: the counters no read plan touches.
+_SENC_BURN = RunSpec(workload="Ali124", policy="SENC", pe_cycles=2000.0,
+                     seed=7)
+_FAULTED = RunSpec(
+    workload="Sys0", policy="SSDone", pe_cycles=2000.0, seed=31,
+    n_requests=150,
+    fault_plan=FaultPlan(faults=(
+        FaultSpec(kind="transient_sense", period=7, magnitude=6.0),
+        FaultSpec(kind="channel_corrupt", period=11, count=4, magnitude=1),
+    ), on_degraded="absorb"))
+
+
+def _windowed(spec: RunSpec, interval_us: float):
+    ssd = build_simulator(spec, snapshot_interval_us=interval_us)
+    result = ssd.run_trace(build_trace(spec), **spec.run_kwargs())
+    return ssd, result
+
+
+@pytest.mark.parametrize("spec, interval_us, active", [
+    (_SENC_BURN, 20_000.0, ("uncorrectable_transfers", "retried_reads")),
+    (_FAULTED, 700.0, ("fault_retries", "degraded_reads",
+                       "uncorrectable_transfers")),
+], ids=["senc-burn", "faulted"])
+def test_windows_count_every_slo_event(spec, interval_us, active):
+    """Every SLO event and both host-byte counters have a per-window count
+    whose sum is the run's SimMetrics total, and the windowed run is the
+    plain run, event for event."""
+    ssd, result = _windowed(spec, interval_us)
+    assert all(getattr(result.metrics, attr) for attr in active)
+    snaps = ssd.snapshots.snapshots()
+    for name, attr in WINDOW_COUNTERS:
+        assert sum(s.counters[name] for s in snaps) == \
+            getattr(result.metrics, attr), name
+    plain = build_simulator(spec)
+    plain_result = plain.run_trace(build_trace(spec), **spec.run_kwargs())
+    assert result.to_dict() == plain_result.to_dict()
+    assert ssd.sim.processed_events == plain.sim.processed_events
+
+
+def test_burn_rule_fires_on_uncorrectable_transfers():
+    """A burn-rate rule on an event the read plans count alongside page
+    reads (here doomed transfers) sees its per-window counts: the worn
+    SENC cell that blows its 1 % budget also trips the rule."""
+    ssd, result = _windowed(_SENC_BURN, 20_000.0)
+    slo = SloSpec(name="wasted-burn", error_budget=0.01,
+                  bad_event="uncorrectable_transfers",
+                  event_total="page_reads",
+                  burn_rules=(BurnRateRule(window=1, max_burn_rate=2.0),))
+    windows = windows_from_snapshots(ssd.snapshots.snapshots(),
+                                     slo.bad_event, slo.event_total)
+    m = result.metrics
+    report = evaluate_slo(slo, m.read_latency_hist,
+                          m.uncorrectable_transfers, m.page_reads,
+                          windows=windows)
+    budget, burn = report.verdicts
+    assert not budget.ok and budget.observed > 1.0
+    assert burn.kind == "burn" and not burn.ok
+    assert burn.observed > 100.0
+
+
+def test_event_at_a_window_edge_counts_in_the_later_window():
+    """A read that completes exactly on an edge lands its host bytes in
+    the window that starts there; its plan was counted in the first."""
+    def one_read(interval_us=None):
+        ssd = SSDSimulator(small_test_config(), policy="SSDzero", seed=3,
+                           snapshot_interval_us=interval_us)
+        ssd.submit_request(IORequest(0.0, "R", 0, 16 * KIB))
+        ssd.run()
+        return ssd
+
+    done_us = one_read().sim.now
+    ssd = one_read(interval_us=done_us)
+    assert ssd.sim.now == done_us
+    assert ssd.snapshots.series("page_reads") == [1.0, 0.0]
+    assert ssd.snapshots.series("host_read_bytes") == [0.0, 16 * KIB]

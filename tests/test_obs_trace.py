@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro.campaign import RunSpec
+from repro.campaign.spec import build_simulator, build_trace
 from repro.config import small_test_config
 from repro.errors import ConfigError, SimulationError
 from repro.obs import (
-    SimTracer,
     TraceConfig,
     chrome_trace,
     load_trace_spans,
@@ -17,7 +18,7 @@ from repro.obs import (
     write_chrome_trace,
     write_events_jsonl,
 )
-from repro.ssd.simulator import SSDSimulator, TimelineEvent, TimelineTracer
+from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
 
 USAGE_TAGS = ("COR", "UNCOR", "WRITE", "GC", "ECCWAIT")
@@ -41,13 +42,6 @@ def test_trace_config_validation():
         TraceConfig(sample_every=0)
     with pytest.raises(ConfigError):
         TraceConfig(max_events=0)
-
-
-def test_legacy_aliases_are_new_classes():
-    from repro.obs.trace import SpanEvent
-
-    assert TimelineTracer is SimTracer
-    assert TimelineEvent is SpanEvent
 
 
 def test_tracing_is_bit_identical():
@@ -118,6 +112,26 @@ def test_max_events_degrades_to_counter():
     ssd, _result = _run(trace_config=TraceConfig(enabled=True, max_events=50))
     assert ssd.tracer.total_events <= 50
     assert ssd.tracer.dropped > 0
+
+
+def test_resource_only_trace_keeps_its_whole_occupancy_stream():
+    """A trace without request tracing (the profiler's) records no phase
+    spans, so its event budget holds the run's whole occupancy stream:
+    nothing is dropped and the traced channel time is the run's."""
+    spec = RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000.0,
+                   seed=7, n_requests=1500)
+    ssd = build_simulator(spec, trace_config=TraceConfig(
+        enabled=True, trace_requests=False, max_events=30_000))
+    result = ssd.run_trace(build_trace(spec), **spec.run_kwargs())
+    tracer = ssd.tracer
+    assert tracer.events == [] and tracer.by_resource() == {}
+    assert tracer.dropped == 0
+    busy = tracer.resource_busy_by_tag()
+    traced = sum(us for channel in ssd.channels
+                 for us in busy[channel.name].values())
+    usage = result.channel_usage
+    assert traced == pytest.approx(usage.total - usage.idle, rel=1e-12)
+    assert traced == pytest.approx(79_859.234, abs=1e-3)
 
 
 def test_chrome_trace_schema(traced, tmp_path):

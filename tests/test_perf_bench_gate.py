@@ -187,4 +187,16 @@ def test_profile_spec_reports_phases_and_subsystems():
     assert "repro/ssd self-time by module" in table
     for name in names:  # one line per cache, straight from cache_stats()
         assert f"  {name} " in table
+    # the occupancy stream fits the default event budget
+    assert report.trace_dropped == 0 and "warning" not in table
     json.dumps(report.to_dict())  # JSON-ready
+
+
+def test_profile_warns_when_its_trace_is_cut_short():
+    spec = RunSpec(workload="Ali2", policy="RiFSSD", pe_cycles=1000.0,
+                   n_requests=100, seed=7)
+    report = profile_spec(spec, top=1, max_trace_events=200)
+    assert report.trace_dropped > 0
+    assert report.to_dict()["trace_dropped"] == report.trace_dropped
+    assert (f"warning: {report.trace_dropped} trace events dropped"
+            in report.format_table())

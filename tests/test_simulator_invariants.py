@@ -10,18 +10,19 @@ from dataclasses import replace
 import pytest
 
 from repro.config import small_test_config
-from repro.ssd.simulator import SSDSimulator, TimelineTracer
+from repro.obs import TraceConfig
+from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
 
 
 @pytest.fixture(scope="module", params=["SWR", "RiFSSD"])
 def traced_run(request):
-    tracer = TimelineTracer()
     ssd = SSDSimulator(small_test_config(), policy=request.param,
-                       pe_cycles=2000, seed=31, tracer=tracer)
+                       pe_cycles=2000, seed=31,
+                       trace_config=TraceConfig(enabled=True))
     trace = generate("Sys0", n_requests=150, user_pages=3000, seed=31)
     result = ssd.run_trace(trace)
-    return ssd, result, tracer, trace
+    return ssd, result, ssd.tracer, trace
 
 
 def _occupancy(tracer):
@@ -47,8 +48,6 @@ def test_no_resource_double_booking(traced_run):
     """A serial resource must never run two jobs at once."""
     ssd, _result, tracer, _trace = traced_run
     for resource, events in tracer.by_resource().items():
-        if resource.startswith("ecc"):
-            continue  # decode intervals are recorded per page, queue-side
         _assert_serial(resource, events)
     occupancy = _occupancy(tracer)
     expected = {r.name for r in (*ssd.planes, *ssd.channels, ssd.host_link)}
@@ -56,6 +55,21 @@ def test_no_resource_double_booking(traced_run):
     assert set(occupancy) == expected
     for resource, events in occupancy.items():
         _assert_serial(resource, events)
+
+
+def test_phase_view_is_part_of_the_occupancy_stream(traced_run):
+    """The phase view stores nothing of its own: its spans are the read
+    jobs' occupancy spans, each naming its request; decodes sit on the
+    decoders."""
+    ssd, _result, tracer, _trace = traced_run
+    stored = {id(ev) for ev in tracer.resource_spans}
+    phases = tracer.events
+    assert phases and all(id(ev) in stored for ev in phases)
+    assert all(ev.request_id is not None for ev in phases)
+    decoders = {ecc.decoder.name for ecc in ssd.eccs}
+    decodes = [ev for ev in phases if ev.resource in decoders]
+    assert len(decodes) == sum(ecc.decoder.jobs_completed
+                               for ecc in ssd.eccs)
 
 
 def test_every_event_within_simulated_time(traced_run):
@@ -74,9 +88,9 @@ def test_cut_run_reports_only_finished_spans():
     config = small_test_config()
     config = replace(config, bandwidth=replace(config.bandwidth,
                                                host_gb_per_s=0.2))
-    tracer = TimelineTracer()
     ssd = SSDSimulator(config, policy="RiFSSD", pe_cycles=2000, seed=31,
-                       tracer=tracer)
+                       trace_config=TraceConfig(enabled=True))
+    tracer = ssd.tracer
     trace = generate("Sys0", n_requests=150, user_pages=3000, seed=31)
     result = ssd.run_trace(trace, time_limit_us=2000.0)
     horizon = result.metrics.elapsed_us

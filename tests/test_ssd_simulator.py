@@ -9,8 +9,9 @@ from repro.campaign.spec import RunSpec, execute
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.nand.geometry import PageAddress
+from repro.obs import TraceConfig
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
-from repro.ssd.simulator import SSDSimulator, TimelineTracer
+from repro.ssd.simulator import SSDSimulator
 from repro.units import KIB
 from repro.workloads import generate
 from repro.workloads.trace import IORequest, Trace
@@ -208,10 +209,10 @@ def test_write_heavy_run_builds_no_page_address(monkeypatch, faulted):
 
 
 def test_tracer_records_phases(ssd_config):
-    tracer = TimelineTracer()
-    ssd = SSDSimulator(ssd_config, policy="SSDzero", seed=10, tracer=tracer)
+    ssd = SSDSimulator(ssd_config, policy="SSDzero", seed=10,
+                       trace_config=TraceConfig(enabled=True))
     _single_read(ssd, size=32 * KIB)
-    by_resource = tracer.by_resource()
+    by_resource = ssd.tracer.by_resource()
     assert any(name.startswith("plane") for name in by_resource)
     assert any(name.startswith("ch") for name in by_resource)
     assert any(name.startswith("ecc") for name in by_resource)
