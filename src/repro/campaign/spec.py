@@ -22,7 +22,6 @@ from ..config import SSDConfig, small_test_config
 from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..nand.thermal import check_temperature
-from ..obs.trace import TraceConfig
 from ..ssd import SimulationResult, SSDSimulator
 from ..ssd.ecc_model import EccOutcomeModel
 from ..ssd.host import check_size
@@ -291,15 +290,14 @@ def build_trace(spec: RunSpec) -> Trace:
 
 
 def build_simulator(spec: RunSpec,
-                    snapshot_interval_us: Optional[float] = None,
-                    trace_config: Optional[TraceConfig] = None
+                    snapshot_interval_us: Optional[float] = None
                     ) -> SSDSimulator:
     """Construct the fully-wired simulator the spec describes.
 
-    ``snapshot_interval_us`` and ``trace_config`` are *observability*
-    knobs, deliberately not :class:`RunSpec` fields: they never change a
-    result (the obs layer is passive), so they must not perturb the spec's
-    content hash or cache identity.
+    ``snapshot_interval_us`` is an *observability* knob, deliberately
+    not a :class:`RunSpec` field: it never changes a result (the obs
+    layer is passive), so it must not perturb the spec's content hash or
+    cache identity.
     """
     config = build_config(spec)
     outcome_model = None
@@ -320,7 +318,6 @@ def build_simulator(spec: RunSpec,
         channel_arbitration=spec.channel_arbitration,
         fault_plan=spec.fault_plan,
         snapshot_interval_us=snapshot_interval_us,
-        trace_config=trace_config,
     )
 
 

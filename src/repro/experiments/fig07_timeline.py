@@ -19,7 +19,7 @@ from dataclasses import replace
 from typing import Optional
 
 from ..config import SSDConfig
-from ..obs import TraceConfig, write_chrome_trace
+from ..obs import write_chrome_trace
 from ..ssd.ecc_model import ScriptedEccOutcomeModel
 from ..ssd.simulator import SSDSimulator
 from ..units import KIB
@@ -58,7 +58,7 @@ def run_timeline(policy: str):
         pe_cycles=0.0,
         seed=1,
         outcome_model=_scripted_model(policy),
-        trace_config=TraceConfig(enabled=True),
+        tracing=True,
     )
     request = IORequest(timestamp_us=0.0, op="R", offset_bytes=0,
                         size_bytes=256 * KIB)

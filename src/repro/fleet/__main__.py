@@ -198,10 +198,14 @@ def _cmd_report(args) -> int:
     print(header)
     print("-" * len(header))
     for row in rows:
+        # a policy without read-latency samples (every cell failed) has
+        # no percentiles: "-", as on the dashboard
+        tail = " ".join("-".rjust(9) if row[key] is None
+                        else f"{row[key]:>9.1f}"
+                        for key in ("p50_us", "p99_us", "p999_us"))
         print(f"{row['policy']:<10} {row['cells']:>6} {row['reads']:>9} "
               f"{100.0 * row['retry_rate']:>6.2f}% "
-              f"{row['degraded_cells']:>9} {row['p50_us']:>9.1f} "
-              f"{row['p99_us']:>9.1f} {row['p999_us']:>9.1f}")
+              f"{row['degraded_cells']:>9} {tail}")
     return 0
 
 

@@ -6,11 +6,10 @@ result, which the determinism tests pin down bit-for-bit.  The engine
 feeds its per-phase observers two inputs only: the resource probes and
 :class:`~repro.ssd.metrics.SimMetrics`.
 
-* :mod:`.trace` — :class:`TraceConfig` / :class:`SimTracer`: one
-  resource-occupancy stream from the probes (the read-path phase view of
-  the Fig. 7/8 timelines is part of it), per-request lifecycle spans and
-  instant events, with deterministic request-index sampling and an event
-  budget.
+* :mod:`.trace` — :class:`SimTracer`: one resource-occupancy stream
+  from the probes (the read-path phase view of the Fig. 7/8 timelines is
+  part of it), per-request lifecycle spans and instant events.  A traced
+  run records all of them.
 * :mod:`.export` — Chrome ``trace_event`` JSON (one track per
   channel/die, loadable in ``chrome://tracing``/Perfetto), compact JSONL,
   a schema validator for CI, and the ``report-trace`` summary helpers.
@@ -40,7 +39,7 @@ against simulator/result/fleet attribute contracts instead.
 """
 
 from .histogram import LatencyHistogram
-from .trace import InstantEvent, SimTracer, SpanEvent, TraceConfig
+from .trace import InstantEvent, SimTracer, SpanEvent
 from .export import (
     chrome_trace,
     load_trace_spans,
@@ -83,7 +82,6 @@ from .dashboard import (
 
 __all__ = [
     "LatencyHistogram",
-    "TraceConfig",
     "SimTracer",
     "SpanEvent",
     "InstantEvent",

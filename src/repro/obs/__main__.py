@@ -34,7 +34,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..errors import ReproError
+from ..errors import ConfigError, ReproError
 from .dashboard import (
     html_report,
     prometheus_text,
@@ -141,21 +141,25 @@ def _cmd_scrape(args) -> int:
 # --- slo-report --------------------------------------------------------------
 
 
-def _parse_burn_cell(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ReproError(
-            f"--burn expects workload:policy:pe, got {text!r}")
-    return parts[0], parts[1], float(parts[2])
+def _burn_spec(args):
+    """The ``--burn workload:policy:pe`` cell as a spec; a malformed cell
+    or an unknown workload is a :class:`ConfigError`."""
+    from ..campaign import RunSpec
 
-
-def _burn_reports(args, slos):
-    """Run one cell with the snapshot recorder and judge its burn rules."""
-    from ..campaign import RunSpec, build_simulator, build_trace
-
-    workload, policy, pe = _parse_burn_cell(args.burn)
-    spec = RunSpec(workload=workload, policy=policy, pe_cycles=pe,
+    try:
+        workload, policy, pe = args.burn.split(":")
+        pe_cycles = float(pe)
+    except ValueError:  # a wrong part count or a non-numeric pe
+        raise ConfigError("--burn expects workload:policy:pe with a numeric "
+                          f"pe, got {args.burn!r}") from None
+    return RunSpec(workload=workload, policy=policy, pe_cycles=pe_cycles,
                    seed=args.seed, scale=args.scale)
+
+
+def _burn_reports(args, slos, spec):
+    """Run one cell with the snapshot recorder and judge its burn rules."""
+    from ..campaign import build_simulator, build_trace
+
     ssd = build_simulator(spec, snapshot_interval_us=args.burn_window_us)
     ssd.run_trace(build_trace(spec), **spec.run_kwargs())
     snapshots = ssd.snapshots.snapshots()
@@ -175,13 +179,15 @@ def _burn_reports(args, slos):
 
 def _cmd_slo_report(args) -> int:
     slos = _slo_specs(args)
+    # checked before the grid runs, so a bad cell fails fast
+    burn_spec = _burn_spec(args) if args.burn else None
     if args.fleet:
         fleet = _load_fleet(args.fleet)
     else:
         fleet = _grid_fleet(args)
     reports = evaluate_fleet(fleet, slos)
-    if args.burn:
-        reports.extend(_burn_reports(args, slos))
+    if burn_spec is not None:
+        reports.extend(_burn_reports(args, slos, burn_spec))
     payload = {
         "cells": fleet.cells,
         "cached": fleet.cached,

@@ -92,10 +92,7 @@ def chrome_trace(tracer: SimTracer, title: str = "repro-ssd") -> dict:
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.obs",
-            "dropped_events": tracer.dropped,
-        },
+        "otherData": {"generator": "repro.obs"},
     }
 
 
@@ -162,12 +159,7 @@ def _jsonl_records(tracer: SimTracer) -> Iterable[dict]:
     for ev in tracer.resource_spans:
         yield {"type": "resource", "resource": ev.resource, "tag": ev.tag,
                "label": ev.label, "start_us": ev.start_us,
-               "end_us": ev.end_us}
-    for ev in tracer.events:
-        yield {"type": "phase", "resource": ev.resource, "tag": ev.tag,
-               "label": ev.label, "start_us": ev.start_us,
-               "end_us": ev.end_us, "kind": ev.kind,
-               "request": ev.request_id}
+               "end_us": ev.end_us, "request": ev.request_id}
     for ev in tracer.request_spans:
         yield {"type": "request", "label": ev.label, "tag": ev.tag,
                "start_us": ev.start_us, "end_us": ev.end_us,
@@ -178,7 +170,9 @@ def _jsonl_records(tracer: SimTracer) -> Iterable[dict]:
 
 
 def write_events_jsonl(path, tracer: SimTracer) -> Path:
-    """Compact one-event-per-line JSON log of every tracer stream."""
+    """Compact one-event-per-line JSON log of every tracer stream.  A
+    read job's ``resource`` record names its request, so the phase view
+    needs no records of its own."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
@@ -219,7 +213,6 @@ def load_trace_spans(path) -> List[dict]:
                 "dur_us": float(ev["dur"]),
             })
         return spans
-    records: List[dict] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -227,14 +220,10 @@ def load_trace_spans(path) -> List[dict]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{line_no}: not JSON ({exc})") from exc
-        if record.get("type") in ("resource", "phase", "request"):
-            records.append(record)
-    # Resource spans are the full occupancy stream; the read-path phase
-    # spans double-cover the same channel time, so (matching chrome_trace)
-    # phases only stand in when no resource stream was recorded.
-    if any(r["type"] == "resource" for r in records):
-        records = [r for r in records if r["type"] != "phase"]
-    for record in records:
+        # files from older exporters also hold ``phase`` copies of the
+        # read jobs' resource records: skipped, like the instants
+        if record.get("type") not in ("resource", "request"):
+            continue
         spans.append({
             "track": record.get("resource", "requests"),
             "name": record.get("label", ""),

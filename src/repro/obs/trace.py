@@ -11,62 +11,29 @@ It keeps three deterministic, append-only streams:
   request id.  Summing this stream per channel reproduces the Fig.-18
   :class:`~repro.ssd.metrics.ChannelUsage` breakdown exactly — the
   reconciliation test of the observability layer.
-* ``request_spans`` — one whole-lifecycle span per traced host request.
+* ``request_spans`` — one whole-lifecycle span per host request.
 * ``instants`` — point events (request queued/done, the RP/RVS plan
-  decision with its retry-hop summary, the run's cache statistics).
+  decision with its retry-hop summary).
 
 The read-path *phase view* the Fig. 7/8 timeline experiments consume
 (:attr:`SimTracer.events`, :meth:`SimTracer.by_resource`) is not a
 stream of its own: it is the part of ``resource_spans`` that belongs to
-requests traced under ``trace_requests`` — senses and fault retries on
-the planes, transfers on the channels and decodes on the decoders
-(``ecc<i>.decoder``, from decode start; a page's decoder wait is the gap
-between its transfer's end and its decode's start).
+requests — senses and fault retries on the planes, transfers on the
+channels and decodes on the decoders (``ecc<i>.decoder``, from decode
+start; a page's decoder wait is the gap between its transfer's end and
+its decode's start).
 
 Everything here is RNG-free and passive: recording only reads the clock,
 never schedules events, so a traced run is bit-identical to an untraced
-one.  Sampling (``TraceConfig.sample_every``) keys off the host request
-*index*, which is deterministic, so a sampled trace is a strict subset of
-the full one.
+one.  A traced run records everything; the busy time per resource and
+tag alone is on the resources' counters (``busy_time_by_tag``), which
+every run keeps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-from ..errors import ConfigError
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """What to trace.  Off by default; tracing never perturbs results.
-
-    An enabled trace records every resource occupancy interval.
-    ``trace_requests`` adds the request-level spans and instants and the
-    phase view; ``sample_every=k`` restricts those to host requests whose
-    submission index is a multiple of k (request 0 is always traced).
-    ``max_events`` caps the total event count across all streams — beyond
-    it events are counted in :attr:`SimTracer.dropped` instead of stored,
-    so a runaway trace degrades to a counter rather than exhausting
-    memory.
-    """
-
-    enabled: bool = False
-    sample_every: int = 1
-    max_events: Optional[int] = None
-    trace_requests: bool = True
-
-    def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ConfigError(
-                f"sample_every must be >= 1, got {self.sample_every}"
-            )
-        if self.max_events is not None and self.max_events < 1:
-            raise ConfigError(
-                f"max_events must be >= 1 or None, got {self.max_events}"
-            )
 
 
 @dataclass(frozen=True)
@@ -108,39 +75,12 @@ def _freeze_args(args: Optional[dict]) -> tuple:
 
 
 class SimTracer:
-    """Deterministic recorder of occupancies, request spans and instants.
+    """Deterministic recorder of occupancies, request spans and instants."""
 
-    Constructing a tracer directly (``SimTracer()``) enables tracing of
-    everything.  Pass a :class:`TraceConfig` to sample or bound the
-    trace.
-    """
-
-    def __init__(self, config: Optional[TraceConfig] = None):
-        self.config = config or TraceConfig(enabled=True)
+    def __init__(self):
         self.resource_spans: List[SpanEvent] = []
         self.request_spans: List[SpanEvent] = []
         self.instants: List[InstantEvent] = []
-        #: events stored across all streams (kept as a running count: the
-        #: budget check runs for every recorded event)
-        self.total_events: int = 0
-        #: events discarded once ``max_events`` was hit
-        self.dropped: int = 0
-        budget = self.config.max_events
-        self._budget = math.inf if budget is None else budget
-
-    # --- admission --------------------------------------------------------
-
-    def trace_request(self, request_index: int) -> bool:
-        """Should the request with this submission index be traced?"""
-        return (self.config.enabled
-                and request_index % self.config.sample_every == 0)
-
-    def _admit(self) -> bool:
-        if self.total_events >= self._budget:
-            self.dropped += 1
-            return False
-        self.total_events += 1
-        return True
 
     # --- recording hooks --------------------------------------------------
 
@@ -150,41 +90,33 @@ class SimTracer:
         one occupancy (or ECCWAIT blocked) interval of a hardware
         resource.  ``label`` is ``None`` or, for a read job, the pair
         ``(page label, request id)``."""
-        if self._admit():
-            text, request_id = (tag, None) if label is None else label
-            self.resource_spans.append(SpanEvent(
-                text, resource, start_us, end_us, tag, "occupancy",
-                request_id))
+        text, request_id = (tag, None) if label is None else label
+        self.resource_spans.append(SpanEvent(
+            text, resource, start_us, end_us, tag, "occupancy", request_id))
 
     def record_request_span(self, request_id: int, label: str,
                             start_us: float, end_us: float,
                             tag: str) -> None:
         """One whole host-request lifecycle (queued -> last page done)."""
-        if self._admit():
-            self.request_spans.append(SpanEvent(
-                label, "requests", start_us, end_us, tag,
-                kind="request", request_id=request_id,
-            ))
+        self.request_spans.append(SpanEvent(
+            label, "requests", start_us, end_us, tag,
+            kind="request", request_id=request_id,
+        ))
 
     def record_instant(self, name: str, ts_us: float,
                        request_id: Optional[int] = None,
                        args: Optional[dict] = None) -> None:
-        if self._admit():
-            self.instants.append(InstantEvent(name, ts_us, request_id,
-                                              _freeze_args(args)))
+        self.instants.append(InstantEvent(name, ts_us, request_id,
+                                          _freeze_args(args)))
 
     # --- views ------------------------------------------------------------
 
     @property
     def events(self) -> List[SpanEvent]:
-        """The read-path phase view: the occupancy spans of the read jobs
-        of requests traced under ``trace_requests``, in recording order
-        (the same :class:`SpanEvent` objects ``resource_spans`` holds)."""
-        if not self.config.trace_requests:
-            return []
-        every = self.config.sample_every
-        return [ev for ev in self.resource_spans
-                if ev.request_id is not None and ev.request_id % every == 0]
+        """The read-path phase view: the occupancy spans of the read jobs,
+        in recording order (the same :class:`SpanEvent` objects
+        ``resource_spans`` holds)."""
+        return [ev for ev in self.resource_spans if ev.request_id is not None]
 
     def by_resource(self) -> Dict[str, List[SpanEvent]]:
         """The phase view (:attr:`events`) grouped by resource."""
@@ -202,7 +134,3 @@ class SimTracer:
             per = out.setdefault(ev.resource, {})
             per[ev.tag] = per.get(ev.tag, 0.0) + ev.duration_us
         return out
-
-    def traced_request_ids(self) -> List[int]:
-        return sorted({ev.request_id for ev in self.request_spans
-                       if ev.request_id is not None})

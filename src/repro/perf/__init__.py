@@ -6,7 +6,8 @@ and the bench-regression gate.
 * :mod:`repro.perf.kernels` — the seed repository's scalar kernels, kept
   as executable ground truth for equivalence tests and speedup timing.
 * :mod:`repro.perf.profile` — cProfile harness with per-subsystem phase
-  buckets, plus sim-time phase totals piggybacked on ``SimTracer``.
+  buckets, plus the run's simulated busy time per resource and tag, read
+  off the resources' counters.
 * :mod:`repro.perf.bench_gate` — the pinned benchmark suite behind the
   ``python -m repro.perf`` CLI (``record`` / ``check`` / ``profile``),
   producing ``BENCH_baseline.json`` / ``BENCH_current.json``.

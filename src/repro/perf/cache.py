@@ -23,8 +23,9 @@ Two properties are deliberate and load-bearing:
   clear is recorded in the stats as an ``evictions`` generation bump.
 
 A cache belongs to the object that built it (a sampler or model), which
-reports its counters through its own ``cache_stats()`` — the simulator's
-``perf.cache_stats`` telemetry instant gathers them per run.  A global
+reports its counters through its own ``cache_stats()`` —
+``SSDSimulator.cache_stats()`` gathers them per run, and the profile
+(:mod:`repro.perf.profile`) prints them.  A global
 switch (:func:`caches_disabled`) turns all lookups into forced misses
 that also skip the store — the reference path used by the equivalence
 tests and the ``bench-gate`` speedup measurements.

@@ -10,15 +10,14 @@ spends its time:
   transitions, plan compile, reliability/ECC sampling, FTL, simulator),
   and keeps the top functions by self-time.  This is the view that drove the
   memoization work: it shows *Python* cost, not simulated time.
-* **Simulated time** — the same run is built with a resource-only
-  :class:`TraceConfig` (``trace_requests=False``), so its tracer stores
-  just the occupancy spans of the resource probes, and aggregates them
-  into per-resource / per-tag busy-time totals.  This is the view that
-  says where the *modeled hardware* spends its microseconds, and it is a
-  pure piggyback on the observability layer — no extra instrumentation
-  on the hot path.  ``trace_dropped`` counts the spans the event budget
-  turned away; when it is non-zero the busy times cover only the start
-  of the run, and the table says so.
+* **Simulated time** — after the run, the busy microseconds of every
+  plane, channel and decoder (``busy_time_by_tag``), each channel's
+  ``blocked_time`` (its ECCWAIT) and the host link's pages × ``page_us``
+  are summed per resource class and tag.  This is the view that says
+  where the *modeled hardware* spends its microseconds.  Every run keeps
+  these counters in O(1) memory, so the table covers the whole run and
+  the profiled run carries no tracer; its ``ch:*`` rows add up to
+  ``channel_usage()``'s busy time.
 
 The report also snapshots the run's memo-cache counters so a profile
 always states its cache regime (a cold-cache profile looks nothing like a
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..campaign.spec import RunSpec, build_simulator, build_trace
-from ..obs.trace import SimTracer, TraceConfig
 
 #: Self-time buckets, matched by module-path prefix (first hit wins).
 SUBSYSTEMS: Tuple[str, ...] = (
@@ -90,9 +88,6 @@ class ProfileReport:
     cache_stats: List[Dict[str, Any]] = field(default_factory=list)
     #: the ``repro/ssd`` self time by module group (:data:`SSD_MODULES`)
     ssd_modules: Dict[str, float] = field(default_factory=dict)
-    #: trace events dropped at the event budget (``sim_busy_us`` then
-    #: stops short of the run's end)
-    trace_dropped: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -104,7 +99,6 @@ class ProfileReport:
             "top_functions": [f.to_dict() for f in self.top_functions],
             "sim_busy_us": self.sim_busy_us,
             "cache_stats": self.cache_stats,
-            "trace_dropped": self.trace_dropped,
         }
 
     def format_table(self) -> str:
@@ -128,10 +122,6 @@ class ProfileReport:
             lines.append(f"  {fn.tottime:7.3f} s {fn.calls:>9d}x  {fn.where}")
         if self.sim_busy_us:
             lines.append("-- simulated busy time by resource:tag (us) --")
-            if self.trace_dropped:
-                lines.append(f"  warning: {self.trace_dropped} trace events "
-                             "dropped at the event budget; busy times stop "
-                             "short of the run's end")
             for key, us in sorted(self.sim_busy_us.items(),
                                   key=lambda kv: -kv[1]):
                 lines.append(f"  {key:<24s} {us:14.1f}")
@@ -180,11 +170,32 @@ def _resource_class(name: str) -> str:
     return "".join(ch for ch in name if not ch.isdigit())
 
 
-def _aggregate_sim_spans(tracer: SimTracer) -> Dict[str, float]:
+def _busy_by_class(ssd) -> Dict[str, float]:
+    """Simulated busy microseconds of a run per ``class:tag``, read off
+    the resources' counters: each plane's, channel's and decoder's
+    ``busy_time_by_tag``, each channel's nonzero ``blocked_time`` as
+    ``ch:ECCWAIT``, and the host link's booked pages × ``page_us``.
+
+    Planes, channels and decoders count a job when it finishes, but the
+    host link counts a page when it is booked, so on a run cut short
+    (``time_limit_us``) the ``host:*`` rows include pages still crossing
+    at the cut: the table is exact for a run driven to completion."""
     busy: Dict[str, float] = {}
-    for span in tracer.resource_spans:
-        key = f"{_resource_class(span.resource)}:{span.tag}"
-        busy[key] = busy.get(key, 0.0) + (span.end_us - span.start_us)
+
+    def add(name: str, tag: str, us: float) -> None:
+        key = f"{_resource_class(name)}:{tag}"
+        busy[key] = busy.get(key, 0.0) + us
+
+    for resource in (*ssd.planes, *ssd.channels,
+                     *(ecc.decoder for ecc in ssd.eccs)):
+        for tag, us in resource.busy_time_by_tag.items():
+            add(resource.name, tag, us)
+    for channel in ssd.channels:
+        if channel.blocked_time > 0.0:
+            add(channel.name, "ECCWAIT", channel.blocked_time)
+    link = ssd.host_link
+    for tag, pages in link.pages_by_tag.items():
+        add(link.name, tag, pages * link.page_us)
     return busy
 
 
@@ -192,18 +203,17 @@ def profile_spec(
     spec: RunSpec,
     top: int = 15,
     trace_resources: bool = True,
-    max_trace_events: Optional[int] = 500_000,
 ) -> ProfileReport:
     """Profile one spec end to end and return the combined report.
 
     The profiled run is a *normal* run — caches in whatever state the
     process has them — so profile numbers match what ``execute`` costs.
+    ``trace_resources=False`` leaves the simulated busy-time table empty;
+    that table counts host-link pages when they are booked, so it is exact
+    only for a run driven to completion (see :func:`_busy_by_class`).
     """
     profiler = cProfile.Profile()
     phases: Dict[str, float] = {}
-    trace_config = TraceConfig(
-        enabled=True, trace_requests=False, max_events=max_trace_events,
-    ) if trace_resources else None
 
     wall0 = time.perf_counter()
     profiler.enable()
@@ -211,7 +221,7 @@ def profile_spec(
     trace = build_trace(spec)
     phases["build_trace"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ssd = build_simulator(spec, trace_config=trace_config)
+    ssd = build_simulator(spec)
     phases["build_simulator"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     ssd.run_trace(trace, **spec.run_kwargs())
@@ -234,15 +244,13 @@ def profile_spec(
                                 tottime, cumtime))
     rows.sort(key=lambda r: -r.tottime)
 
-    tracer = ssd.tracer
     return ProfileReport(
         spec=spec.to_dict(),
         total_seconds=total,
         phases=phases,
         subsystems=subsystems,
         top_functions=rows[:top],
-        sim_busy_us=_aggregate_sim_spans(tracer) if tracer is not None else {},
+        sim_busy_us=_busy_by_class(ssd) if trace_resources else {},
         cache_stats=ssd.cache_stats(),
         ssd_modules=ssd_modules,
-        trace_dropped=tracer.dropped if tracer is not None else 0,
     )

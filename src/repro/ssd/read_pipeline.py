@@ -53,8 +53,9 @@ diff, and ``tests/test_golden.py`` pins every output bit for bit):
   transfer.
 
 The pipeline feeds no observer.  It counts each compiled plan in the
-metrics and labels each read job ``(page label, request id)`` when a
-tracer is attached; the resource probes report the job's occupancy.
+metrics; when a tracer is attached it also records the plan as a
+``read.plan`` instant and labels each read job ``(page label, request
+id)``, and the resource probes report the job's occupancy.
 """
 
 from __future__ import annotations
@@ -113,12 +114,8 @@ class ReadPipeline:
         self._n_channels = len(ssd.channels)
         self._decode = ssd.mapper.decode
         self._request_done = ssd._request_done
-        tracer = ssd.tracer
-        self.tracer = tracer
-        #: read jobs carry a probe label only when a tracer records it
-        self._want_label = tracer is not None
-        self._trace_requests = (tracer is not None
-                                and tracer.config.trace_requests)
+        #: a traced run records each plan and labels each read job
+        self.tracer = ssd.tracer
         self._build = PlanBuild()
         # ppn -> (block_key, page, plane, channel, ecc, read_key):
         # everything the dispatch needs, pure in ppn (geometry and wiring
@@ -291,11 +288,13 @@ class ReadPipeline:
         predicted = build.rp_predicted_retry
         if predicted is not None and predicted != build.retried:
             m.rp_mispredicts += 1
-        if self._trace_requests and state.traced:
+        label = None
+        if self.tracer is not None:
             self.tracer.record_instant(
                 "read.plan", self.sim.now, request_id=state.request_id,
                 args=dict(build.trace_args(), lpn=lpn),
             )
+            label = (f"R:lpn{lpn}", state.request_id)
         phases = build.phases
         if faults is not None:
             phases, exhausted = self._apply_transfer_faults(phases, faults)
@@ -311,8 +310,6 @@ class ReadPipeline:
         self._state[i] = state
         self._plane[i] = route[2]
         self._ecc[i] = route[4]
-        label = ((f"R:lpn{lpn}", state.request_id) if self._want_label
-                 else None)
         self._label[i] = label
         self._channel[i] = route[3]
         if faults is not None:

@@ -3,7 +3,8 @@ the host link.
 
 Everything serial in the SSD executes one unit of work at a time; planes,
 channels and decoders record how long they were busy under each tag (the
-channel-usage classification of Fig. 18 falls out of this):
+channel-usage classification of Fig. 18 falls out of this), and the host
+link counts its pages under each tag:
 
 * :class:`Fifo` — strict FIFO (planes, decode units);
 * :class:`HostLink` — the host link: a strict FIFO whose every job takes
@@ -168,8 +169,8 @@ class HostLink:
     all 26 golden digests.
     """
 
-    __slots__ = ("sim", "name", "page_us", "free_at", "_pending", "_spans",
-                 "_probes", "_finish_cb", "_events")
+    __slots__ = ("sim", "name", "page_us", "free_at", "pages_by_tag",
+                 "_pending", "_spans", "_probes", "_finish_cb", "_events")
 
     def __init__(self, sim, name: str, page_us: float):
         self.sim = sim
@@ -178,6 +179,8 @@ class HostLink:
         self.page_us = page_us
         #: end of the last booked job (the link is idle from then on)
         self.free_at: float = 0.0
+        #: pages booked per tag (each keeps the link busy ``page_us``)
+        self.pages_by_tag: Dict[str, int] = {}
         #: ``(cb, arg)`` of the scheduled jobs, in booking order
         self._pending: deque = deque()
         #: ``(tag, start, end)`` of booked jobs the probes have not seen
@@ -192,6 +195,8 @@ class HostLink:
         if start < now:
             start = now
         end = self.free_at = start + self.page_us
+        pages = self.pages_by_tag
+        pages[tag] = pages.get(tag, 0) + 1
         if self._probes:
             spans = self._spans
             if spans and spans[0][2] <= now:

@@ -20,12 +20,12 @@ run is bit-identical to an untraced one) has two inputs, the resource
 probes and :class:`~repro.ssd.metrics.SimMetrics`; the read pipeline
 feeds no observer:
 
-* ``trace_config=TraceConfig(enabled=True)`` attaches a
-  :class:`~repro.obs.trace.SimTracer` to the probes of every plane,
-  channel, decoder and the host link (one occupancy stream, whose read
-  spans carry their request; the Fig. 7/8 phase view is part of it) and
-  records per-request lifecycle spans and instants; export with
-  :meth:`export_chrome_trace` or :func:`repro.obs.write_events_jsonl`.
+* ``tracing=True`` attaches a :class:`~repro.obs.trace.SimTracer` to the
+  probes of every plane, channel, decoder and the host link (one
+  occupancy stream, whose read spans carry their request; the Fig. 7/8
+  phase view is part of it) and records every request's lifecycle span
+  and instants; export with :meth:`export_chrome_trace` or
+  :func:`repro.obs.write_events_jsonl`.
 * ``snapshot_interval_us`` bins channel usage (a channel probe) and the
   change of every SLO counter and the host bytes into fixed windows
   (:class:`~repro.obs.snapshots.SnapshotRecorder`): :meth:`run` pauses the
@@ -50,7 +50,7 @@ from ..faults import FaultInjector, FaultPlan, ReadFaultDecision
 from ..nand.geometry import AddressMapper
 from ..obs.export import write_chrome_trace
 from ..obs.snapshots import SnapshotRecorder
-from ..obs.trace import SimTracer, TraceConfig
+from ..obs.trace import SimTracer
 from ..rng import SeedLike, make_rng, spawn
 from ..units import SEC
 from ..workloads.trace import IORequest, Trace
@@ -124,11 +124,11 @@ class _RequestState:
     (a read page finishes once it is booked on the host link)."""
 
     __slots__ = ("remaining", "started_us", "done_us", "is_read", "bytes",
-                 "on_complete", "request_id", "traced")
+                 "on_complete", "request_id")
 
     def __init__(self, remaining: int, started_us: float, is_read: bool,
                  nbytes: int, on_complete: Optional[Callable[[], None]],
-                 request_id: int = 0, traced: bool = False):
+                 request_id: int = 0):
         self.remaining = remaining
         self.started_us = started_us
         self.done_us = started_us
@@ -136,7 +136,6 @@ class _RequestState:
         self.bytes = nbytes
         self.on_complete = on_complete
         self.request_id = request_id
-        self.traced = traced
 
 
 class SSDSimulator:
@@ -155,14 +154,12 @@ class SSDSimulator:
         operating_temp_c: Optional[float] = None,
         channel_arbitration: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        trace_config: Optional[TraceConfig] = None,
+        tracing: bool = False,
         snapshot_interval_us: Optional[float] = None,
     ):
         self.config = config or SSDConfig()
         self.sim = Simulator()
-        self.tracer: Optional[SimTracer] = (
-            SimTracer(trace_config) if trace_config is not None
-            and trace_config.enabled else None)
+        self.tracer: Optional[SimTracer] = SimTracer() if tracing else None
         g = self.config.geometry
         self.mapper = AddressMapper(g)
 
@@ -296,13 +293,10 @@ class SSDSimulator:
         lpns = request.lpns(self._page_size)
         request_id = self._requests_submitted
         self._requests_submitted += 1
-        tracer = self.tracer
-        traced = tracer is not None and tracer.trace_request(request_id)
         state = _RequestState(len(lpns), self.sim.now, request.is_read,
-                              request.size_bytes, on_complete, request_id,
-                              traced)
-        if traced and tracer.config.trace_requests:
-            tracer.record_instant(
+                              request.size_bytes, on_complete, request_id)
+        if self.tracer is not None:
+            self.tracer.record_instant(
                 "request.queued", self.sim.now, request_id=request_id,
                 args={"op": "read" if request.is_read else "write",
                       "bytes": request.size_bytes, "pages": len(lpns)},
@@ -336,13 +330,6 @@ class SSDSimulator:
         # the window series freezes only after every interval is closed
         if snapshots is not None and not snapshots.finalized:
             snapshots.finalize(self.sim.now, self.metrics)
-        # passive perf telemetry: reliability-cache effectiveness for this
-        # run, alongside the lifecycle events (repro.perf hook)
-        if self.tracer is not None:
-            self.tracer.record_instant(
-                "perf.cache_stats", self.sim.now,
-                args={"caches": self.cache_stats()},
-            )
 
     def _run_windows(self, until: Optional[float]) -> None:
         """:meth:`Simulator.run` with a pause just before each snapshot
@@ -441,7 +428,7 @@ class SSDSimulator:
         else:
             self.metrics.host_write_bytes += state.bytes
             self.metrics.record_write_latency(latency)
-        if state.traced and self.tracer.config.trace_requests:
+        if self.tracer is not None:
             op = "read" if state.is_read else "write"
             self.tracer.record_request_span(
                 state.request_id, f"{op}:req{state.request_id}",
@@ -481,7 +468,7 @@ class SSDSimulator:
         if self.tracer is None:
             raise SimulationError(
                 "no tracer attached; construct the simulator with "
-                "trace_config=TraceConfig(enabled=True)"
+                "tracing=True"
             )
         name = title or f"{self.policy.name.value} @ {self.pe_cycles:g} P/E"
         return write_chrome_trace(path, self.tracer, title=name)

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.campaign import RunSpec
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.fleet import (
@@ -27,6 +28,7 @@ from repro.fleet import (
     generate_population,
     run_fleet,
 )
+from repro.obs.registry import FleetAggregator
 from repro.workloads import WORKLOADS
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -253,3 +255,17 @@ def test_cli_generate_report_and_diff_divergence(tmp_path):
     diff = _run_cli("diff", str(out), str(other))
     assert diff.returncode == 1
     assert "DIVERGENT" in diff.stderr
+
+
+def test_cli_report_prints_dash_for_policy_without_latencies(tmp_path):
+    """A policy whose every cell failed has no read-latency samples, so
+    ``policy_summary`` gives no percentiles; the table prints ``-``."""
+    fleet = FleetAggregator()
+    fleet.observe(RunSpec(workload="Ali124", policy="SENC", pe_cycles=2000.0,
+                          n_requests=10, seed=7), RuntimeError("cell failed"))
+    rollup = tmp_path / "rollup.json"
+    rollup.write_text(json.dumps(fleet.to_dict()))
+    report = _run_cli("report", str(rollup))
+    assert report.returncode == 0, report.stderr
+    row = report.stdout.splitlines()[-1].split()
+    assert row[0] == "SENC" and row[-3:] == ["-", "-", "-"]

@@ -5,13 +5,13 @@ and hashes its output with SHA-256.  Simulation results are hashed as
 canonical JSON (``sort_keys=True``, compact separators), so a digest
 covers every latency float, counter, channel-usage share and learned
 adaptive state; the traced cells also cover request spans, lifecycle
-instants (minus the ``perf.cache_stats`` memo counters) and per-resource
-busy time; the experiment cells hash the exported CSV bytes.  Most
-recorded digests were produced by two independent implementations of the
-read pipeline; the large-request and read-disturb cells were recorded
-with separate start paths for large clean requests and for
-disturb-managed ones, and the one start loop reproduces them.  So the
-digests are the reference the engine is held to.
+instants and per-resource busy time; the experiment cells hash the
+exported CSV bytes.  Most recorded digests were produced by two
+independent implementations of the read pipeline; the large-request and
+read-disturb cells were recorded with separate start paths for large
+clean requests and for disturb-managed ones, and the one start loop
+reproduces them.  So the digests are the reference the engine is held
+to.
 
 Check every cell (prints one line per cell, exits 1 on a mismatch)::
 
@@ -35,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
@@ -46,7 +47,6 @@ from repro.config import SSDConfig, small_test_config
 from repro.experiments import chaos, frontier
 from repro.experiments.export import result_to_csv
 from repro.faults import FaultPlan, FaultSpec
-from repro.obs import TraceConfig
 from repro.obs.registry import FleetAggregator
 from repro.ssd.simulator import SSDSimulator
 from repro.units import KIB
@@ -117,6 +117,15 @@ FAULT_PLANS = {
     ), on_degraded="absorb"),
 }
 
+#: Sys0 at 2K P/E under each fault plan, for two policies
+FAULT_SPECS = {
+    f"faults/{plan_name}-{policy}": RunSpec(
+        workload="Sys0", policy=policy, pe_cycles=2000.0, n_requests=600,
+        seed=7, fault_plan=plan)
+    for plan_name, plan in FAULT_PLANS.items()
+    for policy in ("RiFSSD", "SSDone")
+}
+
 TRACED_FAULTS = FaultPlan(faults=(
     FaultSpec(kind="transient_sense", period=9, magnitude=2.0),
     FaultSpec(kind="latency_spike", period=6, magnitude=2.5),
@@ -140,23 +149,21 @@ def _result_cell(spec: RunSpec) -> Cell:
 def _traced_cell(**kwargs) -> Cell:
     def run():
         ssd = SSDSimulator(small_test_config(), policy="RiFSSD",
-                           pe_cycles=2000.0, seed=31,
-                           trace_config=TraceConfig(enabled=True), **kwargs)
+                           pe_cycles=2000.0, seed=31, tracing=True, **kwargs)
         trace = generate("Sys1", n_requests=300, user_pages=3000, seed=31)
         result = ssd.run_trace(trace)
         tracer = ssd.tracer
         payload = {
             "result": result.to_dict(),
             "request_spans": [asdict(ev) for ev in tracer.request_spans],
-            "instants": [asdict(ev) for ev in tracer.instants
-                         if ev.name != "perf.cache_stats"],
+            "instants": [asdict(ev) for ev in tracer.instants],
             "resource_busy_by_tag": tracer.resource_busy_by_tag(),
         }
         return canonical(payload), headline(result)
     return run
 
 
-def _gc_writes_cell() -> Tuple[bytes, dict]:
+def _gc_writes_drive() -> Tuple[SSDSimulator, Trace]:
     """A write-heavy trace on a drive small enough that writes trigger
     garbage collection (GC copies and erases share the resources with
     retried reads)."""
@@ -164,21 +171,18 @@ def _gc_writes_cell() -> Tuple[bytes, dict]:
                                 planes_per_die=2, blocks_per_plane=8,
                                 pages_per_block=16)
     ssd = SSDSimulator(config, policy="SWR", pe_cycles=1000.0, seed=5)
-    trace = generate("Ali2", n_requests=400, user_pages=ssd.ftl.user_pages,
-                     seed=5)
-    result = ssd.run_trace(trace, queue_depth=8)
-    return canonical(result.to_dict()), headline(result)
+    return ssd, generate("Ali2", n_requests=400,
+                         user_pages=ssd.ftl.user_pages, seed=5)
 
 
-def _disturb_relocation_cell() -> Tuple[bytes, dict]:
+def _disturb_relocation_drive() -> Tuple[SSDSimulator, Trace]:
     """Reads hammering four pages: read-disturb management relocates their
     block over and over (``mode/read-disturb`` relocates only a few)."""
     trace = Trace([IORequest(float(i), "R", (i % 4) * 16 * KIB, 16 * KIB)
                    for i in range(600)], name="hot-read")
     ssd = SSDSimulator(small_test_config(), policy="RiFSSD",
                        pe_cycles=2000.0, seed=2, read_disturb_threshold=50)
-    result = ssd.run_trace(trace, queue_depth=8)
-    return canonical(result.to_dict()), headline(result)
+    return ssd, trace
 
 
 #: Requests of 384 KiB to 1 MiB: every read spans 24 to 64 pages, well
@@ -194,14 +198,28 @@ def _large_request_trace(user_pages: int) -> Trace:
                     seed=17)
 
 
-def _large_request_cell(reliability_mode: str) -> Cell:
+def _large_request_drive(reliability_mode: str
+                         ) -> Tuple[SSDSimulator, Trace]:
     """Multi-page reads far larger than any synthetic workload's, cold and
     warm pages mixed, with some writes in between."""
+    ssd = SSDSimulator(small_test_config(), policy="RiFSSD",
+                       pe_cycles=2000.0, seed=17,
+                       reliability_mode=reliability_mode)
+    return ssd, _large_request_trace(ssd.ftl.user_pages)
+
+
+#: The hand-built drives and their traces, each replayed at queue depth 8.
+DRIVES: Dict[str, Callable[[], Tuple[SSDSimulator, Trace]]] = {
+    "mode/gc-writes": _gc_writes_drive,
+    "mode/disturb-relocation": _disturb_relocation_drive,
+    "mode/large-requests": partial(_large_request_drive, "parametric"),
+    "mode/large-requests-lut": partial(_large_request_drive, "lut"),
+}
+
+
+def _drive_cell(build: Callable[[], Tuple[SSDSimulator, Trace]]) -> Cell:
     def run():
-        ssd = SSDSimulator(small_test_config(), policy="RiFSSD",
-                           pe_cycles=2000.0, seed=17,
-                           reliability_mode=reliability_mode)
-        trace = _large_request_trace(ssd.ftl.user_pages)
+        ssd, trace = build()
         result = ssd.run_trace(trace, queue_depth=8)
         return canonical(result.to_dict()), headline(result)
     return run
@@ -234,15 +252,10 @@ def _cells() -> Dict[str, Cell]:
         cells[name] = _result_cell(spec)
     for mode, spec in MODE_SPECS.items():
         cells[f"mode/{mode}"] = _result_cell(spec)
-    cells["mode/gc-writes"] = _gc_writes_cell
-    cells["mode/disturb-relocation"] = _disturb_relocation_cell
-    cells["mode/large-requests"] = _large_request_cell("parametric")
-    cells["mode/large-requests-lut"] = _large_request_cell("lut")
-    for plan_name, plan in FAULT_PLANS.items():
-        for policy in ("RiFSSD", "SSDone"):
-            cells[f"faults/{plan_name}-{policy}"] = _result_cell(RunSpec(
-                workload="Sys0", policy=policy, pe_cycles=2000.0,
-                n_requests=600, seed=7, fault_plan=plan))
+    for name, build in DRIVES.items():
+        cells[name] = _drive_cell(build)
+    for name, spec in FAULT_SPECS.items():
+        cells[name] = _result_cell(spec)
     cells["traced/clean"] = _traced_cell()
     cells["traced/faults"] = _traced_cell(fault_plan=TRACED_FAULTS)
     for policy, kwargs in ADAPTIVE:
@@ -325,9 +338,8 @@ EXERCISES = {
     "mode/disturb-relocation": ("disturb relocations",
                                 _metric("disturb_relocations"), 1),
     "mode/gc-writes": ("GC page copies", _metric("gc_page_copies"), 1),
-    **{f"faults/{plan}-{policy}": ("fault firings",
-                                   _metric("faults_injected"), 1)
-       for plan in FAULT_PLANS for policy in ("RiFSSD", "SSDone")},
+    **{name: ("fault firings", _metric("faults_injected"), 1)
+       for name in FAULT_SPECS},
     "mode/large-requests": ("pages in one read", _largest_read, 24),
     "mode/large-requests-lut": ("pages in one read", _largest_read, 24),
 }

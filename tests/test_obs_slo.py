@@ -4,6 +4,7 @@ verdicts, and windowed burn-rate evaluation."""
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.__main__ import main as obs_main
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.slo import (
     BurnRateRule,
@@ -143,3 +144,17 @@ def test_windows_from_snapshots_duck_typing():
              Snap({"page_reads": 5.0})]
     assert windows_from_snapshots(snaps, "retried_reads", "page_reads") == \
         [(3.0, 10.0), (0.0, 5.0)]
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("Ali124:RiFSSD:abc", "--burn expects workload:policy:pe"),
+    ("Ali124:RiFSSD", "--burn expects workload:policy:pe"),
+    ("Ali999:RiFSSD:1000", "unknown workload 'Ali999'"),
+])
+def test_slo_report_rejects_a_malformed_burn_cell(cell, message, capsys):
+    """A ``--burn`` cell that is not workload:policy:<number>, or names an
+    unknown workload, is a config error: ``error: ...`` and exit 2,
+    before any cell runs."""
+    assert obs_main(["slo-report", "--burn", cell]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err

@@ -1,15 +1,12 @@
-"""Tracing subsystem: determinism, reconciliation, sampling, exporters."""
+"""Tracing subsystem: determinism, reconciliation, exporters."""
 
 import json
 
 import pytest
 
-from repro.campaign import RunSpec
-from repro.campaign.spec import build_simulator, build_trace
 from repro.config import small_test_config
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import (
-    TraceConfig,
     chrome_trace,
     load_trace_spans,
     longest_spans,
@@ -24,9 +21,9 @@ from repro.workloads import generate
 USAGE_TAGS = ("COR", "UNCOR", "WRITE", "GC", "ECCWAIT")
 
 
-def _run(trace_config=None, **kw):
+def _run(tracing=False, **kw):
     ssd = SSDSimulator(small_test_config(), policy="RiFSSD", pe_cycles=2000,
-                       seed=31, trace_config=trace_config, **kw)
+                       seed=31, tracing=tracing, **kw)
     trace = generate("Sys0", n_requests=150, user_pages=3000, seed=31)
     result = ssd.run_trace(trace)
     return ssd, result
@@ -34,34 +31,14 @@ def _run(trace_config=None, **kw):
 
 @pytest.fixture(scope="module")
 def traced():
-    return _run(trace_config=TraceConfig(enabled=True))
-
-
-def test_trace_config_validation():
-    with pytest.raises(ConfigError):
-        TraceConfig(sample_every=0)
-    with pytest.raises(ConfigError):
-        TraceConfig(max_events=0)
+    return _run(tracing=True)
 
 
 def test_tracing_is_bit_identical():
     """Enabling every observability feature must not change the result."""
     _ssd, plain = _run()
-    _ssd, observed = _run(trace_config=TraceConfig(enabled=True),
-                          snapshot_interval_us=500.0)
+    _ssd, observed = _run(tracing=True, snapshot_interval_us=500.0)
     assert observed.to_dict() == plain.to_dict()
-
-
-def test_sampled_trace_is_subset_and_bit_identical():
-    ssd_all, full = _run(trace_config=TraceConfig(enabled=True))
-    ssd_some, sampled = _run(
-        trace_config=TraceConfig(enabled=True, sample_every=5))
-    assert sampled.to_dict() == full.to_dict()
-    all_ids = set(ssd_all.tracer.traced_request_ids())
-    some_ids = set(ssd_some.tracer.traced_request_ids())
-    assert some_ids
-    assert some_ids < all_ids
-    assert all(rid % 5 == 0 for rid in some_ids)
 
 
 def test_resource_spans_reconcile_with_channel_usage(traced):
@@ -108,32 +85,6 @@ def test_plan_instants_carry_retry_args(traced):
         result.metrics.total_senses
 
 
-def test_max_events_degrades_to_counter():
-    ssd, _result = _run(trace_config=TraceConfig(enabled=True, max_events=50))
-    assert ssd.tracer.total_events <= 50
-    assert ssd.tracer.dropped > 0
-
-
-def test_resource_only_trace_keeps_its_whole_occupancy_stream():
-    """A trace without request tracing (the profiler's) records no phase
-    spans, so its event budget holds the run's whole occupancy stream:
-    nothing is dropped and the traced channel time is the run's."""
-    spec = RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000.0,
-                   seed=7, n_requests=1500)
-    ssd = build_simulator(spec, trace_config=TraceConfig(
-        enabled=True, trace_requests=False, max_events=30_000))
-    result = ssd.run_trace(build_trace(spec), **spec.run_kwargs())
-    tracer = ssd.tracer
-    assert tracer.events == [] and tracer.by_resource() == {}
-    assert tracer.dropped == 0
-    busy = tracer.resource_busy_by_tag()
-    traced = sum(us for channel in ssd.channels
-                 for us in busy[channel.name].values())
-    usage = result.channel_usage
-    assert traced == pytest.approx(usage.total - usage.idle, rel=1e-12)
-    assert traced == pytest.approx(79_859.234, abs=1e-3)
-
-
 def test_chrome_trace_schema(traced, tmp_path):
     ssd, _result = traced
     data = chrome_trace(ssd.tracer)
@@ -160,8 +111,22 @@ def test_span_loading_agrees_across_formats(traced, tmp_path):
     ssd, _result = traced
     chrome = load_trace_spans(write_chrome_trace(tmp_path / "t.json",
                                                  ssd.tracer))
-    jsonl = load_trace_spans(write_events_jsonl(tmp_path / "t.jsonl",
-                                                ssd.tracer))
+    path = write_events_jsonl(tmp_path / "t.jsonl", ssd.tracer)
+    jsonl = load_trace_spans(path)
+    # one record per span and instant (1,895 resource, 150 request, 637
+    # instant): a read job's resource record names its request, and no
+    # phase record copies it
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 2_682
+    reads = [r for r in records
+             if r["type"] == "resource" and r["request"] is not None]
+    assert len(reads) == len(ssd.tracer.events) == 1_020
+    # files from older exporters also hold those phase copies: skipped
+    legacy = tmp_path / "legacy.jsonl"
+    legacy.write_text(path.read_text() + "".join(
+        json.dumps(dict(r, type="phase")) + "\n" for r in reads))
+    assert load_trace_spans(legacy) == jsonl
+
     def busy(spans, track):
         return sum(s["dur_us"] for s in spans if s["track"] == track)
 
@@ -181,6 +146,6 @@ def test_export_requires_tracer(tmp_path):
 
 
 def test_export_chrome_trace_method(tmp_path):
-    ssd, _result = _run(trace_config=TraceConfig(enabled=True))
+    ssd, _result = _run(tracing=True)
     path = ssd.export_chrome_trace(tmp_path / "run.json")
     validate_chrome_trace(json.loads(path.read_text()))

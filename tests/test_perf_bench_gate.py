@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.campaign.spec import RunSpec
+from repro.campaign.spec import RunSpec, build_simulator, build_trace
 from repro.perf.bench_gate import (
     BASELINE_CAP_FACTOR,
     DEFAULT_TOLERANCE,
@@ -187,16 +187,30 @@ def test_profile_spec_reports_phases_and_subsystems():
     assert "repro/ssd self-time by module" in table
     for name in names:  # one line per cache, straight from cache_stats()
         assert f"  {name} " in table
-    # the occupancy stream fits the default event budget
-    assert report.trace_dropped == 0 and "warning" not in table
     json.dumps(report.to_dict())  # JSON-ready
 
 
-def test_profile_warns_when_its_trace_is_cut_short():
-    spec = RunSpec(workload="Ali2", policy="RiFSSD", pe_cycles=1000.0,
-                   n_requests=100, seed=7)
-    report = profile_spec(spec, top=1, max_trace_events=200)
-    assert report.trace_dropped > 0
-    assert report.to_dict()["trace_dropped"] == report.trace_dropped
-    assert (f"warning: {report.trace_dropped} trace events dropped"
-            in report.format_table())
+def test_profile_busy_table_sums_the_whole_runs_counters():
+    """The busy table is the resources' counters summed per class and tag,
+    so it covers the whole run: its ``ch:*`` rows add up to the channels'
+    busy time in ``channel_usage()``."""
+    spec = RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000.0,
+                   seed=7, n_requests=1500)
+    busy = profile_spec(spec, top=1).sim_busy_us
+    ssd = build_simulator(spec)
+    result = ssd.run_trace(build_trace(spec), **spec.run_kwargs())
+    usage = result.channel_usage
+    channel = sum(us for key, us in busy.items() if key.startswith("ch:"))
+    assert channel == pytest.approx(usage.total - usage.idle, rel=1e-12)
+    assert channel == pytest.approx(79_859.234, abs=1e-3)
+    assert (busy["ch:COR"], busy["ch:UNCOR"], busy["ch:ECCWAIT"]) == (
+        usage.cor, usage.uncor, usage.eccwait)
+    for prefix, resources in (("plane", ssd.planes),
+                              ("ecc.decoder", [e.decoder for e in ssd.eccs])):
+        tags = {tag for r in resources for tag in r.busy_time_by_tag}
+        assert tags
+        for tag in tags:
+            assert busy[f"{prefix}:{tag}"] == sum(
+                r.busy_time_by_tag.get(tag, 0.0) for r in resources)
+    m = result.metrics
+    assert busy["host:READ"] == m.page_reads * ssd.host_link.page_us

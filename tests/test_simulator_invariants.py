@@ -1,4 +1,5 @@
-"""Whole-simulation invariants, checked on traced runs.
+"""Whole-simulation invariants, checked on traced runs and on the
+resource counters of golden cells.
 
 These catch the classic discrete-event bugs: double-booked resources,
 leaked ECC buffer slots, lost bytes, and time accounting that doesn't add
@@ -9,17 +10,17 @@ from dataclasses import replace
 
 import pytest
 
+from repro.campaign.spec import build_simulator, build_trace
 from repro.config import small_test_config
-from repro.obs import TraceConfig
 from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
+from tests.test_golden import DRIVES, FAULT_SPECS
 
 
 @pytest.fixture(scope="module", params=["SWR", "RiFSSD"])
 def traced_run(request):
     ssd = SSDSimulator(small_test_config(), policy=request.param,
-                       pe_cycles=2000, seed=31,
-                       trace_config=TraceConfig(enabled=True))
+                       pe_cycles=2000, seed=31, tracing=True)
     trace = generate("Sys0", n_requests=150, user_pages=3000, seed=31)
     result = ssd.run_trace(trace)
     return ssd, result, ssd.tracer, trace
@@ -89,7 +90,7 @@ def test_cut_run_reports_only_finished_spans():
     config = replace(config, bandwidth=replace(config.bandwidth,
                                                host_gb_per_s=0.2))
     ssd = SSDSimulator(config, policy="RiFSSD", pe_cycles=2000, seed=31,
-                       trace_config=TraceConfig(enabled=True))
+                       tracing=True)
     tracer = ssd.tracer
     trace = generate("Sys0", n_requests=150, user_pages=3000, seed=31)
     result = ssd.run_trace(trace, time_limit_us=2000.0)
@@ -168,3 +169,35 @@ def test_usage_fractions_partition_unity(traced_run):
     fractions = result.channel_usage.fractions()
     assert sum(fractions.values()) == pytest.approx(1.0)
     assert all(0.0 <= v <= 1.0 for v in fractions.values())
+
+
+#: golden cells whose faults, GC writes, disturb relocations and large
+#: requests stack extra work onto the resources
+BUSY_CELLS = [*FAULT_SPECS, "mode/gc-writes", "mode/disturb-relocation",
+              "mode/large-requests"]
+
+
+@pytest.mark.parametrize("name", BUSY_CELLS)
+def test_no_resource_is_busy_longer_than_the_run(name):
+    """Per-resource busy time, read from the counters the profile sums,
+    never exceeds the elapsed time of a run driven to completion: a
+    serial resource cannot work longer than the clock ran.  The channel's
+    ECCWAIT counts as busy; the 1e-6 us slack is ``channel_usage()``'s."""
+    if name in FAULT_SPECS:
+        spec = FAULT_SPECS[name]
+        ssd = build_simulator(spec)
+        result = ssd.run_trace(build_trace(spec), **spec.run_kwargs())
+    else:
+        ssd, trace = DRIVES[name]()
+        result = ssd.run_trace(trace, queue_depth=8)
+    assert result.completed
+    elapsed = result.metrics.elapsed_us + 1e-6
+    busy = {resource.name: resource.total_busy_time()
+            for resource in (*ssd.planes, *(e.decoder for e in ssd.eccs))}
+    for channel in ssd.channels:
+        busy[channel.name] = (sum(channel.busy_time_by_tag.values())
+                              + channel.blocked_time)
+    link = ssd.host_link
+    busy[link.name] = sum(link.pages_by_tag.values()) * link.page_us
+    over = {resource: us for resource, us in busy.items() if us > elapsed}
+    assert not over, f"busy past the run's {elapsed} us: {over}"

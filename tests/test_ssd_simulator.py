@@ -9,7 +9,6 @@ from repro.campaign.spec import RunSpec, execute
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.nand.geometry import PageAddress
-from repro.obs import TraceConfig
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.simulator import SSDSimulator
 from repro.units import KIB
@@ -209,8 +208,7 @@ def test_write_heavy_run_builds_no_page_address(monkeypatch, faulted):
 
 
 def test_tracer_records_phases(ssd_config):
-    ssd = SSDSimulator(ssd_config, policy="SSDzero", seed=10,
-                       trace_config=TraceConfig(enabled=True))
+    ssd = SSDSimulator(ssd_config, policy="SSDzero", seed=10, tracing=True)
     _single_read(ssd, size=32 * KIB)
     by_resource = ssd.tracer.by_resource()
     assert any(name.startswith("plane") for name in by_resource)
