@@ -11,8 +11,9 @@ The streaming reporters forward the same events as telemetry
 (:mod:`repro.obs.telemetry`): :class:`LiveProgress` keeps one rewriting
 status line with an ETA; :class:`JsonlProgress` appends one structured
 record per cell (label, spec hash, wall time, cache hit/miss,
-bandwidth/retry/fault counters) that a dashboard can tail while the grid
-runs; :class:`MultiProgress` fans events out to several hooks at once.
+bandwidth/retry/fault counters, and the cell's share of the fleet
+rollup) that a dashboard can tail while the grid runs;
+:class:`MultiProgress` fans events out to several hooks at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from typing import List, Optional, TextIO
 
 from ..obs.dashboard import MultiLineWriter, render_dashboard
-from ..obs.registry import FleetAggregator
+from ..obs.registry import FleetAggregator, rollup_share
 from ..obs.slo import default_slos, evaluate_fleet
 from ..obs.telemetry import JsonlSink, LiveLineWriter, live_line
 
@@ -102,8 +103,9 @@ def cell_report(spec, outcome, elapsed_s: float, cached: bool) -> dict:
     """One flat JSON-compatible record describing a finished cell.
 
     Works for both outcome shapes (duck-typed): a
-    :class:`~repro.ssd.simulator.SimulationResult` contributes bandwidth
-    and retry/fault counters, a
+    :class:`~repro.ssd.simulator.SimulationResult` contributes bandwidth,
+    retry/fault counters and its share of the fleet rollup (``rollup``,
+    see :func:`~repro.obs.registry.rollup_share`), a
     :class:`~repro.campaign.executor.CellFailure` its kind and message.
     """
     record = {
@@ -132,11 +134,8 @@ def cell_report(spec, outcome, elapsed_s: float, cached: bool) -> dict:
             "p50_read_us": summary["p50_us"],
             "p99_read_us": summary["p99_us"],
             "p999_read_us": summary["p999_us"],
+            "rollup": rollup_share(outcome),
         })
-        if metrics.read_latency_hist.count:
-            # the sparse histogram lets a JSONL consumer rebuild exact
-            # fleet-level latency rollups (FleetAggregator.observe_record)
-            record["read_latency_hist"] = metrics.read_latency_hist.to_dict()
     else:  # CellFailure
         record.update({
             "ok": False,

@@ -26,6 +26,7 @@ from ..ssd import SimulationResult, SSDSimulator
 from ..ssd.ecc_model import EccOutcomeModel
 from ..ssd.host import check_size
 from ..ssd.reliability import check_finite_non_negative
+from ..ssd.retry_policies import check_policy
 from ..workloads import generate
 from ..workloads.synthetic import workload_spec
 from ..workloads.trace import Trace
@@ -191,6 +192,7 @@ class RunSpec:
         if self.mode not in ("closed", "timed"):
             raise ConfigError(f"unknown host mode {self.mode!r}")
         workload_spec(self.workload)
+        check_policy(self.policy)
         check_sizing(self)
         if self.time_limit_us is not None and not self.time_limit_us > 0:
             raise ConfigError("RunSpec.time_limit_us must be None or > 0, "

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from ..errors import CampaignInterrupted, ReproError
 from ..faults import FaultPlan, FaultSpec
-from ..obs.registry import FleetAggregator
+from ..obs.registry import FleetAggregator, read_rollup_file
 from .population import FleetSpec, generate_population
 from .service import comparable_rollup, run_fleet
 
@@ -121,7 +121,7 @@ def _write_json(path, payload) -> None:
 
 def _load_rollup(path: str) -> dict:
     """A fleet rollup from either a `run` payload or a bare rollup file."""
-    data = json.loads(Path(path).read_text())
+    data = read_rollup_file(path)
     return data["rollup"] if "rollup" in data else data
 
 

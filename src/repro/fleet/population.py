@@ -46,6 +46,7 @@ from ..campaign.spec import RunSpec, check_sizing
 from ..errors import ConfigError
 from ..faults import FaultPlan, FaultSpec
 from ..rng import make_rng, spawn
+from ..ssd.retry_policies import check_policy
 from ..workloads import WORKLOADS
 
 #: Bump when the meaning of any FleetSpec field (or the sampling
@@ -125,6 +126,8 @@ class FleetSpec:
             raise ConfigError("a fleet needs at least one policy")
         object.__setattr__(self, "policies",
                            tuple(str(p) for p in self.policies))
+        for policy in self.policies:
+            check_policy(policy)
         object.__setattr__(self, "workload_mix",
                            _freeze_mix(self.workload_mix))
         object.__setattr__(self, "pe_cycles_range",

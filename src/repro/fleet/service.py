@@ -64,7 +64,7 @@ class FleetRunResult:
     specs: List[RunSpec] = field(default_factory=list)
 
     def rollup(self) -> dict:
-        """The exact, mergeable fleet state (FleetAggregator.to_dict)."""
+        """The exact fleet state (FleetAggregator.to_dict)."""
         return self.aggregator.to_dict()
 
     def comparable_rollup(self) -> dict:

@@ -20,10 +20,10 @@ feeds its per-phase observers two inputs only: the resource probes and
   and the host bytes (read off the metrics at each window edge).
 * :mod:`.telemetry` — JSONL sinks and live status lines the campaign
   progress reporters stream through.
-* :mod:`.registry` — the labeled metric plane: :class:`MetricRegistry`
-  (Counter/Gauge/Histogram families with exact, commutative merge),
-  passive RNG-free scrapes of simulators and results, and
-  :class:`FleetAggregator` for cross-cell/cross-worker rollups.
+* :mod:`.registry` — :class:`FleetAggregator`, the fleet rollup: per
+  policy, the cell counts, the sums of the SimMetrics counters and the
+  channel time, and the merged latency histograms, with the one table
+  that names their exported metric families.
 * :mod:`.slo` — declarative :class:`SloSpec` objectives (tail latency,
   error budgets, windowed burn-rate rules) with pass/fail verdicts.
 * :mod:`.dashboard` — Prometheus text exposition (+ validator), registry
@@ -34,8 +34,8 @@ feeds its per-phase observers two inputs only: the resource probes and
 
 Import discipline: nothing here imports :mod:`repro.ssd` or
 :mod:`repro.campaign` at module scope (those layers import *us*), so the
-package stays cycle-free; the scrape/evaluate entry points duck-type
-against simulator/result/fleet attribute contracts instead.
+package stays cycle-free; the fold/evaluate entry points duck-type
+against result/fleet attribute contracts instead.
 """
 
 from .histogram import LatencyHistogram
@@ -51,14 +51,7 @@ from .export import (
 )
 from .snapshots import SnapshotRecorder, UsageSnapshot
 from .telemetry import JsonlSink, LiveLineWriter, format_duration, live_line
-from .registry import (
-    FleetAggregator,
-    MetricFamily,
-    MetricRegistry,
-    reconcile_with_metrics,
-    scrape_result,
-    scrape_simulator,
-)
+from .registry import FleetAggregator
 from .slo import (
     BurnRateRule,
     LatencyObjective,
@@ -98,12 +91,7 @@ __all__ = [
     "LiveLineWriter",
     "live_line",
     "format_duration",
-    "MetricRegistry",
-    "MetricFamily",
     "FleetAggregator",
-    "scrape_simulator",
-    "scrape_result",
-    "reconcile_with_metrics",
     "SloSpec",
     "SloReport",
     "SloVerdict",

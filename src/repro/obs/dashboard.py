@@ -1,6 +1,8 @@
 """Exporters and the live terminal dashboard for fleet metrics.
 
-Three ways out of a :class:`~repro.obs.registry.MetricRegistry`:
+Three ways out of a :class:`~repro.obs.registry.FleetAggregator` rollup,
+each reading its schema-1 family layout
+(:meth:`~repro.obs.registry.FleetAggregator.families`):
 
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le=...}``
@@ -27,7 +29,6 @@ import sys
 from typing import Dict, List, Optional, Sequence, TextIO
 
 from ..errors import SimulationError
-from .registry import MetricRegistry
 from .slo import SloReport
 from .telemetry import format_duration
 
@@ -62,8 +63,8 @@ def _label_str(names: Sequence[str], values: Sequence[str],
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
-def prometheus_text(registry: MetricRegistry) -> str:
-    """Render a registry in the Prometheus text exposition format.
+def prometheus_text(fleet) -> str:
+    """Render a fleet rollup in the Prometheus text exposition format.
 
     Histograms become the conventional cumulative series: one
     ``_bucket{le="<upper edge>"}`` per *occupied* bucket (plus
@@ -71,17 +72,15 @@ def prometheus_text(registry: MetricRegistry) -> str:
     overflow only into ``+Inf`` — so ``+Inf`` always equals ``_count``.
     """
     lines: List[str] = []
-    for family in registry.families():
-        if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
+    for family, samples in fleet.families():
+        lines.append(f"# HELP {family.name} {family.help}")
         lines.append(f"# TYPE {family.name} {family.kind}")
-        for values, child in family.samples():
+        for values, value in samples:
             if family.kind != "histogram":
                 labels = _label_str(family.label_names, values)
-                lines.append(
-                    f"{family.name}{labels} {_format_value(child.value)}")
+                lines.append(f"{family.name}{labels} {_format_value(value)}")
                 continue
-            hist = child.hist
+            hist = value
             cumulative = hist.underflow
             for index in sorted(hist.counts):
                 cumulative += hist.counts[index]
@@ -185,20 +184,21 @@ def validate_prometheus_text(text: str) -> dict:
             "histograms": sum(1 for k in kinds.values() if k == "histogram")}
 
 
-def registry_jsonl(registry: MetricRegistry) -> str:
-    """One JSON object per metric sample (histograms stay sparse dicts)."""
+def registry_jsonl(fleet) -> str:
+    """One JSON object per metric sample of a fleet rollup (histograms
+    stay sparse dicts)."""
     buffer = io.StringIO()
-    for family in registry.families():
-        for values, child in family.samples():
+    for family, samples in fleet.families():
+        for values, value in samples:
             record = {
                 "metric": family.name,
                 "kind": family.kind,
                 "labels": dict(zip(family.label_names, values)),
             }
             if family.kind == "histogram":
-                record["hist"] = child.hist.to_dict()
+                record["hist"] = value.to_dict()
             else:
-                record["value"] = child.value
+                record["value"] = value
             buffer.write(json.dumps(record, sort_keys=True) + "\n")
     return buffer.getvalue()
 

@@ -29,16 +29,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..units import bytes_per_us_to_mb_per_s
-from .registry import HOST_BYTE_COUNTERS, metrics_field
 from .slo import EVENT_COUNTERS
 
 #: Window counter name -> the SimMetrics field it is the change of: every
-#: SLO event (named as in :data:`~repro.obs.slo.EVENT_COUNTERS`) and the
-#: two host-byte counters, resolved through the registry's scrape table.
+#: SLO event (:data:`~repro.obs.slo.EVENT_COUNTERS`) and the two host-byte
+#: counters.
 WINDOW_COUNTERS: Tuple[Tuple[str, str], ...] = tuple(
-    (event, metrics_field(family, labels))
-    for event, (family, labels) in EVENT_COUNTERS.items()
-) + tuple((attr, attr) for _name, attr, _help in HOST_BYTE_COUNTERS)
+    EVENT_COUNTERS.items()) + (("host_read_bytes", "host_read_bytes"),
+                               ("host_write_bytes", "host_write_bytes"))
 
 
 @dataclass

@@ -21,10 +21,10 @@ and fails (exit 1) if any benchmark's speedup dropped more than
 floor (tolerance-relaxed).
 
 The suite also carries a metrics-overhead guard (kind ``overhead``): the
-pinned fig.-17 cell run fully metered (registry scrape + fleet rollup +
-SLO evaluation, the per-cell cost of a campaign with ``--dashboard``)
-must stay within 5% of the unmetered run — a tolerance-exempt hard cap,
-so the observability plane stays cheap by construction.
+pinned fig.-17 cell run fully metered (fleet rollup + SLO evaluation,
+the per-cell cost of a campaign with ``--dashboard``) must stay within
+5% of the unmetered run — a tolerance-exempt hard cap, so the
+observability plane stays cheap by construction.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 0.15
 MICRO_FLOOR = 2.0
 #: The metrics plane must stay passive in cost as well as in behaviour: a
-#: fully metered cell (registry scrape, fleet rollup and SLO evaluation;
-#: the snapshot recorder stays off) may run at most 5% slower than the
-#: unmetered run, i.e. its "speedup" ratio (unmetered / metered) must stay
-#: above 1/1.05.  This floor is exempt
-#: from ``tolerance`` — relaxing an overhead cap with the same knob that
-#: relaxes optimization floors would quietly licence slow metrics.
+#: fully metered cell (fleet rollup and SLO evaluation; the snapshot
+#: recorder stays off) may run at most 5% slower than the unmetered run,
+#: i.e. its "speedup" ratio (unmetered / metered) must stay above 1/1.05.
+#: This floor is exempt from ``tolerance`` — relaxing an overhead cap with
+#: the same knob that relaxes optimization floors would quietly licence
+#: slow metrics.
 OVERHEAD_FLOOR = 1.0 / 1.05
 #: The baseline-relative check only demands up to this multiple of the
 #: kind's floor.  Far above the floor, run-to-run noise scales with the
@@ -232,13 +232,12 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
     """Metered vs unmetered run of the pinned fig.-17 cell.
 
     "Metered" is everything the fleet observability plane adds to a cell
-    in a campaign with rollups and a dashboard: a registry scrape of the
-    result, folding it into a :class:`~repro.obs.registry.FleetAggregator`,
-    and a full SLO evaluation of the rollup — all pull-based reads of
-    counters the simulation maintains anyway.  The ratio
-    (unmetered / metered) is gated against :data:`OVERHEAD_FLOOR`.  Both
-    sides run the same engine on the same prebuilt trace, so the
-    ratio isolates the metering cost.  (The per-window
+    in a campaign with rollups and a dashboard: folding the result into a
+    :class:`~repro.obs.registry.FleetAggregator` and a full SLO evaluation
+    of the rollup — sums of counters the simulation maintains anyway.
+    The ratio (unmetered / metered) is gated against
+    :data:`OVERHEAD_FLOOR`.  Both sides run the same engine on the same
+    prebuilt trace, so the ratio isolates the metering cost.  (The per-window
     :class:`~repro.obs.snapshots.SnapshotRecorder` is *not* part of the
     fleet default path — it is opt-in burn-rate analysis, and its
     per-span hooks cost a few percent of a run when enabled.)
@@ -251,7 +250,7 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
     side's true floor, while a real systematic overhead inflates every
     metered sample and survives into the minimum.
     """
-    from ..obs.registry import FleetAggregator, scrape_result
+    from ..obs.registry import FleetAggregator
     from ..obs.slo import default_slos, evaluate_fleet
 
     workload, policy, pe = OVERHEAD_CELL
@@ -262,7 +261,6 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
 
     def metered() -> None:
         result = execute(spec, trace)
-        scrape_result(result)
         fleet = FleetAggregator()
         fleet.observe(spec, result)
         evaluate_fleet(fleet, slos)
@@ -273,7 +271,7 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
     metered()  # warm both paths
     unmetered()
     # Keep the collector out of the timed regions: the metered side
-    # allocates more (registry, fleet, SLO reports), so with gc enabled
+    # allocates more (fleet, SLO reports), so with gc enabled
     # its allocations preferentially *trigger* collections of whatever
     # garbage the rest of the suite left behind, and the pause lands in
     # the metered sample — a systematic bias, not an overhead.

@@ -447,15 +447,20 @@ def _ensure_adaptive_registered() -> None:
         POLICIES.update(ADAPTIVE_POLICIES)
 
 
+def check_policy(name) -> PolicyName:
+    """The :class:`PolicyName` of ``name``; any other name is a
+    :class:`ConfigError`."""
+    try:
+        return PolicyName(name)
+    except ValueError:
+        valid = ", ".join(p.value for p in PolicyName)
+        raise ConfigError(
+            f"unknown policy {name!r}; valid policies: {valid}") from None
+
+
 def make_policy(
     name, timings: NandTimings, model: EccOutcomeModel, **kwargs
 ) -> ReadRetryPolicy:
     """Instantiate a policy by name (string or :class:`PolicyName`)."""
     _ensure_adaptive_registered()
-    try:
-        key = PolicyName(name)
-    except ValueError:
-        valid = ", ".join(p.value for p in PolicyName)
-        raise ConfigError(
-            f"unknown policy {name!r}; valid policies: {valid}") from None
-    return POLICIES[key](timings, model, **kwargs)
+    return POLICIES[check_policy(name)](timings, model, **kwargs)

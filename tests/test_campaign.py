@@ -85,6 +85,8 @@ def test_spec_rejects_unknown_fields_and_modes():
                            "bogus": 1})
     with pytest.raises(ConfigError):
         RunSpec(workload="Ali124", policy="SWR", mode="open")
+    with pytest.raises(ConfigError, match="unknown policy 'Bogus'"):
+        RunSpec(workload="Ali124", policy="Bogus")
     # a zero size is not "the scale's default": it would run the default
     # under a second content hash
     for field in ("n_requests", "user_pages", "queue_depth"):

@@ -122,7 +122,9 @@ def test_hung_cell_times_out_grid_completes():
 
 def test_cell_error_recorded_not_retried():
     good = _spec()
-    bad = _spec(policy="NOSUCH")  # resolved (and rejected) in the worker
+    # an unknown config section passes the spec but fails build_config
+    # in the worker
+    bad = _spec(config_overrides={"NOSUCH": {"x": 1}})
     executor = ParallelExecutor(jobs=2, on_failure="record")
     results = executor.map([good, bad])
     assert results[good] == execute(good)

@@ -126,6 +126,9 @@ def test_population_validation():
                 FleetSpec(n_drives=3, **{field: bad})
     with pytest.raises(ConfigError, match="at least one policy"):
         FleetSpec(n_drives=1, policies=())
+    # rejected when the spec is built, not as one failed cell per drive
+    with pytest.raises(ConfigError, match="unknown policy 'Bogus'"):
+        FleetSpec(n_drives=3, policies=("RiFSSD", "Bogus"))
     with pytest.raises(ConfigError, match="unknown FleetSpec"):
         FleetSpec.from_dict({"n_drives": 1, "warp_factor": 9})
     with pytest.raises(ConfigError, match="drive_id"):

@@ -3,6 +3,7 @@ the multi-line terminal panel, and the static HTML report."""
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,43 +16,54 @@ from repro.obs.dashboard import (
     render_dashboard,
     validate_prometheus_text,
 )
-from repro.obs.registry import FleetAggregator, MetricRegistry
+from repro.obs.registry import FleetAggregator
 from repro.obs.slo import default_slos, evaluate_fleet
+from repro.ssd.metrics import ChannelUsage, SimMetrics
 
 
-def _registry():
-    reg = MetricRegistry()
-    reads = reg.counter("ssd_page_reads_total", "pages read", ("policy",))
-    reads.labels(policy="RiFSSD").inc(100)
-    reads.labels(policy='we"ird\\pol\n').inc(1)  # exercises label escaping
-    reg.gauge("ssd_offline_dies", "dies offline").set(2)
-    lat = reg.histogram("ssd_read_latency_us", "read latency")
-    for v in (55.0, 80.0, 120.0, 4000.0, 0.01, 5e7):  # under- and overflow
-        lat.observe(v)
-    return reg
+def _outcome(latencies=(100.0, 150.0, 900.0), **counters):
+    """A finished cell: ``counters`` on SimMetrics, ``latencies`` read."""
+    metrics = SimMetrics(elapsed_us=1e6, **counters)
+    for value in latencies:
+        metrics.record_read_latency(value)
+    usage = ChannelUsage(cor=4e5, uncor=0.0, write=0.0, gc=0.0, eccwait=0.0,
+                         idle=6e5)
+    return SimpleNamespace(metrics=metrics, channel_usage=usage)
+
+
+def _fleet():
+    fleet = FleetAggregator()
+    fleet.observe(SimpleNamespace(policy="RiFSSD"), _outcome(
+        (55.0, 80.0, 120.0, 4000.0, 0.01, 5e7),  # under- and overflow
+        page_reads=100))
+    # a policy name that exercises label escaping
+    fleet.observe(SimpleNamespace(policy='we"ird\\pol\n'),
+                  _outcome((), page_reads=1))
+    return fleet
 
 
 # --- Prometheus exposition -------------------------------------------------
 
 
 def test_prometheus_text_validates_and_counts():
-    text = prometheus_text(_registry())
+    text = prometheus_text(_fleet())
     summary = validate_prometheus_text(text)
-    assert summary["families"] == 3
-    assert summary["histograms"] == 1
+    assert summary["families"] == 20
+    assert summary["histograms"] == 2
     assert "# TYPE ssd_page_reads_total counter" in text
-    assert "# HELP ssd_page_reads_total pages read" in text
+    assert "# HELP ssd_page_reads_total page reads issued" in text
     # integer-valued samples render without a trailing .0
     assert 'ssd_page_reads_total{policy="RiFSSD"} 100\n' in text
+    assert 'ssd_page_reads_total{policy="we\\"ird\\\\pol\\n"} 1\n' in text
 
 
 def test_prometheus_histogram_buckets_are_cumulative_and_complete():
-    text = prometheus_text(_registry())
+    text = prometheus_text(_fleet())
     counts = []
     for line in text.splitlines():
-        if line.startswith("ssd_read_latency_us_bucket"):
+        if line.startswith('ssd_read_latency_us_bucket{policy="RiFSSD"'):
             counts.append(float(line.rsplit(" ", 1)[1]))
-        if line.startswith("ssd_read_latency_us_count"):
+        if line.startswith('ssd_read_latency_us_count{policy="RiFSSD"'):
             total = float(line.rsplit(" ", 1)[1])
     assert counts == sorted(counts)  # cumulative => monotone
     assert counts[-1] == total == 6  # +Inf covers everything, overflow too
@@ -96,12 +108,13 @@ def test_validator_rejects_inf_count_mismatch():
 
 
 def test_registry_jsonl_one_object_per_sample():
-    lines = registry_jsonl(_registry()).strip().splitlines()
+    lines = registry_jsonl(_fleet()).strip().splitlines()
     records = [json.loads(line) for line in lines]
     names = {r["metric"] for r in records}
-    assert {"ssd_page_reads_total", "ssd_offline_dies",
+    assert {"ssd_page_reads_total", "ssd_elapsed_us",
             "ssd_read_latency_us"} <= names
-    hist = next(r for r in records if r["kind"] == "histogram")
+    hist = next(r for r in records if r["metric"] == "ssd_read_latency_us"
+                and r["labels"] == {"policy": "RiFSSD"})
     assert hist["hist"]["count"] == 6
 
 
@@ -122,14 +135,8 @@ def test_multi_line_writer_rewrites_and_shrinks():
 
 def test_render_dashboard_rows_and_slo_column():
     fleet = FleetAggregator()
-    record = {
-        "event": "cell", "ok": True, "cached": False, "policy": "RiFSSD",
-        "label": "Ali124/pe2000/RiFSSD", "page_reads": 100,
-        "retried_reads": 10, "uncorrectable_transfers": 0,
-        "faults_injected": 0, "degraded_reads": 0, "elapsed_us": 1e6,
-        "read_latency_hist": _small_hist_dict(),
-    }
-    fleet.observe_record(record)
+    fleet.observe(SimpleNamespace(policy="RiFSSD"),
+                  _outcome(page_reads=100, retried_reads=10))
     reports = evaluate_fleet(fleet, default_slos())
     lines = render_dashboard(fleet, done=1, total=4, failed=0,
                              elapsed_s=2.0, slo_reports=reports)
@@ -141,24 +148,10 @@ def test_render_dashboard_rows_and_slo_column():
     assert "no latency samples" in "\n".join(empty)
 
 
-def _small_hist_dict():
-    from repro.obs.histogram import LatencyHistogram
-
-    hist = LatencyHistogram()
-    for v in (100.0, 150.0, 900.0):
-        hist.record(v)
-    return hist.to_dict()
-
-
 def test_html_report_contains_verdicts():
     fleet = FleetAggregator()
-    fleet.observe_record({
-        "event": "cell", "ok": True, "cached": False, "policy": "SENC",
-        "label": "Ali124/pe2000/SENC", "page_reads": 10, "retried_reads": 9,
-        "uncorrectable_transfers": 9, "faults_injected": 0,
-        "degraded_reads": 0, "elapsed_us": 1e6,
-        "read_latency_hist": _small_hist_dict(),
-    })
+    fleet.observe(SimpleNamespace(policy="SENC"), _outcome(
+        page_reads=10, retried_reads=9, uncorrectable_transfers=9))
     reports = evaluate_fleet(fleet, default_slos())
     html = html_report(fleet, reports, title="SLO report")
     assert html.startswith("<!DOCTYPE html>") or "<html" in html

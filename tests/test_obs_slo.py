@@ -150,11 +150,12 @@ def test_windows_from_snapshots_duck_typing():
     ("Ali124:RiFSSD:abc", "--burn expects workload:policy:pe"),
     ("Ali124:RiFSSD", "--burn expects workload:policy:pe"),
     ("Ali999:RiFSSD:1000", "unknown workload 'Ali999'"),
+    ("Ali124:Bogus:1000", "unknown policy 'Bogus'"),
 ])
 def test_slo_report_rejects_a_malformed_burn_cell(cell, message, capsys):
     """A ``--burn`` cell that is not workload:policy:<number>, or names an
-    unknown workload, is a config error: ``error: ...`` and exit 2,
-    before any cell runs."""
+    unknown workload or policy, is a config error: ``error: ...`` and
+    exit 2, before any cell runs."""
     assert obs_main(["slo-report", "--burn", cell]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}"), err

@@ -20,7 +20,7 @@ from repro.obs.telemetry import (
     live_line,
     render_jsonl,
 )
-from repro.ssd.metrics import SimMetrics
+from repro.ssd.metrics import ChannelUsage, SimMetrics
 
 
 class _FakeSpec:
@@ -34,7 +34,10 @@ class _FakeSpec:
 def _ok_outcome():
     metrics = SimMetrics(host_read_bytes=1 << 20, page_reads=100,
                          retried_reads=7, elapsed_us=1000.0)
-    return SimpleNamespace(metrics=metrics, policy="RiFSSD", completed=True)
+    usage = ChannelUsage(cor=600.0, uncor=0.0, write=0.0, gc=0.0,
+                         eccwait=0.0, idle=400.0)
+    return SimpleNamespace(metrics=metrics, channel_usage=usage,
+                           policy="RiFSSD", completed=True)
 
 
 def _failed_outcome():
