@@ -1,6 +1,9 @@
 """Discrete-event kernel."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.ssd.events import EventQueue, Simulator
@@ -191,3 +194,87 @@ def test_event_queue_peek():
     q.push(2.0, lambda: None)
     assert q.peek_time() == 2.0
     assert len(q) == 2
+
+
+# --- the order contract, on random schedules --------------------------------
+
+#: delays a node's children are pushed at; zeros push at ``now``
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _schedules(draw):
+    """A random forest of events as ``(parent, delay)`` per node: a root
+    (parent -1) is pushed before the run at time ``delay``; any other node
+    is pushed ``delay`` after its parent fires, in index order with its
+    siblings."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    return [(draw(st.integers(min_value=-1, max_value=i - 1)), draw(_DELAYS))
+            for i in range(n)]
+
+
+def _children(nodes):
+    children = {i: [] for i in range(-1, len(nodes))}
+    for i, (parent, _delay) in enumerate(nodes):
+        children[parent].append(i)
+    return children
+
+
+def _reference_order(nodes):
+    """``(node, time)`` in firing order, from a linear-scan scheduler that
+    always fires the pending entry with the smallest (time, push number)."""
+    children = _children(nodes)
+    pending, fired = [], []
+    pushes = itertools.count()
+
+    def push(time, node):
+        pending.append((time, next(pushes), node))
+
+    for root in children[-1]:
+        push(nodes[root][1], root)
+    while pending:
+        entry = min(pending)
+        pending.remove(entry)
+        time, _seq, node = entry
+        fired.append((node, time))
+        for child in children[node]:
+            push(time + nodes[child][1], child)
+    return fired
+
+
+def _simulated_order(nodes, cuts):
+    """The same schedule on :class:`Simulator`, run in slices that end at
+    each ``until`` in ``cuts`` and then to completion."""
+    sim = Simulator()
+    children = _children(nodes)
+    fired = []
+
+    def fire(node):
+        fired.append((node, sim.now))
+        for child in children[node]:
+            sim.after(nodes[child][1], lambda c=child: fire(c))
+
+    for root in children[-1]:
+        sim.at(nodes[root][1], lambda r=root: fire(r))
+    for until in sorted(cuts):
+        sim.run(until=until)
+        # a slice fires everything due by ``until`` and nothing later
+        assert all(time <= until for _node, time in fired)
+        assert sim.events.peek_time() is None or \
+            sim.events.peek_time() > until
+    sim.run()
+    assert sim.processed_events == len(nodes)
+    return fired
+
+
+@given(_schedules(),
+       st.lists(st.integers(min_value=0, max_value=40).map(lambda k: k / 2),
+                max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_events_fire_in_time_then_push_order(nodes, cuts):
+    """Events fire in (time, push order), including events a callback
+    pushes at ``now``, and cutting the run at any ``until`` and resuming
+    fires the same sequence."""
+    expected = _reference_order(nodes)
+    assert _simulated_order(nodes, []) == expected
+    assert _simulated_order(nodes, cuts) == expected
