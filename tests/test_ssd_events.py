@@ -55,29 +55,6 @@ def test_run_until_bounds_time():
     assert fired == [1, 2]
 
 
-def test_stop_condition():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.after(float(i + 1), lambda i=i: fired.append(i))
-    sim.run(stop_condition=lambda: len(fired) >= 3)
-    assert fired == [0, 1, 2]
-
-
-def test_stop_method():
-    sim = Simulator()
-    fired = []
-
-    def stopper():
-        fired.append("x")
-        sim.stop()
-
-    sim.after(1.0, stopper)
-    sim.after(2.0, lambda: fired.append("never"))
-    sim.run()
-    assert fired == ["x"]
-
-
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -128,9 +105,9 @@ def test_tie_break_counter_is_explicit_and_monotonic():
 
 
 def test_same_time_fifo_across_batch_boundaries():
-    """Work scheduled *at the current timestamp* from inside a same-time
-    batch runs after everything already queued at that timestamp — the
-    ordering contract the batch-draining run loop must preserve."""
+    """Work a callback schedules *at the current timestamp* runs after
+    everything already queued at that timestamp — the run loop's
+    ordering contract."""
     sim = Simulator()
     fired = []
 
@@ -147,26 +124,6 @@ def test_same_time_fifo_across_batch_boundaries():
     sim.run()
     assert fired == ["first", "second", "third", "late-a", "late-b"]
     assert sim.now == 2.0
-
-
-def test_stop_mid_batch_preserves_remaining_same_time_events():
-    """stop() inside a same-time batch must leave the unprocessed tail on
-    the queue, in order, so a resumed run picks up exactly where it left
-    off."""
-    sim = Simulator()
-    fired = []
-
-    def stopper():
-        fired.append("stop")
-        sim.stop()
-
-    sim.after(1.0, stopper)
-    for i in range(3):
-        sim.after(1.0, lambda i=i: fired.append(i))
-    sim.run()
-    assert fired == ["stop"]
-    sim.run()
-    assert fired == ["stop", 0, 1, 2]
 
 
 def test_max_events_mid_batch_leaves_queue_resumable():
