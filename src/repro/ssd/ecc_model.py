@@ -17,9 +17,7 @@ need to compile a timed plan:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..config import EccConfig
 from ..core.accuracy import RpAccuracyModel
@@ -27,14 +25,6 @@ from ..errors import ConfigError
 from ..ldpc.capability import CapabilityCurve
 from ..ldpc.latency import EccLatencyModel
 from ..rng import SeedLike, make_rng
-
-
-@dataclass(frozen=True, slots=True)
-class DecodeDraw:
-    """One sampled decode attempt."""
-
-    success: bool
-    t_ecc: float
 
 
 #: Uniform draws prefetched per ``Generator.random(n)`` call.  PCG64's
@@ -91,7 +81,7 @@ class EccOutcomeModel:
 
     # --- decode attempts -------------------------------------------------------------
 
-    def _decode(self, rber: float):
+    def _decode(self, rber: float) -> Tuple[bool, float]:
         """``(success, t_ecc)`` of one decode at ``rber``: one uniform draw
         against the failure curve; a failed decode burns the full
         iteration budget.  Not memoized: per-read rber keys shift with the
@@ -102,15 +92,8 @@ class EccOutcomeModel:
             return True, self.latency.latency_us(rber, failed=False)
         return False, self._t_failed
 
-    def first_decode(self, rber: float) -> DecodeDraw:
-        """Outcome of decoding the default-VREF sense."""
-        return DecodeDraw(*self._decode(rber))
-
-    def first_decode_outcome(self, rber: float):
-        """``(success, t_ecc)`` of :meth:`first_decode` without the
-        :class:`DecodeDraw` wrapper — the plan compilers run once per page
-        read, so the per-draw allocation is worth skipping.  Same single
-        uniform draw, bit-identical outcome."""
+    def first_decode_outcome(self, rber: float) -> Tuple[bool, float]:
+        """``(success, t_ecc)`` of decoding the default-VREF sense."""
         return self._decode(rber)
 
     def retry_rber(self, rber: float) -> float:
@@ -118,21 +101,17 @@ class EccOutcomeModel:
         error floor of the page, well below capability ([46])."""
         return min(rber, self.ecc.correction_capability) * self.retry_rber_factor
 
-    def retried_decode(self, rber: float) -> DecodeDraw:
-        """Outcome of decoding a re-read with near-optimal VREF."""
-        return DecodeDraw(*self._decode(self.retry_rber(rber)))
-
-    def retried_decode_outcome(self, rber: float):
-        """``(success, t_ecc)`` twin of :meth:`retried_decode` (see
-        :meth:`first_decode_outcome`)."""
+    def retried_decode_outcome(self, rber: float) -> Tuple[bool, float]:
+        """``(success, t_ecc)`` of decoding a re-read with near-optimal
+        VREF."""
         return self._decode(self.retry_rber(rber))
 
-    def healthy_decode(self, rber: float) -> DecodeDraw:
-        """Decode of a page as seen by the hypothetical SSDzero: always
-        succeeds; latency follows the below-capability part of the
+    def healthy_decode(self, rber: float) -> float:
+        """Decode latency of a page as seen by the hypothetical SSDzero
+        (whose decodes always succeed): the below-capability part of the
         iteration curve."""
         capped = min(rber, 0.5 * self.ecc.correction_capability)
-        return DecodeDraw(success=True, t_ecc=self.latency.latency_us(capped))
+        return self.latency.latency_us(capped)
 
     # --- RP verdicts --------------------------------------------------------------------
 
@@ -198,27 +177,16 @@ class ScriptedEccOutcomeModel(EccOutcomeModel):
     def _next(script, cursor) -> bool:
         return script[cursor] if cursor < len(script) else True
 
-    def first_decode(self, rber: float) -> DecodeDraw:
+    def first_decode_outcome(self, rber: float) -> Tuple[bool, float]:
         success = self._next(self._decode_script, self._decode_cursor)
         self._decode_cursor += 1
-        t = self.t_ecc_ok if success else self.ecc.t_ecc_max
-        return DecodeDraw(success=success, t_ecc=t)
+        return success, self.t_ecc_ok if success else self.ecc.t_ecc_max
 
-    def first_decode_outcome(self, rber: float):
-        # delegate through the virtual draw methods so scripted scenarios
-        # (and their test subclasses) keep steering the tuple fast path
-        draw = self.first_decode(rber)
-        return draw.success, draw.t_ecc
+    def retried_decode_outcome(self, rber: float) -> Tuple[bool, float]:
+        return True, self.ecc.t_ecc_min
 
-    def retried_decode(self, rber: float) -> DecodeDraw:
-        return DecodeDraw(success=True, t_ecc=self.ecc.t_ecc_min)
-
-    def retried_decode_outcome(self, rber: float):
-        draw = self.retried_decode(rber)
-        return draw.success, draw.t_ecc
-
-    def healthy_decode(self, rber: float) -> DecodeDraw:
-        return DecodeDraw(success=True, t_ecc=self.t_ecc_ok)
+    def healthy_decode(self, rber: float) -> float:
+        return self.t_ecc_ok
 
     def rp_predicts_retry(self, rber: float) -> bool:
         would_succeed = self._next(self._rp_script, self._rp_cursor)

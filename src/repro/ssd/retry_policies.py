@@ -233,8 +233,8 @@ class SSDZeroPolicy(ReadRetryPolicy):
     name = PolicyName.SSD_ZERO
 
     def plan_into(self, b: PlanBuild, rber: float) -> None:
-        draw = self.model.healthy_decode(rber)
-        self._round(b, self.timings.t_read, 1, True, draw.t_ecc)
+        self._round(b, self.timings.t_read, 1, True,
+                    self.model.healthy_decode(rber))
 
 
 class SSDOnePolicy(ReadRetryPolicy):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SSDConfig
 from repro.errors import SimulationError, TraceError
-from repro.ssd.ecc_model import DecodeDraw, ScriptedEccOutcomeModel
+from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.simulator import SSDSimulator
 from repro.units import KIB
 from repro.workloads.trace import IORequest, Trace
@@ -22,11 +22,11 @@ def test_hopeless_pages_survive_via_soft_recovery(ssd_config):
     must still complete every request, at terrible but finite latency."""
 
     class HopelessModel(ScriptedEccOutcomeModel):
-        def first_decode(self, rber):
-            return DecodeDraw(success=False, t_ecc=self.ecc.t_ecc_max)
+        def first_decode_outcome(self, rber):
+            return False, self.ecc.t_ecc_max
 
-        def retried_decode(self, rber):
-            return DecodeDraw(success=False, t_ecc=self.ecc.t_ecc_max)
+        def retried_decode_outcome(self, rber):
+            return False, self.ecc.t_ecc_max
 
     ssd = SSDSimulator(ssd_config, policy="SWR", seed=2,
                        outcome_model=HopelessModel())

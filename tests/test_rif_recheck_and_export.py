@@ -28,13 +28,10 @@ class _BadReretryModel(ScriptedEccOutcomeModel):
         self._retried_script = list(retried_success_script)
         self._retried_cursor = 0
 
-    def retried_decode(self, rber):
-        from repro.ssd.ecc_model import DecodeDraw
-
+    def retried_decode_outcome(self, rber):
         ok = self._next(self._retried_script, self._retried_cursor)
         self._retried_cursor += 1
-        t = self.ecc.t_ecc_min if ok else self.ecc.t_ecc_max
-        return DecodeDraw(success=ok, t_ecc=t)
+        return ok, self.ecc.t_ecc_min if ok else self.ecc.t_ecc_max
 
 
 def test_recheck_adds_tpred_when_reread_is_clean():

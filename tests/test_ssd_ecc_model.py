@@ -12,32 +12,32 @@ def model():
 
 
 def test_low_rber_always_succeeds(model):
-    draws = [model.first_decode(0.001) for _ in range(100)]
-    assert all(d.success for d in draws)
-    assert all(d.t_ecc < 3.0 for d in draws)
+    draws = [model.first_decode_outcome(0.001) for _ in range(100)]
+    assert all(ok for ok, _t in draws)
+    assert all(t_ecc < 3.0 for _ok, t_ecc in draws)
 
 
 def test_high_rber_always_fails_with_max_latency(model):
-    draws = [model.first_decode(0.03) for _ in range(100)]
-    assert not any(d.success for d in draws)
-    assert all(d.t_ecc == model.ecc.t_ecc_max for d in draws)
+    draws = [model.first_decode_outcome(0.03) for _ in range(100)]
+    assert not any(ok for ok, _t in draws)
+    assert all(t_ecc == model.ecc.t_ecc_max for _ok, t_ecc in draws)
 
 
 def test_capability_region_is_mixed(model):
     midpoint = model.failure_curve.midpoint
-    draws = [model.first_decode(midpoint) for _ in range(200)]
-    successes = sum(d.success for d in draws)
+    successes = sum(model.first_decode_outcome(midpoint)[0]
+                    for _ in range(200))
     assert 60 < successes < 140
     # at the quoted capability (10% failure target) most decodes succeed
-    cap_draws = [model.first_decode(0.0085) for _ in range(200)]
-    assert 150 < sum(d.success for d in cap_draws) < 195
+    cap_successes = sum(model.first_decode_outcome(0.0085)[0]
+                        for _ in range(200))
+    assert 150 < cap_successes < 195
 
 
 def test_retried_decode_nearly_always_succeeds(model):
-    draws = [model.retried_decode(0.02) for _ in range(200)]
-    assert sum(d.success for d in draws) >= 199
-    ok = [d for d in draws if d.success]
-    assert all(d.t_ecc <= 2.0 for d in ok)
+    draws = [model.retried_decode_outcome(0.02) for _ in range(200)]
+    assert sum(ok for ok, _t in draws) >= 199
+    assert all(t_ecc <= 2.0 for ok, t_ecc in draws if ok)
 
 
 def test_retry_rber_well_below_capability(model):
@@ -48,9 +48,7 @@ def test_retry_rber_well_below_capability(model):
 
 def test_healthy_decode_never_fails(model):
     for rber in (0.0, 0.005, 0.05):
-        draw = model.healthy_decode(rber)
-        assert draw.success
-        assert draw.t_ecc < model.ecc.t_ecc_max / 2
+        assert model.healthy_decode(rber) < model.ecc.t_ecc_max / 2
 
 
 def test_rp_verdicts_track_rber(model):
@@ -71,7 +69,7 @@ def test_determinism_with_seed():
     a = EccOutcomeModel(seed=5)
     b = EccOutcomeModel(seed=5)
     for _ in range(20):
-        assert a.first_decode(0.008).success == b.first_decode(0.008).success
+        assert a.first_decode_outcome(0.008) == b.first_decode_outcome(0.008)
 
 
 def test_validation():
@@ -84,12 +82,11 @@ def test_validation():
 
 def test_scripted_decode_sequence():
     model = ScriptedEccOutcomeModel(decode_script=[False, True])
-    first = model.first_decode(0.0)
-    second = model.first_decode(0.0)
-    third = model.first_decode(0.0)  # script exhausted -> success
-    assert (first.success, second.success, third.success) == (False, True, True)
-    assert first.t_ecc == model.ecc.t_ecc_max
-    assert second.t_ecc == model.t_ecc_ok
+    first = model.first_decode_outcome(0.0)
+    second = model.first_decode_outcome(0.0)
+    third = model.first_decode_outcome(0.0)  # script exhausted -> success
+    assert first == (False, model.ecc.t_ecc_max)
+    assert second == third == (True, model.t_ecc_ok)
 
 
 def test_scripted_rp_sequence():
@@ -101,8 +98,7 @@ def test_scripted_rp_sequence():
 
 def test_scripted_retry_and_healthy():
     model = ScriptedEccOutcomeModel()
-    assert model.retried_decode(0.5).success
-    assert model.retried_decode(0.5).t_ecc == model.ecc.t_ecc_min
-    assert model.healthy_decode(0.5).success
+    assert model.retried_decode_outcome(0.5) == (True, model.ecc.t_ecc_min)
+    assert model.healthy_decode(0.5) == model.t_ecc_ok
     assert not model.bernoulli(0.99)
     assert model.bernoulli(1.0)

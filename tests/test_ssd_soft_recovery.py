@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import NandTimings
-from repro.ssd.ecc_model import DecodeDraw, EccOutcomeModel, ScriptedEccOutcomeModel
+from repro.ssd.ecc_model import EccOutcomeModel, ScriptedEccOutcomeModel
 from repro.ssd.retry_policies import (
     K_SENSE,
     MAX_RETRY_ROUNDS,
@@ -19,8 +19,8 @@ T = NandTimings()
 class _HopelessRetryModel(ScriptedEccOutcomeModel):
     """Every voltage-adjusted re-read fails — forces the soft fallback."""
 
-    def retried_decode(self, rber):
-        return DecodeDraw(success=False, t_ecc=self.ecc.t_ecc_max)
+    def retried_decode_outcome(self, rber):
+        return False, self.ecc.t_ecc_max
 
 
 def test_soft_recovery_terminates_hopeless_swift_loop():
