@@ -41,7 +41,7 @@ Determinism rules:
   model's draw order.
 * ``state_version`` bumps only on invalidation
   (:func:`repro.ssd.refresh.fast_forward`), never on per-read learning;
-  the read pipeline keys its memoized per-ppn dispatch routes on it.
+  :meth:`AdaptivePolicy.export_state` reports it as ``version``.
 * learned state is exported as JSON-native data
   (:meth:`AdaptivePolicy.export_state`) into
   :class:`~repro.ssd.metrics.SimMetrics`, so campaign caching and the

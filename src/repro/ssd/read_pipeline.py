@@ -122,11 +122,8 @@ class ReadPipeline:
         # never change)
         self._routes: dict = {}
         # history-driven policies (repro.ssd.adaptive): hand each page's
-        # identity to the policy before compiling its plan, and key the
-        # memoized routes on the policy's state epoch so invalidations
-        # (refresh.fast_forward) flush them
+        # identity to the policy before compiling its plan
         self._stateful = self.policy.stateful
-        self._routes_version = self.policy.state_version
         # --- structure-of-arrays slot storage ---
         self._free: List[int] = []
         self._phases: List[List[tuple]] = []   # flat (kind, dur, tag, dec)
@@ -191,11 +188,6 @@ class ReadPipeline:
         -> sample -> compile -> dispatch -> relocate before the next one
         resolves; injection runs only on a drive with a fault injector,
         relocation only on a drive with a disturb threshold."""
-        if self._stateful and self.policy.state_version != self._routes_version:
-            # learned state was invalidated (fast-forward): drop routes
-            # memoized under the old epoch
-            self._routes.clear()
-            self._routes_version = self.policy.state_version
         ssd = self.ssd
         injector = ssd.fault_injector
         threshold = ssd.read_disturb_threshold

@@ -192,8 +192,9 @@ def fast_forward(ssd, *, retention_days: float = 0.0,
     no host traffic — the building block of epoch-style campaigns that
     compress months of aging into minutes of simulation.  When the
     drive runs a history-driven policy, its learned VREF state is
-    invalidated (``on_fast_forward`` bumps the policy's state version,
-    which also flushes the read pipeline's memoized dispatch routes).
+    invalidated (``on_fast_forward`` bumps the policy's state version).
+    The read pipeline's memoized dispatch routes stay: they are pure in
+    the physical page number.
 
     Requires the parametric :class:`~repro.ssd.reliability.PageReliability
     Sampler`; table-driven reliability modes cannot re-derive RBER at a

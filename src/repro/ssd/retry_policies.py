@@ -148,11 +148,6 @@ class ReadRetryPolicy:
     #: True for history-driven policies with per-drive mutable state.
     stateful = False
 
-    #: Monotonic counter bumped whenever learned state is *invalidated*
-    #: (not on per-read learning).  The read pipeline keys its memoized
-    #: per-ppn dispatch routes on this so invalidations flush them.
-    state_version = 0
-
     def __init__(self, timings: NandTimings, model: EccOutcomeModel):
         self.timings = timings
         self.model = model
@@ -164,7 +159,7 @@ class ReadRetryPolicy:
         ``stateful``; must not draw from the RNG stream)."""
 
     def on_fast_forward(self, retention_days: float, pe_delta: float) -> None:
-        """Drive age jumped: discard learned state, bump ``state_version``."""
+        """Drive age jumped: discard learned state."""
 
     def export_state(self) -> Optional[dict]:
         """JSON-ready snapshot of learned state (``None`` when stateless)."""
