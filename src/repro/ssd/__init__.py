@@ -35,7 +35,7 @@ from .adaptive import (
     OptimalVrefCachePolicy,
     RetentionPredictorPolicy,
 )
-from .host import ClosedLoopHost, MultiQueueHost, TimedReplayHost
+from .host import ClosedLoopHost, TimedReplayHost
 from .refresh import RefreshAssessment, RefreshPlanner, fast_forward
 from .energy import EnergyBreakdown, EnergyConfig, EnergyModel
 
@@ -60,7 +60,6 @@ __all__ = [
     "SimulationResult",
     "RESULT_SCHEMA_VERSION",
     "ClosedLoopHost",
-    "MultiQueueHost",
     "TimedReplayHost",
     "RefreshPlanner",
     "RefreshAssessment",

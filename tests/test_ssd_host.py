@@ -64,106 +64,30 @@ def test_timed_replay_respects_timestamps():
     assert ssd.sim.now >= trace[-1].timestamp_us
 
 
-def test_timed_replay_time_scale():
-    trace = generate("Ali2", n_requests=40, user_pages=2000, seed=4)
-    ssd = _ssd()
-    host = TimedReplayHost(ssd, trace, time_scale=3.0)
-    host.start()
-    ssd.run()
-    assert ssd.sim.now >= 3.0 * trace[-1].timestamp_us
-
-
 def test_empty_trace_rejected():
     ssd = _ssd()
     with pytest.raises(SimulationError):
         ClosedLoopHost(ssd, Trace([]))
     with pytest.raises(SimulationError):
         TimedReplayHost(ssd, Trace([]))
-    with pytest.raises(SimulationError):
-        TimedReplayHost(ssd, generate("Ali2", n_requests=5, user_pages=2000),
-                        time_scale=0.0)
 
 
-def test_multiqueue_host_completes_everything():
-    from repro.ssd.host import MultiQueueHost
-
-    trace = generate("Ali121", n_requests=60, user_pages=2000, seed=8)
-    ssd = _ssd()
-    host = MultiQueueHost(ssd, trace, n_queues=4, queue_depth=2)
-    host.start()
-    ssd.run()
-    assert host.done
-    assert host.completed == 60
-
-
-def test_multiqueue_fairness():
-    """Round-robin partitioning with equal depths must finish each queue's
-    share — no queue starves."""
-    from repro.ssd.host import MultiQueueHost
-
-    trace = generate("Ali124", n_requests=80, user_pages=2000, seed=9)
-    ssd = _ssd()
-    host = MultiQueueHost(ssd, trace, n_queues=4, queue_depth=2)
-    host.start()
-    ssd.run()
-    counts = host.per_queue_completed()
-    assert len(counts) == 4
-    assert min(counts) == max(counts) == 20
-
-
-def test_multiqueue_matches_single_queue_throughput():
-    """At equal aggregate depth, many shallow queues should achieve similar
-    bandwidth to one deep queue (the device parallelism is the same)."""
-    trace = generate("Ali124", n_requests=150, user_pages=2000, seed=10)
-    from repro.ssd.host import MultiQueueHost
-
-    single = _ssd()
-    ClosedLoopHost(single, trace, queue_depth=16).start()
-    single.run()
-    single.metrics.elapsed_us = single.sim.now
-
-    multi = _ssd()
-    MultiQueueHost(multi, trace, n_queues=4, queue_depth=4).start()
-    multi.run()
-    multi.metrics.elapsed_us = multi.sim.now
-
-    assert multi.metrics.io_bandwidth_mb_s() == pytest.approx(
-        single.metrics.io_bandwidth_mb_s(), rel=0.2
-    )
-
-
-def test_multiqueue_validation():
-    from repro.ssd.host import MultiQueueHost
-
-    ssd = _ssd()
-    with pytest.raises(SimulationError):
-        MultiQueueHost(ssd, Trace([]), n_queues=2)
-    trace = generate("Ali2", n_requests=5, user_pages=2000, seed=1)
-    with pytest.raises(SimulationError):
-        MultiQueueHost(ssd, trace, n_queues=0)
-
-
-@pytest.mark.parametrize("driver", ["closed", "multi"])
+@pytest.mark.parametrize("driver", ["closed"])
 @pytest.mark.parametrize("queue_depth", [0, -3, 2.5])
 def test_bad_queue_depth_rejected(driver, queue_depth):
     """A zero depth must not silently run the config's default, and a
     negative one must not issue nothing."""
-    from repro.ssd.host import MultiQueueHost
-
     trace = generate("Ali121", n_requests=20, user_pages=2000, seed=1)
-    host = ClosedLoopHost if driver == "closed" else MultiQueueHost
+    host = {"closed": ClosedLoopHost}[driver]
     with pytest.raises(ConfigError, match="queue_depth"):
         host(_ssd(), trace, queue_depth=queue_depth)
 
 
-@pytest.mark.parametrize("driver", ["closed", "multi", "timed"])
+@pytest.mark.parametrize("driver", ["closed", "timed"])
 @pytest.mark.parametrize("max_requests", [0, -1])
 def test_bad_max_requests_rejected(driver, max_requests):
-    from repro.ssd.host import MultiQueueHost
-
     trace = generate("Ali121", n_requests=20, user_pages=2000, seed=1)
-    host = {"closed": ClosedLoopHost, "multi": MultiQueueHost,
-            "timed": TimedReplayHost}[driver]
+    host = {"closed": ClosedLoopHost, "timed": TimedReplayHost}[driver]
     with pytest.raises(ConfigError, match="max_requests"):
         host(_ssd(), trace, max_requests=max_requests)
 
