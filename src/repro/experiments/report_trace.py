@@ -1,10 +1,10 @@
 """``report-trace``: summarise an exported simulator trace from the CLI.
 
-Reads either export format (Chrome ``trace_event`` JSON or the compact
-JSONL event log), rolls spans up per hardware track (channel, decoder,
-plane, host link, requests), and prints busy time, utilisation, and the
-per-tag breakdown plus the longest individual spans — a quick look at
-*where the time went* without opening ``chrome://tracing``.
+Reads a Chrome ``trace_event`` JSON export, rolls spans up per hardware
+track (channel, decoder, plane, host link, requests), and prints busy
+time, utilisation, and the per-tag breakdown plus the longest individual
+spans — a quick look at *where the time went* without opening
+``chrome://tracing``.
 
 Usage::
 

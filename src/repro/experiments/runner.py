@@ -75,7 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="experiment ids (e.g. fig17 table2); "
                              "'all' runs everything; "
                              "'report-trace FILE...' summarises exported "
-                             "simulator traces instead")
+                             "Chrome trace JSON files instead")
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument("--scale", default="small", choices=("small", "full"),
                         help="experiment scale (default: small)")
@@ -127,8 +127,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiments and args.experiments[0] == "report-trace":
         paths = args.experiments[1:]
         if not paths:
-            parser.error("report-trace needs at least one trace file "
-                         "(Chrome JSON or JSONL export)")
+            parser.error("report-trace needs at least one Chrome trace "
+                         "JSON file")
         from .report_trace import main as report_trace_main
 
         return report_trace_main(paths, top=args.top)

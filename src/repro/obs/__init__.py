@@ -11,8 +11,8 @@ feeds its per-phase observers two inputs only: the resource probes and
   part of it), per-request lifecycle spans and instant events.  A traced
   run records all of them.
 * :mod:`.export` — Chrome ``trace_event`` JSON (one track per
-  channel/die, loadable in ``chrome://tracing``/Perfetto), compact JSONL,
-  a schema validator for CI, and the ``report-trace`` summary helpers.
+  channel/die, loadable in ``chrome://tracing``/Perfetto), a schema
+  validator for CI, and the ``report-trace`` reader and summary helpers.
 * :mod:`.histogram` — :class:`LatencyHistogram`, the O(1)-memory
   log-bucketed replacement for unbounded per-request latency lists.
 * :mod:`.snapshots` — :class:`SnapshotRecorder`: fixed-window channel
@@ -47,7 +47,6 @@ from .export import (
     summarize_spans,
     validate_chrome_trace,
     write_chrome_trace,
-    write_events_jsonl,
 )
 from .snapshots import SnapshotRecorder, UsageSnapshot
 from .telemetry import JsonlSink, LiveLineWriter, format_duration, live_line
@@ -80,7 +79,6 @@ __all__ = [
     "InstantEvent",
     "chrome_trace",
     "write_chrome_trace",
-    "write_events_jsonl",
     "validate_chrome_trace",
     "load_trace_spans",
     "summarize_spans",

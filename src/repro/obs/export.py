@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and compact JSONL.
+"""Trace exporter: Chrome ``trace_event`` JSON, and its reader.
 
 The Chrome format (loadable in ``chrome://tracing`` and Perfetto) maps the
 tracer's streams onto one track per hardware resource — channels first,
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from .trace import SimTracer, SpanEvent
 
@@ -152,88 +152,30 @@ def validate_chrome_trace(data: dict) -> dict:
     }
 
 
-# --- JSONL ----------------------------------------------------------------
-
-
-def _jsonl_records(tracer: SimTracer) -> Iterable[dict]:
-    for ev in tracer.resource_spans:
-        yield {"type": "resource", "resource": ev.resource, "tag": ev.tag,
-               "label": ev.label, "start_us": ev.start_us,
-               "end_us": ev.end_us, "request": ev.request_id}
-    for ev in tracer.request_spans:
-        yield {"type": "request", "label": ev.label, "tag": ev.tag,
-               "start_us": ev.start_us, "end_us": ev.end_us,
-               "request": ev.request_id}
-    for inst in tracer.instants:
-        yield {"type": "instant", "name": inst.name, "ts_us": inst.ts_us,
-               "request": inst.request_id, "args": inst.args_dict()}
-
-
-def write_events_jsonl(path, tracer: SimTracer) -> Path:
-    """Compact one-event-per-line JSON log of every tracer stream.  A
-    read job's ``resource`` record names its request, so the phase view
-    needs no records of its own."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for record in _jsonl_records(tracer):
-            fh.write(json.dumps(record) + "\n")
-    return path
-
-
 # --- loading (report-trace CLI) -------------------------------------------
 
 
 def load_trace_spans(path) -> List[dict]:
-    """Read span records back from either export format.
+    """Read the span records back from a Chrome ``trace_event`` export.
 
     Returns flat dicts with ``track``, ``name``, ``tag``, ``start_us`` and
     ``dur_us`` keys — enough for the ``report-trace`` summary table.
     """
     path = Path(path)
-    text = path.read_text()
-    spans: List[dict] = []
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
-    if isinstance(data, dict) and "traceEvents" in data:
-        names = {}
-        for ev in data["traceEvents"]:
-            if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-                names[ev.get("tid", 0)] = ev["args"]["name"]
-        for ev in data["traceEvents"]:
-            if ev.get("ph") != "X":
-                continue
-            spans.append({
-                "track": names.get(ev.get("tid"), str(ev.get("tid"))),
-                "name": ev.get("name", ""),
-                "tag": (ev.get("args") or {}).get("tag", ev.get("cat", "")),
-                "start_us": float(ev["ts"]),
-                "dur_us": float(ev["dur"]),
-            })
-        return spans
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{line_no}: not JSON ({exc})") from exc
-        # files from older exporters also hold ``phase`` copies of the
-        # read jobs' resource records: skipped, like the instants
-        if record.get("type") not in ("resource", "request"):
-            continue
-        spans.append({
-            "track": record.get("resource", "requests"),
-            "name": record.get("label", ""),
-            "tag": record.get("tag", ""),
-            "start_us": float(record["start_us"]),
-            "dur_us": float(record["end_us"]) - float(record["start_us"]),
-        })
-    if not spans:
-        raise ValueError(f"{path}: no spans found (Chrome JSON or JSONL?)")
-    return spans
+        events = json.loads(path.read_text())["traceEvents"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{path}: not a Chrome trace_event JSON export ({exc})") from None
+    names = {ev.get("tid", 0): ev["args"]["name"] for ev in events
+             if ev.get("ph") == "M" and ev.get("name") == "thread_name"}
+    return [{
+        "track": names.get(ev.get("tid"), str(ev.get("tid"))),
+        "name": ev.get("name", ""),
+        "tag": (ev.get("args") or {}).get("tag", ev.get("cat", "")),
+        "start_us": float(ev["ts"]),
+        "dur_us": float(ev["dur"]),
+    } for ev in events if ev.get("ph") == "X"]
 
 
 def _nearest_rank(sorted_values: List[float], quantile: float) -> float:

@@ -24,8 +24,8 @@ feeds no observer:
   probes of every plane, channel, decoder and the host link (one
   occupancy stream, whose read spans carry their request; the Fig. 7/8
   phase view is part of it) and records every request's lifecycle span
-  and instants; export with :meth:`export_chrome_trace` or
-  :func:`repro.obs.write_events_jsonl`.
+  and instants; export them as Chrome ``trace_event`` JSON with
+  :meth:`export_chrome_trace`.
 * ``snapshot_interval_us`` bins channel usage (a channel probe) and the
   change of every SLO counter and the host bytes into fixed windows
   (:class:`~repro.obs.snapshots.SnapshotRecorder`): :meth:`run` pauses the

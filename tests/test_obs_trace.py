@@ -13,7 +13,6 @@ from repro.obs import (
     summarize_spans,
     validate_chrome_trace,
     write_chrome_trace,
-    write_events_jsonl,
 )
 from repro.ssd.simulator import SSDSimulator
 from repro.workloads import generate
@@ -107,36 +106,44 @@ def test_validate_rejects_malformed():
         validate_chrome_trace({"traceEvents": [{"ph": "??", "name": "x"}]})
 
 
-def test_span_loading_agrees_across_formats(traced, tmp_path):
+def test_span_loading_agrees_with_the_tracer(traced, tmp_path):
     ssd, _result = traced
-    chrome = load_trace_spans(write_chrome_trace(tmp_path / "t.json",
-                                                 ssd.tracer))
-    path = write_events_jsonl(tmp_path / "t.jsonl", ssd.tracer)
-    jsonl = load_trace_spans(path)
-    # one record per span and instant (1,895 resource, 150 request, 637
-    # instant): a read job's resource record names its request, and no
-    # phase record copies it
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(records) == 2_682
-    reads = [r for r in records
-             if r["type"] == "resource" and r["request"] is not None]
+    path = write_chrome_trace(tmp_path / "t.json", ssd.tracer)
+    spans = load_trace_spans(path)
+    # one event per span and instant (1,895 resource, 150 request, 637
+    # instant): a read job's resource span names its request, and no
+    # phase event copies it
+    events = json.loads(path.read_text())["traceEvents"]
+    requests = [s for s in spans if s["track"] == "requests"]
+    assert len(spans) - len(requests) == len(ssd.tracer.resource_spans) \
+        == 1_895
+    assert len(requests) == len(ssd.tracer.request_spans) == 150
+    assert sum(ev["ph"] == "i" for ev in events) == 637
+    requests_tid = next(ev["tid"] for ev in events
+                        if ev["args"].get("name") == "requests")
+    reads = [ev for ev in events if ev["ph"] == "X"
+             and ev["tid"] != requests_tid and "request" in ev["args"]]
     assert len(reads) == len(ssd.tracer.events) == 1_020
-    # files from older exporters also hold those phase copies: skipped
-    legacy = tmp_path / "legacy.jsonl"
-    legacy.write_text(path.read_text() + "".join(
-        json.dumps(dict(r, type="phase")) + "\n" for r in reads))
-    assert load_trace_spans(legacy) == jsonl
-
-    def busy(spans, track):
-        return sum(s["dur_us"] for s in spans if s["track"] == track)
 
     for track in ("ch0", "host", "requests"):
-        assert busy(chrome, track) == pytest.approx(busy(jsonl, track))
-    rows = summarize_spans(chrome)
+        loaded = sum(s["dur_us"] for s in spans if s["track"] == track)
+        recorded = sum(ev.duration_us for ev in
+                       ssd.tracer.resource_spans + ssd.tracer.request_spans
+                       if ev.resource == track)
+        assert loaded == pytest.approx(recorded)
+    rows = summarize_spans(spans)
     assert any(r["track"] == "ch0" and r["busy_us"] > 0 for r in rows)
-    top = longest_spans(chrome, top=5)
+    top = longest_spans(spans, top=5)
     assert len(top) == 5
     assert top[0]["dur_us"] >= top[-1]["dur_us"]
+
+
+def test_span_loading_rejects_a_file_that_is_not_a_chrome_export(tmp_path):
+    for text in ('{"type": "resource"}\n', "[1, 2]", "not json"):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a Chrome trace_event"):
+            load_trace_spans(path)
 
 
 def test_export_requires_tracer(tmp_path):
