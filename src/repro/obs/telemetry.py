@@ -11,9 +11,7 @@ describes the *simulation*.
 
 from __future__ import annotations
 
-import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,13 +24,11 @@ class JsonlSink:
     Each :meth:`emit` writes one self-contained JSON object per line and
     flushes, so a consumer can tail the file while the campaign runs.
     The sink owns (and closes) the file handle only when constructed from
-    a path.  ``fsync=True`` additionally fsyncs every line — what the
-    durable campaign runtime uses so telemetry survives a SIGKILL up to
-    the last emitted record.  Emits after :meth:`close` are dropped, not
-    raised: shutdown paths may race a final event.
+    a path.  Emits after :meth:`close` are dropped, not raised: shutdown
+    paths may race a final event.
     """
 
-    def __init__(self, target: Union[str, Path, TextIO], fsync: bool = False):
+    def __init__(self, target: Union[str, Path, TextIO]):
         if isinstance(target, (str, Path)):
             path = Path(target)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -41,7 +37,6 @@ class JsonlSink:
         else:
             self._stream = target
             self._owns = False
-        self.fsync = fsync
         self.emitted = 0
 
     @property
@@ -53,11 +48,6 @@ class JsonlSink:
             return
         self._stream.write(json.dumps(record, sort_keys=True) + "\n")
         self._stream.flush()
-        if self.fsync:
-            try:
-                os.fsync(self._stream.fileno())
-            except (OSError, io.UnsupportedOperation):
-                pass  # in-memory streams have no file descriptor
         self.emitted += 1
 
     def close(self) -> None:
@@ -140,12 +130,3 @@ class LiveLineWriter:
 def wall_clock() -> float:
     """Indirection for tests: current wall-clock time in seconds."""
     return time.time()
-
-
-def render_jsonl(records) -> str:
-    """Render an iterable of records to JSONL text (testing/helper)."""
-    buffer = io.StringIO()
-    sink = JsonlSink(buffer)
-    for record in records:
-        sink.emit(record)
-    return buffer.getvalue()
