@@ -33,7 +33,7 @@ from pathlib import Path
 
 from ..errors import CampaignInterrupted, ReproError
 from ..faults import FaultPlan, FaultSpec
-from ..obs.registry import FleetAggregator, read_rollup_file
+from ..obs.registry import FleetAggregator, read_json_file
 from .population import FleetSpec, generate_population
 from .service import comparable_rollup, run_fleet
 
@@ -86,7 +86,7 @@ def _parse_mix(text: str):
 
 def _fleet_from_args(args) -> FleetSpec:
     if args.spec:
-        data = json.loads(Path(args.spec).read_text())
+        data = read_json_file(args.spec, "fleet spec")
         if "fleet" in data:  # a `generate` payload
             data = data["fleet"]
         return FleetSpec.from_dict(data)
@@ -121,7 +121,7 @@ def _write_json(path, payload) -> None:
 
 def _load_rollup(path: str) -> dict:
     """A fleet rollup from either a `run` payload or a bare rollup file."""
-    data = read_rollup_file(path)
+    data = read_json_file(path, "fleet rollup")
     return data["rollup"] if "rollup" in data else data
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import List, Optional, Tuple
 
 from ..campaign.spec import RunSpec, check_sizing
@@ -162,10 +162,16 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSpec":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a FleetSpec is a JSON object, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown FleetSpec fields {sorted(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ConfigError(f"missing FleetSpec fields {missing}")
         return cls(**data)
 
     def content_hash(self) -> str:

@@ -43,7 +43,7 @@ from .dashboard import (
     render_dashboard,
     validate_prometheus_text,
 )
-from .registry import FleetAggregator, read_rollup_file
+from .registry import FleetAggregator, read_json_file, read_json_lines
 from .slo import (
     default_slos,
     evaluate_fleet,
@@ -97,13 +97,14 @@ def _grid_fleet(args, progress_hooks=None) -> FleetAggregator:
 
 
 def _load_fleet(path: str) -> FleetAggregator:
-    return FleetAggregator.from_dict(read_rollup_file(path))
+    return FleetAggregator.from_dict(read_json_file(path, "fleet rollup"))
 
 
 def _slo_specs(args):
     if args.slo is None:
         return default_slos()
-    return load_slos(json.loads(Path(args.slo).read_text()))
+    return load_slos(read_json_file(args.slo, "SLO spec",
+                                    kinds=(dict, list)))
 
 
 # --- scrape ------------------------------------------------------------------
@@ -226,16 +227,11 @@ def _cmd_dashboard(args) -> int:
     if args.fleet:
         fleet = _load_fleet(args.fleet)
     else:
-        with open(args.telemetry) as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("event") == "start":
-                    total = record.get("total")
-                elif record.get("event") == "cell":
-                    fleet.observe_record(record)
+        for record in read_json_lines(args.telemetry, "telemetry record"):
+            if record.get("event") == "start":
+                total = record.get("total")
+            elif record.get("event") == "cell":
+                fleet.observe_record(record)
     done = fleet.cells
     reports = evaluate_fleet(fleet, _slo_specs(args))
     for line in render_dashboard(fleet, done=done,

@@ -143,18 +143,44 @@ def rollup_share(outcome) -> dict:
                                       _channel_of(outcome.channel_usage)))}
 
 
-def read_rollup_file(path) -> dict:
-    """The JSON object of a saved rollup (or ``fleet run`` payload) file;
-    a file that is not one is a :class:`ConfigError`."""
+def parse_json(text: str, source, what: str, kinds=dict):
+    """``text``, read from ``source``, as a JSON value of type ``kinds``
+    (an object by default).  The CLIs' file inputs are outside input:
+    text that is not such a value is a :class:`ConfigError` naming
+    ``source`` and the ``what`` it should hold."""
     try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as exc:  # not UTF-8 text, or not JSON
-        raise ConfigError(f"{path} is not a JSON fleet rollup: {exc}") \
-            from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} is not a JSON fleet rollup: a "
-                          f"{type(data).__name__}, not an object")
+        data = json.loads(text)
+    except ValueError as exc:  # not JSON
+        raise ConfigError(f"{source} is not a JSON {what}: {exc}") from None
+    if not isinstance(data, kinds):
+        raise ConfigError(f"{source} is not a JSON {what}: it holds a "
+                          f"{type(data).__name__}")
     return data
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except ValueError as exc:  # not UTF-8 text
+        raise ConfigError(f"{path} is not a JSON {what}: {exc}") from None
+
+
+def read_json_file(path, what: str, kinds=dict):
+    """The JSON value a file holds, by :func:`parse_json`'s rule: a saved
+    rollup or ``fleet run`` payload, a fleet spec, SLO specs."""
+    return parse_json(_read_text(path, what), path, what, kinds)
+
+
+def read_json_lines(path, what: str) -> List[dict]:
+    """The JSON objects of a JSON-lines file such as a campaign telemetry
+    log, one per complete line, each by :func:`parse_json`'s rule and
+    named ``path:line``.  An unterminated last line is a record still
+    being written and is left out, as the run ledger leaves out a torn
+    tail."""
+    lines = _read_text(path, what).split("\n")
+    return [parse_json(line, f"{path}:{number}", what)
+            for number, line in enumerate(lines[:-1], start=1)
+            if line.strip()]
 
 
 def _measure(rollup: dict) -> None:

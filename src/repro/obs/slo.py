@@ -140,20 +140,34 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
+        _fields_of(data, "SLO spec", "name")
         return cls(
             name=data["name"],
             objectives=tuple(
-                LatencyObjective(o["quantile"], o["threshold_us"])
+                LatencyObjective(*_fields_of(o, "SLO objective", "quantile",
+                                             "threshold_us"))
                 for o in data.get("objectives", ())
             ),
             error_budget=data.get("error_budget"),
             bad_event=data.get("bad_event", "retried_reads"),
             event_total=data.get("event_total", "page_reads"),
             burn_rules=tuple(
-                BurnRateRule(r["window"], r["max_burn_rate"])
+                BurnRateRule(*_fields_of(r, "burn rule", "window",
+                                         "max_burn_rate"))
                 for r in data.get("burn_rules", ())
             ),
         )
+
+
+def _fields_of(item, what: str, *names: str) -> list:
+    """The ``names`` fields of a JSON object; an item that is not an
+    object, or lacks one of them, is a :class:`ConfigError`."""
+    if not isinstance(item, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {item!r}")
+    for name in names:
+        if name not in item:
+            raise ConfigError(f"{what} has no {name!r}: {item!r}")
+    return [item[name] for name in names]
 
 
 @dataclass(frozen=True)

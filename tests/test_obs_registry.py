@@ -171,6 +171,32 @@ def _record_without_share(tmp_path, _rollup, record):
                  "cells, cached and failed are counts", id="run-payload"),
     pytest.param(_record_without_share, "has no rollup share",
                  id="record-without-share"),
+    pytest.param(_text_file(obs_main, "dashboard", "--telemetry", "NOT_JSON",
+                            text='{"event": "start", "total": 1}\nnot json\n'),
+                 ":2 is not a JSON telemetry record", id="telemetry-not-json"),
+    pytest.param(_text_file(obs_main, "dashboard", "--telemetry", "NOT_JSON",
+                            text='[{"event": "cell"}]\n'),
+                 ":1 is not a JSON telemetry record",
+                 id="telemetry-not-object"),
+    pytest.param(_text_file(fleet_main, "run", "--spec", "NOT_JSON",
+                            text="garbage"),
+                 "is not a JSON fleet spec", id="fleet-run-spec-not-json"),
+    pytest.param(_text_file(fleet_main, "generate", "--spec", "NOT_JSON",
+                            text="garbage"),
+                 "is not a JSON fleet spec", id="fleet-generate-spec-not-json"),
+    pytest.param(_text_file(fleet_main, "generate", "--spec", "NOT_JSON",
+                            text='{"seed": 3}'),
+                 "missing FleetSpec fields ['n_drives']",
+                 id="fleet-spec-missing-field"),
+    pytest.param(_text_file(obs_main, "slo-report", "--slo", "NOT_JSON",
+                            text="garbage"),
+                 "is not a JSON SLO spec", id="slo-not-json"),
+    pytest.param(_text_file(obs_main, "slo-report", "--slo", "NOT_JSON",
+                            text='{"objectives": []}'),
+                 "SLO spec has no 'name'", id="slo-missing-name"),
+    pytest.param(_text_file(obs_main, "slo-report", "--slo", "NOT_JSON",
+                            text="[1, 2]"),
+                 "SLO spec must be a JSON object", id="slo-item-not-object"),
 ])
 def test_saved_rollups_and_telemetry_are_outside_input(
         case, message, saved_rollup, cell_record, tmp_path, capsys):
@@ -182,3 +208,21 @@ def test_saved_rollups_and_telemetry_are_outside_input(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+def test_dashboard_skips_the_torn_tail_of_an_in_flight_log(
+        cell_record, tmp_path, capsys):
+    """The unterminated last line of a log still being written is left
+    out, as the run ledger leaves out a torn tail: the panel counts the
+    complete records."""
+    complete = "".join(json.dumps(record) + "\n" for record in (
+        {"event": "start", "total": 2}, cell_record))
+    torn = json.dumps(cell_record)
+    path = tmp_path / "campaign.jsonl"
+    panels = []
+    for text in (complete + torn[:len(torn) // 2], complete):
+        path.write_text(text)
+        assert obs_main(["dashboard", "--telemetry", str(path)]) == 0
+        panels.append(capsys.readouterr().out)
+    assert "fleet 1/2 cells" in panels[0]
+    assert panels[0] == panels[1]
