@@ -143,7 +143,7 @@ def rollup_share(outcome) -> dict:
                                       _channel_of(outcome.channel_usage)))}
 
 
-def parse_json(text: str, source, what: str, kinds=dict):
+def _parse_json(text: str, source, what: str, kinds=dict):
     """``text``, read from ``source``, as a JSON value of type ``kinds``
     (an object by default).  The CLIs' file inputs are outside input:
     text that is not such a value is a :class:`ConfigError` naming
@@ -166,19 +166,19 @@ def _read_text(path, what: str) -> str:
 
 
 def read_json_file(path, what: str, kinds=dict):
-    """The JSON value a file holds, by :func:`parse_json`'s rule: a saved
+    """The JSON value a file holds, by :func:`_parse_json`'s rule: a saved
     rollup or ``fleet run`` payload, a fleet spec, SLO specs."""
-    return parse_json(_read_text(path, what), path, what, kinds)
+    return _parse_json(_read_text(path, what), path, what, kinds)
 
 
 def read_json_lines(path, what: str) -> List[dict]:
     """The JSON objects of a JSON-lines file such as a campaign telemetry
-    log, one per complete line, each by :func:`parse_json`'s rule and
+    log, one per complete line, each by :func:`_parse_json`'s rule and
     named ``path:line``.  An unterminated last line is a record still
     being written and is left out, as the run ledger leaves out a torn
     tail."""
     lines = _read_text(path, what).split("\n")
-    return [parse_json(line, f"{path}:{number}", what)
+    return [_parse_json(line, f"{path}:{number}", what)
             for number, line in enumerate(lines[:-1], start=1)
             if line.strip()]
 

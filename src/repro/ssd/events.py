@@ -12,10 +12,10 @@ fires the same sequence as an uncut one.  ``tests/test_ssd_events.py``
 checks this on random schedules against a reference scheduler;
 ``tests/test_golden.py`` pins its consequences bit for bit.
 
-The loop used to drain same-timestamp events as one batch.  On the
-benchmark's seed-7 drives that path carried 18.6 % and 19.6 % of the
-worn-read RiFSSD and SENC events (3.5 and 3.1 events per batch) and 0.7 %
-of fresh-write's; pages/s read the same without it.
+Same-timestamp events are not drained as a batch: on the benchmark's
+seed-7 drives such batches hold 18.6 % and 19.6 % of the worn-read RiFSSD
+and SENC events (3.5 and 3.1 events per batch) and 0.7 % of
+fresh-write's, and draining them together bought no measurable pages/s.
 """
 
 from __future__ import annotations

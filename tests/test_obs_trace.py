@@ -106,7 +106,9 @@ def test_validate_rejects_malformed():
         validate_chrome_trace({"traceEvents": [{"ph": "??", "name": "x"}]})
 
 
-def test_span_loading_agrees_with_the_tracer(traced, tmp_path):
+def test_span_loading_agrees_across_formats(traced, tmp_path):
+    """The Chrome export, loaded back, agrees with the tracer's in-memory
+    streams."""
     ssd, _result = traced
     path = write_chrome_trace(tmp_path / "t.json", ssd.tracer)
     spans = load_trace_spans(path)
