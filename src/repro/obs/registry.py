@@ -161,7 +161,7 @@ def _parse_json(text: str, source, what: str, kinds=dict):
 def _read_text(path, what: str) -> str:
     try:
         return Path(path).read_text()
-    except ValueError as exc:  # not UTF-8 text
+    except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 text
         raise ConfigError(f"{path} is not a JSON {what}: {exc}") from None
 
 

@@ -133,6 +133,14 @@ def _text_file(main, *command, text="not json {"):
     return case
 
 
+def _missing_file(main, *command):
+    """A CLI command whose MISSING argument names no file."""
+    def case(tmp_path, _rollup, _record):
+        return main, [str(tmp_path / "absent.json") if arg == "MISSING"
+                      else arg for arg in command]
+    return case
+
+
 def _record_without_share(tmp_path, _rollup, record):
     record = {key: value for key, value in record.items() if key != "rollup"}
     path = tmp_path / "campaign.jsonl"
@@ -197,6 +205,10 @@ def _record_without_share(tmp_path, _rollup, record):
     pytest.param(_text_file(obs_main, "slo-report", "--slo", "NOT_JSON",
                             text="[1, 2]"),
                  "SLO spec must be a JSON object", id="slo-item-not-object"),
+    pytest.param(_missing_file(obs_main, "dashboard", "--telemetry", "MISSING"),
+                 "No such file", id="telemetry-missing"),
+    pytest.param(_missing_file(fleet_main, "run", "--spec", "MISSING"),
+                 "No such file", id="fleet-spec-missing"),
 ])
 def test_saved_rollups_and_telemetry_are_outside_input(
         case, message, saved_rollup, cell_record, tmp_path, capsys):
