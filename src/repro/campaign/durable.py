@@ -436,11 +436,7 @@ class CampaignFaultDriver:
                 continue
             if fault.count is not None and fired >= fault.count:
                 continue
-            if index < fault.start_read:
-                continue
-            if fault.end_read is not None and index > fault.end_read:
-                continue
-            if (index - fault.start_read) % fault.period != 0:
+            if not fault.due_at(index):
                 continue
             state[1] += 1
             return fault

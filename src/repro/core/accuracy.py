@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..ldpc.analytic import SyndromeStatistics
 from ..ldpc.capability import CapabilityCurve
-from ..ldpc.decoder import GallagerBDecoder, MinSumDecoder
+from ..ldpc.decoder import MinSumDecoder
 from ..ldpc.qc_matrix import QcLdpcCode
 from ..rng import SeedLike, make_rng
 from .rp import ReadRetryPredictor
@@ -46,7 +46,6 @@ def evaluate_rp_accuracy(
     n_pages: int = 200,
     use_pruning: bool = True,
     chunks_per_page: int = 1,
-    decoder: str = "min-sum",
     capability_rber: Optional[float] = None,
     threshold: Optional[int] = None,
     seed: SeedLike = 99,
@@ -68,12 +67,7 @@ def evaluate_rp_accuracy(
     rp = ReadRetryPredictor(
         code, capability_rber=cap, use_pruning=use_pruning, threshold=threshold
     )
-    if decoder == "min-sum":
-        dec = MinSumDecoder(code)
-    elif decoder == "gallager-b":
-        dec = GallagerBDecoder(code)
-    else:
-        raise ConfigError(f"unknown decoder {decoder!r}")
+    dec = MinSumDecoder(code)
 
     points = []
     for rber in rber_grid:

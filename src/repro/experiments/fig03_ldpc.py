@@ -14,9 +14,9 @@ from ..ldpc import QcLdpcCode, fit_capability_curve, measure_capability
 from .registry import ExperimentResult, register
 
 _SCALES = {
-    # (circulant size, trials per point, decoder)
-    "small": (67, 60, "min-sum"),
-    "full": (128, 300, "min-sum"),
+    # (circulant size, trials per point)
+    "small": (67, 60),
+    "full": (128, 300),
 }
 
 RBER_GRID = [0.003, 0.004, 0.005, 0.006, 0.007, 0.008, 0.009, 0.010, 0.012]
@@ -26,11 +26,9 @@ RBER_GRID = [0.003, 0.004, 0.005, 0.006, 0.007, 0.008, 0.009, 0.010, 0.012]
 def run(scale: str = "small", seed: int = 1234) -> ExperimentResult:
     if scale not in _SCALES:
         raise ConfigError(f"unknown scale {scale!r}")
-    t, trials, decoder = _SCALES[scale]
+    t, trials = _SCALES[scale]
     code = QcLdpcCode(LdpcCodeConfig(circulant_size=t))
-    points = measure_capability(
-        code, RBER_GRID, trials=trials, decoder=decoder, seed=seed
-    )
+    points = measure_capability(code, RBER_GRID, trials=trials, seed=seed)
     curve = fit_capability_curve(points)
     rows = [
         {
@@ -49,5 +47,5 @@ def run(scale: str = "small", seed: int = 1234) -> ExperimentResult:
             "fit_midpoint": curve.midpoint,
             "fit_slope": curve.slope,
         },
-        notes=f"code={code!r}, decoder={decoder}, trials/point={trials}",
+        notes=f"code={code!r}, decoder=min-sum, trials/point={trials}",
     )

@@ -8,6 +8,7 @@ import sys
 import time
 from typing import List, Optional
 
+from ..errors import ReproError
 from .registry import EXPERIMENTS, get_experiment
 
 
@@ -123,7 +124,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    try:
+        return _run(parser, args)
+    except ReproError as exc:  # bad input: an unknown id, an unreadable file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(parser: argparse.ArgumentParser, args) -> int:
     if args.experiments and args.experiments[0] == "report-trace":
         paths = args.experiments[1:]
         if not paths:
@@ -148,9 +156,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     ids = sorted(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+    # resolve every id before running any, so a typo fails fast
+    experiments = [get_experiment(exp_id) for exp_id in ids]
     collected = []
-    for exp_id in ids:
-        experiment = get_experiment(exp_id)
+    for exp_id, experiment in zip(ids, experiments):
         start = time.time()
         try:
             result = experiment.run(

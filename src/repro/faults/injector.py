@@ -61,16 +61,10 @@ class FaultInjector:
 
     def _matches(self, spec: FaultSpec, block_key: tuple,
                  read_index: int, now_us: float) -> bool:
-        if read_index < spec.start_read:
-            return False
-        if spec.end_read is not None and read_index > spec.end_read:
-            return False
-        if now_us < spec.start_us:
-            return False
-        if spec.end_us is not None and now_us > spec.end_us:
-            return False
-        return (_in_scope(spec, block_key)
-                and (read_index - spec.start_read) % spec.period == 0)
+        return (spec.due_at(read_index)
+                and spec.start_us <= now_us
+                and (spec.end_us is None or now_us <= spec.end_us)
+                and _in_scope(spec, block_key))
 
     def on_page_read(self, block_key: tuple,
                      now_us: float) -> ReadFaultDecision:

@@ -98,9 +98,11 @@ class FaultSpec:
       predicate), and
     * ``(read_index - start_read) % period == 0``.
 
-    ``count`` bounds the total number of firings (``None`` = unbounded).
-    ``ecc_saturation`` ignores the read-based conditions: it is scheduled
-    purely on the ``[start_us, end_us]`` sim-time window.
+    The index conditions are :meth:`due_at`, which the campaign faults
+    apply to the completed-cell index instead.  ``count`` bounds the
+    total number of firings (``None`` = unbounded).  ``ecc_saturation``
+    ignores the read-based conditions: it is scheduled purely on the
+    ``[start_us, end_us]`` sim-time window.
     """
 
     kind: str
@@ -150,6 +152,13 @@ class FaultSpec:
                 "torn_cache_write needs magnitude < 1.0 (the fraction of "
                 "the entry's bytes that land on disk)"
             )
+
+    def due_at(self, index: int) -> bool:
+        """Whether the schedule fires at ``index``: ``start_read <= index
+        <= end_read`` and ``(index - start_read) % period == 0``."""
+        return (self.start_read <= index
+                and (self.end_read is None or index <= self.end_read)
+                and (index - self.start_read) % self.period == 0)
 
     def to_dict(self) -> dict:
         """JSON-compatible dict; :meth:`from_dict` round-trips exactly."""

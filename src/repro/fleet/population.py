@@ -45,6 +45,7 @@ from typing import List, Optional, Tuple
 from ..campaign.spec import RunSpec, check_sizing
 from ..errors import ConfigError
 from ..faults import FaultPlan, FaultSpec
+from ..obs.registry import check_json_types
 from ..rng import make_rng, spawn
 from ..ssd.retry_policies import check_policy
 from ..workloads import WORKLOADS
@@ -91,6 +92,17 @@ def _check_range(name: str, value, minimum: float = 0.0) -> Tuple[float, float]:
         raise ConfigError(
             f"{name} must satisfy {minimum:g} <= lo <= hi, got ({lo}, {hi})")
     return (lo, hi)
+
+
+#: JSON types of a fleet spec file's fields (:meth:`FleetSpec.from_dict`)
+_JSON_TYPES = {
+    "n_drives": (int,), "seed": (int,), "scale": (str,),
+    "policies": (list,), "workload_mix": (list, dict),
+    "pe_cycles_range": (list,), "retention_days_range": (list,),
+    "temp_c_range": (list, type(None)), "fault_rate": (int, float),
+    "n_requests": (int, type(None)), "user_pages": (int, type(None)),
+    "queue_depth": (int, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -172,7 +184,11 @@ class FleetSpec:
                    if f.default is MISSING and f.name not in data]
         if missing:
             raise ConfigError(f"missing FleetSpec fields {missing}")
-        return cls(**data)
+        check_json_types(data, "fleet spec", _JSON_TYPES)
+        try:
+            return cls(**data)
+        except (TypeError, ValueError, IndexError) as exc:  # a list's items
+            raise ConfigError(f"malformed fleet spec: {exc}") from None
 
     def content_hash(self) -> str:
         """Stable hex digest naming this exact population."""

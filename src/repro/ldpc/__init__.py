@@ -8,8 +8,8 @@ capability of RBER 0.0085 (Table I, Fig. 3).  This package provides:
   by design at the shipped sizes),
 * :mod:`.encoder` — systematic GF(2) encoder derived by bit-packed Gaussian
   elimination,
-* :mod:`.decoder` — normalized min-sum and Gallager-B decoders with
-  iteration accounting,
+* :mod:`.decoder` — the normalized min-sum decoder with iteration
+  accounting,
 * :mod:`.syndrome` — full/pruned syndrome computation and the codeword
   rearrangement that turns every circulant into an identity (SecV-B),
 * :mod:`.capability` — Monte-Carlo failure probability / iteration curves
@@ -20,7 +20,7 @@ capability of RBER 0.0085 (Table I, Fig. 3).  This package provides:
 
 from .qc_matrix import QcLdpcCode
 from .encoder import SystematicEncoder
-from .decoder import DecodeResult, MinSumDecoder, GallagerBDecoder
+from .decoder import DecodeResult, MinSumDecoder
 from .syndrome import (
     syndrome,
     syndrome_weight,
@@ -39,7 +39,6 @@ __all__ = [
     "SystematicEncoder",
     "DecodeResult",
     "MinSumDecoder",
-    "GallagerBDecoder",
     "syndrome",
     "syndrome_weight",
     "pruned_syndrome_weight",

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..rng import SeedLike, make_rng
-from .decoder import GallagerBDecoder, MinSumDecoder
+from .decoder import MinSumDecoder
 from .qc_matrix import QcLdpcCode
 
 
@@ -91,23 +91,15 @@ def measure_capability(
     code: QcLdpcCode,
     rber_grid: Sequence[float],
     trials: int = 200,
-    decoder: str = "min-sum",
     max_iterations: int = 20,
     seed: SeedLike = 1234,
 ) -> List[CapabilityPoint]:
-    """Monte-Carlo sweep of failure probability and iterations over RBER.
-
-    ``decoder`` selects ``"min-sum"`` (faithful) or ``"gallager-b"`` (fast).
-    """
+    """Monte-Carlo sweep of the min-sum decoder's failure probability and
+    iterations over RBER."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     rng = make_rng(seed)
-    if decoder == "min-sum":
-        dec = MinSumDecoder(code, max_iterations=max_iterations)
-    elif decoder == "gallager-b":
-        dec = GallagerBDecoder(code, max_iterations=max_iterations)
-    else:
-        raise ConfigError(f"unknown decoder {decoder!r}")
+    dec = MinSumDecoder(code, max_iterations=max_iterations)
 
     points = []
     for rber in rber_grid:

@@ -1,22 +1,15 @@
-"""LDPC decoders with iteration accounting.
+"""LDPC decoder with iteration accounting.
 
-Two decoders are provided:
+:class:`MinSumDecoder` is normalized min-sum belief propagation, the
+algorithm family of commercial flash LDPC engines ([12], [13], [39]).
+Fully vectorised: the code is regular, so check-side messages reshape to
+``(m, c)`` and variable-side messages to ``(n, r)`` dense arrays.
 
-* :class:`MinSumDecoder` — normalized min-sum belief propagation, the
-  algorithm family of commercial flash LDPC engines ([12], [13], [39]).
-  Fully vectorised: the code is regular, so check-side messages reshape to
-  ``(m, c)`` and variable-side messages to ``(n, r)`` dense arrays.
-* :class:`GallagerBDecoder` — a hard-decision bit-flipping decoder, an
-  order of magnitude faster; useful for very large Monte-Carlo sweeps where
-  only the *shape* of the failure curve matters.
-
-Both stop early when the syndrome becomes zero and report the iteration
+It stops early when the syndrome becomes zero and reports the iteration
 count, which drives the tECC latency model (decoding latency grows with
 RBER — Fig. 3(b))."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import math
 from dataclasses import dataclass
@@ -143,59 +136,3 @@ class MinSumDecoder:
             bits=hard, success=success, iterations=iterations,
             initial_syndrome_weight=initial_sw,
         )
-
-
-class GallagerBDecoder:
-    """Hard-decision Gallager-B bit-flipping decoder.
-
-    Each iteration flips the bits whose number of unsatisfied incident
-    checks exceeds a threshold (majority of the column weight).  Weaker than
-    min-sum but ~10x faster, with the same qualitative waterfall."""
-
-    def __init__(self, code: QcLdpcCode, max_iterations: int = 20,
-                 flip_threshold: Optional[int] = None):
-        if max_iterations < 1:
-            raise CodecError("max_iterations must be >= 1")
-        self.code = code
-        self.max_iterations = max_iterations
-        # default: strict majority of the column weight
-        self.flip_threshold = (
-            flip_threshold if flip_threshold is not None else code.r // 2 + 1
-        )
-
-    def decode(self, received: np.ndarray) -> DecodeResult:
-        code = self.code
-        bits = np.asarray(received, dtype=np.uint8).copy()
-        if bits.shape != (code.n,):
-            raise CodecError(f"expected {code.n}-bit word, got {bits.shape}")
-        initial_sw = code.syndrome_weight(bits)
-        if initial_sw == 0:
-            return DecodeResult(bits=bits, success=True, iterations=1,
-                                initial_syndrome_weight=0)
-        check_vars = code.check_vars
-        var_checks = var_checks_of(code)  # (n, r) check index per variable
-        iterations = self.max_iterations
-        for it in range(1, self.max_iterations + 1):
-            synd = np.bitwise_xor.reduce(bits[check_vars], axis=1)  # (m,)
-            if not synd.any():
-                iterations = it
-                break
-            unsat = synd[var_checks].sum(axis=1)  # (n,)
-            flip = unsat >= self.flip_threshold
-            if not flip.any():
-                # stuck: flip the most-unsatisfied bits to keep moving
-                flip = unsat == unsat.max()
-            bits[flip] ^= 1
-        success = code.syndrome_weight(bits) == 0
-        return DecodeResult(bits=bits, success=success, iterations=iterations,
-                            initial_syndrome_weight=initial_sw)
-
-
-def var_checks_of(code: QcLdpcCode) -> np.ndarray:
-    """(n, r) array of check indices incident to each variable (cached on
-    the code instance)."""
-    cached = getattr(code, "_var_checks_cache", None)
-    if cached is None:
-        cached = code.var_edges // code.c
-        code._var_checks_cache = cached
-    return cached

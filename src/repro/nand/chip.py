@@ -1,13 +1,14 @@
 """Behavioural flash-die model.
 
 This is the *functional* model of a RiF-capable flash die (Fig. 9 of the
-paper): page buffers, a status register, and the command set — ``READ``
-(sense at given VREF offsets), ``READ_RETRY`` (sense at a vendor retry-table
-level), and ``SWIFT_READ`` (the in-chip double sense of [32] that derives
-near-optimal VREF from the ones-count deviation).  Timing is *not* modelled
-here — the discrete-event simulator in :mod:`repro.ssd` owns time; this model
-owns data and error physics, and is what the ODEAR engine in
-:mod:`repro.core` drives in end-to-end experiments.
+paper): page buffers and the command set — ``READ`` (sense at given VREF
+offsets), ``READ_RETRY`` (sense at a vendor retry-table level), and
+``SWIFT_READ`` (the in-chip double sense of [32] that derives near-optimal
+VREF from the ones-count deviation).  Timing is *not* modelled here — the
+discrete-event simulator in :mod:`repro.ssd` owns time; this model owns data
+and error physics, and is what the ODEAR engine in :mod:`repro.core` drives
+in end-to-end experiments.  Grown bad blocks and offline dies are modelled
+where the SSD applies them (:mod:`repro.faults`), not per die.
 
 Error physics: the die tracks each page's wear/retention condition and
 derives the bit-error probability of every sense from the TLC VTH model, so
@@ -22,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, DegradedReadError, FaultInjectionError, GeometryError
+from ..errors import ConfigError, GeometryError
 from ..rng import SeedLike, make_rng
 from .randomizer import Randomizer
 from .retry_table import RetryTable
@@ -112,59 +113,11 @@ class FlashDie:
         self._page_buffers: Dict[int, Optional[np.ndarray]] = {
             p: None for p in range(planes)
         }
-        self.ready: bool = True  # status-register ready flag
-        #: grown bad blocks: commands targeting them fail loudly
-        self._bad_blocks: set = set()
-        #: a stuck/offline die rejects every command until cleared
-        self.offline: bool = False
-        self._probes: list = []
-
-    # --- observability (repro.obs instant-event hooks) --------------------------------
-
-    def attach_probe(self, probe) -> None:
-        """Register a passive command observer, called as
-        ``probe(event, **fields)`` after each die command completes.
-        Probes only read state; die behaviour (and its RNG stream) is
-        unchanged whether any are attached."""
-        self._probes.append(probe)
-
-    def _emit(self, event: str, **fields) -> None:
-        if self._probes:
-            for probe in self._probes:
-                probe(event, **fields)
 
     def cache_stats(self) -> list:
         """Hit/miss counters of the VTH model's hot-path memo caches (the
         die's per-read error physics all flow through them)."""
         return self.vth.cache_stats()
-
-    # --- fault injection (repro.faults functional hooks) ------------------------------
-
-    def mark_bad_block(self, plane: int, block: int) -> None:
-        """Declare a grown bad block: subsequent reads/programs of it raise
-        :class:`~repro.errors.FaultInjectionError` until the block is
-        erased (retirement reconditions it in this functional model)."""
-        self._check_plane_block(plane, block)
-        self._bad_blocks.add((plane, block))
-        self._emit("die.bad_block", plane=plane, block=block)
-
-    def is_bad_block(self, plane: int, block: int) -> bool:
-        self._check_plane_block(plane, block)
-        return (plane, block) in self._bad_blocks
-
-    def set_offline(self, offline: bool = True) -> None:
-        """Take the whole die offline (stuck die) or bring it back."""
-        self.offline = offline
-        self.ready = not offline
-        self._emit("die.offline" if offline else "die.online")
-
-    def _check_operational(self, plane: int, block: int) -> None:
-        if self.offline:
-            raise DegradedReadError("die is offline")
-        if (plane, block) in self._bad_blocks:
-            raise FaultInjectionError(
-                f"grown bad block (plane={plane}, block={block})"
-            )
 
     # --- condition control ----------------------------------------------------------
 
@@ -190,7 +143,6 @@ class FlashDie:
     def program(self, plane: int, block: int, page: int, bits: np.ndarray) -> None:
         """Program a page: scramble and store."""
         self._check_addr(plane, block, page)
-        self._check_operational(plane, block)
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (self.page_bits,):
             raise ConfigError(
@@ -205,21 +157,13 @@ class FlashDie:
             scrambled_bits=stored_bits,
             programmed_at_days=self.now_days,
         )
-        self._emit("die.program", plane=plane, block=block, page=page)
 
     def erase(self, plane: int, block: int) -> None:
-        """Erase a block (drops all pages, bumps wear by one cycle).  Also
-        reconditions a grown bad block — the retirement flow relocates the
-        data first, then erases the victim."""
+        """Erase a block (drops all pages, bumps wear by one cycle)."""
         self._check_plane_block(plane, block)
-        if self.offline:
-            raise DegradedReadError("die is offline")
         for page in range(self.pages_per_block):
             self._pages.pop((plane, block, page), None)
         self._pe_cycles[(plane, block)] = self._pe_cycles.get((plane, block), 0.0) + 1
-        self._bad_blocks.discard((plane, block))
-        self._emit("die.erase", plane=plane, block=block,
-                   pe_cycles=self._pe_cycles[(plane, block)])
 
     # --- read path ----------------------------------------------------------------------
 
@@ -258,22 +202,17 @@ class FlashDie:
     ) -> ReadResult:
         """Sense a page into the plane's buffer and return its (descrambled)
         content with errors injected at the model rate."""
-        self._check_operational(plane, block)
         stored = self._stored(plane, block, page)
         rber = self.sense_rber(plane, block, page, vref_offsets)
         noisy = self._inject_errors(stored.scrambled_bits, rber)
         stored.reads_since_program += senses
         self._page_buffers[plane] = noisy
-        self.ready = True
         if self.randomizer is not None:
             key = self._scramble_key(plane, block, page)
             bits = self.randomizer.descramble(noisy, key)
         else:
             bits = noisy
         n_err = self._count_errors(plane, block, page, bits)
-        self._emit("die.read", plane=plane, block=block, page=page,
-                   command=command.name, senses=senses, rber=rber,
-                   bit_errors=n_err)
         return ReadResult(
             bits=bits,
             true_rber=rber,

@@ -108,12 +108,6 @@ class RberModel:
         z_anchor = _unit_to_standard_normal(self.reliability.anchor_quantile)
         self._median_scale = math.exp(-z_anchor * sigma_total)
 
-    def invalidate_caches(self) -> None:
-        """Drop all memoized values (the model itself is immutable; use
-        after monkeypatching config in tests, or for memory pressure)."""
-        for cache in self._caches():
-            cache.invalidate()
-
     def cache_stats(self) -> List[dict]:
         """JSON-ready hit/miss counters of this model's memo caches."""
         return [c.stats().to_dict() for c in self._caches()]

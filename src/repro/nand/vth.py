@@ -138,8 +138,7 @@ class TlcVthModel:
                 dtype=np.uint8,
             )
         # Exact-key memo caches.  The model is immutable (frozen config), so
-        # entries never go stale; ``invalidate_caches`` exists for explicit
-        # resets (and symmetry with the samplers).
+        # entries never go stale.
         self._params_cache = MemoCache("vth.state_params", max_entries=4096)
         self._rber_cache = MemoCache("vth.page_rber")
         self._ones_cache = MemoCache("vth.ones_fraction")
@@ -151,12 +150,6 @@ class TlcVthModel:
     def _caches(self) -> List[MemoCache]:
         return [self._params_cache, self._rber_cache, self._ones_cache,
                 self._above_cache, self._opt_vref_cache]
-
-    def invalidate_caches(self) -> None:
-        """Drop every memoized value (the model is immutable, so this only
-        matters for memory pressure or paranoid test isolation)."""
-        for cache in self._caches():
-            cache.invalidate()
 
     def cache_stats(self) -> List[dict]:
         """JSON-ready hit/miss counters of this model's memo caches."""

@@ -9,7 +9,9 @@ spans read directly in simulated time.
 
 :func:`validate_chrome_trace` is the schema check the CI trace-smoke job
 runs on every exported artefact; it raises ``ValueError`` with a precise
-message on the first malformed event.
+message on the first malformed event.  :func:`load_trace_spans` reads a
+file the ``report-trace`` CLI is given, so a file that is not such an
+export is a :class:`~repro.errors.ConfigError` there.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from pathlib import Path
 from typing import Dict, List
 
+from ..errors import ConfigError
 from .trace import SimTracer, SpanEvent
 
 #: Single simulated-device process in the trace.
@@ -159,14 +162,18 @@ def load_trace_spans(path) -> List[dict]:
     """Read the span records back from a Chrome ``trace_event`` export.
 
     Returns flat dicts with ``track``, ``name``, ``tag``, ``start_us`` and
-    ``dur_us`` keys — enough for the ``report-trace`` summary table.
+    ``dur_us`` keys — enough for the ``report-trace`` summary table.  A
+    file that cannot be read, or that fails :func:`validate_chrome_trace`,
+    is a :class:`~repro.errors.ConfigError`.
     """
     path = Path(path)
     try:
-        events = json.loads(path.read_text())["traceEvents"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(
+        data = json.loads(path.read_text())
+        validate_chrome_trace(data)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
             f"{path}: not a Chrome trace_event JSON export ({exc})") from None
+    events = data["traceEvents"]
     names = {ev.get("tid", 0): ev["args"]["name"] for ev in events
              if ev.get("ph") == "M" and ev.get("name") == "thread_name"}
     return [{

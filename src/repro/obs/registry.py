@@ -158,6 +158,21 @@ def _parse_json(text: str, source, what: str, kinds=dict):
     return data
 
 
+def check_json_types(data: dict, what: str, types: Dict[str, tuple]) -> None:
+    """Each field of ``data`` that ``types`` names holds one of its JSON
+    types (``type(None)`` admits null; true/false is no number).  A field
+    of another type is a :class:`ConfigError` naming ``what``, not the
+    ``TypeError`` it would raise deeper in."""
+    for name, value in data.items():
+        kinds = types.get(name)
+        if kinds is not None and (isinstance(value, bool)
+                                  or not isinstance(value, kinds)):
+            expected = " or ".join("null" if kind is type(None)
+                                   else kind.__name__ for kind in kinds)
+            raise ConfigError(f"{what} field {name!r} must be {expected}, "
+                              f"got {value!r}")
+
+
 def _read_text(path, what: str) -> str:
     try:
         return Path(path).read_text()

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from .histogram import LatencyHistogram
+from .registry import check_json_types
 
 #: Bad/total event names an :class:`SloSpec` may reference, mapped to the
 #: :class:`~repro.ssd.metrics.SimMetrics` field that counts them.  The same
@@ -159,14 +160,26 @@ class SloSpec:
         )
 
 
+#: JSON types of the fields of an SLO spec file and of its items
+_JSON_TYPES = {
+    "name": (str,), "objectives": (list,),
+    "error_budget": (int, float, type(None)), "bad_event": (str,),
+    "event_total": (str,), "burn_rules": (list,),
+    "quantile": (int, float), "threshold_us": (int, float),
+    "window": (int,), "max_burn_rate": (int, float),
+}
+
+
 def _fields_of(item, what: str, *names: str) -> list:
     """The ``names`` fields of a JSON object; an item that is not an
-    object, or lacks one of them, is a :class:`ConfigError`."""
+    object, lacks one of them, or holds a field of the wrong JSON type
+    is a :class:`ConfigError`."""
     if not isinstance(item, dict):
         raise ConfigError(f"{what} must be a JSON object, got {item!r}")
     for name in names:
         if name not in item:
             raise ConfigError(f"{what} has no {name!r}: {item!r}")
+    check_json_types(item, what, _JSON_TYPES)
     return [item[name] for name in names]
 
 

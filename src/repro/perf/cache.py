@@ -82,9 +82,9 @@ class CacheStats:
 class MemoCache:
     """A named, bounded, stats-tracking memo table.
 
-    Use :meth:`get_or_compute` on the hot path; :meth:`invalidate` drops
-    every entry (e.g. after mutating the state the cached function closes
-    over).  Not thread-safe by design — each sampler owns its caches and
+    Use :meth:`get_or_compute` on the hot path.  The cached functions are
+    pure in their keys for the owner's lifetime, so a table only fills and
+    evicts.  Not thread-safe by design — each sampler owns its caches and
     the campaign layer parallelises at process granularity.
     """
 
@@ -123,11 +123,6 @@ class MemoCache:
             self.evictions += 1
         self._table[key] = value
         return value
-
-    def invalidate(self) -> None:
-        """Explicitly drop all entries (counters survive; an invalidation
-        is not an eviction)."""
-        self._table.clear()
 
     def stats(self) -> CacheStats:
         return CacheStats(

@@ -36,7 +36,7 @@ from .adaptive import (
     RetentionPredictorPolicy,
 )
 from .host import ClosedLoopHost, TimedReplayHost
-from .refresh import RefreshAssessment, RefreshPlanner, fast_forward
+from .refresh import RefreshAssessment, RefreshPlanner
 from .energy import EnergyBreakdown, EnergyConfig, EnergyModel
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "TimedReplayHost",
     "RefreshPlanner",
     "RefreshAssessment",
-    "fast_forward",
     "ADAPTIVE_POLICIES",
     "AdaptivePolicy",
     "OptimalVrefCachePolicy",

@@ -39,9 +39,9 @@ Determinism rules:
   key and retention age immediately before compiling its plan) never
   draws from the RNG stream, so learning never shifts the outcome
   model's draw order.
-* ``state_version`` bumps only on invalidation
-  (:func:`repro.ssd.refresh.fast_forward`), never on per-read learning;
-  :meth:`AdaptivePolicy.export_state` reports it as ``version``.
+* learned state lives for the whole run: a drive's wear and retention
+  window are fixed when it is built, so nothing ages it under the
+  policy and nothing resets what it learned.
 * learned state is exported as JSON-native data
   (:meth:`AdaptivePolicy.export_state`) into
   :class:`~repro.ssd.metrics.SimMetrics`, so campaign caching and the
@@ -76,9 +76,9 @@ N_LEVELS = 12
 class AdaptivePolicy(ReadRetryPolicy):
     """Shared skeleton of the history-driven policies.
 
-    Subclasses implement the four small hooks (`_predicted_level`,
-    `_learn`, `_reset_learned`, `_state_payload`); everything about plan
-    shape, hit/mispredict accounting, and state bookkeeping lives here.
+    Subclasses implement the three small hooks (`_predicted_level`,
+    `_learn`, `_state_payload`); everything about plan shape,
+    hit/mispredict accounting, and state bookkeeping lives here.
 
     ``tolerance`` is how many retry-table levels a prediction may be off
     while the read still decodes on the first attempt — per-page
@@ -94,28 +94,18 @@ class AdaptivePolicy(ReadRetryPolicy):
         if tolerance < 0:
             raise ConfigError(f"tolerance must be >= 0, got {tolerance}")
         self.tolerance = int(tolerance)
-        self.state_version = 0
         self.hits = 0
         self.mispredicts = 0
         self._ctx_block: Optional[tuple] = None
-        self._ctx_retention: Optional[float] = None
 
     # --- state hooks (simulator-facing) ------------------------------------------
 
     def begin_read(self, block_key, retention_days: float) -> None:
         self._ctx_block = block_key
-        self._ctx_retention = retention_days
-
-    def on_fast_forward(self, retention_days: float, pe_delta: float) -> None:
-        self.state_version += 1
-        self._ctx_block = None
-        self._ctx_retention = None
-        self._reset_learned()
 
     def export_state(self) -> dict:
         state = {
             "policy": self.name.value,
-            "version": self.state_version,
             "hits": self.hits,
             "mispredicts": self.mispredicts,
         }
@@ -131,9 +121,6 @@ class AdaptivePolicy(ReadRetryPolicy):
 
     def _learn(self, true_level: int) -> None:
         """Fold the level the read actually needed back into the state."""
-        raise NotImplementedError
-
-    def _reset_learned(self) -> None:
         raise NotImplementedError
 
     def _state_payload(self) -> dict:
@@ -181,7 +168,6 @@ class AdaptivePolicy(ReadRetryPolicy):
             self._reactive_swift_rounds(b, rber)
         self._learn(true_level)
         self._ctx_block = None
-        self._ctx_retention = None
 
 
 class OptimalVrefCachePolicy(AdaptivePolicy):
@@ -190,8 +176,7 @@ class OptimalVrefCachePolicy(AdaptivePolicy):
     Every read reveals the retry-table level its page needed; the cache
     remembers it per block and the next read of the same block starts
     there.  Retention drift between reads of a block is what the
-    ``tolerance`` margin absorbs; age jumps invalidate the whole cache
-    via :func:`repro.ssd.refresh.fast_forward`.
+    ``tolerance`` margin absorbs.
     """
 
     name = PolicyName.OVC
@@ -216,9 +201,6 @@ class OptimalVrefCachePolicy(AdaptivePolicy):
                 and self._ctx_block not in self._cache):
             self._cache.clear()
         self._cache[self._ctx_block] = true_level
-
-    def _reset_learned(self) -> None:
-        self._cache.clear()
 
     def _state_payload(self) -> dict:
         return {
@@ -258,10 +240,6 @@ class OnlineAdaptationPolicy(AdaptivePolicy):
     def _learn(self, true_level: int) -> None:
         self._estimate += self.alpha * (true_level - self._estimate)
         self._observations += 1
-
-    def _reset_learned(self) -> None:
-        self._estimate = 0.0
-        self._observations = 0
 
     def _state_payload(self) -> dict:
         return {"estimate": self._estimate,
@@ -345,10 +323,6 @@ class RetentionPredictorPolicy(AdaptivePolicy):
         residual = true_level - self._ctx_base
         self._bias += self.alpha * (residual - self._bias)
         self._bias = min(max(self._bias, -float(N_LEVELS)), float(N_LEVELS))
-        self._ctx_base = None
-
-    def _reset_learned(self) -> None:
-        self._bias = 0.0
         self._ctx_base = None
 
     def _state_payload(self) -> dict:

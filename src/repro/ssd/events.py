@@ -99,10 +99,15 @@ class Simulator:
         """Process events one at a time in ``(time, tie_break)`` order.
 
         ``until`` bounds simulated time (events at exactly ``until`` still
-        fire); ``max_events`` bounds *this call* (the lifetime total
+        fire) and may not lie before :attr:`now`: the clock never runs
+        backwards.  ``max_events`` bounds *this call* (the lifetime total
         remains available as :attr:`processed_events`), so resumable
         simulators get the full budget on every run.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self.now}"
+            )
         processed_this_run = 0
         # bind the heap locally: this loop is the simulator's innermost
         # hot path, and EventQueue.push always mutates this same list

@@ -88,12 +88,6 @@ class LutReliabilitySampler:
         self._base_table = self._base_cache._table
         self._cold_age_table = self._cold_age_cache._table
 
-    def invalidate_caches(self) -> None:
-        """Drop memoized interpolation results (use after mutating
-        ``self.luts`` in tests)."""
-        self._base_cache.invalidate()
-        self._cold_age_cache.invalidate()
-
     def cache_stats(self) -> List[dict]:
         """JSON-ready hit/miss counters of this sampler's memo caches."""
         return [self._base_cache.stats().to_dict(),

@@ -18,11 +18,9 @@ This module provides the closed-form planner behind that trade-off:
   (whose cheap retries push the optimum far out — quantifying the paper's
   observation that RiF tolerates retention where reactive schemes cannot).
 
-Beyond the closed-form planner, :func:`fast_forward` is the *runtime*
-aging hook: it jumps a live simulator's retention age and/or wear between
-traffic epochs (lifetime time-compression, ROADMAP item 5) and notifies a
-history-driven policy (:mod:`repro.ssd.adaptive`) that its learned VREF
-state is stale.
+A simulated drive's wear and retention window are fixed when it is built
+(``pe_cycles`` and ``ReliabilityConfig.refresh_days``); a fleet expresses a
+drive's age through its ``refresh_days``, not by aging a live drive.
 """
 
 from __future__ import annotations
@@ -181,44 +179,6 @@ class RefreshPlanner:
             if best is None or assessment.total_overhead < best.total_overhead:
                 best = assessment
         return best
-
-
-def fast_forward(ssd, *, retention_days: float = 0.0,
-                 pe_delta: float = 0.0) -> None:
-    """Age a live :class:`~repro.ssd.simulator.SSDSimulator` in place.
-
-    Jumps every page's retention by ``retention_days`` and the drive's
-    wear by ``pe_delta`` P/E cycles, as if that much lifetime passed with
-    no host traffic — the building block of epoch-style campaigns that
-    compress months of aging into minutes of simulation.  When the
-    drive runs a history-driven policy, its learned VREF state is
-    invalidated (``on_fast_forward`` bumps the policy's state version).
-    The read pipeline's memoized dispatch routes stay: they are pure in
-    the physical page number.
-
-    Requires the parametric :class:`~repro.ssd.reliability.PageReliability
-    Sampler`; table-driven reliability modes cannot re-derive RBER at a
-    shifted age and are rejected.
-    """
-    if retention_days < 0:
-        raise ConfigError(
-            f"retention_days must be >= 0, got {retention_days!r}")
-    if pe_delta < 0:
-        raise ConfigError(f"pe_delta must be >= 0, got {pe_delta!r}")
-    if retention_days == 0 and pe_delta == 0:
-        return
-    sampler = ssd.sampler
-    if not (hasattr(sampler, "advance_retention")
-            and hasattr(sampler, "advance_pe")):
-        raise ConfigError(
-            "fast_forward needs the parametric reliability sampler; "
-            f"{type(sampler).__name__} cannot shift its operating point")
-    sampler.advance_retention(retention_days)
-    if pe_delta:
-        sampler.advance_pe(pe_delta)
-        ssd.pe_cycles = sampler.pe_cycles
-    if ssd.policy.stateful:
-        ssd.policy.on_fast_forward(retention_days, pe_delta)
 
 
 def _inv_norm(u: float) -> float:

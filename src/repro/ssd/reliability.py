@@ -67,20 +67,16 @@ class PageReliabilitySampler:
             1.0 if operating_temp_c is None
             else self.thermal.acceleration_factor(operating_temp_c)
         )
-        #: accumulated retention fast-forward (repro.ssd.refresh), in the
-        #: same equivalent-days space as the cold/warm ages; cold ages are
-        #: cached offset-inclusive, so advances invalidate that cache
-        self.retention_offset_days = 0.0
         # cold ages are pure in (seed, lpn) and workloads re-read the same
         # logical pages constantly — memoize the hash (repro.perf)
         self._cold_age_cache = MemoCache("reliability.cold_age")
         # Bound table reference for the inline probe below.  MemoCache
         # only ever clear()s its table in place, so this stays valid across
-        # evictions and invalidations; the cache never stores None, so
-        # ``table.get(key)`` doubles as the miss test.
+        # evictions; the cache never stores None, so ``table.get(key)``
+        # doubles as the miss test.
         self._cold_age_table = self._cold_age_cache._table
-        #: the model's constants at this drive's wear (refreshed by
-        #: :meth:`advance_pe`), so a read evaluates only the curve
+        #: the model's constants at this drive's wear, fixed for the run,
+        #: so a read evaluates only the curve
         self._wear = self.model.wear_terms(pe_cycles)
 
     # --- retention ages ------------------------------------------------------------
@@ -112,45 +108,13 @@ class PageReliabilitySampler:
 
     def _cold_age_days_uncached(self, lpn: int) -> float:
         u = _unit(_fold(self._cold_state, int(lpn)))
-        age = u * self.reliability.refresh_days
-        offset = self.retention_offset_days
-        return age + offset if offset else age
+        return u * self.reliability.refresh_days
 
     def warm_age_days(self, written_at_us: float, now_us: float) -> float:
         """Retention age of a page written during the simulation."""
         if now_us < written_at_us:
             raise ConfigError("read before write")
-        age = (now_us - written_at_us) / US_PER_DAY
-        offset = self.retention_offset_days
-        return age + offset if offset else age
-
-    # --- lifetime fast-forward (repro.ssd.refresh) ---------------------------------
-
-    def advance_retention(self, days: float) -> None:
-        """Fast-forward every page's retention age by ``days``.
-
-        Models dwell time passing with no traffic (the campaign-epoch
-        jump of :func:`repro.ssd.refresh.fast_forward`): cold and warm
-        ages both shift by the accumulated offset.  Cold ages are cached
-        offset-inclusive, so the memo table is dropped here.
-        """
-        check_finite_non_negative("retention advance", days)
-        if days == 0:
-            return
-        self.retention_offset_days += days
-        self._cold_age_cache.invalidate()
-
-    def advance_pe(self, delta: float) -> None:
-        """Advance the drive's wear by ``delta`` P/E cycles.
-
-        Recomputes the model's wear terms; the memoized strength factors
-        and cold ages do not depend on wear.
-        """
-        check_finite_non_negative("P/E advance", delta)
-        if delta == 0:
-            return
-        self.pe_cycles += delta
-        self._wear = self.model.wear_terms(self.pe_cycles)
+        return (now_us - written_at_us) / US_PER_DAY
 
     # --- RBER -----------------------------------------------------------------------
 
@@ -179,12 +143,6 @@ class PageReliabilitySampler:
         return rber > self.ecc.correction_capability
 
     # --- perf plumbing ----------------------------------------------------------------
-
-    def invalidate_caches(self) -> None:
-        """Drop the sampler's and the underlying RBER model's memoized
-        values."""
-        self._cold_age_cache.invalidate()
-        self.model.invalidate_caches()
 
     def cache_stats(self) -> List[dict]:
         """JSON-ready hit/miss counters of this sampler and the underlying

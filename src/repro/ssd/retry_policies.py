@@ -138,9 +138,8 @@ class ReadRetryPolicy:
     function of ``rber`` and the RNG stream.  History-driven policies
     (:mod:`repro.ssd.adaptive`) set ``stateful = True`` and implement the
     state hooks below; the read pipeline calls :meth:`begin_read` with
-    the page's identity immediately before compiling its plan, and
-    :func:`repro.ssd.refresh.fast_forward` calls :meth:`on_fast_forward`
-    when drive age jumps invalidate what was learned.
+    the page's identity immediately before compiling its plan, and the
+    simulator stores :meth:`export_state` in the run's metrics.
     """
 
     name: PolicyName
@@ -157,9 +156,6 @@ class ReadRetryPolicy:
     def begin_read(self, block_key, retention_days: float) -> None:
         """Receive the upcoming read's identity (called only when
         ``stateful``; must not draw from the RNG stream)."""
-
-    def on_fast_forward(self, retention_days: float, pe_delta: float) -> None:
-        """Drive age jumped: discard learned state."""
 
     def export_state(self) -> Optional[dict]:
         """JSON-ready snapshot of learned state (``None`` when stateless)."""

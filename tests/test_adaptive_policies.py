@@ -2,9 +2,9 @@
 
 Covers the level oracle, plan shapes for hit / cold / mispredict reads,
 learned-state JSON round-trips (direct and through the campaign cache),
-invalidation on retention fast-forward, and bit-identity of the adaptive
-state machine between the serial and process-parallel executors (the
-simulated outputs themselves are pinned by ``tests/test_golden.py``).
+and bit-identity of the adaptive state machine between the serial and
+process-parallel executors (the simulated outputs themselves are pinned
+by ``tests/test_golden.py``).
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.config import EccConfig, NandTimings
 from repro.errors import ConfigError
 from repro.nand.retry_table import level_for_rber
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
-from repro.ssd.refresh import fast_forward
 from repro.ssd.retry_policies import TAG_COR, TAG_UNCOR, make_policy
 from repro.ssd.simulator import SimulationResult
 
@@ -192,8 +191,8 @@ def test_learned_state_json_round_trip(policy, kwargs):
     assert restored.metrics.adaptive_state == state
     # from_dict copies nested containers: mutating the restored state
     # must not reach back into the source dict
-    restored.metrics.adaptive_state["version"] = 999
-    assert data["metrics"]["adaptive_state"]["version"] != 999
+    restored.metrics.adaptive_state["hits"] = -1
+    assert data["metrics"]["adaptive_state"]["hits"] != -1
 
 
 def test_adaptive_state_round_trips_through_campaign_cache(tmp_path):
@@ -206,77 +205,16 @@ def test_adaptive_state_round_trips_through_campaign_cache(tmp_path):
     assert second.metrics.adaptive_state is not None
 
 
-# --- fast-forward invalidation ---------------------------------------------------
-
-
-def test_fast_forward_invalidates_learned_state_and_shifts_ages():
-    spec = _spec("OVCSSD", {}, n_requests=120)
-    ssd = build_simulator(spec)
-    ssd.run_trace(build_trace(spec))
-    policy = ssd.policy
-    assert policy.export_state()["blocks"], "run learned nothing"
-    version = policy.state_version
-    age_before = ssd.sampler.cold_age_days(12345)
-    disturb_before = ssd.sampler._wear.per_read
-    pe_before = ssd.pe_cycles
-
-    fast_forward(ssd, retention_days=30.0, pe_delta=500.0)
-
-    assert policy.state_version == version + 1
-    assert policy.export_state()["blocks"] == {}
-    assert ssd.sampler.cold_age_days(12345) == age_before + 30.0
-    assert ssd.pe_cycles == pe_before + 500.0
-    assert ssd.sampler.pe_cycles == pe_before + 500.0
-    # wear raises the read-disturb coefficient
-    assert ssd.sampler._wear.per_read > disturb_before
-
-
-def test_fast_forward_keeps_the_route_memo_valid():
-    """A dispatch route is pure in ppn, so a run after a fast-forward is
-    the same whether the memoized routes are kept or resolved afresh."""
-    def run_after_fast_forward(flush):
-        spec = _spec("OVCSSD", {}, n_requests=120)
-        ssd = build_simulator(spec)
-        trace = build_trace(spec)
-        ssd.run_trace(trace)
-        assert ssd._pipeline._routes, "the run memoized no dispatch routes"
-        fast_forward(ssd, retention_days=5.0)
-        if flush:
-            ssd._pipeline._routes.clear()
-        return ssd.run_trace(trace).to_dict()
-
-    assert run_after_fast_forward(False) == run_after_fast_forward(True)
-
-
-def test_fast_forward_validates_arguments():
-    spec = _spec("OVCSSD", {}, n_requests=10)
-    ssd = build_simulator(spec)
-    with pytest.raises(ConfigError):
-        fast_forward(ssd, retention_days=-1.0)
-    with pytest.raises(ConfigError):
-        fast_forward(ssd, pe_delta=-1.0)
-    # zero jump is a no-op, not an error
-    version = ssd.policy.state_version
-    fast_forward(ssd)
-    assert ssd.policy.state_version == version
-
-
-def test_fast_forward_rejects_table_driven_reliability():
-    spec = RunSpec(workload="Ali124", policy="SSDone", pe_cycles=1000.0,
-                   seed=7, scale="small", n_requests=10,
-                   reliability_mode="lut")
-    ssd = build_simulator(spec)
-    with pytest.raises(ConfigError, match="parametric"):
-        fast_forward(ssd, retention_days=10.0)
-
-
 def test_static_policies_ignore_fast_forward_state_hooks():
+    """A static policy has no learned state to export, before or after a
+    run."""
     spec = _spec("SSDone", {}, n_requests=10)
     ssd = build_simulator(spec)
     assert not ssd.policy.stateful
     assert ssd.policy.export_state() is None
-    fast_forward(ssd, retention_days=10.0)  # must not raise
+    result = ssd.run_trace(build_trace(spec))
     assert ssd.policy.export_state() is None
+    assert result.metrics.adaptive_state is None
 
 
 # --- cross-executor bit-identity ------------------------------------

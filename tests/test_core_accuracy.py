@@ -37,7 +37,7 @@ def test_evaluate_rates_are_consistent(code):
 def test_chunked_evaluation_runs(code):
     points = evaluate_rp_accuracy(
         code, [0.002], n_pages=10, chunks_per_page=2,
-        capability_rber=0.0085, seed=3, decoder="gallager-b",
+        capability_rber=0.0085, seed=3,
     )
     assert len(points) == 1
 
@@ -56,8 +56,6 @@ def test_mean_accuracy_above_capability():
 def test_evaluate_validation(code):
     with pytest.raises(ConfigError):
         evaluate_rp_accuracy(code, [0.01], n_pages=0)
-    with pytest.raises(ConfigError):
-        evaluate_rp_accuracy(code, [0.01], n_pages=1, decoder="magic")
 
 
 def test_paper_nominal_model_shape():

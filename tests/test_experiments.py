@@ -94,3 +94,22 @@ def test_runner_executes_experiment(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "table1" in out and "finished" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report-trace", "GARBAGE"], "not a Chrome trace_event JSON export"),
+    (["report-trace", "MISSING"], "No such file"),
+    (["bogus"], "unknown experiment 'bogus'"),
+    (["table1", "bogus"], "unknown experiment 'bogus'"),
+], ids=["trace-garbage", "trace-missing", "unknown-id", "unknown-after-known"])
+def test_runner_reports_bad_input_as_an_error(argv, message, tmp_path, capsys):
+    """A file that is no trace export, a missing file and an unknown id
+    are ``error: ...`` with exit 2, never a traceback; no experiment runs
+    before an unknown id is reported."""
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("garbage")
+    paths = {"GARBAGE": str(garbage), "MISSING": str(tmp_path / "absent.json")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "finished" not in captured.out

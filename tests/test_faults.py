@@ -8,10 +8,10 @@ completes or raises a typed ``ReproError`` — no silent drops, no hangs.
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.campaign import RunSpec, execute
+from repro.campaign.durable import CampaignFaultDriver
 from repro.config import small_test_config
 from repro.errors import (
     DegradedReadError,
@@ -19,7 +19,6 @@ from repro.errors import (
     RetryExhaustedError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.nand.chip import FlashDie
 from repro.nand.geometry import AddressMapper
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
 from repro.ssd.metrics import SimMetrics
@@ -159,6 +158,22 @@ def test_injector_schedule_is_deterministic():
     first = firing_reads()
     assert first == firing_reads()  # pure function of the read sequence
     assert first == [1, 4]          # period 3 from start_read=1, count 2
+
+
+def test_reads_and_completed_cells_share_one_trigger_rule():
+    """``FaultSpec.due_at`` is the index schedule: the simulator applies
+    it to read indices, the durable campaign to completed-cell indices."""
+    window = {"start_read": 3, "end_read": 11, "period": 4}
+    due = [3, 7, 11]
+    assert [i for i in range(20)
+            if FaultSpec(kind="transient_sense", **window).due_at(i)] == due
+    injector = FaultInjector(FaultPlan(faults=(
+        FaultSpec(kind="transient_sense", **window),)))
+    assert [i for i in range(20) if injector.on_page_read(
+        (0, 0, 0, 0), float(i)).sense_failures] == due
+    driver = CampaignFaultDriver(FaultPlan(faults=(
+        FaultSpec(kind="campaign_kill", **window),)))
+    assert [i for i in range(20) if driver.kill_window(i)] == due
 
 
 def test_injector_address_predicate_and_windows():
@@ -436,31 +451,3 @@ def test_scripted_full_buffer_stalls_deterministically():
     assert first.completed
     assert first.channel_usage.eccwait > 0.0
     assert first.to_dict() == second.to_dict()
-
-
-# --- functional die model hooks -----------------------------------------------------
-
-
-def test_flash_die_bad_block_and_offline():
-    die = FlashDie(blocks=2, pages_per_block=4, page_bits=64, planes=1,
-                   seed=1)
-    bits = np.zeros(64, dtype=np.uint8)
-    die.program(0, 0, 0, bits)
-    die.mark_bad_block(0, 0)
-    assert die.is_bad_block(0, 0)
-    with pytest.raises(FaultInjectionError):
-        die.read(0, 0, 0)
-    with pytest.raises(FaultInjectionError):
-        die.program(0, 0, 1, bits)
-    die.erase(0, 0)  # retirement flow: relocate, then erase reconditions
-    assert not die.is_bad_block(0, 0)
-    die.set_offline()
-    assert not die.ready
-    with pytest.raises(DegradedReadError):
-        die.read(0, 0, 0)
-    with pytest.raises(DegradedReadError):
-        die.erase(0, 0)
-    die.set_offline(False)
-    assert die.ready
-    die.program(0, 0, 0, bits)
-    assert die.read(0, 0, 0).bits.shape == (64,)

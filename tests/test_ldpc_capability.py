@@ -43,7 +43,7 @@ def test_extreme_arguments_clamped():
 
 def test_measure_capability_produces_waterfall(code64):
     points = measure_capability(
-        code64, [0.002, 0.008, 0.014], trials=25, decoder="gallager-b", seed=3
+        code64, [0.002, 0.008, 0.014], trials=25, seed=3
     )
     assert points[0].failure_probability < points[-1].failure_probability
     assert points[0].avg_iterations < points[-1].avg_iterations
@@ -83,7 +83,5 @@ def test_validation(code64):
         measure_capability(code64, [0.6], trials=1)
     with pytest.raises(ConfigError):
         measure_capability(code64, [0.01], trials=0)
-    with pytest.raises(ConfigError):
-        measure_capability(code64, [0.01], trials=1, decoder="viterbi")
     with pytest.raises(ConfigError):
         CapabilityCurve(0.009, 20.0).capability(0.0)

@@ -205,6 +205,16 @@ def _record_without_share(tmp_path, _rollup, record):
     pytest.param(_text_file(obs_main, "slo-report", "--slo", "NOT_JSON",
                             text="[1, 2]"),
                  "SLO spec must be a JSON object", id="slo-item-not-object"),
+    pytest.param(_text_file(fleet_main, "generate", "--spec", "NOT_JSON",
+                            text='{"n_drives": "x"}'),
+                 "fleet spec field 'n_drives' must be int, got 'x'",
+                 id="fleet-spec-wrong-type"),
+    pytest.param(_text_file(obs_main, "slo-report", "--slo", "NOT_JSON",
+                            text='[{"name": "x", "error_budget": "a", '
+                                 '"bad_event": "retried_reads", '
+                                 '"event_total": "page_reads"}]'),
+                 "SLO spec field 'error_budget' must be int or float or "
+                 "null, got 'a'", id="slo-wrong-type"),
     pytest.param(_missing_file(obs_main, "dashboard", "--telemetry", "MISSING"),
                  "No such file", id="telemetry-missing"),
     pytest.param(_missing_file(fleet_main, "run", "--spec", "MISSING"),

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import small_test_config
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.obs import (
     chrome_trace,
     load_trace_spans,
@@ -144,7 +144,7 @@ def test_span_loading_rejects_a_file_that_is_not_a_chrome_export(tmp_path):
     for text in ('{"type": "resource"}\n', "[1, 2]", "not json"):
         path = tmp_path / "t.jsonl"
         path.write_text(text)
-        with pytest.raises(ValueError, match="not a Chrome trace_event"):
+        with pytest.raises(ConfigError, match="not a Chrome trace_event"):
             load_trace_spans(path)
 
 

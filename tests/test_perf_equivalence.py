@@ -127,18 +127,6 @@ def test_repeated_queries_hit_cache():
     assert after["rber.variation_factor"] > before["rber.variation_factor"]
 
 
-def test_invalidate_caches_empties_tables():
-    sampler = PageReliabilitySampler(pe_cycles=1000.0, seed=1)
-    tables = (sampler._cold_age_cache, sampler.model._factor_cache,
-              sampler.model._block_factor_cache)
-    first = _query_mix(sampler)
-    assert all(len(cache) > 0 for cache in tables)
-    sampler.invalidate_caches()
-    assert all(len(cache) == 0 for cache in tables)
-    # results after invalidation are unchanged (cache is transparent)
-    assert _query_mix(sampler) == first
-
-
 # --- cache machinery ---------------------------------------------------------------
 
 

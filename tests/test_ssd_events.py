@@ -50,6 +50,12 @@ def test_run_until_bounds_time():
     sim.run(until=50.0)
     assert fired == [1]
     assert sim.now == 50.0
+    # an earlier horizon would run the clock backwards: it is rejected,
+    # and neither the clock nor the queue changes
+    with pytest.raises(SimulationError, match="already at 50.0"):
+        sim.run(until=20.0)
+    assert sim.now == 50.0
+    assert len(sim.events) == 1 and sim.events.peek_time() == 100.0
     # resuming processes the rest
     sim.run()
     assert fired == [1, 2]

@@ -70,13 +70,6 @@ def test_non_finite_wear_and_age_rejected(bad):
         PageReliabilitySampler(pe_cycles=bad)
     with pytest.raises(ConfigError, match="pe_cycles"):
         LutReliabilitySampler(pe_cycles=bad, n_lut_blocks=1)
-    sampler = PageReliabilitySampler(pe_cycles=1000)
-    with pytest.raises(ConfigError, match="P/E advance"):
-        sampler.advance_pe(bad)
-    with pytest.raises(ConfigError, match="retention advance"):
-        sampler.advance_retention(bad)
-    assert sampler.pe_cycles == 1000
-    assert sampler.retention_offset_days == 0.0
 
 
 # --- the read path against the model --------------------------------------------
@@ -105,22 +98,3 @@ def test_sampler_rber_is_the_model_page_rber(pe, age, read_count, temp,
             PageState(pe, age * sampler.thermal_acceleration, read_count),
             key, page)
     assert got == want
-
-
-def _queries(sampler):
-    return [sampler.rber((0, 0, block % 2, block), page, 2.0 + 3.5 * block,
-                         read_count=rc)
-            for block in range(6) for page in range(4)
-            for rc in (0, 1000, 10**6)]
-
-
-def test_advance_pe_answers_like_a_sampler_built_at_the_new_wear():
-    advanced = PageReliabilitySampler(pe_cycles=1000, seed=4,
-                                      operating_temp_c=55.0)
-    before = _queries(advanced)  # fills the memo tables at the old wear
-    advanced.advance_pe(500)
-    fresh = PageReliabilitySampler(pe_cycles=1500, seed=4,
-                                   operating_temp_c=55.0)
-    after = _queries(advanced)
-    assert after == _queries(fresh)  # exact float equality
-    assert after != before
