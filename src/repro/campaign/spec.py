@@ -34,7 +34,7 @@ from ..workloads.trace import Trace
 #: Bump when the meaning of any RunSpec field changes: the version is mixed
 #: into the content hash, so stale cache entries can never be mistaken for
 #: current ones.
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,6 @@ class RunSpec:
     operating_temp_c: Optional[float] = None
     channel_arbitration: bool = False
     read_disturb_threshold: Optional[int] = None
-    reliability_mode: str = "parametric"
     #: Optional deterministic fault-injection plan (:mod:`repro.faults`);
     #: accepted as a :class:`FaultPlan` or its dict form.  ``None`` keeps
     #: the spec's canonical dict — and therefore its content hash —
@@ -314,7 +313,6 @@ def build_simulator(spec: RunSpec,
         seed=spec.seed,
         outcome_model=outcome_model,
         policy_kwargs=dict(spec.policy_kwargs) or None,
-        reliability_mode=spec.reliability_mode,
         read_disturb_threshold=spec.read_disturb_threshold,
         operating_temp_c=spec.operating_temp_c,
         channel_arbitration=spec.channel_arbitration,

@@ -46,7 +46,6 @@ def run_grid(
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressHook] = None,
     ledger_dir: Optional[str] = None,
-    fleet=None,
 ) -> Dict[Tuple[str, float, str], SimulationResult]:
     """Run every (workload, P/E, policy) combination once.
 
@@ -57,13 +56,11 @@ def run_grid(
     campaign — neither changes any result.  ``ledger_dir`` makes the
     campaign durable (:mod:`repro.campaign.durable`): a killed or
     interrupted grid resumes from its write-ahead ledger, and the resumed
-    results are bit-identical to an uninterrupted run.  ``fleet`` (a
-    :class:`repro.obs.registry.FleetAggregator`) observes every cell for
-    fleet-level metric rollups — passive, so it changes nothing either.
+    results are bit-identical to an uninterrupted run.
     """
     specs = grid_specs(workloads, policies, pe_points, scale=scale, seed=seed)
     results = run_specs(specs, jobs=jobs, cache=cache_dir, progress=progress,
-                        ledger_dir=ledger_dir, fleet=fleet)
+                        ledger_dir=ledger_dir)
     keyed: Dict[Tuple[str, float, str], SimulationResult] = {}
     for spec, (workload, pe, policy) in zip(
         specs,

@@ -49,14 +49,9 @@ FRONTIER_PE = 2000.0
 
 def _spec(workload: str, policy: str, refresh_days: float,
           scale: str, seed: int) -> RunSpec:
-    kwargs = {}
-    if policy == "RVPSSD":
-        # the retention predictor calibrates its thresholds at the cell's
-        # wear point (a scalar, so it is campaign-cache friendly)
-        kwargs["pe_cycles"] = FRONTIER_PE
     return RunSpec(
         workload=workload, policy=policy, pe_cycles=FRONTIER_PE,
-        seed=seed, scale=scale, policy_kwargs=kwargs,
+        seed=seed, scale=scale,
         config_overrides={"reliability": {"refresh_days": refresh_days}},
     )
 
@@ -64,7 +59,7 @@ def _spec(workload: str, policy: str, refresh_days: float,
 @register("frontier", "Adaptive-policy frontier across retention ages")
 def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         cache_dir: Optional[str] = None, progress=None,
-        ledger_dir: Optional[str] = None, fleet=None) -> ExperimentResult:
+        ledger_dir: Optional[str] = None) -> ExperimentResult:
     specs = {
         (workload, days, policy): _spec(workload, policy, days, scale, seed)
         for workload in FRONTIER_WORKLOADS
@@ -72,7 +67,7 @@ def run(scale: str = "small", seed: int = 7, jobs: int = 1,
         for policy in FRONTIER_POLICIES
     }
     results = run_specs(list(specs.values()), jobs=jobs, cache=cache_dir,
-                        progress=progress, ledger_dir=ledger_dir, fleet=fleet)
+                        progress=progress, ledger_dir=ledger_dir)
 
     rows = []
     for workload in FRONTIER_WORKLOADS:

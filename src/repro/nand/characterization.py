@@ -12,9 +12,12 @@ module runs the same *campaign* against the calibrated models of
   similarity of fixed-size chunks (one bar of Fig. 12).  Each chunk's RBER
   is measured as real campaigns do: by accumulating errors over repeated
   reads, which sets the binomial measurement noise floor.
-* :meth:`CharacterizationCampaign.build_block_luts` — per-block RBER lookup
-  tables over a (P/E x retention) grid, the artifact the paper feeds to
-  MQSim-E ("each block ... modeled with a lookup table").
+
+The paper feeds its simulator per-block RBER lookup tables measured on
+those chips.  Here the tables would only be samples of the same model, so
+the SSD evaluates the model itself
+(:class:`~repro.ssd.reliability.PageReliabilitySampler`) and the campaign
+builds no tables.
 """
 
 from __future__ import annotations
@@ -176,28 +179,3 @@ class CharacterizationCampaign:
                 )
             )
         return results
-
-    # --- block lookup tables (the MQSim-E feeding artifact) ---------------------------
-
-    def build_block_luts(
-        self,
-        n_blocks: int,
-        pe_grid: Sequence[float] = (0, 200, 500, 1000, 2000, 3000),
-        retention_grid_days: Sequence[float] = (0, 1, 3, 7, 14, 21, 28, 30),
-    ) -> np.ndarray:
-        """Per-block RBER lookup tables: array of shape
-        (n_blocks, len(pe_grid), len(retention_grid_days)).
-
-        Each simulated block gets the table of a random synthetic test block,
-        mirroring the paper's methodology one-for-one.
-        """
-        factors = self.rng.lognormal(
-            0.0, self.reliability.block_variation_sigma, size=n_blocks
-        )
-        luts = np.empty((n_blocks, len(pe_grid), len(retention_grid_days)))
-        for b, factor in enumerate(factors):
-            for i, pe in enumerate(pe_grid):
-                for j, days in enumerate(retention_grid_days):
-                    state = PageState(pe_cycles=float(pe), retention_days=float(days))
-                    luts[b, i, j] = self.model.rber_with_strength(state, float(factor))
-        return luts

@@ -15,9 +15,9 @@ feeds its per-phase observers two inputs only: the resource probes and
   validator for CI, and the ``report-trace`` reader and summary helpers.
 * :mod:`.histogram` — :class:`LatencyHistogram`, the O(1)-memory
   log-bucketed replacement for unbounded per-request latency lists.
-* :mod:`.snapshots` — :class:`SnapshotRecorder`: fixed-window channel
-  usage (a channel probe) + the per-window change of every SLO counter
-  and the host bytes (read off the metrics at each window edge).
+* :mod:`.snapshots` — :class:`SnapshotRecorder`: the per-window change
+  of every SLO counter and the host bytes (read off the metrics at each
+  window edge), the burn-rate rules' input.
 * :mod:`.telemetry` — JSONL sinks and live status lines the campaign
   progress reporters stream through.
 * :mod:`.registry` — :class:`FleetAggregator`, the fleet rollup: per

@@ -129,6 +129,9 @@ def validate_chrome_trace(data: dict) -> dict:
             raise ValueError(f"event {i}: unsupported phase {ph!r}")
         if "name" not in ev:
             raise ValueError(f"event {i}: missing 'name'")
+        args = ev.get("args", {})
+        if not isinstance(args, dict):
+            raise ValueError(f"event {i}: 'args' must be an object")
         if ph == "M":
             if ev["name"] not in ("process_name", "thread_name",
                                   "thread_sort_index", "process_sort_index"):
@@ -136,7 +139,12 @@ def validate_chrome_trace(data: dict) -> dict:
                     f"event {i}: unknown metadata {ev['name']!r}"
                 )
             if ev["name"] == "thread_name":
-                thread_names[ev.get("tid", 0)] = ev["args"]["name"]
+                tid = ev.get("tid", 0)
+                if not (isinstance(tid, (int, float))
+                        and isinstance(args.get("name"), str)):
+                    raise ValueError(f"event {i}: thread_name needs a "
+                                     "numeric 'tid' and a string args.name")
+                thread_names[tid] = args["name"]
             continue
         for key in ("ts", "pid", "tid"):
             if not isinstance(ev.get(key), (int, float)):
@@ -170,7 +178,7 @@ def load_trace_spans(path) -> List[dict]:
     try:
         data = json.loads(path.read_text())
         validate_chrome_trace(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(
             f"{path}: not a Chrome trace_event JSON export ({exc})") from None
     events = data["traceEvents"]

@@ -28,7 +28,7 @@ its per-policy sums of the SimMetrics fields :data:`EVENT_COUNTERS` names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
@@ -141,7 +141,8 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
-        _fields_of(data, "SLO spec", "name")
+        _fields_of(data, "SLO spec", "name",
+                   known=[f.name for f in fields(cls)])
         return cls(
             name=data["name"],
             objectives=tuple(
@@ -170,12 +171,18 @@ _JSON_TYPES = {
 }
 
 
-def _fields_of(item, what: str, *names: str) -> list:
-    """The ``names`` fields of a JSON object; an item that is not an
-    object, lacks one of them, or holds a field of the wrong JSON type
-    is a :class:`ConfigError`."""
+def _fields_of(item, what: str, *names: str,
+               known: Optional[Sequence[str]] = None) -> list:
+    """The ``names`` fields of a JSON object whose keys are all ``known``
+    (default: ``names``); an item that is not an object, holds another
+    key (a misspelt one would silently keep its default), lacks one of
+    ``names``, or holds a field of the wrong JSON type is a
+    :class:`ConfigError`."""
     if not isinstance(item, dict):
         raise ConfigError(f"{what} must be a JSON object, got {item!r}")
+    unknown = sorted(set(item) - set(known or names))
+    if unknown:
+        raise ConfigError(f"{what} has unknown fields {unknown}: {item!r}")
     for name in names:
         if name not in item:
             raise ConfigError(f"{what} has no {name!r}: {item!r}")

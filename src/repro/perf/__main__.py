@@ -76,7 +76,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     spec = RunSpec(workload=args.workload, policy=args.policy,
                    pe_cycles=args.pe_cycles, n_requests=args.n_requests,
-                   seed=args.seed, reliability_mode=args.reliability_mode)
+                   seed=args.seed)
     report = profile_spec(spec, top=args.top)
     print(report.format_table())
     return 0
@@ -108,8 +108,6 @@ def main(argv=None) -> int:
     p_profile.add_argument("--pe-cycles", type=float, default=2000.0)
     p_profile.add_argument("--n-requests", type=int, default=6000)
     p_profile.add_argument("--seed", type=int, default=7)
-    p_profile.add_argument("--reliability-mode", default="parametric",
-                           choices=["parametric", "lut"])
     p_profile.add_argument("--top", type=int, default=15)
     p_profile.set_defaults(func=_cmd_profile)
 

@@ -5,10 +5,10 @@ path on the same inputs in the same process*, so the reported numbers are
 speedup **ratios** — portable across machines, unlike absolute seconds:
 the vectorized LDPC/sense kernels against the seed implementations
 preserved in :mod:`repro.perf.kernels`, and the memoized reliability
-samplers against themselves under
-:func:`~repro.perf.cache.caches_disabled`.  End-to-end simulation speed
-is held as absolute numbers by the repository benchmark
-(``perfbench/``, metric ``pages_per_s``), not by this gate.
+sampler against itself under :func:`~repro.perf.cache.caches_disabled`.
+End-to-end simulation speed is held as absolute numbers by the
+repository benchmark (``perfbench/``, metric ``pages_per_s``), not by
+this gate.
 
 Timing is interleaved best-of-k: each repetition times the optimized and
 the reference side back to back and the ratio uses the per-side minima,
@@ -48,7 +48,6 @@ from ..ldpc.syndrome import (
 )
 from ..ldpc.qc_matrix import QcLdpcCode
 from ..nand.vth import PageType, TlcVthModel
-from ..ssd.lut_reliability import LutReliabilitySampler
 from ..ssd.reliability import PageReliabilitySampler
 from . import kernels
 from .cache import caches_disabled
@@ -206,19 +205,6 @@ def _bench_reliability_cache(reps: int) -> BenchResult:
     return BenchResult("reliability_cache", "micro", opt, ref)
 
 
-def _bench_lut_cache(reps: int) -> BenchResult:
-    sampler = LutReliabilitySampler(pe_cycles=2000.0, n_lut_blocks=16,
-                                    seed=PIN_SEED)
-    queries = _steady_state_queries(sampler)
-
-    def reference() -> None:
-        with caches_disabled():
-            queries()
-
-    opt, ref = _interleaved_best(queries, reference, reps)
-    return BenchResult("lut_cache", "micro", opt, ref)
-
-
 # --- metrics-overhead guard --------------------------------------------------------
 
 
@@ -239,8 +225,7 @@ def _bench_metrics_overhead(reps: int) -> BenchResult:
     :data:`OVERHEAD_FLOOR`.  Both sides run the same engine on the same
     prebuilt trace, so the ratio isolates the metering cost.  (The per-window
     :class:`~repro.obs.snapshots.SnapshotRecorder` is *not* part of the
-    fleet default path — it is opt-in burn-rate analysis, and its
-    per-span hooks cost a few percent of a run when enabled.)
+    fleet default path — it is opt-in burn-rate analysis.)
 
     A 5% cap is far below the rep-to-rep scatter of a shared CI host
     (±10% and more from scheduler contention), so this bench takes many
@@ -312,7 +297,6 @@ def run_suite(reps: int = 5, e2e_reps: int = 3,
         _bench_syndrome_rearrange,
         _bench_sense_batch,
         _bench_reliability_cache,
-        _bench_lut_cache,
     ]
     results: List[BenchResult] = []
     for bench in micro:

@@ -51,8 +51,7 @@ SSD_MODULES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("resources", ("resources.py",)),
     ("read_pipeline", ("read_pipeline.py",)),
     ("retry_policies", ("retry_policies.py", "adaptive.py")),
-    ("reliability", ("reliability.py", "lut_reliability.py",
-                     "ecc_model.py")),
+    ("reliability", ("reliability.py", "ecc_model.py")),
     ("ftl", ("ftl.py",)),
     ("simulator", ("simulator.py",)),
 )

@@ -17,7 +17,6 @@ history-driven adaptive family (:mod:`.adaptive`).
 from .events import EventQueue, Simulator
 from .resources import Channel, Ecc, Fifo
 from .reliability import PageReliabilitySampler
-from .lut_reliability import LutReliabilitySampler
 from .ecc_model import EccOutcomeModel
 from .retry_policies import (
     POLICIES,
@@ -46,7 +45,6 @@ __all__ = [
     "Channel",
     "Ecc",
     "PageReliabilitySampler",
-    "LutReliabilitySampler",
     "EccOutcomeModel",
     "POLICIES",
     "PolicyName",

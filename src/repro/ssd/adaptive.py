@@ -53,9 +53,9 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Dict, Optional
 
-from ..config import NandTimings, ReliabilityConfig
+from ..config import NandTimings
 from ..errors import ConfigError
-from ..nand.rber import PageState, RberModel
+from ..nand.rber import PageState
 from ..nand.retry_table import level_for_rber
 from .ecc_model import EccOutcomeModel
 from .retry_policies import PlanBuild, PolicyName, ReadRetryPolicy
@@ -249,16 +249,15 @@ class OnlineAdaptationPolicy(AdaptivePolicy):
 class RetentionPredictorPolicy(AdaptivePolicy):
     """RVPSSD: retention-age VREF prediction (Cai et al.).
 
-    At construction the policy bisects the drive's own calibrated RBER
-    model for the retention ages at which the *median* page crosses each
-    retry-level boundary; at read time the page's dwell time (which the
-    FTL knows exactly) maps through those thresholds to a starting
-    level.  A small EWMA bias correction absorbs systematic error, e.g.
-    a drive whose pages run hotter than the median calibration.
-
-    ``pe_cycles`` anchors the calibration curve and should match the
-    campaign cell's wear point (it is a plain scalar so campaign
-    ``policy_kwargs`` can carry it).
+    When the simulator builds the drive (:meth:`calibrate`), the policy
+    bisects the drive's own RBER model at the drive's wear for the
+    retention ages at which the *median* page crosses each retry-level
+    boundary; at read time the page's dwell time (which the FTL knows
+    exactly) maps through those thresholds to a starting level.  A small
+    EWMA bias correction absorbs systematic error, e.g. a drive whose
+    pages run hotter than the median calibration.  Until it is
+    calibrated the policy has no thresholds, and every age predicts the
+    default voltages.
     """
 
     name = PolicyName.RVP
@@ -267,28 +266,26 @@ class RetentionPredictorPolicy(AdaptivePolicy):
     _BISECT_ITERS = 50
 
     def __init__(self, timings: NandTimings, model: EccOutcomeModel,
-                 tolerance: int = 1, alpha: float = 0.125,
-                 pe_cycles: float = 1000.0):
+                 tolerance: int = 1, alpha: float = 0.125):
         super().__init__(timings, model, tolerance=tolerance)
         if not 0.0 < alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {alpha!r}")
-        if pe_cycles < 0:
-            raise ConfigError(f"pe_cycles must be >= 0, got {pe_cycles!r}")
         self.alpha = float(alpha)
-        self.pe_cycles = float(pe_cycles)
         self._bias = 0.0
         self._ctx_base: Optional[int] = None
-        self._thresholds = self._calibrate()
+        self._thresholds: list = []
 
-    def _calibrate(self) -> list:
-        """Retention ages (days) where the median page crosses into each
-        retry level, found by deterministic bisection of the variation-free
-        :meth:`~repro.nand.rber.RberModel.median_rber` curve."""
-        model = RberModel(ReliabilityConfig(), self.model.ecc)
+    def calibrate(self, sampler) -> None:
+        """Set the thresholds: the retention ages (days) where the drive's
+        median page crosses into each retry level, found by deterministic
+        bisection of the variation-free
+        :meth:`~repro.nand.rber.RberModel.median_rber` curve at the
+        drive's wear."""
+        rber_model, pe_cycles = sampler.model, float(sampler.pe_cycles)
         cap = self.model.ecc.correction_capability
 
         def median(days: float) -> float:
-            return model.median_rber(PageState(self.pe_cycles, days, 0))
+            return rber_model.median_rber(PageState(pe_cycles, days, 0))
 
         thresholds = []
         for level in range(1, N_LEVELS + 1):
@@ -306,7 +303,7 @@ class RetentionPredictorPolicy(AdaptivePolicy):
                 else:
                     lo = mid
             thresholds.append(hi)
-        return thresholds
+        self._thresholds = thresholds
 
     def begin_read(self, block_key, retention_days: float) -> None:
         super().begin_read(block_key, retention_days)

@@ -153,6 +153,12 @@ class ReadRetryPolicy:
 
     # --- stateful-policy hooks (no-ops for the static schemes) -------------------
 
+    def calibrate(self, sampler) -> None:
+        """Fit the policy to the drive it serves: ``sampler`` is the
+        drive's :class:`~repro.ssd.reliability.PageReliabilitySampler`
+        (its RBER model and wear).  The simulator calls this once, before
+        the first read; only RVPSSD uses it."""
+
     def begin_read(self, block_key, retention_days: float) -> None:
         """Receive the upcoming read's identity (called only when
         ``stateful``; must not draw from the RNG stream)."""

@@ -26,8 +26,8 @@ feeds no observer:
   phase view is part of it) and records every request's lifecycle span
   and instants; export them as Chrome ``trace_event`` JSON with
   :meth:`export_chrome_trace`.
-* ``snapshot_interval_us`` bins channel usage (a channel probe) and the
-  change of every SLO counter and the host bytes into fixed windows
+* ``snapshot_interval_us`` bins the change of every SLO counter and the
+  host bytes into fixed windows
   (:class:`~repro.obs.snapshots.SnapshotRecorder`): :meth:`run` pauses the
   event loop just before each window edge to read the metrics.
 """
@@ -149,7 +149,6 @@ class SSDSimulator:
         seed: SeedLike = 7,
         outcome_model: Optional[EccOutcomeModel] = None,
         policy_kwargs: Optional[dict] = None,
-        reliability_mode: str = "parametric",
         read_disturb_threshold: Optional[int] = None,
         operating_temp_c: Optional[float] = None,
         channel_arbitration: bool = False,
@@ -165,36 +164,13 @@ class SSDSimulator:
 
         root = make_rng(seed)
         sampler_seed = int(spawn(root, 1).integers(0, 2**31))
-        if reliability_mode == "parametric":
-            self.sampler = PageReliabilitySampler(
-                pe_cycles,
-                self.config.reliability,
-                self.config.ecc,
-                seed=sampler_seed,
-                operating_temp_c=operating_temp_c,
-            )
-        elif reliability_mode == "lut":
-            if operating_temp_c is not None:
-                raise SimulationError(
-                    "LUT reliability tables are characterised at the "
-                    "reference temperature; use the parametric mode for "
-                    "temperature studies"
-                )
-            # the paper's exact methodology: per-block characterization
-            # lookup tables from randomly assigned test blocks
-            from .lut_reliability import LutReliabilitySampler
-
-            self.sampler = LutReliabilitySampler(
-                pe_cycles,
-                reliability=self.config.reliability,
-                ecc=self.config.ecc,
-                seed=sampler_seed,
-            )
-        else:
-            raise SimulationError(
-                f"unknown reliability_mode {reliability_mode!r} "
-                "(use 'parametric' or 'lut')"
-            )
+        self.sampler = PageReliabilitySampler(
+            pe_cycles,
+            self.config.reliability,
+            self.config.ecc,
+            seed=sampler_seed,
+            operating_temp_c=operating_temp_c,
+        )
         self.outcome_model = outcome_model or EccOutcomeModel(
             ecc=self.config.ecc, seed=spawn(root, 2)
         )
@@ -202,6 +178,7 @@ class SSDSimulator:
             policy, self.config.timings, self.outcome_model,
             **(policy_kwargs or {}),
         )
+        self.policy.calibrate(self.sampler)
         self.pe_cycles = pe_cycles
         self.ftl = PageMapFtl(self.config)
         self.metrics = SimMetrics()
@@ -244,10 +221,7 @@ class SSDSimulator:
                 ecc.decoder.attach_probe(self.tracer.record_resource)
         self.snapshots: Optional[SnapshotRecorder] = None
         if snapshot_interval_us is not None:
-            self.snapshots = SnapshotRecorder(snapshot_interval_us,
-                                              channels=g.channels)
-            for channel in self.channels:
-                channel.attach_probe(self.snapshots.observe_span)
+            self.snapshots = SnapshotRecorder(snapshot_interval_us)
 
         # --- fault injection (repro.faults) ---
         self.fault_plan = fault_plan
@@ -326,8 +300,6 @@ class SSDSimulator:
             self.metrics.adaptive_hits = self.policy.hits
             self.metrics.adaptive_mispredicts = self.policy.mispredicts
             self.metrics.adaptive_state = self.policy.export_state()
-        # snapshots consume the channels' closing ECCWAIT probes above, so
-        # the window series freezes only after every interval is closed
         if snapshots is not None and not snapshots.finalized:
             snapshots.finalize(self.sim.now, self.metrics)
 

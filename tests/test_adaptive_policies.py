@@ -13,29 +13,37 @@ import pytest
 
 from repro.campaign.spec import RunSpec, build_simulator, build_trace, execute
 from repro.campaign import run_specs
-from repro.config import EccConfig, NandTimings
+from repro.config import EccConfig, NandTimings, small_test_config
 from repro.errors import ConfigError
 from repro.nand.retry_table import level_for_rber
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
+from repro.ssd.reliability import PageReliabilitySampler
 from repro.ssd.retry_policies import TAG_COR, TAG_UNCOR, make_policy
-from repro.ssd.simulator import SimulationResult
+from repro.ssd.simulator import SimulationResult, SSDSimulator
 
 from tests.plans import compile_plan
 
 CAP = EccConfig().correction_capability
 
 #: (policy name, policy kwargs) for the three adaptive policies; RVPSSD
-#: calibrates at the cell's wear point via a scalar kwarg.
+#: calibrates on the drive it is built for.
 ADAPTIVE = [
     ("OVCSSD", {}),
     ("OCASSD", {}),
-    ("RVPSSD", {"pe_cycles": 2000.0}),
+    ("RVPSSD", {}),
 ]
 
 
 def _policy(name, decode_script=None, **kwargs):
     model = ScriptedEccOutcomeModel(decode_script=decode_script)
     return make_policy(name, NandTimings(), model, **kwargs)
+
+
+def _rvpssd(pe_cycles=2000.0, **kwargs):
+    """RVPSSD calibrated on a drive at ``pe_cycles``."""
+    policy = _policy("RVPSSD", **kwargs)
+    policy.calibrate(PageReliabilitySampler(pe_cycles))
+    return policy
 
 
 def _spec(policy, kwargs, n_requests=240, workload="Ali124", seed=7,
@@ -139,7 +147,7 @@ def test_ocassd_estimate_converges_to_observed_level():
 
 
 def test_rvpssd_thresholds_monotone_and_age_drives_prediction():
-    policy = _policy("RVPSSD", pe_cycles=2000.0)
+    policy = _rvpssd()
     thresholds = policy.export_state()["thresholds"]
     assert thresholds
     assert thresholds == sorted(thresholds)
@@ -151,7 +159,7 @@ def test_rvpssd_thresholds_monotone_and_age_drives_prediction():
 
 
 def test_rvpssd_accurate_prediction_decodes_in_one_round():
-    policy = _policy("RVPSSD", pe_cycles=2000.0, tolerance=0)
+    policy = _rvpssd(tolerance=0)
     thresholds = policy.export_state()["thresholds"]
     if len(thresholds) < 3:
         pytest.skip("calibration found fewer than 3 reachable levels")
@@ -164,13 +172,26 @@ def test_rvpssd_accurate_prediction_decodes_in_one_round():
     assert policy.hits == 1
 
 
+def test_rvpssd_calibrates_at_its_drives_wear():
+    """Each RVPSSD drive bisects its own RBER model at its own wear: drives
+    of one fleet at different P/E get different thresholds, and a worn
+    drive's median page crosses the capability sooner."""
+    def thresholds(pe_cycles):
+        ssd = SSDSimulator(small_test_config(), policy="RVPSSD",
+                           pe_cycles=pe_cycles)
+        return ssd.policy.export_state()["thresholds"]
+
+    fresh, worn = thresholds(159.0), thresholds(1460.0)
+    assert fresh != worn
+    assert worn[0] < fresh[0]
+    assert thresholds(2000.0) == _rvpssd(2000.0).export_state()["thresholds"]
+
+
 def test_adaptive_policies_validate_kwargs():
     with pytest.raises(ConfigError):
         _policy("OVCSSD", tolerance=-1)
     with pytest.raises(ConfigError):
         _policy("OCASSD", alpha=0.0)
-    with pytest.raises(ConfigError):
-        _policy("RVPSSD", pe_cycles=-5.0)
 
 
 # --- learned-state serialization -------------------------------------------------

@@ -43,7 +43,7 @@ def test_spec_hash_pinned():
     If this test fails, bump SPEC_SCHEMA_VERSION and re-pin."""
     spec = RunSpec(workload="Ali124", policy="RiFSSD", pe_cycles=2000, seed=7)
     assert spec.content_hash() == (
-        "ec78997c16dc974bfb3b51a1ca0b87ce6a5e2cc156fb57fa8cab905fccdfce72"
+        "4a227f248cb237e07231d78b1b0ee54204052a6e10c40da61b6a9f815442d378"
     )
 
 
@@ -59,7 +59,7 @@ def test_spec_hash_ignores_dict_order():
     assert a == b
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() == (
-        "0650edfd61e116a21f1c4ca985b4dbf00a9bf51420629e49f177069d00b1844a"
+        "fd9e0f4e0a01e3d7421608bde1260cf2a12d2a3bc2571b5e7df26b782cb7657b"
     )
 
 

@@ -67,21 +67,6 @@ def test_chunk_similarity_table_shape(campaign):
     }
 
 
-def test_block_luts_monotone(campaign):
-    luts = campaign.build_block_luts(
-        8, pe_grid=(0, 1000, 2000), retention_grid_days=(0, 10, 30)
-    )
-    assert luts.shape == (8, 3, 3)
-    # RBER grows along both the P/E and retention axes for every block
-    assert (np.diff(luts, axis=1) >= 0).all()
-    assert (np.diff(luts, axis=2) >= 0).all()
-
-
-def test_block_luts_vary_between_blocks(campaign):
-    luts = campaign.build_block_luts(16, pe_grid=(1000,), retention_grid_days=(10,))
-    assert len(np.unique(luts)) > 8
-
-
 def test_campaign_validation():
     with pytest.raises(ConfigError):
         CharacterizationCampaign(n_chips=0)

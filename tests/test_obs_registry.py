@@ -215,6 +215,12 @@ def _record_without_share(tmp_path, _rollup, record):
                                  '"event_total": "page_reads"}]'),
                  "SLO spec field 'error_budget' must be int or float or "
                  "null, got 'a'", id="slo-wrong-type"),
+    pytest.param(_text_file(obs_main, "slo-report", "--slo", "NOT_JSON",
+                            text='{"name": "typo", "error_budgte": 0.01, '
+                                 '"bad_event": "uncorrectable_transfers", '
+                                 '"event_total": "page_reads"}'),
+                 "SLO spec has unknown fields ['error_budgte']",
+                 id="slo-unknown-key"),
     pytest.param(_missing_file(obs_main, "dashboard", "--telemetry", "MISSING"),
                  "No such file", id="telemetry-missing"),
     pytest.param(_missing_file(fleet_main, "run", "--spec", "MISSING"),

@@ -106,6 +106,30 @@ def test_validate_rejects_malformed():
         validate_chrome_trace({"traceEvents": [{"ph": "??", "name": "x"}]})
 
 
+_SPAN = {"ph": "X", "name": "s", "ts": 0, "dur": 1, "pid": 1, "tid": 0}
+
+
+@pytest.mark.parametrize("events", [
+    [{"ph": "M", "name": "thread_name", "tid": 0}],
+    [{"ph": "M", "name": "thread_name", "tid": 0, "args": 5}],
+    [{"ph": "M", "name": "thread_name", "tid": 0, "args": {"name": "a"}},
+     {"ph": "M", "name": "thread_name", "tid": "1", "args": {"name": "b"}}],
+    [{**_SPAN, "args": 5}],
+], ids=["thread-no-args", "thread-args-not-object", "thread-str-tid",
+        "span-args-not-object"])
+def test_malformed_event_is_a_value_error_naming_it(events, tmp_path):
+    """The validator raises only its documented ValueError, naming the
+    offending (last) event, so the loader reports a config error."""
+    data = {"traceEvents": [_SPAN, *events]}
+    last = len(data["traceEvents"]) - 1
+    with pytest.raises(ValueError, match=f"^event {last}: "):
+        validate_chrome_trace(data)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="not a Chrome trace_event"):
+        load_trace_spans(path)
+
+
 def test_span_loading_agrees_across_formats(traced, tmp_path):
     """The Chrome export, loaded back, agrees with the tracer's in-memory
     streams."""

@@ -32,10 +32,16 @@ from repro.perf import kernels
 from repro.perf.cache import MemoCache, caches_disabled, caches_enabled
 from repro.rng import make_rng
 from repro.ssd.ecc_model import _UNIFORM_CHUNK, EccOutcomeModel
-from repro.ssd.lut_reliability import LutReliabilitySampler
 from repro.ssd.reliability import PageReliabilitySampler
 
-from tests.test_golden import SPECS, canonical, headline, load, mismatch
+from tests.test_golden import (
+    SPECS,
+    canonical,
+    headline,
+    load,
+    mismatch,
+    spec_cell,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +112,11 @@ def _query_mix(sampler):
     return out
 
 
-@pytest.mark.parametrize("factory", [
-    lambda: PageReliabilitySampler(pe_cycles=2000.0, seed=3),
-    lambda: LutReliabilitySampler(pe_cycles=2000.0, n_lut_blocks=8, seed=3),
-], ids=["parametric", "lut"])
-def test_sampler_cached_equals_uncached(factory):
-    cached = _query_mix(factory())
+def test_sampler_cached_equals_uncached():
+    cached = _query_mix(PageReliabilitySampler(pe_cycles=2000.0, seed=3))
     with caches_disabled():
-        uncached = _query_mix(factory())
+        uncached = _query_mix(PageReliabilitySampler(pe_cycles=2000.0,
+                                                     seed=3))
     assert cached == uncached  # exact float equality, not approx
 
 
@@ -164,7 +167,7 @@ def test_memocache_never_caches_while_disabled_then_reuses():
 
 
 @pytest.mark.parametrize("spec", SPECS,
-                         ids=[f"{s.workload}-{s.policy}-{s.reliability_mode}"
+                         ids=[spec_cell(s).removeprefix("spec/")
                               for s in SPECS])
 def test_simulation_bit_identical_with_and_without_caches(spec):
     cached = execute(spec)
@@ -178,7 +181,7 @@ def test_batched_core_matches_seed_path_uncached():
     configuration) reproduces the golden digest the seed path recorded —
     the bench gate's exact reference."""
     spec = SPECS[0]
-    name = f"spec/{spec.workload}-{spec.policy}-{spec.reliability_mode}"
+    name = spec_cell(spec)
     golden = load()
     with caches_disabled():
         result = execute(spec)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError
 from repro.nand.rber import PageState
 from repro.perf.cache import caches_disabled
-from repro.ssd.lut_reliability import LutReliabilitySampler
 from repro.ssd.reliability import PageReliabilitySampler
 from repro.units import US_PER_DAY
 
@@ -68,8 +67,6 @@ def test_negative_pe_rejected():
 def test_non_finite_wear_and_age_rejected(bad):
     with pytest.raises(ConfigError, match="pe_cycles"):
         PageReliabilitySampler(pe_cycles=bad)
-    with pytest.raises(ConfigError, match="pe_cycles"):
-        LutReliabilitySampler(pe_cycles=bad, n_lut_blocks=1)
 
 
 # --- the read path against the model --------------------------------------------
