@@ -439,10 +439,13 @@ class _PoolRun:
             try:
                 future = self.pool.submit(_execute_cell, spec)
             except BrokenProcessPool:
-                # the pool died between drains; put the spec back and
-                # rebuild (its attempt did not run)
-                self.attempts[spec] -= 1
-                self.queue.appendleft(spec)
+                # the pool died between drains, and the cells in flight
+                # died with it: put them back with this spec (no attempt
+                # of theirs finished) and rebuild
+                back = [spec] + [s for s, _t in self.running.values()]
+                for cell in back:
+                    self.attempts[cell] -= 1
+                self.queue.extendleft(reversed(back))
                 self._restart_pool()
                 continue
             self.running[future] = (spec, time.monotonic())

@@ -222,6 +222,34 @@ def test_serial_interrupt_keeps_finished_cells():
     assert info.value.results[specs[0]] == execute(specs[0])
 
 
+def test_pool_break_at_submit_keeps_the_cells_in_flight(monkeypatch):
+    """A pool that breaks between a drain and the next submit takes the
+    cells still in flight with it: they run again on the new pool, none
+    is dropped from the results."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.campaign import executor as executor_module
+
+    submits = []
+
+    class BreaksAtThirdSubmit(ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submits.append(args)
+            if len(submits) == 3:
+                raise BrokenProcessPool("the pool broke between drains")
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                        BreaksAtThirdSubmit)
+    # the quick cell finishes first; the slow one is in flight when the
+    # third submit finds the pool broken
+    quick, slow = _spec(), _spec(policy="RiFSSD", fault_plan=_hang(1.0))
+    last = _spec(policy="SSDzero")
+    results = ParallelExecutor(jobs=2, max_cell_retries=0,
+                               on_failure="record").map([quick, slow, last])
+    assert results == {spec: execute(spec) for spec in (quick, slow, last)}
+
+
 def test_watchdog_probe_spots_dead_worker_and_heartbeat_bounds_waits(
         monkeypatch):
     """The supervision layer's two halves: ``_workers_died_silently``
