@@ -255,8 +255,8 @@ class RunLedger:
 
     def __init__(self, directory, specs: Sequence[RunSpec],
                  lease_s: float = 900.0):
-        if lease_s <= 0:
-            raise ConfigError("lease_s must be positive")
+        if not lease_s > 0:  # NaN too: a NaN lease would never expire
+            raise ConfigError(f"lease_s must be positive, got {lease_s}")
         self.root = Path(directory).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / LEDGER_FILENAME

@@ -7,23 +7,28 @@ that rebuild trace and simulator from the spec alone, which makes its
 results bit-identical to :class:`SerialExecutor`'s — the scheduling order
 can never leak into a result because nothing is shared between cells.
 
-The parallel executor additionally survives the three ways a worker can
-die under it:
+The parallel executor is one loop over a process pool, reached through
+five calls: submit, wait, kill, a liveness probe and the clock.  Every
+break of the pool goes through one handler, which kills it, counts the
+restart against a budget, builds a new pool and puts the cells the old
+one took down back in a queue.  A cell fails in one of three ways:
 
-* **crash** — a worker process exits (``BrokenProcessPool``): the pool is
-  re-created and the in-flight suspects are re-run one at a time to
-  isolate the culprit, bounded by ``max_cell_retries``;
-* **hang** — a cell outlives ``cell_timeout_s``: the stuck workers are
-  killed, the pool re-created, the timed-out cell retried (bounded) and
-  the innocent in-flight cells resubmitted without penalty;
+* **crash** — a worker process exits (a submit or a result raises
+  ``BrokenProcessPool``, or the watchdog finds a dead worker): the cells
+  in flight are refunded their attempt and become suspects, which the
+  same loop runs one at a time under the same watchdog and timeout, so
+  the culprit breaks the pool alone, pays, and fails past
+  ``max_cell_retries``;
+* **timeout** — a cell outlives ``cell_timeout_s``: it pays its attempt
+  and is retried (bounded), and the innocent cells in flight go back to
+  the front of the queue without penalty;
 * **error** — a cell raises: deterministic, so never retried.
 
-What happens to a cell that exhausts its budget is governed by
-``on_failure``: ``"raise"`` (the default) raises
-:class:`~repro.errors.CampaignExecutionError` naming the spec by content
-hash; ``"record"`` stores a :class:`CellFailure` record under the spec in
-the returned mapping so the rest of the grid completes — the mode chaos
-campaigns run in.
+``on_failure`` decides what a failed cell becomes, in both executors:
+``"raise"`` (the default) raises
+:class:`~repro.errors.CampaignExecutionError` naming its label, spec hash
+and kind; ``"record"`` stores a :class:`CellFailure` under the spec so the
+rest of the grid completes — the mode chaos campaigns run in.
 
 :func:`run_specs` is the entry point every campaign goes through: it
 dedupes the specs, replays what the cache (or, with ``ledger_dir``, the
@@ -35,6 +40,7 @@ fleet rollup in spec order (failures are never cached).
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing
 import os
 import signal
@@ -42,7 +48,6 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -162,12 +167,12 @@ def _init_worker() -> None:
     threading.Thread(target=_exit_when_orphaned, daemon=True).start()
 
 
-def _execute_cell(spec: RunSpec) -> Tuple[RunSpec, SimulationResult, float]:
+def _execute_cell(spec: RunSpec) -> Tuple[SimulationResult, float]:
     """Worker entry point: rebuild everything from the spec and run it."""
     started = time.perf_counter()
     _run_worker_chaos(spec)
     result = execute(spec)
-    return spec, result, time.perf_counter() - started
+    return result, time.perf_counter() - started
 
 
 def _reason(exc: BaseException) -> str:
@@ -179,12 +184,40 @@ def _reason(exc: BaseException) -> str:
         exc, CampaignInterrupted) else ""
 
 
+def _interrupted(exc: BaseException, results: Dict[RunSpec, "CellOutcome"],
+                 total: int) -> CampaignInterrupted:
+    """The :class:`~repro.errors.CampaignInterrupted` an executor raises
+    for a Ctrl-C, carrying the cells finished so far."""
+    return CampaignInterrupted(
+        f"campaign interrupted{_reason(exc)} with "
+        f"{len(results)} of {total} cells finished",
+        results=dict(results),
+    )
+
+
 def _check_on_failure(on_failure: str) -> str:
     if on_failure not in ON_FAILURE:
         raise ConfigError(
             f"on_failure must be one of {ON_FAILURE}, got {on_failure!r}"
         )
     return on_failure
+
+
+def _failure(on_failure: str, spec: RunSpec, kind: str, message: str,
+             attempts: int = 1,
+             cause: Optional[BaseException] = None) -> CellFailure:
+    """The one failure disposition of both executors: the cell's
+    :class:`CellFailure` in ``"record"`` mode; in ``"raise"`` mode a
+    :class:`~repro.errors.CampaignExecutionError` naming its label, spec
+    hash and kind, chained to the exception the cell raised (``cause``)."""
+    failure = CellFailure(spec_hash=spec.content_hash(), label=spec.label(),
+                          kind=kind, message=message, attempts=attempts)
+    if on_failure == "raise":
+        raise CampaignExecutionError(
+            f"cell {failure.label} (spec {failure.spec_hash}) {kind} after "
+            f"{attempts} attempt(s): {message}"
+        ) from cause
+    return failure
 
 
 class SerialExecutor:
@@ -202,69 +235,43 @@ class SerialExecutor:
     def __init__(self, on_failure: str = "raise"):
         self.on_failure = _check_on_failure(on_failure)
 
-    def _fail(self, results: Dict[RunSpec, CellOutcome], spec: RunSpec,
-              kind: str, message: str, report: Optional[ReportFn] = None) -> None:
-        failure = CellFailure(spec_hash=spec.content_hash(),
-                              label=spec.label(), kind=kind,
-                              message=message, attempts=1)
-        if self.on_failure == "raise":
-            raise CampaignExecutionError(
-                f"cell {failure.label} (spec {failure.spec_hash}) "
-                f"{kind}: {message}"
-            )
-        results[spec] = failure
-        if report is not None:
-            report(spec, failure, 0.0)
-
     def map(self, specs: Sequence[RunSpec],
             report: Optional[ReportFn] = None,
             on_claim: Optional[ClaimFn] = None) -> Dict[RunSpec, CellOutcome]:
         traces = {}
         results: Dict[RunSpec, CellOutcome] = {}
-        for spec in specs:
-            if spec.fault_plan is not None and spec.fault_plan.worker_faults():
-                kinds = sorted({f.kind for f in
-                                spec.fault_plan.worker_faults()})
-                self._fail(results, spec, "crash",
-                           f"worker chaos directive {kinds} needs process "
-                           "isolation (jobs > 1)", report)
-                continue
-            key = spec.trace_key()
-            if key not in traces:
-                traces[key] = build_trace(spec)
-            if on_claim is not None:
-                on_claim(spec)
-            started = time.perf_counter()
-            try:
-                results[spec] = execute(spec, trace=traces[key])
-            except KeyboardInterrupt as exc:
-                raise CampaignInterrupted(
-                    f"campaign interrupted{_reason(exc)} with "
-                    f"{len(results)} of {len(specs)} cells finished",
-                    results=results,
-                ) from None
-            except Exception as exc:
-                if self.on_failure == "raise":
-                    raise CampaignExecutionError(
-                        f"cell {spec.label()} (spec {spec.content_hash()}) "
-                        f"raised {type(exc).__name__}: {exc}"
-                    ) from exc
-                self._fail(results, spec, "error",
-                           f"{type(exc).__name__}: {exc}", report)
-                continue
-            if report is not None:
-                try:
-                    report(spec, results[spec],
-                           time.perf_counter() - started)
-                except KeyboardInterrupt as exc:
-                    # a signal landing inside the report callback must not
-                    # discard the finished cells
-                    raise CampaignInterrupted(
-                        f"campaign interrupted{_reason(exc)} with "
-                        f"{len(results)} of {len(specs)} cells finished",
-                        results=results,
-                    ) from None
+        try:
+            for spec in specs:
+                results[spec], elapsed = self._run(spec, traces, on_claim)
+                if report is not None:
+                    report(spec, results[spec], elapsed)
+        except KeyboardInterrupt as exc:
+            # a signal landing in a cell or in the report callback must
+            # not discard the finished cells
+            raise _interrupted(exc, results, len(specs)) from None
         return results
+
+    def _run(self, spec: RunSpec, traces: dict,
+             on_claim: Optional[ClaimFn]) -> Tuple[CellOutcome, float]:
+        plan = spec.fault_plan
+        chaos = () if plan is None else plan.worker_faults()
+        if chaos:
+            kinds = sorted({fault.kind for fault in chaos})
+            return _failure(self.on_failure, spec, "crash",
+                            f"worker chaos directive {kinds} needs process "
+                            "isolation (jobs > 1)"), 0.0
+        key = spec.trace_key()
+        if key not in traces:
+            traces[key] = build_trace(spec)
+        if on_claim is not None:
+            on_claim(spec)
+        started = time.perf_counter()
+        try:
+            result = execute(spec, trace=traces[key])
+        except Exception as exc:
+            return _failure(self.on_failure, spec, "error",
+                            f"{type(exc).__name__}: {exc}", cause=exc), 0.0
+        return result, time.perf_counter() - started
 
 
 class ParallelExecutor:
@@ -274,14 +281,19 @@ class ParallelExecutor:
     locally, so results are bit-identical to a serial run regardless of
     completion order, worker count, or which worker ran which cell.
 
-    ``cell_timeout_s`` bounds each cell's wall clock (``None`` = no bound);
-    ``max_cell_retries`` bounds how often a crashed or timed-out cell is
-    re-run before it is declared failed; ``on_failure`` picks between
-    raising a typed :class:`~repro.errors.CampaignExecutionError` and
-    recording a :class:`CellFailure` in the result mapping.
+    ``cell_timeout_s`` bounds each cell's wall clock (positive and finite,
+    or ``None`` = no bound); ``max_cell_retries`` bounds how often a
+    crashed or timed-out cell is re-run before it is declared failed;
+    ``on_failure`` picks between raising a typed
+    :class:`~repro.errors.CampaignExecutionError` and recording a
+    :class:`CellFailure` in the result mapping.
 
-    A watchdog wakes the main loop at least every :data:`HEARTBEAT_S`
-    seconds and restarts a pool whose workers died without telling it.
+    One loop runs the grid.  A refused submit, a crash, the watchdog (it
+    probes for a dead worker at every wake-up, at least every
+    :data:`HEARTBEAT_S` seconds) and a timeout kill all go through one
+    handler, which rebuilds the pool at most ``2·n·(max_cell_retries+1)+4``
+    times for ``n`` cells.  After a crash the loop runs the suspects one at
+    a time, under the same watchdog and timeout, until each has an outcome.
 
     A SIGINT (KeyboardInterrupt) terminates every worker — the pool is
     killed both on the exit path and by an ``atexit`` guard, so no orphan
@@ -296,8 +308,9 @@ class ParallelExecutor:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if cell_timeout_s is not None and cell_timeout_s <= 0:
-            raise ConfigError("cell_timeout_s must be positive (or None)")
+        if cell_timeout_s is not None and not 0 < cell_timeout_s < math.inf:
+            raise ConfigError("cell_timeout_s must be positive and finite "
+                              f"(or None), got {cell_timeout_s}")
         if max_cell_retries < 0:
             raise ConfigError("max_cell_retries must be >= 0")
         self.jobs = jobs
@@ -313,8 +326,52 @@ class ParallelExecutor:
         return _PoolRun(self, list(specs), report, on_claim).run()
 
 
+class _ProcessPool:
+    """The only code that touches :class:`ProcessPoolExecutor`: the five
+    calls :class:`_PoolRun` makes of its pool.  Tests put an in-process
+    fake in its place."""
+
+    def __init__(self, max_workers: int):
+        self._executor = ProcessPoolExecutor(max_workers=max_workers,
+                                             initializer=_init_worker)
+
+    def submit(self, spec: RunSpec):
+        """Start a cell; raises ``BrokenProcessPool`` on a broken pool."""
+        return self._executor.submit(_execute_cell, spec)
+
+    @staticmethod
+    def wait(futures, timeout: float) -> set:
+        """The futures done once the first of ``futures`` finishes; none
+        if ``timeout`` seconds pass first."""
+        return wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)[0]
+
+    @staticmethod
+    def clock() -> float:
+        return time.monotonic()
+
+    def _workers(self) -> list:
+        # the executor drops its process table on shutdown
+        processes = getattr(self._executor, "_processes", None) or {}
+        return list(processes.values())
+
+    def died_silently(self) -> bool:
+        """Liveness probe: a worker process is dead, whether or not the
+        pool has surfaced the break."""
+        return any(not proc.is_alive() for proc in self._workers())
+
+    def kill(self) -> None:
+        """Terminate the workers (they may be hung) and drop the pool."""
+        for proc in self._workers():
+            try:
+                proc.terminate()
+            except Exception:
+                pass
+        self._executor.shutdown(wait=False, cancel_futures=True)
+
+
 class _PoolRun:
-    """One hardened parallel campaign execution (internal)."""
+    """One hardened parallel campaign execution (internal): one loop over
+    a :class:`_ProcessPool`, and :meth:`_break` for every break of it."""
 
     def __init__(self, executor: ParallelExecutor, specs: List[RunSpec],
                  report: Optional[ReportFn],
@@ -326,235 +383,162 @@ class _PoolRun:
         self.max_workers = min(executor.jobs, len(specs))
         self.results: Dict[RunSpec, CellOutcome] = {}
         self.queue = deque(specs)
+        #: pool-break suspects, run one at a time in this order; the one
+        #: in flight stays first until it has an outcome
+        self.suspects: deque = deque()
         self.attempts: Dict[RunSpec, int] = {spec: 0 for spec in specs}
-        self.pool: Optional[ProcessPoolExecutor] = None
-        #: future -> (spec, submitted_at); every submitted future is
-        #: running (we never queue more than ``max_workers`` at once), so
-        #: submission time is a fair start of its timeout window
+        self.pool: Optional[_ProcessPool] = None
+        #: future -> (spec, deadline); every submitted future is running
+        #: (we never queue more than ``max_workers`` at once), so its
+        #: timeout window starts at submission (no timeout: no deadline)
         self.running: Dict[object, Tuple[RunSpec, float]] = {}
         self.restarts = 0
         self.max_restarts = 2 * len(specs) * (executor.max_cell_retries + 1) + 4
 
-    # --- pool lifecycle ---------------------------------------------------
+    def run(self) -> Dict[RunSpec, CellOutcome]:
+        self.pool = _ProcessPool(self.max_workers)
+        # belt and braces: if the interpreter exits while the pool is
+        # live (unhandled signal, sys.exit from a hook), the guard still
+        # terminates the workers — no orphan processes
+        atexit.register(self._kill)
+        try:
+            while self.queue or self.suspects or self.running:
+                spec = self._next_cell()
+                if spec is not None:
+                    self._submit(spec)
+                elif self.running:
+                    self._drain()
+            return self.results
+        except KeyboardInterrupt as exc:
+            raise _interrupted(exc, self.results, len(self.specs)) from None
+        finally:
+            self._kill()
+            atexit.unregister(self._kill)
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers,
-                                   initializer=_init_worker)
+    def _kill(self) -> None:
+        pool, self.pool = self.pool, None
+        if pool is not None:
+            pool.kill()
 
-    def _kill_pool(self) -> None:
-        """Terminate worker processes (they may be hung) and drop the pool."""
-        pool = self.pool
-        self.pool = None
-        if pool is None:
+    def _record(self, spec: RunSpec, outcome: CellOutcome,
+                elapsed: float = 0.0) -> None:
+        self.results[spec] = outcome
+        if self.suspects and self.suspects[0] == spec:
+            self.suspects.popleft()
+        if self.report is not None:
+            self.report(spec, outcome, elapsed)
+
+    def _fail(self, spec: RunSpec, kind: str, message: str,
+              cause: Optional[BaseException] = None) -> None:
+        self._record(spec, _failure(self.executor.on_failure, spec, kind,
+                                    message, self.attempts[spec], cause))
+
+    def _next_cell(self) -> Optional[RunSpec]:
+        """The cell to submit now, or ``None`` while the pool is full.
+        While suspects remain the pool holds one cell, suspects first; a
+        suspect past its retry budget fails before it is submitted."""
+        while self.suspects:
+            if self.running:
+                return None
+            spec = self.suspects[0]
+            if self.attempts[spec] <= self.executor.max_cell_retries:
+                return spec
+            self._fail(spec, "crash", "worker process died while executing "
+                       f"this cell ({self.attempts[spec]} attempt(s))")
+        if self.queue and len(self.running) < self.max_workers:
+            return self.queue.popleft()
+        return None
+
+    def _submit(self, spec: RunSpec) -> None:
+        self.attempts[spec] += 1
+        if self.on_claim is not None:
+            self.on_claim(spec)
+        try:
+            future = self.pool.submit(spec)
+        except BrokenProcessPool:
+            self._break(refused=spec)
             return
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
+        limit = self.executor.cell_timeout_s
+        self.running[future] = (spec, self.pool.clock() + (
+            math.inf if limit is None else limit))
 
-    def _restart_pool(self) -> None:
-        self._kill_pool()
+    def _wait_timeout(self) -> float:
+        """Sleep bound for one drain: the earliest cell deadline, but
+        never longer than the watchdog heartbeat — a wedged pool must not
+        block the loop forever."""
+        earliest = min(deadline for _, deadline in self.running.values())
+        return min(HEARTBEAT_S, max(0.0, earliest - self.pool.clock()))
+
+    def _drain(self) -> None:
+        """Record the first finished cells in submission order, then hand
+        a broken pool, a dead worker or a passed deadline to
+        :meth:`_break`."""
+        done = self.pool.wait(set(self.running), self._wait_timeout())
+        broken = False
+        for future, (spec, _deadline) in list(self.running.items()):
+            if future not in done:
+                continue
+            try:
+                result, elapsed = future.result()
+            except BrokenProcessPool:
+                broken = True  # the cell stays in flight for the handler
+                continue
+            except Exception as exc:
+                del self.running[future]
+                self._fail(spec, "error", f"{type(exc).__name__}: {exc}", exc)
+                continue
+            del self.running[future]
+            self._record(spec, result, elapsed)
+        # the watchdog: a dead worker breaks the pool whether or not the
+        # pool said so, and before any deadline can blame its cell
+        if broken or self.pool.died_silently():
+            self._break()
+            return
+        now = self.pool.clock()
+        expired = [spec for spec, deadline in self.running.values()
+                   if now >= deadline]
+        if expired:
+            self._break(expired=expired)
+
+    def _break(self, refused: Optional[RunSpec] = None,
+               expired: Sequence[RunSpec] = ()) -> None:
+        """The one break handler: kill the pool, count the restart, build
+        a new pool, and put every cell the old one took down back in a
+        queue — the cells in flight and a ``refused`` submit.
+
+        The ``expired`` cells are charged their attempt, and so is a
+        suspect that broke the pool running alone; every other cell is
+        refunded.  After a timeout the refunded cells go back to the
+        front of the queue; after any other break they become suspects."""
+        down = [spec for spec, _deadline in self.running.values()]
+        if refused is not None:
+            down.append(refused)
+        self.running.clear()
+        self._kill()
         self.restarts += 1
         if self.restarts > self.max_restarts:
             raise CampaignExecutionError(
                 f"worker pool kept dying ({self.restarts} restarts); "
                 "aborting the campaign"
             )
-        self.running.clear()
-        self.pool = self._new_pool()
-
-    def _workers_died_silently(self) -> bool:
-        """Watchdog probe: true when a worker process is dead while cells
-        are still in flight and the pool has not surfaced the break."""
-        if self.pool is None or not self.running:
-            return False
-        procs = list(getattr(self.pool, "_processes", {}).values())
-        return bool(procs) and any(not proc.is_alive() for proc in procs)
-
-    # --- outcome bookkeeping ----------------------------------------------
-
-    def _record_success(self, spec: RunSpec, result: SimulationResult,
-                        elapsed: float) -> None:
-        self.results[spec] = result
-        if self.report is not None:
-            self.report(spec, result, elapsed)
-
-    def _fail(self, spec: RunSpec, kind: str, message: str) -> None:
-        failure = CellFailure(spec_hash=spec.content_hash(),
-                              label=spec.label(), kind=kind, message=message,
-                              attempts=self.attempts[spec])
-        if self.executor.on_failure == "raise":
-            self._kill_pool()
-            raise CampaignExecutionError(
-                f"cell {failure.label} (spec {failure.spec_hash}) "
-                f"{kind} after {failure.attempts} attempt(s): {message}"
-            )
-        self.results[spec] = failure
-        if self.report is not None:
-            self.report(spec, failure, 0.0)
-
-    def _cell_error(self, spec: RunSpec, exc: Exception) -> None:
-        """The cell itself raised — deterministic, so never retried."""
-        if self.executor.on_failure == "raise":
-            self._kill_pool()
-            raise CampaignExecutionError(
-                f"cell {spec.label()} (spec {spec.content_hash()}) raised "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        self._fail(spec, "error", f"{type(exc).__name__}: {exc}")
-
-    # --- main loop --------------------------------------------------------
-
-    def run(self) -> Dict[RunSpec, CellOutcome]:
-        self.pool = self._new_pool()
-        # belt and braces: if the interpreter exits while the pool is
-        # live (unhandled signal, sys.exit from a hook), the guard still
-        # terminates the workers — no orphan processes
-        atexit.register(self._kill_pool)
-        try:
-            while self.queue or self.running:
-                self._refill()
-                if not self.running:
-                    continue
-                self._drain_once()
-            return self.results
-        except KeyboardInterrupt as exc:
-            raise CampaignInterrupted(
-                f"campaign interrupted{_reason(exc)} with "
-                f"{len(self.results)} of {len(self.specs)} cells finished",
-                results=dict(self.results),
-            ) from None
-        finally:
-            self._kill_pool()
-            atexit.unregister(self._kill_pool)
-
-    def _refill(self) -> None:
-        while self.queue and len(self.running) < self.max_workers:
-            spec = self.queue.popleft()
-            self.attempts[spec] += 1
-            if self.on_claim is not None:
-                self.on_claim(spec)
-            try:
-                future = self.pool.submit(_execute_cell, spec)
-            except BrokenProcessPool:
-                # the pool died between drains, and the cells in flight
-                # died with it: put them back with this spec (no attempt
-                # of theirs finished) and rebuild
-                back = [spec] + [s for s, _t in self.running.values()]
-                for cell in back:
-                    self.attempts[cell] -= 1
-                self.queue.extendleft(reversed(back))
-                self._restart_pool()
-                continue
-            self.running[future] = (spec, time.monotonic())
-
-    def _wait_timeout(self) -> float:
-        """Sleep bound for one drain: the earliest cell deadline when a
-        cell timeout is configured, but never longer than the watchdog
-        heartbeat — a wedged pool must not block the loop forever."""
-        limit = self.executor.cell_timeout_s
-        if limit is None:
-            return HEARTBEAT_S
-        earliest = min(t for _, t in self.running.values())
-        return min(HEARTBEAT_S, max(0.0, earliest + limit - time.monotonic()))
-
-    def _drain_once(self) -> None:
-        done, _ = wait(set(self.running), timeout=self._wait_timeout(),
-                       return_when=FIRST_COMPLETED)
-        suspects: List[RunSpec] = []
-        broken = False
-        for future in done:
-            spec, _started = self.running.pop(future)
-            try:
-                _spec, result, elapsed = future.result()
-            except BrokenProcessPool:
-                broken = True
-                suspects.append(spec)
-            except Exception as exc:
-                self._cell_error(spec, exc)
-            else:
-                self._record_success(spec, result, elapsed)
-        if not done and not broken and self._workers_died_silently():
-            # watchdog: a worker is gone but the pool never told us —
-            # treat it exactly like a surfaced BrokenProcessPool
-            broken = True
-        if broken:
-            # every other in-flight cell is doomed with the pool; re-run
-            # all suspects one at a time to isolate the culprit.  The swept
-            # attempt is refunded — innocents should not burn retry budget
-            # on someone else's crash, and the culprit will spend real
-            # attempts crashing the single-cell pool below
-            suspects.extend(spec for spec, _t in self.running.values())
-            for spec in suspects:
-                self.attempts[spec] = max(0, self.attempts[spec] - 1)
-            self._restart_pool()
-            self._isolate(suspects)
-            return
-        self._reap_timeouts()
-
-    def _reap_timeouts(self) -> None:
-        limit = self.executor.cell_timeout_s
-        if limit is None or not self.running:
-            return
-        now = time.monotonic()
-        expired = [(future, spec) for future, (spec, started)
-                   in self.running.items() if now - started >= limit]
-        if not expired:
-            return
-        expired_specs = {spec for _f, spec in expired}
-        innocents = [spec for _f, (spec, _t) in self.running.items()
-                     if spec not in expired_specs]
-        # the stuck workers must die; innocents are resubmitted without
-        # burning their retry budget
-        for spec in innocents:
+        self.pool = _ProcessPool(self.max_workers)
+        charged = set(expired)
+        if self.suspects and refused is None:
+            charged.update(down)  # the suspect running alone broke it
+        refunded = [spec for spec in down if spec not in charged]
+        for spec in refunded:
             self.attempts[spec] -= 1
-            self.queue.appendleft(spec)
-        self._restart_pool()
-        for _future, spec in expired:
-            if self.attempts[spec] > self.executor.max_cell_retries:
-                self._fail(spec, "timeout",
-                           f"cell exceeded {limit:g}s "
-                           f"{self.attempts[spec]} time(s)")
-            else:
-                self.queue.append(spec)
-
-    def _isolate(self, suspects: List[RunSpec]) -> None:
-        """Re-run pool-break suspects one at a time: the culprit breaks the
-        (single-cell) pool again and exhausts its retry budget; innocents
-        simply complete."""
+        if expired:
+            self.queue.extendleft(reversed(refunded))
+        elif not self.suspects:  # (a suspect taken down is still first)
+            self.suspects.extend(refunded)
         limit = self.executor.cell_timeout_s
-        for spec in suspects:
-            while True:
-                if self.attempts[spec] > self.executor.max_cell_retries:
-                    self._fail(spec, "crash",
-                               "worker process died while executing this "
-                               f"cell ({self.attempts[spec]} attempt(s))")
-                    break
-                self.attempts[spec] += 1
-                if self.on_claim is not None:
-                    self.on_claim(spec)
-                future = self.pool.submit(_execute_cell, spec)
-                try:
-                    _spec, result, elapsed = future.result(timeout=limit)
-                except BrokenProcessPool:
-                    self._restart_pool()
-                    continue
-                except FutureTimeoutError:
-                    self._restart_pool()
-                    if self.attempts[spec] > self.executor.max_cell_retries:
-                        self._fail(spec, "timeout",
-                                   f"cell exceeded {limit:g}s "
-                                   f"{self.attempts[spec]} time(s)")
-                        break
-                    continue
-                except Exception as exc:
-                    self._cell_error(spec, exc)
-                    break
-                else:
-                    self._record_success(spec, result, elapsed)
-                    break
+        for spec in expired:
+            if self.attempts[spec] > self.executor.max_cell_retries:
+                self._fail(spec, "timeout", f"cell exceeded {limit:g}s "
+                           f"{self.attempts[spec]} time(s)")
+            elif spec not in self.suspects:
+                self.queue.append(spec)
 
 
 def make_executor(jobs: Optional[int] = 1, cell_timeout_s: Optional[float] = None,

@@ -200,6 +200,24 @@ def test_ledger_lease_expiry_and_dead_owner_reclaim(tmp_path, monkeypatch):
     ledger.close()
 
 
+def test_nan_lease_is_a_config_error(tmp_path, capsys):
+    """A NaN lease never expires (``age >= nan`` is false) and journals as
+    ``NaN``, which is not JSON: the ledger refuses it, and both CLIs that
+    take ``--lease-s`` report it as one ``error:`` line with exit 2."""
+    from repro.fleet.__main__ import main as fleet_cli
+
+    with pytest.raises(ConfigError, match="lease_s"):
+        RunLedger(tmp_path / "direct", _grid(1), lease_s=float("nan"))
+    assert campaign_cli(["smoke-grid", "--ledger", str(tmp_path / "smoke"),
+                         "--lease-s", "nan"]) == 2
+    assert fleet_cli(["run", "--drives", "2", "--n-requests", "30",
+                      "--user-pages", "1200", "--queue-depth", "8",
+                      "--ledger", str(tmp_path / "fleet"),
+                      "--lease-s", "nan"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == ["error: lease_s must be positive, got nan"] * 2
+
+
 def test_live_foreign_claim_refuses_concurrent_run(tmp_path):
     specs = _grid(1)
     with RunLedger(tmp_path, specs):

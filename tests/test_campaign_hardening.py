@@ -49,8 +49,9 @@ def _hang(seconds: float) -> FaultPlan:
 def test_executor_knob_validation():
     with pytest.raises(ConfigError):
         ParallelExecutor(jobs=0)
-    with pytest.raises(ConfigError):
-        ParallelExecutor(jobs=2, cell_timeout_s=0.0)
+    for timeout in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="cell_timeout_s"):
+            ParallelExecutor(jobs=2, cell_timeout_s=timeout)
     with pytest.raises(ConfigError):
         ParallelExecutor(jobs=2, max_cell_retries=-1)
     with pytest.raises(ConfigError):
@@ -250,39 +251,79 @@ def test_pool_break_at_submit_keeps_the_cells_in_flight(monkeypatch):
     assert results == {spec: execute(spec) for spec in (quick, slow, last)}
 
 
+def test_pool_break_at_first_isolated_submit_keeps_every_cell(monkeypatch):
+    """The first submit on the second pool — the first suspect's run after
+    a crash — finds that pool broken too: the suspect goes back, the pool
+    is rebuilt, and every cell still gets one outcome."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.campaign import executor as executor_module
+
+    pools = []
+
+    class SecondPoolRefusesItsFirstSubmit(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+            self.submits = 0
+
+        def submit(self, fn, *args, **kwargs):
+            self.submits += 1
+            if pools.index(self) == 1 and self.submits == 1:
+                raise BrokenProcessPool("the new pool broke before its "
+                                        "first cell")
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                        SecondPoolRefusesItsFirstSubmit)
+    grid = [_spec(), _spec(policy="RiFSSD"),
+            _spec(policy="SENC", fault_plan=CRASH), _spec(policy="SSDzero")]
+    results = ParallelExecutor(jobs=2, max_cell_retries=1,
+                               on_failure="record").map(grid)
+    assert len(pools) >= 3 and set(results) == set(grid)
+    culprit = results.pop(grid[2])
+    assert isinstance(culprit, CellFailure)
+    assert (culprit.kind, culprit.attempts) == ("crash", 2)
+    assert results == {spec: execute(spec) for spec in results}
+
+
 def test_watchdog_probe_spots_dead_worker_and_heartbeat_bounds_waits(
         monkeypatch):
-    """The supervision layer's two halves: ``_workers_died_silently``
-    notices a worker that died behind the pool's back, and the drain wait
-    is bounded by ``HEARTBEAT_S`` even with no cell timeout configured —
-    so a wedged pool can never block the main loop indefinitely."""
+    """The supervision layer's two halves, on a real worker: with no cell
+    timeout a drain returns within ``HEARTBEAT_S`` while its cell hangs —
+    so a wedged pool can never block the loop indefinitely — and the
+    process pool's liveness probe notices a worker that died behind the
+    pool's back."""
     import os as _os
     import signal as _signal
     import time as _time
 
     from repro.campaign import executor as executor_module
-    from repro.campaign.executor import _PoolRun
+    from repro.campaign.executor import _PoolRun, _ProcessPool
 
     monkeypatch.setattr(executor_module, "HEARTBEAT_S", 0.2)
-    slow = _spec(fault_plan=FaultPlan(faults=(
-        FaultSpec(kind="worker_hang", magnitude=30.0),)))
+    slow = _spec(fault_plan=_hang(30.0))
     executor = ParallelExecutor(jobs=1, max_cell_retries=0,
                                 on_failure="record")
     run = _PoolRun(executor, [slow], None)
-    run.pool = run._new_pool()
+    run.pool = _ProcessPool(1)
     try:
-        run._refill()
-        assert run.running and not run._workers_died_silently()
+        run._submit(slow)
         assert run._wait_timeout() <= 0.2  # heartbeat bound, no timeout set
-        for proc in list(run.pool._processes.values()):
+        began = _time.monotonic()
+        run._drain()  # nothing finished, nothing died: back within a beat
+        assert _time.monotonic() - began < 5.0
+        assert run.running and not run.results
+        assert not run.pool.died_silently()
+        for proc in list(run.pool._executor._processes.values()):
             _os.kill(proc.pid, _signal.SIGKILL)
         deadline = _time.monotonic() + 5.0
-        while (not run._workers_died_silently()
+        while (not run.pool.died_silently()
                and _time.monotonic() < deadline):
             _time.sleep(0.05)
-        assert run._workers_died_silently()
+        assert run.pool.died_silently()
     finally:
-        run._kill_pool()
+        run._kill()
 
 
 @pytest.mark.skipif(
