@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import signal
 import socket
@@ -244,6 +245,16 @@ def replay_ledger(path: Path, strict: bool = True) -> LedgerReplay:
 # --- the ledger -------------------------------------------------------------
 
 
+def check_lease(lease_s: float) -> float:
+    """A claim lease in seconds, which must be positive and finite: a NaN
+    or infinite lease never expires (``age >= lease_s`` stays false) and
+    journals as ``NaN``/``Infinity``, which is not JSON."""
+    if not 0 < lease_s < math.inf:
+        raise ConfigError(
+            f"lease_s must be positive and finite, got {lease_s}")
+    return float(lease_s)
+
+
 class RunLedger:
     """Write-ahead journal for one campaign grid.
 
@@ -255,15 +266,13 @@ class RunLedger:
 
     def __init__(self, directory, specs: Sequence[RunSpec],
                  lease_s: float = 900.0):
-        if not lease_s > 0:  # NaN too: a NaN lease would never expire
-            raise ConfigError(f"lease_s must be positive, got {lease_s}")
+        self.lease_s = check_lease(lease_s)
         self.root = Path(directory).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / LEDGER_FILENAME
         self.specs = list(dict.fromkeys(specs))
         self.cells = {spec.content_hash(): spec for spec in self.specs}
         self.grid = grid_hash(self.specs)
-        self.lease_s = float(lease_s)
 
         replay = replay_ledger(self.path, strict=True)
         if replay.grid is not None and replay.grid != self.grid:

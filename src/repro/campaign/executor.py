@@ -69,6 +69,7 @@ from .durable import (
     LEDGER_CACHE_DIR,
     CampaignFaultDriver,
     RunLedger,
+    check_lease,
     deliver_termination_as_interrupt,
 )
 from .progress import ProgressHook
@@ -603,6 +604,7 @@ def run_specs(
     sequence: the fleet aggregates are bit-identical, not just
     commutatively equivalent.  An interrupted campaign folds nothing.
     """
+    check_lease(lease_s)
     if campaign_faults is not None and ledger_dir is None:
         raise ConfigError("campaign_faults requires ledger_dir (the durable "
                           "runtime is what consumes them)")

@@ -186,10 +186,6 @@ class RpAccuracyModel:
         qf = self.p_decode_fail(rber)
         return qp * qf + (1.0 - qp) * (1.0 - qf)
 
-    def sample_predict_retry(self, rber: float, rng: np.random.Generator) -> bool:
-        """Draw one RP verdict (used per simulated page read)."""
-        return bool(rng.random() < self.p_predict_retry(rber))
-
     # --- internals --------------------------------------------------------------------
 
     def _interpolate(self, rber: float) -> float:

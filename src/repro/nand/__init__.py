@@ -16,7 +16,7 @@ from .variation import VariationModel
 from .vth import TlcVthModel, PageType, TLC_GRAY_CODE
 from .randomizer import Randomizer
 from .retry_table import RetryTable
-from .characterization import CharacterizationCampaign, CharacterizationResult
+from .characterization import CharacterizationCampaign
 from .chip import FlashDie, ReadResult, FlashCommand
 from .thermal import ThermalConfig, ThermalModel
 from .ispp import IsppConfig, IsppProgrammer
@@ -33,7 +33,6 @@ __all__ = [
     "Randomizer",
     "RetryTable",
     "CharacterizationCampaign",
-    "CharacterizationResult",
     "FlashDie",
     "ReadResult",
     "FlashCommand",

@@ -22,8 +22,7 @@ builds no tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -32,15 +31,6 @@ from ..errors import ConfigError
 from ..rng import SeedLike, make_rng
 from ..units import KIB
 from .rber import PageState, RberModel
-
-
-@dataclass(frozen=True)
-class CharacterizationResult:
-    """Outcome of one campaign query, with enough context to re-run it."""
-
-    pe_cycles: float
-    description: str
-    values: Dict[str, float]
 
 
 class CharacterizationCampaign:
@@ -153,29 +143,3 @@ class CharacterizationCampaign:
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(rmax > 0, (rmax - rmin) / rmax, 0.0)
         return float(ratio.max())
-
-    def chunk_similarity_table(
-        self,
-        pe_points: Sequence[float] = (0.0, 1000.0, 2000.0),
-        retention_days: Sequence[float] = (0, 1, 3, 7, 14, 21, 28),
-        chunk_sizes: Sequence[int] = (4 * KIB, 2 * KIB, 1 * KIB),
-        n_pages: int = 1000,
-    ) -> List[CharacterizationResult]:
-        """The full Fig.-12 sweep."""
-        results = []
-        for pe in pe_points:
-            values: Dict[str, float] = {}
-            for days in retention_days:
-                for chunk in chunk_sizes:
-                    key = f"d{days}_c{chunk // KIB}k"
-                    values[key] = self.chunk_similarity(
-                        pe, float(days), chunk, n_pages=n_pages
-                    )
-            results.append(
-                CharacterizationResult(
-                    pe_cycles=pe,
-                    description="max (RBERmax-RBERmin)/RBERmax per chunk size",
-                    values=values,
-                )
-            )
-        return results

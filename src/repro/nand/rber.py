@@ -245,12 +245,3 @@ class RberModel:
         """Whether this page's RBER is beyond the off-chip ECC capability
         (i.e. a conventional read would enter the read-retry procedure)."""
         return self.page_rber(state, block_key, page) > self.ecc.correction_capability
-
-    def crossing_days(self, pe_cycles: float, block_key: tuple, page: int = 0) -> float:
-        """Retention time at which *this* page crosses the capability.
-
-        Solves the median model for the page's variation factor; exact
-        because the retention term is the only time-dependent one (read
-        disturb excluded here, as in the paper's Fig. 4 methodology).
-        """
-        return self.t_cross_days(pe_cycles) * self._page_variation(block_key, page)

@@ -66,27 +66,9 @@ class ThermalModel:
         )
         return math.exp(exponent)
 
-    def equivalent_days(self, days: float, temp_c: float) -> float:
-        """Reference-temperature days equivalent to ``days`` at ``temp_c``."""
-        if days < 0:
-            raise ConfigError("days must be non-negative")
-        return days * self.acceleration_factor(temp_c)
-
     def derate_crossing_days(self, crossing_days_ref: float, temp_c: float) -> float:
         """How long a page whose reference-temperature capability crossing
         is ``crossing_days_ref`` actually lasts at ``temp_c``."""
         if crossing_days_ref <= 0:
             raise ConfigError("crossing time must be positive")
         return crossing_days_ref / self.acceleration_factor(temp_c)
-
-    def temperature_for_acceleration(self, factor: float) -> float:
-        """Inverse query: the temperature at which retention ages ``factor``
-        times faster than reference (useful for burn-in test planning)."""
-        if factor <= 0:
-            raise ConfigError("factor must be positive")
-        t_ref = self.config.reference_temp_c + 273.15
-        ea_over_k = self.config.activation_energy_ev / BOLTZMANN_EV
-        inv_t = 1.0 / t_ref - math.log(factor) / ea_over_k
-        if inv_t <= 0:
-            raise ConfigError("factor unreachable at finite temperature")
-        return 1.0 / inv_t - 273.15

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..config import ReliabilityConfig
 
 
@@ -61,11 +59,6 @@ def _unit(h: int) -> float:
     """Map a 64-bit hash state to a float strictly inside (0, 1), so the
     normal quantile below is finite."""
     return (h + 0.5) / 2.0**64
-
-
-def _hash_to_unit(seed: int, *keys: int) -> float:
-    """Map (seed, keys...) to a uniform float in (0, 1), deterministically."""
-    return _unit(_hash_state(seed, *keys))
 
 
 def _unit_to_standard_normal(u: float) -> float:
@@ -130,11 +123,3 @@ class VariationModel:
         :meth:`page_prefix` is ``prefix`` — one key folded, not six."""
         z = _unit_to_standard_normal(_unit(_fold(prefix, int(page))))
         return math.exp(self.config.page_variation_sigma * z)
-
-    def block_factors_array(self, n: int, stream: int = 0) -> np.ndarray:
-        """Vector of ``n`` block factors for array-style experiments."""
-        us = np.array(
-            [_hash_to_unit(self.seed, 0xA55A, stream, i) for i in range(n)]
-        )
-        zs = np.array([_unit_to_standard_normal(float(u)) for u in us])
-        return np.exp(self.config.block_variation_sigma * zs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import SimulationError
 
@@ -152,16 +152,6 @@ class LatencyHistogram:
                 edge = self.bucket_upper_edge(index)
                 return float(min(max(edge, self.min_us), self.max_us))
         return float(self.max_us)  # rank landed in the overflow bucket
-
-    def cdf(self, points: int = 100) -> List[Tuple[float, float]]:
-        """(latency_us, cumulative_fraction) pairs, like the list-based
-        :meth:`~repro.ssd.metrics.SimMetrics.read_latency_cdf`."""
-        if self.count == 0:
-            raise SimulationError("no samples for cdf")
-        return [
-            (self.percentile(100.0 * i / points), i / points)
-            for i in range(1, points + 1)
-        ]
 
     # --- serialisation ----------------------------------------------------
 

@@ -44,8 +44,7 @@ SUBSYSTEMS: Tuple[str, ...] = (
 
 #: The ``repro/ssd`` bucket split by the layer a read crosses: group name
 #: and the module files in it.  Every other ``repro/ssd`` module (host
-#: drivers, metrics, refresh, energy) is ``other``, so the groups add up
-#: to the bucket.
+#: drivers, metrics) is ``other``, so the groups add up to the bucket.
 SSD_MODULES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("events", ("events.py",)),
     ("resources", ("resources.py",)),

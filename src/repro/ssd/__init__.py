@@ -35,8 +35,6 @@ from .adaptive import (
     RetentionPredictorPolicy,
 )
 from .host import ClosedLoopHost, TimedReplayHost
-from .refresh import RefreshAssessment, RefreshPlanner
-from .energy import EnergyBreakdown, EnergyConfig, EnergyModel
 
 __all__ = [
     "EventQueue",
@@ -59,15 +57,9 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
     "ClosedLoopHost",
     "TimedReplayHost",
-    "RefreshPlanner",
-    "RefreshAssessment",
     "ADAPTIVE_POLICIES",
     "AdaptivePolicy",
     "OptimalVrefCachePolicy",
     "OnlineAdaptationPolicy",
     "RetentionPredictorPolicy",
-    "EnergyModel",
-
-    "EnergyConfig",
-    "EnergyBreakdown",
 ]

@@ -13,8 +13,8 @@ memory — the path million-request campaigns use) and, by default, the raw
 per-request lists the original experiments were written against.  Set
 the :class:`SimMetrics` field ``keep_raw_latencies`` to ``False`` (on a
 simulator, ``ssd.metrics.keep_raw_latencies = False`` before the run) to
-drop the raw lists; percentiles and CDFs then come from the histogram at
-its documented bucket resolution.
+drop the raw lists; percentiles then come from the histogram at its
+documented bucket resolution.
 """
 
 from __future__ import annotations
@@ -251,17 +251,3 @@ class SimMetrics:
         if self.read_latencies_us:
             return percentile(sorted(self.read_latencies_us), q)
         return self.read_latency_hist.percentile(q)
-
-    def read_latency_cdf(self, points: int = 100) -> List[tuple]:
-        """(latency_us, cumulative_fraction) pairs — the Fig.-19 curves."""
-        lats = sorted(self.read_latencies_us)
-        if not lats:
-            if self.read_latency_hist.count:
-                return self.read_latency_hist.cdf(points)
-            raise SimulationError("no read latencies recorded")
-        out = []
-        n = len(lats)
-        for i in range(1, points + 1):
-            idx = max(0, math.ceil(i / points * n) - 1)
-            out.append((lats[idx], i / points))
-        return out

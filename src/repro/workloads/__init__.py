@@ -10,7 +10,6 @@ Table II by :mod:`.stats` (see the ``table2`` benchmark).
 from .trace import IORequest, Trace
 from .synthetic import WorkloadSpec, WORKLOADS, generate, workload_names
 from .stats import TraceStats, characterize
-from .mixer import filter_ops, merge, repeat, scale_rate, slice_time
 
 __all__ = [
     "IORequest",
@@ -21,9 +20,4 @@ __all__ = [
     "workload_names",
     "TraceStats",
     "characterize",
-    "merge",
-    "scale_rate",
-    "slice_time",
-    "filter_ops",
-    "repeat",
 ]

@@ -201,21 +201,36 @@ def test_ledger_lease_expiry_and_dead_owner_reclaim(tmp_path, monkeypatch):
 
 
 def test_nan_lease_is_a_config_error(tmp_path, capsys):
-    """A NaN lease never expires (``age >= nan`` is false) and journals as
-    ``NaN``, which is not JSON: the ledger refuses it, and both CLIs that
-    take ``--lease-s`` report it as one ``error:`` line with exit 2."""
+    """A NaN or infinite lease never expires (``age >= lease_s`` stays
+    false) and journals as ``NaN``/``Infinity``, which is not JSON: the
+    ledger and ``run_specs`` refuse it, with or without a ledger and before
+    any ledger line is written, and both CLIs that take ``--lease-s``
+    report it as one ``error:`` line with exit 2."""
     from repro.fleet.__main__ import main as fleet_cli
 
-    with pytest.raises(ConfigError, match="lease_s"):
-        RunLedger(tmp_path / "direct", _grid(1), lease_s=float("nan"))
-    assert campaign_cli(["smoke-grid", "--ledger", str(tmp_path / "smoke"),
-                         "--lease-s", "nan"]) == 2
-    assert fleet_cli(["run", "--drives", "2", "--n-requests", "30",
-                      "--user-pages", "1200", "--queue-depth", "8",
-                      "--ledger", str(tmp_path / "fleet"),
-                      "--lease-s", "nan"]) == 2
-    errors = capsys.readouterr().err.splitlines()
-    assert errors == ["error: lease_s must be positive, got nan"] * 2
+    fleet = ["run", "--drives", "2", "--n-requests", "30",
+             "--user-pages", "1200", "--queue-depth", "8"]
+    for bad in ("nan", "inf"):
+        with pytest.raises(ConfigError, match="lease_s"):
+            RunLedger(tmp_path / "direct", _grid(1), lease_s=float(bad))
+        with pytest.raises(ConfigError, match="lease_s"):
+            run_specs(_grid(1), lease_s=float(bad))
+        assert campaign_cli(["smoke-grid", "--ledger",
+                             str(tmp_path / f"smoke-{bad}"),
+                             "--lease-s", bad]) == 2
+        assert fleet_cli(fleet + ["--lease-s", bad]) == 2
+        assert fleet_cli(fleet + ["--ledger", str(tmp_path / f"fleet-{bad}"),
+                                  "--lease-s", bad]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [
+            f"error: lease_s must be positive and finite, got {bad}"] * 3
+        # smoke-grid always runs under a ledger: without one, argparse
+        # refuses the command before any lease is read
+        with pytest.raises(SystemExit) as exited:
+            campaign_cli(["smoke-grid", "--lease-s", bad])
+        assert exited.value.code == 2
+        assert "required: --ledger" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_live_foreign_claim_refuses_concurrent_run(tmp_path):

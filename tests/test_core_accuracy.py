@@ -11,7 +11,6 @@ from repro.core.accuracy import (
 from repro.errors import ConfigError
 from repro.ldpc.analytic import SyndromeStatistics
 from repro.ldpc.capability import CapabilityCurve
-from repro.rng import make_rng
 
 
 def test_evaluate_far_from_capability_is_accurate(code):
@@ -78,13 +77,6 @@ def test_for_code_constructor(code):
     model = RpAccuracyModel.for_code(code, capability_rber=0.0085)
     assert model.statistics.n_checks == code.t
     assert model.threshold == model.statistics.threshold_for_rber(0.0085)
-
-
-def test_sampling_respects_probability():
-    model = RpAccuracyModel.paper_nominal()
-    rng = make_rng(0)
-    draws = [model.sample_predict_retry(0.02, rng) for _ in range(200)]
-    assert sum(draws) > 190
 
 
 def test_from_measurements_interpolates():

@@ -27,8 +27,7 @@ def test_examples_directory_complete():
     names = {p.name for p in EXAMPLES.glob("*.py")}
     assert {"quickstart.py", "read_retry_showdown.py", "odear_microscope.py",
             "timeline_anatomy.py", "tail_latency_study.py",
-            "soft_sensing_rescue.py", "retention_planning.py",
-            "fleet_tour.py"} <= names
+            "soft_sensing_rescue.py", "fleet_tour.py"} <= names
 
 
 def test_quickstart_runs():
@@ -59,12 +58,6 @@ def test_fleet_tour_runs():
     out = _run("fleet_tour.py")
     assert "rollups bit-identical: True" in out
     assert "RiFSSD" in out and "SENC" in out
-
-
-def test_retention_planning_runs():
-    out = _run("retention_planning.py")
-    assert "optimal period" in out
-    assert "RiF" in out
 
 
 @pytest.mark.parametrize("script", ["read_retry_showdown.py",

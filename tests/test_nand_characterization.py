@@ -57,16 +57,6 @@ def test_chunk_similarity_rejects_bad_chunk(campaign):
         campaign.chunk_similarity(0, 0, 3000)  # does not divide 16 KiB
 
 
-def test_chunk_similarity_table_shape(campaign):
-    results = campaign.chunk_similarity_table(
-        pe_points=(0.0,), retention_days=(0, 7), n_pages=100
-    )
-    assert len(results) == 1
-    assert set(results[0].values) == {
-        "d0_c4k", "d0_c2k", "d0_c1k", "d7_c4k", "d7_c2k", "d7_c1k"
-    }
-
-
 def test_campaign_validation():
     with pytest.raises(ConfigError):
         CharacterizationCampaign(n_chips=0)

@@ -95,12 +95,13 @@ def test_exceeds_capability_consistent(model):
 
 
 def test_crossing_days_matches_page_rber(model):
-    """A page read exactly at its crossing day sits at the capability."""
+    """A page read exactly at its crossing day sits at the capability: the
+    strength factor scales the median crossing time."""
     cap = EccConfig().correction_capability
-    key = (1, 2, 3, 4)
-    t = model.crossing_days(800, key, page=2)
-    rber = model.page_rber(PageState(800, t), key, page=2)
-    assert rber == pytest.approx(cap, rel=1e-6)
+    for strength in (0.6, 1.0, 1.7):
+        t = model.t_cross_days(800) * strength
+        rber = model.rber_with_strength(PageState(800, t), strength)
+        assert rber == pytest.approx(cap, rel=1e-6)
 
 
 def test_page_state_validation():

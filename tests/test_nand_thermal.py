@@ -14,7 +14,6 @@ def model():
 
 def test_reference_temperature_is_neutral(model):
     assert model.acceleration_factor(40.0) == pytest.approx(1.0)
-    assert model.equivalent_days(10.0, 40.0) == pytest.approx(10.0)
 
 
 def test_hotter_ages_faster_colder_slower(model):
@@ -31,12 +30,6 @@ def test_rule_of_thumb_doubling(model):
     assert 1.8 < ratio < 2.6
 
 
-def test_inverse_query_roundtrip(model):
-    for factor in (0.5, 2.0, 10.0):
-        temp = model.temperature_for_acceleration(factor)
-        assert model.acceleration_factor(temp) == pytest.approx(factor, rel=1e-9)
-
-
 def test_derate_crossing_days(model):
     # a 17-day fresh crossing at reference shrinks badly in a hot chassis
     hot = model.derate_crossing_days(17.0, 70.0)
@@ -46,15 +39,16 @@ def test_derate_crossing_days(model):
 
 
 def test_integration_with_rber_model(model):
-    """Equivalent days drive the calibrated RBER model directly: storage at
-    70 C pushes a page past the capability far sooner."""
+    """Reference-temperature days (``days * AF``) drive the calibrated RBER
+    model directly: storage at 70 C pushes a page past the capability far
+    sooner."""
     rber_model = RberModel()
     days_physical = 5.0
     cool = rber_model.median_rber(
-        PageState(1000, model.equivalent_days(days_physical, 40.0))
+        PageState(1000, days_physical * model.acceleration_factor(40.0))
     )
     hot = rber_model.median_rber(
-        PageState(1000, model.equivalent_days(days_physical, 70.0))
+        PageState(1000, days_physical * model.acceleration_factor(70.0))
     )
     assert hot > cool * 2
     assert hot > rber_model.ecc.correction_capability
@@ -67,12 +61,6 @@ def test_validation(model):
         with pytest.raises(ConfigError, match="reference_temp_c"):
             ThermalConfig(reference_temp_c=bad)
     with pytest.raises(ConfigError):
-        model.equivalent_days(-1.0, 40.0)
-    with pytest.raises(ConfigError):
         model.derate_crossing_days(0.0, 40.0)
     with pytest.raises(ConfigError):
-        model.temperature_for_acceleration(0.0)
-    with pytest.raises(ConfigError):
         ThermalConfig(activation_energy_ev=-1.0)
-    with pytest.raises(ConfigError):
-        ThermalModel().temperature_for_acceleration(1e20)

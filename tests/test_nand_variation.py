@@ -11,7 +11,6 @@ from repro.nand.variation import (
     VariationModel,
     _fold,
     _hash_state,
-    _hash_to_unit,
     _unit,
     _unit_to_standard_normal,
 )
@@ -46,7 +45,7 @@ def test_prefix_fold_resumes_to_the_full_hash(seed, keys, data):
     included: both reduce mod 2**64)."""
     split = data.draw(st.integers(min_value=0, max_value=len(keys)))
     expected = _reference_hash_to_unit(seed, *keys)
-    assert _hash_to_unit(seed, *keys) == expected
+    assert _unit(_hash_state(seed, *keys)) == expected
     prefix = _hash_state(seed, *keys[:split])
     assert _unit(_fold(prefix, *keys[split:])) == expected
 
@@ -108,7 +107,7 @@ def test_page_factor_smaller_spread_than_block(model):
 
 
 def test_hash_to_unit_in_open_interval():
-    values = [_hash_to_unit(5, i) for i in range(1000)]
+    values = [_unit(_hash_state(5, i)) for i in range(1000)]
     assert all(0.0 < v < 1.0 for v in values)
     # should look uniform
     assert abs(np.mean(values) - 0.5) < 0.03
@@ -126,11 +125,3 @@ def test_inverse_normal_symmetry():
         assert _unit_to_standard_normal(u) == pytest.approx(
             -_unit_to_standard_normal(1 - u), abs=1e-7
         )
-
-
-def test_block_factors_array_deterministic(model):
-    a = model.block_factors_array(10, stream=1)
-    b = model.block_factors_array(10, stream=1)
-    assert np.array_equal(a, b)
-    c = model.block_factors_array(10, stream=2)
-    assert not np.array_equal(a, c)

@@ -53,14 +53,6 @@ def test_thermal_acceleration_monotone(t1, t2):
     assert _THERMAL.acceleration_factor(hi) >= _THERMAL.acceleration_factor(lo)
 
 
-@given(st.floats(min_value=0.0, max_value=1000.0),
-       st.floats(min_value=-20.0, max_value=100.0))
-@settings(max_examples=40, deadline=None)
-def test_thermal_equivalent_days_scale_linearly(days, temp):
-    one = _THERMAL.equivalent_days(1.0, temp)
-    assert _THERMAL.equivalent_days(days, temp) == days * one
-
-
 @given(st.floats(min_value=0.05, max_value=1.0))
 @settings(max_examples=25, deadline=None)
 def test_ispp_sigma_bounded_by_step(step):

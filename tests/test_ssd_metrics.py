@@ -41,18 +41,6 @@ def test_percentile_nearest_rank():
         percentile(values, 150)
 
 
-def test_latency_percentile_and_cdf():
-    m = SimMetrics()
-    m.read_latencies_us = [float(i) for i in range(1, 101)]
-    assert m.read_latency_percentile(99) == 99.0
-    cdf = m.read_latency_cdf(points=10)
-    assert len(cdf) == 10
-    lats = [x for x, _ in cdf]
-    fracs = [y for _, y in cdf]
-    assert lats == sorted(lats)
-    assert fracs[-1] == pytest.approx(1.0)
-
-
 def test_channel_usage_fractions():
     usage = ChannelUsage(cor=50, uncor=20, write=10, gc=5, eccwait=5, idle=10)
     fr = usage.fractions()
@@ -97,17 +85,6 @@ def test_percentile_chain_exhausted_raises():
     m = SimMetrics(keep_raw_latencies=False)
     with pytest.raises(SimulationError):
         m.read_latency_percentile(50)
-    with pytest.raises(SimulationError):
-        m.read_latency_cdf()
-
-
-def test_cdf_falls_back_to_histogram():
-    m = _metrics_with_reads(keep_raw=False)
-    cdf = m.read_latency_cdf(points=10)
-    lats = [lat for lat, _f in cdf]
-    fracs = [f for _lat, f in cdf]
-    assert lats == sorted(lats)
-    assert fracs[-1] == pytest.approx(1.0)
 
 
 def test_raw_and_histogram_percentiles_agree_within_bucket_error():

@@ -90,6 +90,27 @@ def test_ssdone_retry_wastes_channel(ssd_config):
     assert ssd.channel_usage().uncor > 0
 
 
+def test_rif_ships_and_decodes_less_than_swr_when_worn(ssd_config):
+    """SWR's failed first reads cross the channel and burn a full decode;
+    RiF retries them in the die, so on the same worn trace it spends less
+    channel transfer time and decoder time than SWR, transfers about what
+    SSDzero does, and pays for it in array senses instead."""
+    trace = generate("Ali124", n_requests=300, user_pages=6000, seed=41)
+    transfer, decode, senses = {}, {}, {}
+    for policy in ("SWR", "RiFSSD", "SSDzero"):
+        ssd = SSDSimulator(ssd_config, policy=policy, pe_cycles=2000, seed=41)
+        ssd.run_trace(trace)
+        transfer[policy] = sum(ch.busy_time_by_tag.get("COR", 0.0)
+                               + ch.busy_time_by_tag.get("UNCOR", 0.0)
+                               for ch in ssd.channels)
+        decode[policy] = sum(ecc.decoder.total_busy_time() for ecc in ssd.eccs)
+        senses[policy] = ssd.metrics.total_senses
+    assert transfer["RiFSSD"] < transfer["SWR"]
+    assert decode["RiFSSD"] < decode["SWR"]
+    assert transfer["RiFSSD"] < 1.05 * transfer["SSDzero"]
+    assert senses["RiFSSD"] > 1.3 * senses["SSDzero"]
+
+
 def test_channel_usage_accounts_whole_timeline(ssd_config):
     trace = generate("Ali124", n_requests=100, user_pages=2000, seed=5)
     ssd = SSDSimulator(ssd_config, policy="SWR", pe_cycles=2000, seed=5)
