@@ -19,16 +19,17 @@ that structure explicit:
   errors, turning them into per-cell :class:`CellFailure` records under
   ``on_failure="record"``;
 * :mod:`.cache` — :class:`ResultCache`, a content-addressed on-disk store
-  (spec hash -> result JSON) that skips already-computed cells, with
-  atomic fsync'd writes, checksummed reads, and quarantine of damaged
-  entries;
+  (spec hash -> result JSON) that skips already-computed cells: one
+  append-only log per directory, with fsync'd appends, checksummed reads,
+  and quarantine of damaged records;
 * :mod:`.durable` — the crash-safe campaign runtime that
   ``run_specs(..., ledger_dir=...)`` wires in: :class:`RunLedger` (a
   write-ahead JSONL journal of per-cell state transitions, replayed on
   resume), SIGTERM-as-interrupt shutdown, the campaign chaos driver, and
   :func:`verify_ledger` (the fsck behind
   ``python -m repro.campaign verify-ledger``);
-* :mod:`.serialize` — exact JSON round-tripping of results;
+* :mod:`.serialize` — exact JSON round-tripping of results, and the
+  cache's checksummed record;
 * :mod:`.progress` — per-cell completion and wall-clock hooks, including
   the streaming telemetry reporters (:class:`LiveProgress` rewriting
   status line, :class:`JsonlProgress` machine-readable campaign log)

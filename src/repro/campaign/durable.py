@@ -36,8 +36,8 @@ given a ``ledger_dir``:
 
 ``python -m repro.campaign verify-ledger DIR`` runs :func:`verify_ledger`,
 the fsck of this format: per-line CRC validation, state reconstruction,
-claim-lease status, and a checksum scan of the cache (including torn
-writes the atomic writer could never produce on its own).
+claim-lease status, and a read-only checksum scan of the cache's log
+(torn and bit-rotted records).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigError, LedgerError
 from ..faults import CAMPAIGN_FAULT_KINDS, FaultPlan, FaultSpec
 from ..obs.telemetry import wall_clock
-from .cache import ResultCache
+from .cache import LOG_FILENAME, QUARANTINE_DIR, make_dir, scan
 from .spec import SPEC_SCHEMA_VERSION, RunSpec
 
 #: Bump when the meaning of any ledger record changes; mixed into every
@@ -267,8 +267,7 @@ class RunLedger:
     def __init__(self, directory, specs: Sequence[RunSpec],
                  lease_s: float = 900.0):
         self.lease_s = check_lease(lease_s)
-        self.root = Path(directory).expanduser()
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = make_dir(directory)
         self.path = self.root / LEDGER_FILENAME
         self.specs = list(dict.fromkeys(specs))
         self.cells = {spec.content_hash(): spec for spec in self.specs}
@@ -505,16 +504,20 @@ def verify_ledger(directory,
     stale claims are recoverable by a resume and reported as such.
     """
     root = Path(directory).expanduser()
+    cache_root = (root / LEDGER_CACHE_DIR if cache_dir is None
+                  else Path(cache_dir).expanduser())
+    for checked in (root, cache_root):
+        if checked.exists() and not checked.is_dir():
+            raise ConfigError(f"{checked} is not a directory")
     path = root / LEDGER_FILENAME
     replay = replay_ledger(path, strict=False)
     counts = replay.counts()
-    cache = ResultCache(cache_dir if cache_dir is not None
-                        else root / LEDGER_CACHE_DIR)
-    cache_ok, cache_bad = cache.verify()
-    quarantined = len(list(cache.quarantine_root.glob("*.json")))
+    log = cache_root / LOG_FILENAME
+    cached, cache_bad, _ = scan(log.read_bytes() if log.is_file() else b"")
+    quarantined = len(list((cache_root / QUARANTINE_DIR).glob("*.rec")))
     done_without_cache = sorted(
         cell for cell, state in replay.states.items()
-        if state == DONE and not (cache.root / f"{cell}.json").exists()
+        if state == DONE and cell not in cached
     )
     duplicate_done = {cell: n for cell, n in replay.done_records.items()
                       if n > 1}
@@ -551,10 +554,10 @@ def verify_ledger(directory,
         "claims": stale_claims,
         "done_without_cache": done_without_cache,
         "cache": {
-            "root": str(cache.root),
-            "entries_ok": cache_ok,
-            "corrupt": [{"entry": name, "reason": reason}
-                        for name, reason in cache_bad],
+            "root": str(cache_root),
+            "entries_ok": len(cached),
+            "corrupt": [{"entry": f"byte {offset}", "reason": reason}
+                        for offset, _, reason in cache_bad],
             "quarantined": quarantined,
         },
         "ok": not replay.corrupt and not cache_bad,

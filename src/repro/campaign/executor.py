@@ -51,7 +51,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import (
@@ -61,7 +60,7 @@ from ..errors import (
     LedgerError,
 )
 from ..ssd import SimulationResult
-from .cache import ResultCache
+from .cache import ResultCache, make_dir
 from .durable import (
     CLAIMED,
     DONE,
@@ -613,7 +612,7 @@ def run_specs(
                              max_cell_retries=max_cell_retries,
                              on_failure=on_failure)
     if ledger_dir is not None and cache is None:
-        cache = Path(ledger_dir).expanduser() / LEDGER_CACHE_DIR
+        cache = make_dir(ledger_dir) / LEDGER_CACHE_DIR
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     unique: List[RunSpec] = list(dict.fromkeys(specs))

@@ -1,23 +1,24 @@
-"""JSON (de)serialisation of campaign results.
+"""JSON (de)serialisation of campaign results, and the cache's record.
 
-The dataclasses themselves know their dict forms
-(:meth:`SimulationResult.to_dict` and friends, added alongside this
-module); here lives the envelope format the on-disk cache stores — schema
-version + spec + result — and the exactness guarantee: Python's ``json``
-emits ``repr``-precision floats, which round-trip bit-exactly for every
-finite float, so a result loaded from JSON compares equal to the original.
+Python's ``json`` emits ``repr``-precision floats, which round-trip
+bit-exactly for every finite float, so a result loaded from JSON compares
+equal to the original.  A record of the result log (:mod:`.cache`) is one
+line of four tab-separated fields: the cell hash, the result's SHA-256
+checksum, the spec's canonical identity (:meth:`RunSpec.identity`, whose
+SHA-256 is the cell hash) and the canonical result JSON (whose SHA-256 is
+the checksum).  JSON escapes tabs and newlines, so hashing a record's
+bytes checks it without parsing it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import hashlib
 import json
+from typing import Optional, Tuple
 
 from ..errors import ConfigError
 from ..ssd import SimulationResult
-from .spec import SPEC_SCHEMA_VERSION, RunSpec
+from .spec import RunSpec
 
 
 def result_to_dict(result: SimulationResult) -> dict:
@@ -28,50 +29,36 @@ def result_from_dict(data: dict) -> SimulationResult:
     return SimulationResult.from_dict(data)
 
 
-def entry_checksum(result_dict: dict) -> str:
-    """Content checksum of one entry's result payload (canonical JSON)."""
-    payload = json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _sha(data: bytes) -> bytes:
+    return hashlib.sha256(data).hexdigest().encode("ascii")
 
 
-def dump_entry(spec: RunSpec, result: SimulationResult) -> str:
-    """Serialise one cache entry (spec + its result) to JSON text.
-
-    The envelope carries a content checksum of the result payload so a
-    torn or bit-rotted entry is *detected* on read rather than silently
-    deserialised into wrong numbers.
-    """
-    result_dict = result_to_dict(result)
-    return json.dumps(
-        {
-            "schema": SPEC_SCHEMA_VERSION,
-            "spec": spec.to_dict(),
-            "result": result_dict,
-            "checksum": entry_checksum(result_dict),
-        },
-        sort_keys=True,
-    )
+def dump_entry(spec: RunSpec, result: SimulationResult) -> bytes:
+    """The newline-terminated record of ``spec`` and its ``result``, each
+    encoded once, canonically."""
+    identity = spec.identity()
+    body = json.dumps(result_to_dict(result), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    return b"\t".join((_sha(identity), _sha(body), identity, body)) + b"\n"
 
 
-def load_entry(text: str, expected_spec: Optional[RunSpec] = None) -> SimulationResult:
-    """Parse a cache entry, optionally verifying it belongs to ``spec``.
+def check_record(line: bytes) -> Tuple[str, bytes]:
+    """``(cell hash, result JSON)`` of a sound record (trailing newline
+    optional); a torn or bit-rotted one raises :class:`ConfigError`."""
+    fields = line.rstrip(b"\n").split(b"\t")
+    if len(fields) != 4:
+        raise ConfigError(f"torn cache record ({len(fields)} of 4 fields)")
+    cell, checksum, identity, body = fields
+    if _sha(identity) != cell or _sha(body) != checksum:
+        raise ConfigError("cache record checksum mismatch (corrupt entry)")
+    return cell.decode("ascii"), body
 
-    Raises :class:`ConfigError` on schema mismatch, spec mismatch, or a
-    checksum mismatch — the cache treats any of them as a miss (and
-    quarantines the file) rather than serving a wrong result.  Entries
-    written before the checksum field existed still load.
-    """
-    data = json.loads(text)
-    if data.get("schema") != SPEC_SCHEMA_VERSION:
-        raise ConfigError(
-            f"cache entry schema {data.get('schema')!r} != "
-            f"{SPEC_SCHEMA_VERSION}"
-        )
-    stored_sum = data.get("checksum")
-    if stored_sum is not None and stored_sum != entry_checksum(data["result"]):
-        raise ConfigError("cache entry checksum mismatch (corrupt entry)")
-    if expected_spec is not None:
-        stored = RunSpec.from_dict(data["spec"])
-        if stored != expected_spec:
-            raise ConfigError("cache entry spec does not match its key")
-    return result_from_dict(data["result"])
+
+def load_entry(line: bytes,
+               expected_spec: Optional[RunSpec] = None) -> SimulationResult:
+    """The result of a sound record, optionally checked to belong to
+    ``expected_spec``; raises :class:`ConfigError` otherwise."""
+    cell, body = check_record(line)
+    if expected_spec is not None and cell != expected_spec.content_hash():
+        raise ConfigError("cache entry spec does not match its key")
+    return result_from_dict(json.loads(body))

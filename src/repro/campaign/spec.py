@@ -13,6 +13,7 @@ and the cache (:mod:`.cache`) skip already-computed cells by content hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
@@ -47,12 +48,14 @@ class SsdScale:
     queue_depth: int
 
 
+@functools.lru_cache(maxsize=None)
 def ssd_scale(scale: str) -> SsdScale:
     """Resolve an SSD-experiment scale name.
 
     ``small`` finishes each (workload, policy, P/E) run in well under a
     second; ``full`` uses a larger device slice and more requests for
     smoother numbers.  Both keep the Table-I plane:channel bandwidth ratio.
+    Built once per name: the scale and its config are frozen values.
     """
     if scale == "small":
         return SsdScale(
@@ -223,17 +226,23 @@ class RunSpec:
             raise ConfigError(f"unknown RunSpec fields {sorted(unknown)}")
         return cls(**data)
 
-    def content_hash(self) -> str:
-        """Stable hex digest identifying this spec's computation.
-
-        Canonical JSON (sorted keys, no whitespace) of the spec dict plus
-        the schema version — the cache key and the parallel-run identity.
-        """
-        payload = json.dumps(
+    def identity(self) -> bytes:
+        """Canonical JSON (sorted keys, no whitespace) of the spec dict plus
+        the schema version: the bytes :meth:`content_hash` digests."""
+        return json.dumps(
             {"schema": SPEC_SCHEMA_VERSION, "spec": self.to_dict()},
             sort_keys=True, separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        ).encode("utf-8")
+
+    def content_hash(self) -> str:
+        """Stable hex digest identifying this spec's computation — the
+        cache key and the parallel-run identity.  Computed once per
+        instance (the spec is frozen)."""
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            digest = hashlib.sha256(self.identity()).hexdigest()
+            object.__setattr__(self, "_content_hash", digest)
+        return digest
 
     def label(self) -> str:
         """Short human-readable cell name for progress reporting."""

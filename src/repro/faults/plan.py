@@ -45,10 +45,10 @@ errors, Park et al. on read-retry — for the physical phenomena):
     campaign process itself at the trigger point (``magnitude`` 0.0 kills
     after the cache write but *before* the ledger ``done`` record — the
     nastiest window; any other value kills after the record).
-    ``torn_cache_write`` makes the matching cell's cache entry land torn:
-    only the first ``magnitude`` fraction of its bytes is written, and not
-    atomically — simulating a crash mid-write that the checksum layer must
-    detect and quarantine.  Pass these via ``run_specs(campaign_faults=
+    ``torn_cache_write`` makes the matching cell's cache record land torn:
+    only the first ``magnitude`` fraction of its bytes is appended to the
+    log — simulating a crash mid-write that the checksum layer must detect
+    and quarantine.  Pass these via ``run_specs(campaign_faults=
     ...)`` rather than on a :class:`~repro.campaign.spec.RunSpec`, so they
     never perturb cell content hashes.
 """

@@ -228,19 +228,31 @@ def test_cache_corrupt_entry_recomputes(tmp_path):
     result = execute(spec)
     cache.put(spec, result)
     assert cache.get(spec) == result
-    cache.path_for(spec).write_text("{not json")
+    record = cache.path.read_bytes()
+    cache.path.write_bytes(b"{not json" + record[9:])  # overwritten in place
     with pytest.warns(RuntimeWarning, match="quarantined"):
         assert cache.get(spec) is None
     stats = CampaignStats()
     again = run_specs([spec], cache=cache, progress=stats)
     assert stats.executed == 1
     assert again[spec] == result
+    # the recomputed record follows the damaged line, which the next open
+    # moves aside
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        reopened = ResultCache(tmp_path)
+    assert reopened.get(spec) == result
+    assert reopened.path.read_bytes() == dump_entry(spec, result)
 
 
 def test_cache_wipe(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _fast_spec()
     cache.put(spec, execute(spec))
-    assert len(cache) == 1 and spec in cache
+    cache.put(spec, execute(spec))  # a second record of the same cell
+    other = ResultCache(tmp_path)
+    assert len(cache) == len(other) == 1 and spec in cache and spec in other
     assert cache.wipe() == 1
-    assert len(cache) == 0 and spec not in cache
+    # the log itself is emptied: the other instance sees no record either
+    assert cache.path.read_bytes() == b""
+    assert len(cache) == len(other) == 0
+    assert spec not in cache and spec not in other

@@ -8,11 +8,15 @@ or quarantined, never silently trusted and never a crash.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignFaultDriver,
@@ -28,6 +32,7 @@ from repro.campaign import (
     verify_ledger,
 )
 from repro.campaign.__main__ import main as campaign_cli
+from repro.campaign.cache import LOG_FILENAME
 from repro.campaign.durable import (
     LEDGER_FILENAME,
     decode_record,
@@ -233,6 +238,39 @@ def test_nan_lease_is_a_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cache_or_ledger_path_that_is_a_file_is_a_config_error(tmp_path,
+                                                               capsys):
+    """A ``--cache`` or ``--ledger`` path that is a regular file is one
+    ``error:`` line with exit 2 from every CLI that takes one, never a
+    traceback; ``ResultCache`` and ``RunLedger`` raise ``ConfigError``."""
+    from repro.experiments.runner import main as experiments_cli
+    from repro.fleet.__main__ import main as fleet_cli
+
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    for path in (afile, afile / "below"):
+        with pytest.raises(ConfigError, match="not a directory"):
+            ResultCache(path)
+        with pytest.raises(ConfigError, match="not a directory"):
+            RunLedger(path, _grid(1))
+    commands = [
+        (fleet_cli, ["run", "--drives", "2", "--n-requests", "30",
+                     "--user-pages", "1200", "--queue-depth", "8",
+                     "--cache", str(afile)]),
+        (experiments_cli, ["fig6", "--cache", str(afile)]),
+        (campaign_cli, ["smoke-grid", "--ledger", str(afile),
+                        "--out", str(tmp_path / "x.json")]),
+        (campaign_cli, ["verify-ledger", str(afile)]),
+        (campaign_cli, ["verify-ledger", str(tmp_path), "--cache",
+                        str(afile)]),
+    ]
+    for cli, argv in commands:
+        assert cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {afile} is not a directory\n", argv
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_live_foreign_claim_refuses_concurrent_run(tmp_path):
     specs = _grid(1)
     with RunLedger(tmp_path, specs):
@@ -253,36 +291,60 @@ def test_live_foreign_claim_refuses_concurrent_run(tmp_path):
 # --- crash-safe cache ---------------------------------------------------------------
 
 
-def test_cache_put_is_atomic_and_leaves_no_temp_files(tmp_path):
+def _fsyncs(monkeypatch):
+    """Record the inode of every file ``os.fsync`` is called on."""
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        real_fsync(fd)
+        synced.append(os.fstat(fd).st_ino)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
+
+
+def test_cache_put_is_atomic_and_leaves_no_temp_files(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     spec = _spec()
+    synced = _fsyncs(monkeypatch)
     cache.put(spec, execute(spec))
+    # one record, appended to the one log and fsync'd before put returned
+    assert synced == [cache.path.stat().st_ino]
+    assert cache.path.read_bytes() == dump_entry(spec, execute(spec))
     assert cache.get(spec) == execute(spec)
-    assert not list(tmp_path.glob(".*tmp"))
+    assert [path.name for path in tmp_path.iterdir()] == [LOG_FILENAME]
 
 
 def test_cache_quarantines_corrupt_entry_as_miss(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _spec()
-    path = cache.put(spec, execute(spec))
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])  # torn entry on disk
+    cache.put(spec, execute(spec))
+    record = cache.path.read_bytes()
+    cache.path.write_bytes(record[: len(record) // 2])  # torn record on disk
 
     with pytest.warns(RuntimeWarning, match="quarantined"):
-        assert cache.get(spec) is None
-    assert not path.exists()
-    assert (cache.quarantine_root / path.name).exists()
-    # a quarantined entry never poisons a later get
+        cache = ResultCache(tmp_path)
     assert cache.get(spec) is None
+    assert cache.path.read_bytes() == b""  # the log rewritten without it
+    moved = list((tmp_path / "quarantine").glob("*.rec"))
+    assert [path.read_bytes() for path in moved] == [record[: len(record) // 2]]
+    # a quarantined record never poisons a later get or put
+    assert cache.get(spec) is None
+    cache.put(spec, execute(spec))
+    assert cache.get(spec) == execute(spec)
 
 
 def test_cache_checksum_mismatch_detected(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _spec()
-    path = cache.put(spec, execute(spec))
-    entry = json.loads(path.read_text())
-    entry["result"]["metrics"]["page_reads"] += 1  # silent bit-rot
-    path.write_text(json.dumps(entry))
+    cache.put(spec, execute(spec))
+    cell, checksum, identity, body = cache.path.read_bytes().split(b"\t")
+    result = json.loads(body)
+    result["metrics"]["page_reads"] += 1  # silent bit-rot, checksum kept
+    body = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    cache.path.write_bytes(
+        b"\t".join((cell, checksum, identity, body.encode())) + b"\n")
 
     ok, bad = cache.verify()
     assert (ok, len(bad)) == (0, 1)
@@ -291,26 +353,124 @@ def test_cache_checksum_mismatch_detected(tmp_path):
         assert cache.get(spec) is None
 
 
-def test_cache_entries_without_checksum_still_load(tmp_path):
-    # entries written before the checksum envelope must stay readable
-    cache = ResultCache(tmp_path)
-    spec = _spec()
-    result = execute(spec)
-    entry = json.loads(dump_entry(spec, result))
-    entry.pop("checksum")
-    cache.path_for(spec).write_text(json.dumps(entry))
-    assert cache.get(spec) == result
-
-
 def test_cache_torn_write_hook_tears_the_write(tmp_path):
     cache = ResultCache(tmp_path)
-    spec = _spec()
-    cache.torn_write_hook = lambda s, text: 0.5
-    path = cache.put(spec, execute(spec))
+    spec, other = _grid(2)
+    record = dump_entry(spec, execute(spec))
+    cache.torn_write_hook = lambda s, record: 0.5
+    cache.put(spec, execute(spec))
     cache.torn_write_hook = None
-    assert path.exists()
-    with pytest.warns(RuntimeWarning):
-        assert cache.get(spec) is None  # quarantined, recomputable
+    assert cache.path.read_bytes() == record[: len(record) // 2]
+    assert cache.get(spec) is None  # never served, recomputable
+    assert cache.verify()[0] == 0 and len(cache.verify()[1]) == 1
+    cache.put(other, execute(other))  # ends the torn line first
+    assert cache.path.read_bytes().split(b"\n")[1] + b"\n" == dump_entry(
+        other, execute(other))
+    assert cache.get(other) == execute(other)
+
+
+@pytest.fixture(scope="module")
+def two_cells():
+    return [(spec, execute(spec)) for spec in _grid(2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cache_record_torn_at_any_byte_is_never_served(two_cells, data):
+    (spec, result), (other, other_result) = two_cells
+    record = dump_entry(spec, result)
+    kept = data.draw(st.integers(1, len(record) - 1), label="bytes kept")
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(root)
+        cache.torn_write_hook = lambda s, r: (kept + 0.5) / len(r)
+        cache.put(spec, result)
+        cache.torn_write_hook = None
+        assert cache.path.read_bytes() == record[:kept]
+        assert cache.get(spec) is None and spec not in cache
+        ok, bad = cache.verify()
+        assert (ok, [offset for offset, _ in bad]) == (0, ["byte 0"])
+        cache.put(other, other_result)
+        torn, own, end = cache.path.read_bytes().split(b"\n")
+        assert (torn, own + b"\n", end) == (
+            record[:kept], dump_entry(other, other_result), b"")
+        assert cache.get(other) == other_result
+        # only a record that lost no more than its newline is whole again
+        whole = kept == len(record) - 1
+        assert cache.get(spec) == (result if whole else None)
+        assert len(cache.verify()[1]) == (0 if whole else 1)
+
+
+def test_cache_flipped_byte_mid_file_is_quarantined_on_open(tmp_path):
+    specs = _grid(3)
+    first = run_specs(specs, cache=tmp_path)
+    log = tmp_path / LOG_FILENAME
+    data = bytearray(log.read_bytes())
+    second_end = data.index(b"\n", data.index(b"\n") + 1)
+    data[second_end - 40] ^= 1  # bit-rot inside the middle record
+    log.write_bytes(bytes(data))
+
+    stats = CampaignStats()
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        again = run_specs(specs, cache=tmp_path, progress=stats)
+    assert (stats.executed, stats.cached) == (1, 2)
+    assert _dicts(again) == _dicts(first)
+    assert len(list((tmp_path / "quarantine").glob("*.rec"))) == 1
+    assert ResultCache(tmp_path).verify() == (3, [])
+
+
+def test_two_caches_on_one_directory_see_each_others_puts(tmp_path):
+    one, two = ResultCache(tmp_path), ResultCache(tmp_path)
+    (a, result_a), (b, result_b) = [(spec, execute(spec)) for spec in _grid(2)]
+    one.put(a, result_a)
+    assert two.get(a) == result_a and a in two and len(two) == 1
+    two.put(b, result_b)
+    assert one.get(b) == result_b and len(one) == 2
+
+
+def _append_records(root, result, seeds):
+    cache = ResultCache(root)
+    for seed in seeds:
+        cache.put(_spec(seed=seed), result)
+
+
+def test_concurrent_appenders_lose_no_record(tmp_path):
+    """Four processes, more than CI's cores, append to one log at once:
+    every record lands whole, and one cache serves all of them."""
+    result = execute(_spec())
+    context = multiprocessing.get_context("spawn")
+    workers = [context.Process(target=_append_records,
+                               args=(tmp_path, result,
+                                     range(start, start + 30)))
+               for start in range(0, 120, 30)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+        assert not worker.is_alive() and worker.exitcode == 0
+    cache = ResultCache(tmp_path)
+    assert cache.verify() == (120, [])
+    assert all(cache.get(_spec(seed=seed)) == result for seed in range(120))
+
+
+def test_cache_fsync_precedes_each_done_record(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path / "cache")
+    log = cache.path.stat().st_ino
+    order = []
+    real_fsync, real_done = os.fsync, RunLedger.done
+
+    def fsync(fd):
+        real_fsync(fd)
+        if os.fstat(fd).st_ino == log:
+            order.append("cache fsync")
+
+    def done(self, spec):
+        order.append("done")
+        real_done(self, spec)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(RunLedger, "done", done)
+    run_specs(_grid(3), cache=cache, ledger_dir=tmp_path)
+    assert order == ["cache fsync", "done"] * 3
 
 
 # --- durable run/resume -------------------------------------------------------------
@@ -518,10 +678,15 @@ def test_verify_ledger_cli_clean_and_damaged(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status   OK" in out
 
-    cache = ResultCache(tmp_path / "cache")
-    entry = next(iter(sorted(cache.root.glob("*.json"))))
-    entry.write_text(entry.read_text()[:100])  # injected torn write
+    log = tmp_path / "cache" / LOG_FILENAME
+    data = log.read_bytes()
+    log.write_bytes(data[: data.index(b"\n") + 100])  # injected torn write
     assert campaign_cli(["verify-ledger", str(tmp_path), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["ok"]
     assert len(report["cache"]["corrupt"]) == 1
+    # the resume quarantines the torn record and recomputes its cell
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        run_specs(_grid(2), ledger_dir=tmp_path)
+    assert campaign_cli(["verify-ledger", str(tmp_path)]) == 0
+    assert "1 quarantined" in capsys.readouterr().out

@@ -7,10 +7,11 @@ informational — tooling can warn on it, loading never requires it.
 """
 
 import json
+from hashlib import sha256
 
 import pytest
 
-from repro.campaign import ResultCache, RunSpec, execute
+from repro.campaign import SPEC_SCHEMA_VERSION, ResultCache, RunSpec, execute
 from repro.ssd import RESULT_SCHEMA_VERSION, SimulationResult
 from repro.ssd.metrics import ChannelUsage, SimMetrics
 
@@ -63,31 +64,34 @@ def test_pre_histogram_payload_loads_with_defaults():
 
 
 def test_cache_roundtrip_and_forward_compat(tmp_path):
-    """Acceptance: cached payloads carry schema_version, and an entry
+    """Acceptance: cached payloads carry schema_version, and a record
     annotated by a future writer still loads equal."""
     spec = RunSpec(workload="Sys0", policy="RiFSSD", pe_cycles=1000.0,
                    seed=3, **FAST)
     cache = ResultCache(tmp_path)
     result = execute(spec)
-    path = cache.put(spec, result)
+    cache.put(spec, result)
 
-    stored = json.loads(path.read_text())
-    assert stored["result"]["schema_version"] == RESULT_SCHEMA_VERSION
-    assert cache.get(spec) == result
+    _, _, identity, body = cache.path.read_bytes().rstrip(b"\n").split(b"\t")
+    stored = json.loads(body)
+    assert stored["schema_version"] == RESULT_SCHEMA_VERSION
+    assert ResultCache(tmp_path).get(spec) == result
 
     # a future writer adds result-level keys the current reader ignores
-    # (and, like any writer, stamps the entry's content checksum)
-    from repro.campaign.serialize import entry_checksum
+    # (and, like any writer, stamps the record's content checksum)
+    stored["schema_version"] = RESULT_SCHEMA_VERSION + 1
+    stored["future_summary"] = {"p99_us": 1.0}
+    stored["metrics"]["future_counter"] = 7
+    body = json.dumps(stored, sort_keys=True, separators=(",", ":")).encode()
+    future = b"\t".join((sha256(identity).hexdigest().encode(),
+                         sha256(body).hexdigest().encode(),
+                         identity, body)) + b"\n"
+    cache.path.write_bytes(future)
+    assert ResultCache(tmp_path).get(spec) == result
 
-    stored["result"]["schema_version"] = RESULT_SCHEMA_VERSION + 1
-    stored["result"]["future_summary"] = {"p99_us": 1.0}
-    stored["result"]["metrics"]["future_counter"] = 7
-    stored["checksum"] = entry_checksum(stored["result"])
-    path.write_text(json.dumps(stored))
-    assert cache.get(spec) == result
-
-    # but a corrupted envelope still reads as a miss (quarantined)
-    stored["schema"] = -1
-    path.write_text(json.dumps(stored))
+    # but a record whose spec no longer matches its hash reads as a miss
+    # (quarantined)
+    schema = f'"schema":{SPEC_SCHEMA_VERSION}'.encode()
+    cache.path.write_bytes(future.replace(schema, b'"schema":-1'))
     with pytest.warns(RuntimeWarning, match="quarantined"):
-        assert cache.get(spec) is None
+        assert ResultCache(tmp_path).get(spec) is None
