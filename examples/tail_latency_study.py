@@ -14,16 +14,16 @@ POLICIES = ("SENC", "SWR", "SWR+", "RiFSSD")
 PERCENTILES = (50, 90, 99, 99.9)
 
 
-def ascii_cdf(latencies, width=60, max_us=None) -> str:
-    lats = sorted(latencies)
-    max_us = max_us or lats[-1]
+def ascii_cdf(hist, max_us, width=60) -> str:
+    """One character per latency step: the CDF at ``target`` reaches q %
+    exactly when the q-th percentile is at or below ``target``."""
+    tail = hist.summary()
     line = []
     for i in range(width):
         target = (i + 1) / width * max_us
-        frac = sum(1 for v in lats if v <= target) / len(lats)
-        line.append("#" if frac >= 0.999 else
-                    "+" if frac >= 0.99 else
-                    "-" if frac >= 0.5 else ".")
+        line.append("#" if tail["p999_us"] <= target else
+                    "+" if tail["p99_us"] <= target else
+                    "-" if tail["p50_us"] <= target else ".")
     return "".join(line)
 
 
@@ -43,14 +43,14 @@ def main() -> None:
             row = f"{policy:8s}"
             for q in PERCENTILES:
                 row += f"{m.read_latency_percentile(q):9.0f}u"
-            mean = sum(m.read_latencies_us) / len(m.read_latencies_us)
-            row += f"{mean:9.0f}u"
+            row += f"{m.read_latency_hist.mean():9.0f}u"
             print(row)
         max_us = max(m.read_latency_percentile(99.9)
                      for m in results.values())
         print("\nCDF (x axis 0.." + f"{max_us:.0f} us; . <50%  - <99%  + <99.9%  # beyond)")
         for policy in POLICIES:
-            print(f"{policy:8s}|{ascii_cdf(results[policy].read_latencies_us, max_us=max_us)}|")
+            cdf = ascii_cdf(results[policy].read_latency_hist, max_us)
+            print(f"{policy:8s}|{cdf}|")
 
     print("\nAt high wear the reactive schemes grow a long retry tail; "
           "RiF's curve stays steep\nbecause a retried page costs one extra "

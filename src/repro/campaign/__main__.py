@@ -7,7 +7,8 @@ Two commands, both built for the durable runtime
     fsck a campaign directory: journal CRCs, reconstructed cell states,
     claim/lease status, and cache-entry checksums.  Exit 0 when every
     problem found (if any) is recoverable by a resume, 1 on unrecoverable
-    damage (mid-file journal corruption, corrupt cache entries).
+    damage (mid-file journal corruption, corrupt cache entries), 2 when
+    DIR holds no ledger journal.
 
 ``smoke-grid --ledger DIR``
     run a small, fixed fig.-17-style grid under a ledger.  This is the

@@ -501,7 +501,9 @@ def verify_ledger(directory,
     Never raises on damage — everything is reported in the returned dict.
     ``ok`` is ``False`` only for *unrecoverable* problems (mid-file journal
     corruption, conflicting grids, corrupt cache entries); a torn tail or
-    stale claims are recoverable by a resume and reported as such.
+    stale claims are recoverable by a resume and reported as such.  A
+    directory that holds no journal is a :class:`ConfigError`, not a
+    clean report.
     """
     root = Path(directory).expanduser()
     cache_root = (root / LEDGER_CACHE_DIR if cache_dir is None
@@ -510,6 +512,9 @@ def verify_ledger(directory,
         if checked.exists() and not checked.is_dir():
             raise ConfigError(f"{checked} is not a directory")
     path = root / LEDGER_FILENAME
+    if not path.is_file():
+        # a mistyped directory must not pass as a clean, empty campaign
+        raise ConfigError(f"no ledger journal at {path}")
     replay = replay_ledger(path, strict=False)
     counts = replay.counts()
     log = cache_root / LOG_FILENAME
@@ -537,7 +542,6 @@ def verify_ledger(directory,
         })
     return {
         "path": str(path),
-        "exists": path.exists(),
         "grid": replay.grid,
         "schema": replay.schema,
         "records": replay.records,
@@ -566,16 +570,15 @@ def verify_ledger(directory,
 
 def format_verify_report(report: dict) -> str:
     """Human-readable rendering of a :func:`verify_ledger` report."""
-    lines = [f"ledger   {report['path']}"]
-    if not report["exists"]:
-        lines.append("         (no journal found)")
-    else:
-        grid = report["grid"] or "?"
-        lines.append(f"grid     {grid[:16]}...  schema {report['schema']}  "
-                     f"{report['records']} records, {report['opens']} opens")
-        cells = report["cells"]
-        lines.append(f"cells    {cells[DONE]} done, {cells[FAILED]} failed, "
-                     f"{cells[CLAIMED]} claimed")
+    grid = report["grid"] or "?"
+    cells = report["cells"]
+    lines = [
+        f"ledger   {report['path']}",
+        f"grid     {grid[:16]}...  schema {report['schema']}  "
+        f"{report['records']} records, {report['opens']} opens",
+        f"cells    {cells[DONE]} done, {cells[FAILED]} failed, "
+        f"{cells[CLAIMED]} claimed",
+    ]
     if report["truncated_tail_bytes"]:
         lines.append(f"tail     {report['truncated_tail_bytes']} torn "
                      "byte(s) — recoverable (truncated on next resume)")

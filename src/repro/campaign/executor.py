@@ -223,11 +223,12 @@ def _failure(on_failure: str, spec: RunSpec, kind: str, message: str,
 class SerialExecutor:
     """Run specs one after another in this process.
 
-    Traces are generated once per distinct :meth:`RunSpec.trace_key` and
-    shared across the cells that replay them — an optimisation only, since
-    regeneration is deterministic.  Worker-chaos directives cannot be
-    isolated in-process, so those cells become deterministic failure
-    records (or raise) without executing.
+    Traces are generated once per distinct :meth:`RunSpec.trace_key`,
+    shared across the cells that replay them and dropped after the last
+    of those cells — an optimisation only, since regeneration is
+    deterministic.  Worker-chaos directives cannot be isolated
+    in-process, so those cells become deterministic failure records (or
+    raise) without executing.
     """
 
     jobs = 1
@@ -238,11 +239,16 @@ class SerialExecutor:
     def map(self, specs: Sequence[RunSpec],
             report: Optional[ReportFn] = None,
             on_claim: Optional[ClaimFn] = None) -> Dict[RunSpec, CellOutcome]:
+        keys = [spec.trace_key() for spec in specs]
+        last_use = {key: index for index, key in enumerate(keys)}
         traces = {}
         results: Dict[RunSpec, CellOutcome] = {}
         try:
-            for spec in specs:
-                results[spec], elapsed = self._run(spec, traces, on_claim)
+            for index, (spec, key) in enumerate(zip(specs, keys)):
+                results[spec], elapsed = self._run(spec, key, traces,
+                                                   on_claim)
+                if last_use[key] == index:
+                    traces.pop(key, None)
                 if report is not None:
                     report(spec, results[spec], elapsed)
         except KeyboardInterrupt as exc:
@@ -251,7 +257,7 @@ class SerialExecutor:
             raise _interrupted(exc, results, len(specs)) from None
         return results
 
-    def _run(self, spec: RunSpec, traces: dict,
+    def _run(self, spec: RunSpec, key: tuple, traces: dict,
              on_claim: Optional[ClaimFn]) -> Tuple[CellOutcome, float]:
         plan = spec.fault_plan
         chaos = () if plan is None else plan.worker_faults()
@@ -260,7 +266,6 @@ class SerialExecutor:
             return _failure(self.on_failure, spec, "crash",
                             f"worker chaos directive {kinds} needs process "
                             "isolation (jobs > 1)"), 0.0
-        key = spec.trace_key()
         if key not in traces:
             traces[key] = build_trace(spec)
         if on_claim is not None:
@@ -360,13 +365,19 @@ class _ProcessPool:
         return any(not proc.is_alive() for proc in self._workers())
 
     def kill(self) -> None:
-        """Terminate the workers (they may be hung) and drop the pool."""
+        """Terminate the workers (they may be hung) and drop the pool.
+
+        Waits for the pool's manager thread, which the dead workers
+        release at once.  Left running, it can close its wake-up pipe
+        while CPython 3.11's exit hook writes to it without a lock, and
+        the process prints an ``OSError: Bad file descriptor`` traceback
+        as it exits."""
         for proc in self._workers():
             try:
                 proc.terminate()
             except Exception:
                 pass
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
 
 class _PoolRun:

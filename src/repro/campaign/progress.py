@@ -117,7 +117,7 @@ def cell_report(spec, outcome, elapsed_s: float, cached: bool) -> dict:
     }
     metrics = getattr(outcome, "metrics", None)
     if metrics is not None:
-        summary = metrics.latency_summary()
+        summary = metrics.read_latency_hist.summary()
         record.update({
             "ok": True,
             "policy": outcome.policy,

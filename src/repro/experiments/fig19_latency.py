@@ -3,7 +3,9 @@
 RiF's early in-die retry collapses the retry tail: the paper reports the
 99.99th-percentile latency at 2K P/E reduced by 91.8% / 82.6% / 56.3%
 versus SENC / SWR / SWR+.  At the experiment scales shipped here we report
-p50/p95/p99/p99.9 (the sample counts cannot resolve p99.99).
+p50/p95/p99/p99.9, read from each cell's latency histogram: the sample
+counts cannot resolve p99.99 (a small-scale cell has 572 reads, so its
+p99.9 is its slowest read).
 """
 
 from __future__ import annotations

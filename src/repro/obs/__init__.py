@@ -14,7 +14,8 @@ feeds its per-phase observers two inputs only: the resource probes and
   channel/die, loadable in ``chrome://tracing``/Perfetto), a schema
   validator for CI, and the ``report-trace`` reader and summary helpers.
 * :mod:`.histogram` — :class:`LatencyHistogram`, the O(1)-memory
-  log-bucketed replacement for unbounded per-request latency lists.
+  log-bucketed source of every reported latency percentile, and the
+  exact nearest-rank ``percentile`` it is tested against.
 * :mod:`.snapshots` — :class:`SnapshotRecorder`: the per-window change
   of every SLO counter and the host bytes (read off the metrics at each
   window edge), the burn-rate rules' input.

@@ -35,7 +35,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..errors import ConfigError, ReproError
+from ..errors import CampaignInterrupted, ConfigError, ReproError
 from .dashboard import (
     html_report,
     prometheus_text,
@@ -302,6 +302,10 @@ def main(argv=None) -> int:
         parser.error("dashboard needs --telemetry or --fleet")
     try:
         return args.fn(args)
+    except CampaignInterrupted as exc:
+        print(f"interrupted: {exc}", file=sys.stderr)
+        print(f"hint: {exc.resume_hint}", file=sys.stderr)
+        return 130
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

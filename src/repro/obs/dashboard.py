@@ -260,12 +260,12 @@ def render_dashboard(fleet, done: int = 0, total: int = 0,
     if elapsed_s > 0:
         header += f" · {format_duration(elapsed_s)}"
     lines.append(header[:width].ljust(width, "─")[:width])
-    overall = fleet.overall_read_hist()
-    if overall.count:
+    overall = fleet.overall_read_hist().summary()
+    if overall["count"]:
         lines.append(
-            f"reads {overall.count:>10d}   p50 {overall.percentile(50.0):9.1f} us"
-            f"   p99 {overall.percentile(99.0):9.1f} us"
-            f"   p999 {overall.percentile(99.9):9.1f} us")
+            f"reads {overall['count']:>10d}   p50 {overall['p50_us']:9.1f} us"
+            f"   p99 {overall['p99_us']:9.1f} us"
+            f"   p999 {overall['p999_us']:9.1f} us")
     else:
         lines.append("reads          0   (no latency samples yet)")
     verdicts: Dict[str, str] = {}

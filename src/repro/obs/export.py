@@ -17,11 +17,11 @@ export is a :class:`~repro.errors.ConfigError` there.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Dict, List
 
 from ..errors import ConfigError
+from .histogram import percentile
 from .trace import SimTracer, SpanEvent
 
 #: Single simulated-device process in the trace.
@@ -193,17 +193,6 @@ def load_trace_spans(path) -> List[dict]:
     } for ev in events if ev.get("ph") == "X"]
 
 
-def _nearest_rank(sorted_values: List[float], quantile: float) -> float:
-    """Nearest-rank percentile over an already-sorted list.
-
-    Local on purpose: the obs export layer must not import
-    :mod:`repro.ssd` for its percentile helper, and span durations are
-    small per-track lists, not latency streams.
-    """
-    rank = max(1, math.ceil(quantile / 100.0 * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 def summarize_spans(spans: List[dict]) -> List[dict]:
     """Per-track rollup rows for the ``report-trace`` table.
 
@@ -242,8 +231,8 @@ def summarize_spans(spans: List[dict]) -> List[dict]:
             "busy_us": row["busy_us"],
             "util": row["busy_us"] / span if span > 0 else 0.0,
             "window_us": span,
-            "p99_us": _nearest_rank(durs, 99.0),
-            "p999_us": _nearest_rank(durs, 99.9),
+            "p99_us": percentile(durs, 99.0),
+            "p999_us": percentile(durs, 99.9),
             "by_tag_us": tags,
         })
     return rows

@@ -7,20 +7,23 @@ replaces it with O(1) memory: a fixed grid of logarithmic buckets
 (``buckets_per_decade`` per factor of 10 between ``lo_us`` and ``hi_us``)
 plus exact ``count`` / ``sum`` / ``min`` / ``max`` side counters.
 
-Percentiles use the same *nearest-rank* convention as
-:func:`repro.ssd.metrics.percentile` and are exact at both extremes (the
-reported value is clamped to the tracked min/max); interior quantiles are
-accurate to one bucket width — :attr:`LatencyHistogram.relative_error`,
-about 3.7% at the default 64 buckets per decade.  Recording is RNG-free
-and order-independent, so two runs that observe the same multiset of
-latencies serialise to identical histograms.
+Percentiles use the *nearest-rank* convention of the exact
+:func:`percentile` beside it (the reference the tests hold the histogram
+to) and are exact at both extremes (the reported value is clamped to the
+tracked min/max); interior quantiles are accurate to one bucket width —
+:attr:`LatencyHistogram.relative_error`, about 3.7% at the default 64
+buckets per decade.  Every request-latency statistic the simulator
+reports comes from a histogram: :meth:`LatencyHistogram.summary` is the
+one tail digest.  Recording is RNG-free and order-independent, so two
+runs that observe the same multiset of latencies serialise to identical
+histograms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ..errors import SimulationError
 
@@ -29,6 +32,30 @@ from ..errors import SimulationError
 DEFAULT_LO_US = 0.1
 DEFAULT_HI_US = 1e7
 DEFAULT_BUCKETS_PER_DECADE = 64
+
+#: The tail digest's percentiles: (summary key, q)
+SUMMARY_QUANTILES = (("p50_us", 50.0), ("p99_us", 99.0), ("p999_us", 99.9))
+
+
+def _rank(q: float, n: int) -> int:
+    """1-based nearest rank of percentile ``q`` among ``n`` samples:
+    ``ceil(q/100 * n)``, the smallest sample with at least ``q`` percent
+    of the distribution at or below it.  That covers ``q`` in (0, 100]
+    only: ``q = 0`` is rejected rather than silently answered with the
+    minimum (small positive quantiles legitimately resolve to it)."""
+    if n == 0:
+        raise SimulationError("no samples for percentile")
+    if not 0 < q <= 100:
+        raise SimulationError(
+            f"percentile q must be in (0, 100], got {q!r} "
+            "(nearest-rank is undefined at q=0; use min() for the floor)"
+        )
+    return max(1, math.ceil(q / 100.0 * n))
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Exact nearest-rank percentile of a pre-sorted sequence."""
+    return float(sorted_values[_rank(q, len(sorted_values)) - 1])
 
 
 @dataclass
@@ -129,20 +156,12 @@ class LatencyHistogram:
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile for q in (0, 100].
 
-        Matches the list-based :func:`repro.ssd.metrics.percentile`
-        convention: the value whose rank is ``ceil(q/100 * count)``.  The
-        returned value is the containing bucket's upper edge clamped into
+        The rank is that of the exact :func:`percentile`; the returned
+        value is the containing bucket's upper edge clamped into
         ``[min_us, max_us]`` — exact at the extremes, within
-        :attr:`relative_error` everywhere else.  q = 0 is rejected, like
-        the list path: nearest-rank is undefined there.
+        :attr:`relative_error` everywhere else.
         """
-        if self.count == 0:
-            raise SimulationError("no samples for percentile")
-        if not 0 < q <= 100:
-            raise SimulationError(
-                f"percentile q must be in (0, 100], got {q!r}"
-            )
-        rank = max(1, math.ceil(q / 100.0 * self.count))
+        rank = _rank(q, self.count)
         seen = self.underflow
         if rank <= seen:
             return float(self.min_us)
@@ -152,6 +171,18 @@ class LatencyHistogram:
                 edge = self.bucket_upper_edge(index)
                 return float(min(max(edge, self.min_us), self.max_us))
         return float(self.max_us)  # rank landed in the overflow bucket
+
+    def summary(self) -> dict:
+        """The tail digest: count, mean, max and the p50/p99/p999
+        percentiles, each ``None`` while the histogram is empty, so
+        reporters can emit the keys unconditionally."""
+        empty = self.count == 0
+        digest = {"count": self.count,
+                  "mean_us": None if empty else self.mean(),
+                  "max_us": self.max_us}
+        for key, q in SUMMARY_QUANTILES:
+            digest[key] = None if empty else self.percentile(q)
+        return digest
 
     # --- serialisation ----------------------------------------------------
 

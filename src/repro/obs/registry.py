@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigError
-from .histogram import LatencyHistogram
+from .histogram import SUMMARY_QUANTILES, LatencyHistogram
 
 #: Bump when the serialised rollup layout changes meaning.
 REGISTRY_SCHEMA_VERSION = 1
@@ -405,20 +405,15 @@ class FleetAggregator:
             rollup = self._rollups[policy]
             page_reads = self.total(policy, "page_reads")
             retried = self.total(policy, "retried_reads")
-            hist = self.read_hist(policy)
-            row = {
+            tail = (self.read_hist(policy) or LatencyHistogram()).summary()
+            rows.append({
                 "policy": policy,
                 "cells": int(rollup["ok"] + rollup["failed"]),
                 "reads": int(page_reads),
                 "retry_rate": retried / page_reads if page_reads else 0.0,
                 "degraded_cells": int(rollup["degraded"]),
-                "p50_us": None, "p99_us": None, "p999_us": None,
-            }
-            if hist is not None and hist.count:
-                for key, q in (("p50_us", 50.0), ("p99_us", 99.0),
-                               ("p999_us", 99.9)):
-                    row[key] = hist.percentile(q)
-            rows.append(row)
+                **{key: tail[key] for key, _ in SUMMARY_QUANTILES},
+            })
         return rows
 
     def overall_read_hist(self) -> LatencyHistogram:

@@ -25,7 +25,8 @@ from .retry_policies import (
     make_policy,
 )
 from .ftl import PageMapFtl
-from .metrics import SimMetrics, ChannelUsage, percentile
+from ..obs.histogram import percentile
+from .metrics import SimMetrics, ChannelUsage
 from .simulator import RESULT_SCHEMA_VERSION, SSDSimulator, SimulationResult
 from .adaptive import (
     ADAPTIVE_POLICIES,

@@ -7,21 +7,20 @@ including Sentinel's spare-cell reads and RPSSD's aborted pages),
 and **IDLE** (everything else).  Host writes and GC relocations are tracked
 separately so read-oriented comparisons stay clean.
 
-Latency distributions are kept two ways: streaming
-:class:`~repro.obs.histogram.LatencyHistogram` buckets (always on, O(1)
-memory — the path million-request campaigns use) and, by default, the raw
-per-request lists the original experiments were written against.  Set
-the :class:`SimMetrics` field ``keep_raw_latencies`` to ``False`` (on a
+Latency distributions are streaming
+:class:`~repro.obs.histogram.LatencyHistogram` buckets (O(1) memory), and
+every latency statistic is read from them, at their documented bucket
+resolution.  By default the raw per-request lists are recorded and
+serialised too, but no reader asks them for a statistic; set the
+:class:`SimMetrics` field ``keep_raw_latencies`` to ``False`` (on a
 simulator, ``ssd.metrics.keep_raw_latencies = False`` before the run) to
-drop the raw lists; percentiles then come from the histogram at its
-documented bucket resolution.
+drop them, which changes no reported number.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..errors import SimulationError
 from ..obs.histogram import LatencyHistogram
@@ -73,29 +72,6 @@ class ChannelUsage:
         }
 
 
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of a pre-sorted sequence.
-
-    Nearest-rank semantics: the returned value is the element at rank
-    ``ceil(q/100 * n)`` (1-based), i.e. the smallest sample such that at
-    least ``q`` percent of the distribution is at or below it.  That
-    definition covers ``q`` in (0, 100] only — ``q = 0`` is rejected
-    instead of silently returning the minimum (which is also what any
-    ``q < 100/n`` used to do via rank clamping; those small-but-positive
-    quantiles legitimately resolve to the minimum, ``q = 0`` does not
-    resolve to anything).
-    """
-    if not sorted_values:
-        raise SimulationError("no samples for percentile")
-    if not 0 < q <= 100:
-        raise SimulationError(
-            f"percentile q must be in (0, 100], got {q!r} "
-            "(nearest-rank is undefined at q=0; use min() for the floor)"
-        )
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return float(sorted_values[rank - 1])
-
-
 @dataclass
 class SimMetrics:
     """Mutable counters filled in during a simulation run."""
@@ -138,8 +114,9 @@ class SimMetrics:
     #: always-on fixed-bucket histograms; the O(1)-memory latency path
     read_latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
     write_latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
-    #: keep the exact per-request latency lists (the legacy unbounded
-    #: path); disable for million-request runs
+    #: also record the per-request latency lists (unbounded; stored and
+    #: serialised, never read for a statistic); disable for
+    #: million-request runs
     keep_raw_latencies: bool = True
 
     # --- recording ---------------------------------------------------------------
@@ -218,36 +195,9 @@ class SimMetrics:
 
     # --- latency distribution ---------------------------------------------------------
 
-    def latency_summary(self) -> dict:
-        """The tail-story digest: p50/p99/p999 read latency plus count,
-        mean, and max.  ``None``-valued when no reads were recorded, so
-        reporters can emit the keys unconditionally."""
-        if self.read_latency_hist.count == 0 and not self.read_latencies_us:
-            return {"count": 0, "p50_us": None, "p99_us": None,
-                    "p999_us": None, "mean_us": None, "max_us": None}
-        count = (len(self.read_latencies_us) if self.read_latencies_us
-                 else self.read_latency_hist.count)
-        mean = (sum(self.read_latencies_us) / count
-                if self.read_latencies_us else self.read_latency_hist.mean())
-        peak = (max(self.read_latencies_us) if self.read_latencies_us
-                else self.read_latency_hist.max_us)
-        return {
-            "count": count,
-            "p50_us": self.read_latency_percentile(50.0),
-            "p99_us": self.read_latency_percentile(99.0),
-            "p999_us": self.read_latency_percentile(99.9),
-            "mean_us": mean,
-            "max_us": peak,
-        }
-
     def read_latency_percentile(self, q: float) -> float:
-        """Nearest-rank read-latency percentile.
-
-        Exact (raw-list path) when raw latencies are kept; otherwise the
-        streaming histogram answers, accurate to one log bucket
-        (:attr:`~repro.obs.histogram.LatencyHistogram.relative_error`) and
-        exact at the extremes.
-        """
-        if self.read_latencies_us:
-            return percentile(sorted(self.read_latencies_us), q)
+        """Nearest-rank read-latency percentile from the streaming
+        histogram: within one log bucket
+        (:attr:`~repro.obs.histogram.LatencyHistogram.relative_error`) of
+        the exact value, and exact at the extremes."""
         return self.read_latency_hist.percentile(q)

@@ -120,7 +120,8 @@ def test_ledger_truncated_tail_is_recovered(tmp_path):
     assert [record.get("recovered_bytes") for record in opens] == [
         None, ledger.recovered_bytes]
     # the torn bytes are gone for good: a third open recovers nothing
-    assert RunLedger(tmp_path, specs).recovered_bytes == 0
+    with RunLedger(tmp_path, specs) as reopened:
+        assert reopened.recovered_bytes == 0
 
 
 def test_ledger_midfile_corruption_is_fatal_strict_reported_lenient(tmp_path):
@@ -670,6 +671,25 @@ def test_campaign_faults_require_ledger():
 
 
 # --- verify-ledger CLI --------------------------------------------------------------
+
+
+def test_verify_ledger_without_a_journal_is_a_config_error(tmp_path, capsys):
+    """A mistyped or empty ledger directory is ``error: no ledger journal
+    at DIR/ledger.jsonl`` with exit 2, never a clean report, and the check
+    creates nothing."""
+    missing = tmp_path / "no_such_dir"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for directory in (missing, empty):
+        journal = directory / LEDGER_FILENAME
+        with pytest.raises(ConfigError, match="no ledger journal"):
+            verify_ledger(directory)
+        assert campaign_cli(["verify-ledger", str(directory)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no ledger journal at {journal}\n"
+    assert not missing.exists()
+    assert list(empty.iterdir()) == []
 
 
 def test_verify_ledger_cli_clean_and_damaged(tmp_path, capsys):

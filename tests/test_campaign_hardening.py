@@ -223,6 +223,38 @@ def test_serial_interrupt_keeps_finished_cells():
     assert info.value.results[specs[0]] == execute(specs[0])
 
 
+def test_serial_executor_drops_each_trace_after_its_last_cell(monkeypatch):
+    """A trace is built once, when its first cell runs, and freed once its
+    last cell has run, not kept until the grid ends; the results equal
+    fresh per-cell executions."""
+    import weakref
+
+    from repro.campaign import executor as executor_module
+
+    built = []
+    real_build = executor_module.build_trace
+
+    def build_trace(spec):
+        trace = real_build(spec)
+        built.append((spec.seed, weakref.ref(trace)))
+        return trace
+
+    monkeypatch.setattr(executor_module, "build_trace", build_trace)
+    # trace seeds 1, 2, 1, 3: seed 1's trace serves the first and third cell
+    specs = [_spec(seed=1), _spec(seed=2), _spec(policy="RiFSSD", seed=1),
+             _spec(seed=3)]
+    alive = []
+
+    def report(spec, outcome, elapsed):
+        alive.append([seed for seed, ref in built if ref() is not None])
+
+    results = SerialExecutor().map(specs, report)
+    assert [seed for seed, _ in built] == [1, 2, 3]
+    assert alive == [[1], [1], [], []]
+    for spec in specs:
+        assert results[spec] == execute(spec)
+
+
 def test_pool_break_at_submit_keeps_the_cells_in_flight(monkeypatch):
     """A pool that breaks between a drain and the next submit takes the
     cells still in flight with it: they run again on the new pool, none
@@ -324,6 +356,21 @@ def test_watchdog_probe_spots_dead_worker_and_heartbeat_bounds_waits(
         assert run.pool.died_silently()
     finally:
         run._kill()
+
+
+def test_killed_pool_has_no_manager_thread_left_for_the_exit_hook():
+    """``kill`` returns only once the pool's manager thread has ended.
+    CPython 3.11's exit hook writes to that thread's wake-up pipe without
+    a lock; a thread still closing the pipe as the process exits makes
+    the hook print an ``OSError: Bad file descriptor`` traceback."""
+    from repro.campaign.executor import _ProcessPool
+
+    pool = _ProcessPool(1)
+    pool.submit(_spec(fault_plan=_hang(30.0)))
+    manager = pool._executor._executor_manager_thread
+    assert manager.is_alive()
+    pool.kill()
+    assert not manager.is_alive()
 
 
 @pytest.mark.skipif(

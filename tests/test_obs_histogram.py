@@ -6,9 +6,9 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs.histogram import LatencyHistogram
+from repro.obs.histogram import LatencyHistogram, percentile
 from repro.rng import make_rng
-from repro.ssd.metrics import SimMetrics, percentile
+from repro.ssd.metrics import SimMetrics
 
 
 def _samples(n=5000, seed=13):
@@ -117,7 +117,9 @@ def test_json_roundtrip_and_unknown_keys():
 
 
 def test_simmetrics_histogram_fallback():
-    """Percentiles keep working when raw lists are disabled (O(1) mode)."""
+    """Percentiles come from the histogram whether or not the raw lists
+    are kept, so dropping them (O(1) mode) changes no answer; each is
+    within one bucket above the exact nearest-rank value."""
     values = _samples(n=2000)
     kept = SimMetrics()
     slim = SimMetrics(keep_raw_latencies=False)
@@ -128,9 +130,25 @@ def test_simmetrics_histogram_fallback():
     assert kept.read_latencies_us == values
     err = slim.read_latency_hist.relative_error
     for q in (50, 99, 99.9):
-        exact = kept.read_latency_percentile(q)
+        exact = percentile(sorted(values), q)
         approx = slim.read_latency_percentile(q)
+        assert kept.read_latency_percentile(q) == approx
         assert exact * (1 - 1e-12) <= approx <= exact * (1 + err) * (1 + 1e-12)
+
+
+def test_summary_is_none_valued_until_a_sample_lands():
+    hist = LatencyHistogram()
+    assert hist.summary() == {"count": 0, "mean_us": None, "max_us": None,
+                              "p50_us": None, "p99_us": None,
+                              "p999_us": None}
+    values = _samples(n=500)
+    for v in values:
+        hist.record(v)
+    assert hist.summary() == {
+        "count": 500, "mean_us": hist.mean(), "max_us": max(values),
+        "p50_us": hist.percentile(50.0), "p99_us": hist.percentile(99.0),
+        "p999_us": hist.percentile(99.9),
+    }
 
 
 def test_merge_any_split_any_order_equals_whole():

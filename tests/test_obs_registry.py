@@ -254,3 +254,22 @@ def test_dashboard_skips_the_torn_tail_of_an_in_flight_log(
         panels.append(capsys.readouterr().out)
     assert "fleet 1/2 cells" in panels[0]
     assert panels[0] == panels[1]
+
+
+@pytest.mark.parametrize("command", ["scrape", "slo-report"])
+def test_interrupted_grid_prints_the_resume_hint(command, tmp_path,
+                                                 monkeypatch, capsys):
+    """Ctrl-C or SIGTERM while ``obs`` runs a grid under a ledger is
+    ``interrupted:`` and the ledger's resume hint on stderr with exit 130,
+    as from ``fleet run``, never an ``error:`` line."""
+    import repro.campaign.executor as executor
+
+    def interrupt(spec, trace=None):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(executor, "execute", interrupt)
+    ledger = tmp_path / "ledger"
+    assert obs_main([command, "--pe", "2000", "--ledger", str(ledger)]) == 130
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("interrupted: campaign interrupted"), err
+    assert err[1].startswith("hint: re-run the identical grid with "
+                             f"ledger_dir={str(ledger)!r}"), err

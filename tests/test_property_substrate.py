@@ -7,7 +7,7 @@ from repro.config import NandGeometry, ReliabilityConfig
 from repro.nand.geometry import AddressMapper
 from repro.nand.randomizer import Randomizer
 from repro.nand.rber import PageState, RberModel
-from repro.ssd.metrics import percentile
+from repro.obs.histogram import percentile
 
 _GEOMETRY = NandGeometry(
     channels=3, dies_per_channel=2, planes_per_die=2,

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.campaign.progress import cell_report
+from repro.campaign.spec import RunSpec, execute
 from repro.errors import SimulationError
-from repro.ssd.metrics import ChannelUsage, SimMetrics, percentile
+from repro.obs.histogram import percentile
+from repro.ssd.metrics import ChannelUsage, SimMetrics
 
 
 def test_bandwidth_arithmetic():
@@ -54,24 +57,33 @@ def test_channel_usage_empty_interval_rejected():
         ChannelUsage(0, 0, 0, 0, 0, 0).fractions()
 
 
-# --- percentile fallback chain: raw list -> streaming histogram -> error ---
+# --- every latency statistic comes from the streaming histogram ---
 
 
-def _metrics_with_reads(keep_raw, latencies=(10.0, 20.0, 30.0, 40.0, 1000.0)):
+def _metrics_with_reads(keep_raw=True,
+                        latencies=(10.0, 20.0, 30.0, 40.0, 1000.0)):
     m = SimMetrics(keep_raw_latencies=keep_raw)
     for lat in latencies:
         m.record_read_latency(lat)
     return m
 
 
-def test_percentile_prefers_exact_raw_path():
-    m = _metrics_with_reads(keep_raw=True)
-    # nearest-rank on the raw list: exact values, not bucket midpoints
-    assert m.read_latency_percentile(50) == 30.0
+def test_percentile_reads_the_histogram_when_raw_lists_are_kept():
+    m = _metrics_with_reads()
+    assert m.read_latencies_us == [10.0, 20.0, 30.0, 40.0, 1000.0]
+    for q in (25, 50, 75, 90, 100):
+        assert m.read_latency_percentile(q) == m.read_latency_hist.percentile(q)
+    # p50 is its bucket's upper edge, not the listed sample 30.0
+    p50 = m.read_latency_percentile(50)
+    assert p50 != 30.0
+    assert p50 == pytest.approx(30.0, rel=m.read_latency_hist.relative_error)
+    # the extremes are exact in the histogram (tracked min/max)
     assert m.read_latency_percentile(100) == 1000.0
 
 
 def test_percentile_falls_back_to_histogram():
+    """With no raw lists kept, the histogram still answers, and with the
+    same values as when they are kept: it is the only source."""
     m = _metrics_with_reads(keep_raw=False)
     assert m.read_latencies_us == []  # raw path genuinely off
     assert m.read_latency_hist.count == 5
@@ -79,6 +91,9 @@ def test_percentile_falls_back_to_histogram():
     assert p50 == pytest.approx(30.0, rel=m.read_latency_hist.relative_error)
     # the extremes are exact in the histogram (tracked min/max)
     assert m.read_latency_percentile(100) == 1000.0
+    kept = _metrics_with_reads()
+    for q in (25, 50, 75, 90, 100):
+        assert m.read_latency_percentile(q) == kept.read_latency_percentile(q)
 
 
 def test_percentile_chain_exhausted_raises():
@@ -88,8 +103,38 @@ def test_percentile_chain_exhausted_raises():
 
 
 def test_raw_and_histogram_percentiles_agree_within_bucket_error():
-    m = _metrics_with_reads(keep_raw=True)
+    m = _metrics_with_reads()
     rel = m.read_latency_hist.relative_error
     for q in (25, 50, 75, 90, 100):
-        exact = m.read_latency_percentile(q)
-        assert m.read_latency_hist.percentile(q) == pytest.approx(exact, rel=rel)
+        exact = percentile(sorted(m.read_latencies_us), q)
+        assert m.read_latency_percentile(q) == pytest.approx(exact, rel=rel)
+
+
+@pytest.mark.parametrize("tamper", ["cleared", "altered"])
+def test_latency_readers_answer_from_the_histogram_not_the_lists(tamper):
+    """The raw lists are storage only: cleared, or rewritten to disagree
+    with the histogram, they change neither ``read_latency_percentile``,
+    nor the tail summary, nor ``cell_report``'s p50/p99/p999 fields."""
+    spec = RunSpec(workload="Ali124", policy="SENC", pe_cycles=2000.0,
+                   n_requests=60, user_pages=2000, queue_depth=16, seed=7)
+    result = execute(spec)
+    m = result.metrics
+    hist = m.read_latency_hist
+    expected = {q: hist.percentile(q) for q in (50.0, 99.0, 99.9)}
+    assert percentile(sorted(m.read_latencies_us), 50.0) != expected[50.0]
+    n = len(m.read_latencies_us)
+    m.read_latencies_us[:] = [] if tamper == "cleared" else [1e6] * n
+
+    for q, value in expected.items():
+        assert m.read_latency_percentile(q) == value
+    summary = hist.summary()
+    assert summary == {
+        "count": hist.count, "mean_us": hist.mean(), "max_us": hist.max_us,
+        "p50_us": expected[50.0], "p99_us": expected[99.0],
+        "p999_us": expected[99.9],
+    }
+    assert hist.count == n
+    record = cell_report(spec, result, elapsed_s=0.0, cached=False)
+    assert (record["p50_read_us"], record["p99_read_us"],
+            record["p999_read_us"]) == (expected[50.0], expected[99.0],
+                                        expected[99.9])
