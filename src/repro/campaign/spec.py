@@ -22,11 +22,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config import SSDConfig, small_test_config
 from ..errors import ConfigError
 from ..faults import FaultPlan
+from ..nand.rber import check_finite_non_negative
 from ..nand.thermal import check_temperature
 from ..ssd import SimulationResult, SSDSimulator
 from ..ssd.ecc_model import EccOutcomeModel
-from ..ssd.host import check_size
-from ..ssd.reliability import check_finite_non_negative
+from ..ssd.host import check_size, check_timed_depth
 from ..ssd.retry_policies import check_policy
 from ..workloads import generate
 from ..workloads.synthetic import workload_spec
@@ -151,7 +151,8 @@ class RunSpec:
     seed: int = 7
     scale: str = "small"
     mode: str = "closed"
-    #: ``None`` -> the scale's queue depth / request count / footprint.
+    #: ``None`` -> the scale's queue depth / request count / footprint;
+    #: timed mode keeps no queue, so its depth stays ``None``.
     queue_depth: Optional[int] = None
     n_requests: Optional[int] = None
     user_pages: Optional[int] = None
@@ -196,6 +197,7 @@ class RunSpec:
         workload_spec(self.workload)
         check_policy(self.policy)
         check_sizing(self)
+        check_timed_depth("RunSpec", self.mode, self.queue_depth)
         if self.time_limit_us is not None and not self.time_limit_us > 0:
             raise ConfigError("RunSpec.time_limit_us must be None or > 0, "
                               f"got {self.time_limit_us!r}")

@@ -22,8 +22,9 @@ Wear enters only through four terms — the clamped ``r_prog``,
 ``cap - r_prog``, ``T_cross`` and the disturb coefficient — which
 :meth:`RberModel.wear_terms` returns for one P/E level and
 :meth:`RberModel.rber_at` turns into an RBER.  The simulator's sampler
-keeps a drive's terms for the whole run; every other caller computes
-them per call.
+computes a drive's terms once, and its read pipeline evaluates them with
+the strength factor (:meth:`RberModel.strength_factor`) that each page's
+dispatch route carries; every other caller computes them per call.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ from ..perf.cache import MemoCache
 from .variation import VariationModel, _unit_to_standard_normal
 
 
+def check_finite_non_negative(name: str, value: float) -> None:
+    """Reject a wear or age input that is negative, infinite or NaN (NaN
+    fails every comparison, so ``value < 0`` alone lets it through)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class PageState:
     """Operating condition of a page at read time."""
@@ -48,8 +56,11 @@ class PageState:
     read_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.pe_cycles < 0 or self.retention_days < 0 or self.read_count < 0:
-            raise ConfigError("PageState fields must be non-negative")
+        check_finite_non_negative("PageState.pe_cycles", self.pe_cycles)
+        check_finite_non_negative("PageState.retention_days",
+                                  self.retention_days)
+        if self.read_count < 0:
+            raise ConfigError("PageState.read_count must be non-negative")
 
 
 class WearTerms(NamedTuple):
@@ -91,9 +102,9 @@ class RberModel:
         self.variation = VariationModel(self.reliability, seed=seed)
         self._anchors = list(self.reliability.t_cross_anchors)
         self._alpha = self.reliability.retention_exponent
-        # --- hot-path memo caches (repro.perf; exact keys, bit-identical) ---
-        # The per-page variation hashes are pure in (seed, key) and a
-        # workload re-reads the same physical pages constantly.
+        # --- memo caches (repro.perf; exact keys, bit-identical) ---
+        # per page: the strength factor, for page_rber and the sampler's
+        # direct rber callers (the simulator keeps it in its routes)
         self._factor_cache = MemoCache("rber.variation_factor")
         # per block: (block factor, folded page-hash prefix), so a new
         # page of a seen block folds one hash key instead of six
@@ -151,8 +162,8 @@ class RberModel:
         """The model's constants at one wear level, for :meth:`rber_at`.
 
         A drive reads at one P/E level for a whole run, so the simulator's
-        sampler computes these once (and again when the drive wears)
-        instead of interpolating the anchors on every read."""
+        sampler computes these once instead of interpolating the anchors
+        on every read."""
         cap = self.ecc.correction_capability
         r_prog = min(self.rber_prog(pe_cycles), cap * 0.9)
         r = self.reliability
@@ -187,25 +198,16 @@ class RberModel:
         """
         return self.rber_with_strength(state, self._page_variation(block_key, page))
 
-    def _page_variation(self, block_key: tuple, page: int) -> float:
-        """Combined block*page strength factor, memoized per physical page
-        (the hash + inverse-normal evaluation is pure in (seed, key)).
-        The block term and the block's folded page-hash prefix are
-        memoized separately, so the first read of a new page in an
-        already-seen block folds only the page into the hash."""
-        key = (block_key, page)
-        cache = self._factor_cache
+    def strength_factor(self, block_key: tuple, page: int) -> float:
+        """Combined block*page strength factor of one physical page, pure
+        in (seed, key).  The block's factor and folded page-hash prefix
+        are memoized per block (``rber.block_factor``), so a page of a
+        seen block folds only the page into the hash.  The simulator
+        takes this once per page, into the page's dispatch route."""
         variation = self.variation
+        bcache = self._block_factor_cache
         if _perf_cache._ENABLED:
-            table = cache._table
-            factor = table.get(key)
-            if factor is not None:
-                cache.hits += 1
-                return factor
-            # Hand-inlined miss path (get_or_compute's counter discipline
-            # on both tables): probe the block entry, then combine.
-            cache.misses += 1
-            bcache = self._block_factor_cache
+            # hand-inlined get_or_compute (same counter discipline)
             btable = bcache._table
             block = btable.get(block_key)
             if block is None:
@@ -218,17 +220,19 @@ class RberModel:
                 btable[block_key] = block
             else:
                 bcache.hits += 1
-            factor = block[0] * variation.page_factor_at(block[1], page)
-            if len(table) >= cache.max_entries:
-                table.clear()
-                cache.evictions += 1
-            table[key] = factor
-            return factor
-        # caches off: both lookups miss and every hash runs in full
-        cache.misses += 1
-        self._block_factor_cache.misses += 1
+            return block[0] * variation.page_factor_at(block[1], page)
+        # caches off: the lookup misses and both hashes run in full
+        bcache.misses += 1
         return (variation.block_factor(block_key)
                 * variation.page_factor(block_key, page))
+
+    def _page_variation(self, block_key: tuple, page: int) -> float:
+        """:meth:`strength_factor`, memoized per physical page
+        (``rber.variation_factor``) for :meth:`page_rber` and the
+        sampler's direct ``rber`` callers; the simulator's read path
+        keeps the factor in its per-page route instead."""
+        return self._factor_cache.get_or_compute(
+            (block_key, page), lambda: self.strength_factor(block_key, page))
 
     def rber_with_strength(self, state: PageState, strength_factor: float) -> float:
         """RBER of a page with an explicit process-variation strength factor

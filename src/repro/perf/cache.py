@@ -1,13 +1,17 @@
 """Exact-key memoization caches for the simulator's per-read hot path.
 
-The per-read cost of the simulator includes a few pure functions
-evaluated over and over with the *same* arguments: the cold retention age
-of a logical page, the process-variation hashes of a physical page,
-interpolated LUT rows for a page whose cold age never changes.
-:class:`MemoCache` memoizes those calls.  Values that are constant for a
-whole run, such as the RBER model's terms at the drive's wear level, are
-computed once by their owner instead; a memo table there would only
-count hits.
+Some pure functions are evaluated over and over with the *same*
+arguments.  :class:`MemoCache` memoizes those that remain: the cold
+retention age of a logical page (``reliability.cold_age``), a block's
+strength factor and folded page-hash prefix (``rber.block_factor``), a
+physical page's strength factor for the RBER model's direct callers
+(``rber.variation_factor``), and the cell-level VTH model's curves
+(``vth.*``).  What a page's address fixes lives in the simulator's
+per-page dispatch route instead: the route takes the page's strength
+factor once, when it is built, so a page read probes no per-page memo.
+Values that are constant for a whole run, such as the RBER model's terms
+at the drive's wear level, are computed once by their owner; a memo
+table there would only count hits.
 
 Two properties are deliberate and load-bearing:
 

@@ -24,6 +24,16 @@ def check_size(owner, name: str, value) -> None:
                           f"an int >= 1, got {value!r}")
 
 
+def check_timed_depth(where: str, mode: str, queue_depth) -> None:
+    """Timed replay issues each request at its trace timestamp and keeps
+    no queue, so its ``queue_depth`` is ``None``: a depth there would run
+    exactly as none does, yet name a second cell."""
+    if mode == "timed" and queue_depth is not None:
+        raise ConfigError(f"{where}: queue_depth must be None in timed mode "
+                          f"(timed replay keeps no queue), got "
+                          f"{queue_depth!r}")
+
+
 class ClosedLoopHost:
     """Issue trace requests with a constant queue depth until exhausted."""
 

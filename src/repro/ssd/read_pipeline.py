@@ -18,6 +18,12 @@ the contended resources of :mod:`repro.ssd.resources` by:
   and every page read — clean or fault-injected — reaches its resources
   through a memoized per-ppn *route* and :meth:`ReadPipeline._dispatch`,
   which folds a read's faults into its plan only when it has some.
+* **One record per page**: a page's route holds its seven address-fixed
+  facts — block key, page, plane, channel, ECC, read-counter key and
+  process-variation strength factor — so a page read makes one memo
+  lookup, and its RBER is the model's curve
+  (:meth:`~repro.nand.rber.RberModel.rber_at`) evaluated from the
+  drive's wear terms, the retention age and the route's factor.
 * **Integer addressing**: the FTL hands out flat page numbers, so writes
   and GC copies pick their plane as ``pidx = ppn % total_planes`` and
   their channel as ``pidx % channels`` (the stripe order of
@@ -117,10 +123,17 @@ class ReadPipeline:
         #: a traced run records each plan and labels each read job
         self.tracer = ssd.tracer
         self._build = PlanBuild()
-        # ppn -> (block_key, page, plane, channel, ecc, read_key):
-        # everything the dispatch needs, pure in ppn (geometry and wiring
-        # never change)
+        # ppn -> (block_key, page, plane, channel, ecc, read_key,
+        # strength): everything a page read needs, pure in ppn (geometry,
+        # wiring and process variation never change)
         self._routes: dict = {}
+        # a page's RBER: the curve at the drive's fixed wear terms and
+        # thermal acceleration, with the strength factor of its route
+        model = self.sampler.model
+        self._strength = model.strength_factor
+        self._rber_at = model.rber_at
+        self._wear = self.sampler.wear
+        self._acceleration = self.sampler.thermal_acceleration
         # history-driven policies (repro.ssd.adaptive): hand each page's
         # identity to the policy before compiling its plan
         self._stateful = self.policy.stateful
@@ -199,7 +212,9 @@ class ReadPipeline:
         sampler = self.sampler
         cold_age = sampler.cold_age_days
         warm_age = sampler.warm_age_days
-        rber_of = sampler.rber
+        rber_at = self._rber_at
+        wear = self._wear
+        acceleration = self._acceleration
         now = self.sim.now
         for lpn in lpns:
             ppn, written = resolve(lpn)
@@ -228,7 +243,7 @@ class ReadPipeline:
                 retention = cold_age(lpn)
             else:
                 retention = warm_age(written, now)
-            rber = rber_of(route[0], route[1], retention, reads)
+            rber = rber_at(wear, retention * acceleration, route[6], reads)
             dispatch(lpn, route, rber, state, retention, faults)
             if threshold is not None and reads >= threshold:
                 ssd._relocate_disturbed_block(route[5])
@@ -237,17 +252,21 @@ class ReadPipeline:
 
     def _route(self, ppn: int) -> tuple:
         """Resolve and memoize the dispatch route of one physical page:
-        ``(block_key, page, plane, channel, ecc, read_key)`` — all pure in
-        ppn.  ``block_key`` is ``(channel, die, plane, block)``, the key of
-        the reliability sampler, the history-driven policies and the fault
-        injector; ``read_key`` is the FTL's ``(pidx, block)`` read-counter
-        key (the same integers :meth:`~repro.ssd.ftl.PageMapFtl.read`
-        derives)."""
+        ``(block_key, page, plane, channel, ecc, read_key, strength)`` —
+        all pure in ppn.  ``block_key`` is ``(channel, die, plane,
+        block)``, the key of the RBER model, the history-driven policies
+        and the fault injector; ``read_key`` is the FTL's ``(pidx,
+        block)`` read-counter key (the same integers
+        :meth:`~repro.ssd.ftl.PageMapFtl.read` derives); ``strength`` is
+        the page's process-variation factor
+        (:meth:`~repro.nand.rber.RberModel.strength_factor`), computed
+        here once per route."""
         pidx, channel, die, plane, block, page = self._decode(ppn)
-        route = ((channel, die, plane, block), page,
+        block_key = (channel, die, plane, block)
+        route = (block_key, page,
                  self._planes[pidx],
                  self._channels[channel], self._eccs[channel],
-                 (pidx, block))
+                 (pidx, block), self._strength(block_key, page))
         routes = self._routes
         if len(routes) >= 1 << 20:  # same bound policy as the memo caches
             routes.clear()

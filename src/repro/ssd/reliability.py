@@ -16,12 +16,11 @@ Responsibilities:
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
-from ..nand.rber import RberModel
+from ..nand.rber import RberModel, check_finite_non_negative
 from ..nand.thermal import ThermalModel
 from ..nand.variation import _fold, _hash_state, _unit
 from ..perf import cache as _perf_cache
@@ -29,15 +28,10 @@ from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
 
 
-def check_finite_non_negative(name: str, value: float) -> None:
-    """Reject a wear or age input that is negative, infinite or NaN (NaN
-    fails every comparison, so ``value < 0`` alone lets it through)."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-
-
 class PageReliabilitySampler:
-    """Per-read RBER oracle for the simulator.
+    """A drive's reliability state: retention ages, the RBER model's terms
+    at the drive's wear and the thermal acceleration (which the read
+    pipeline evaluates per page), and a per-page RBER oracle.
 
     ``operating_temp_c`` scales all retention ages by the Arrhenius
     acceleration factor relative to the characterization reference
@@ -77,7 +71,7 @@ class PageReliabilitySampler:
         self._cold_age_table = self._cold_age_cache._table
         #: the model's constants at this drive's wear, fixed for the run,
         #: so a read evaluates only the curve
-        self._wear = self.model.wear_terms(pe_cycles)
+        self.wear = self.model.wear_terms(pe_cycles)
 
     # --- retention ages ------------------------------------------------------------
 
@@ -129,11 +123,14 @@ class PageReliabilitySampler:
         :meth:`~repro.nand.rber.RberModel.page_rber` at this drive's wear,
         with the retention age scaled by the thermal acceleration, from the
         precomputed wear terms and the page's memoized strength factor.
+        The simulator's read pipeline evaluates the same terms with the
+        factor its route keeps, without this call.
         """
+        check_finite_non_negative("retention_days", retention_days)
         if read_count < 0:
             raise ConfigError("read_count must be non-negative")
         model = self.model
-        return model.rber_at(self._wear,
+        return model.rber_at(self.wear,
                              retention_days * self.thermal_acceleration,
                              model._page_variation(block_key, page),
                              read_count)

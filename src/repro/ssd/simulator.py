@@ -57,7 +57,7 @@ from ..workloads.trace import IORequest, Trace
 from .ecc_model import EccOutcomeModel
 from .events import Simulator
 from .ftl import PageMapFtl
-from .host import ClosedLoopHost, TimedReplayHost
+from .host import ClosedLoopHost, TimedReplayHost, check_timed_depth
 from .metrics import ChannelUsage, SimMetrics
 from .read_pipeline import ReadPipeline
 from .reliability import PageReliabilitySampler
@@ -458,8 +458,10 @@ class SSDSimulator:
         """Run a whole trace and return the aggregated result.
 
         ``mode='closed'`` keeps a constant queue depth (bandwidth
-        measurement); ``mode='timed'`` replays recorded arrival times.
+        measurement); ``mode='timed'`` replays recorded arrival times and
+        takes no ``queue_depth``.
         """
+        check_timed_depth("SSDSimulator.run_trace", mode, queue_depth)
         if mode == "closed":
             host = ClosedLoopHost(self, trace, queue_depth=queue_depth,
                                   max_requests=max_requests)

@@ -9,6 +9,8 @@ from repro.campaign import (
     ResultCache,
     RunSpec,
     build_config,
+    build_simulator,
+    build_trace,
     dump_entry,
     execute,
     grid_specs,
@@ -97,7 +99,7 @@ def test_spec_rejects_unknown_fields_and_modes():
                 FleetSpec(n_drives=1, **{field: bad})
     for bad in (0.0, -5.0, float("nan")):
         with pytest.raises(ConfigError, match="time_limit_us"):
-            _fast_spec(mode="timed", time_limit_us=bad)
+            _fast_spec(mode="timed", queue_depth=None, time_limit_us=bad)
     # non-finite wear or temperature would otherwise be content-hashed and
     # then fail mid-run (or not at all)
     for bad in (float("nan"), float("inf"), -1.0):
@@ -110,6 +112,23 @@ def test_spec_rejects_unknown_fields_and_modes():
         _fast_spec(workload="Ali999")
     with pytest.raises(ConfigError, match="unknown workload 'Ali999'"):
         generate("Ali999", n_requests=10, user_pages=2000)
+
+
+def test_timed_mode_rejects_a_queue_depth():
+    """Timed replay never reads a queue depth: a spec or run that names
+    one would run the depth-free result under a second identity."""
+    for depth in (4, 64):
+        with pytest.raises(ConfigError, match="queue_depth must be None in "
+                                              "timed mode"):
+            _fast_spec(mode="timed", queue_depth=depth)
+    timed = _fast_spec(mode="timed", queue_depth=None)
+    assert "queue_depth" not in timed.run_kwargs()
+    ssd = build_simulator(timed)
+    with pytest.raises(ConfigError, match="queue_depth must be None in "
+                                          "timed mode"):
+        ssd.run_trace(build_trace(timed), mode="timed", queue_depth=4)
+    # a closed-loop spec keeps its depth
+    assert _fast_spec(queue_depth=4).run_kwargs()["queue_depth"] == 4
 
 
 def test_config_overrides_applied():

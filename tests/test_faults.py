@@ -277,20 +277,23 @@ def test_retiring_read_samples_the_relocated_page(monkeypatch):
     ))
     ssd = SSDSimulator(config, policy="SSDzero", seed=3, fault_plan=plan)
     sampled = []
-    rber = ssd.sampler.rber
+    rber_at = ssd._pipeline._rber_at
 
-    def spy(block_key, page, *args):
-        sampled.append((block_key, page))
-        return rber(block_key, page, *args)
+    def spy(wear, retention_days, strength, read_count):
+        sampled.append(strength)
+        return rber_at(wear, retention_days, strength, read_count)
 
-    monkeypatch.setattr(ssd.sampler, "rber", spy)
+    monkeypatch.setattr(ssd._pipeline, "_rber_at", spy)
     # lpn 0 is a cold page at ppn 0: block 0 of plane 0
     ssd.submit_request(IORequest(0.0, "R", 0, 16 * KIB))
     ssd.run()
     assert ssd.metrics.retired_blocks == 1
     home = AddressMapper(config.geometry).address(ssd.ftl.current_ppn(0))
     assert home.block != 0
-    assert sampled == [(home.block_key(), home.page)]
+    # the read's RBER takes the strength factor of the page's new home
+    strength = ssd.sampler.model.strength_factor
+    assert sampled == [strength(home.block_key(), home.page)]
+    assert sampled != [strength((0, 0, 0, 0), 0)]
 
 
 def test_retiring_read_samples_the_read_count_of_the_new_home(monkeypatch):
@@ -304,17 +307,17 @@ def test_retiring_read_samples_the_read_count_of_the_new_home(monkeypatch):
     ssd = SSDSimulator(small_test_config(), policy="SSDzero", seed=3,
                        fault_plan=plan)
     sampled, resolved = [], []
-    rber, read = ssd.sampler.rber, ssd.ftl.read
+    rber_at, read = ssd._pipeline._rber_at, ssd.ftl.read
 
-    def spy_rber(block_key, page, retention_days, read_count=0):
+    def spy_rber(wear, retention_days, strength, read_count):
         sampled.append(read_count)
-        return rber(block_key, page, retention_days, read_count)
+        return rber_at(wear, retention_days, strength, read_count)
 
     def spy_read(lpn):
         resolved.append(read(lpn))
         return resolved[-1]
 
-    monkeypatch.setattr(ssd.sampler, "rber", spy_rber)
+    monkeypatch.setattr(ssd._pipeline, "_rber_at", spy_rber)
     monkeypatch.setattr(ssd.ftl, "read", spy_read)
     for _ in range(4):  # lpn 0 (ppn 0, block 0) read one page at a time
         ssd.submit_request(IORequest(ssd.sim.now, "R", 0, 16 * KIB))

@@ -14,11 +14,12 @@ Two layers:
 """
 
 import hashlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.campaign.spec import execute
+from repro.campaign.spec import build_simulator, build_trace, execute
 from repro.config import LdpcCodeConfig
 from repro.ldpc.qc_matrix import QcLdpcCode
 from repro.ldpc.syndrome import (
@@ -186,6 +187,27 @@ def test_batched_core_matches_seed_path_uncached():
     with caches_disabled():
         result = execute(spec)
     digest = hashlib.sha256(canonical(result.to_dict())).hexdigest()
+    report = mismatch(name, golden["cells"][name], digest, headline(result),
+                      golden["recorded_on"])
+    assert not report, report
+
+
+@pytest.mark.parametrize("disabled", [False, True], ids=["cached", "uncached"])
+def test_page_reads_take_the_strength_factor_from_the_route(disabled):
+    """The read path never probes the per-page memo: each route takes its
+    page's strength factor once from the block table, so the block table
+    sees exactly one lookup per route and the page memo none, with the
+    golden digest on either side of ``caches_disabled()``."""
+    spec = SPECS[0]
+    name = spec_cell(spec)
+    ssd = build_simulator(spec)
+    with caches_disabled() if disabled else nullcontext():
+        result = ssd.run_trace(build_trace(spec), **spec.run_kwargs())
+    lookups = {s["name"]: s["hits"] + s["misses"] for s in ssd.cache_stats()}
+    assert lookups["rber.variation_factor"] == 0
+    assert lookups["rber.block_factor"] == len(ssd._pipeline._routes) > 0
+    digest = hashlib.sha256(canonical(result.to_dict())).hexdigest()
+    golden = load()
     report = mismatch(name, golden["cells"][name], digest, headline(result),
                       golden["recorded_on"])
     assert not report, report
