@@ -26,7 +26,7 @@ from ..nand.rber import check_finite_non_negative
 from ..nand.thermal import check_temperature
 from ..ssd import SimulationResult, SSDSimulator
 from ..ssd.ecc_model import EccOutcomeModel
-from ..ssd.host import check_size, check_timed_depth
+from ..ssd.host import check_run_args, check_size
 from ..ssd.retry_policies import check_policy
 from ..workloads import generate
 from ..workloads.synthetic import workload_spec
@@ -192,15 +192,11 @@ class RunSpec:
                            _freeze_overrides(self.config_overrides))
         object.__setattr__(self, "outcome_kwargs",
                            _freeze_kwargs(self.outcome_kwargs))
-        if self.mode not in ("closed", "timed"):
-            raise ConfigError(f"unknown host mode {self.mode!r}")
         workload_spec(self.workload)
         check_policy(self.policy)
         check_sizing(self)
-        check_timed_depth("RunSpec", self.mode, self.queue_depth)
-        if self.time_limit_us is not None and not self.time_limit_us > 0:
-            raise ConfigError("RunSpec.time_limit_us must be None or > 0, "
-                              f"got {self.time_limit_us!r}")
+        check_run_args("RunSpec", self.mode, self.queue_depth,
+                       self.time_limit_us)
 
     # --- serialisation & identity -------------------------------------------------
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import NandGeometry
 from ..errors import GeometryError
 
@@ -109,6 +111,24 @@ class AddressMapper:
         block = page_in_plane // g.pages_per_block
         page = page_in_plane % g.pages_per_block
         return pidx, channel, die, plane, block, page
+
+    def decode_array(self, ppns: np.ndarray) -> tuple:
+        """:meth:`decode` of an integer array of ppns, as six arrays (the
+        same integer arithmetic, column by column)."""
+        total_pages = self._total_pages
+        if ppns.size and not (0 <= ppns.min() and ppns.max() < total_pages):
+            raise GeometryError(
+                f"ppns out of range [0, {total_pages}): "
+                f"{ppns.min()}..{ppns.max()}")
+        g = self.geometry
+        pidx = ppns % self._planes_total
+        page_in_plane = ppns // self._planes_total
+        channel = pidx % g.channels
+        rest = pidx // g.channels
+        return (pidx, channel, rest % g.dies_per_channel,
+                rest // g.dies_per_channel,
+                page_in_plane // g.pages_per_block,
+                page_in_plane % g.pages_per_block)
 
     # --- validation ----------------------------------------------------------
 

@@ -203,7 +203,10 @@ class RberModel:
         in (seed, key).  The block's factor and folded page-hash prefix
         are memoized per block (``rber.block_factor``), so a page of a
         seen block folds only the page into the hash.  The simulator
-        takes this once per page, into the page's dispatch route."""
+        takes this once per page whose dispatch route it builds on
+        demand; a route built with its trace's read footprint takes the
+        same value from
+        :meth:`~repro.nand.variation.VariationModel.strength_factors`."""
         variation = self.variation
         bcache = self._block_factor_cache
         if _perf_cache._ENABLED:

@@ -15,6 +15,9 @@ from a shared stream.
 from __future__ import annotations
 
 import math
+from typing import List, Sequence
+
+import numpy as np
 
 from ..config import ReliabilityConfig
 
@@ -49,6 +52,43 @@ def _fold(h: int, *keys: int) -> int:
     return h
 
 
+#: SplitMix64's constants and shifts for :func:`_fold_array`, as
+#: ``np.uint64`` so that no casting rule (numpy 1.x value-based casting
+#: included) can promote a step to a signed or float type
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
+def _fold_array(h, *keys: np.ndarray) -> np.ndarray:
+    """:func:`_fold` of many key tuples at once, as a ``np.uint64`` array:
+    element ``i`` is ``_fold(h_i, keys[0][i], keys[1][i], ...)``, where
+    ``h`` is one hash state for every element or an array of them.  The
+    keys are arrays of non-negative integers.  Unsigned array arithmetic
+    wraps modulo 2**64, which is the ``& 0xFFFFFFFFFFFFFFFF`` of the
+    scalar fold, so the states are the same integers.
+    """
+    h = np.asarray(h, dtype=np.uint64)
+    for k in keys:
+        x = k.astype(np.uint64)
+        x += _GOLDEN
+        x ^= x >> _S30
+        x *= _MIX1
+        x ^= x >> _S27
+        x *= _MIX2
+        x ^= x >> _S31
+        x ^= h
+        x += _GOLDEN
+        x ^= x >> _S30
+        x *= _MIX1
+        x ^= x >> _S27
+        x *= _MIX2
+        x ^= x >> _S31
+        h = x
+    return h
+
+
 def _hash_state(seed: int, *keys: int) -> int:
     """The folded hash state of ``(seed, *keys)`` — a prefix to resume
     with :func:`_fold`."""
@@ -63,29 +103,32 @@ def _unit(h: int) -> float:
 
 def _unit_to_standard_normal(u: float) -> float:
     """Inverse-CDF of the standard normal (Acklam's rational approximation,
-    |error| < 1.15e-9 — ample for reliability factors)."""
-    # coefficients
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if u < p_low:
+    |error| < 1.15e-9 — ample for reliability factors).  The coefficients
+    are literals: the tails use ``c`` over ``d`` in ``q``, the centre
+    ``a`` over ``b`` in ``r``, each a Horner chain from the highest
+    coefficient."""
+    if u < 0.02425:
         q = math.sqrt(-2 * math.log(u))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if u > p_high:
+        return (((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+                   - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+                 + 4.374664141464968e+00) * q + 2.938163982698783e+00) / \
+            ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+               + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1)
+    if u > 1 - 0.02425:
         q = math.sqrt(-2 * math.log(1 - u))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
+        return -(((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+                    - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+                  + 4.374664141464968e+00) * q + 2.938163982698783e+00) / \
+            ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+               + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1)
     q = u - 0.5
     r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
+    return (((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r
+               - 2.759285104469687e+02) * r + 1.383577518672690e+02) * r
+             - 3.066479806614716e+01) * r + 2.506628277459239e+00) * q / \
+        (((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r
+            - 1.556989798598866e+02) * r + 6.680131188771972e+01) * r
+          - 1.328068155288572e+01) * r + 1)
 
 
 class VariationModel:
@@ -123,3 +166,23 @@ class VariationModel:
         :meth:`page_prefix` is ``prefix`` — one key folded, not six."""
         z = _unit_to_standard_normal(_unit(_fold(prefix, int(page))))
         return math.exp(self.config.page_variation_sigma * z)
+
+    def strength_factors(self, blocks: Sequence[np.ndarray],
+                         block_of: np.ndarray,
+                         pages: np.ndarray) -> List[float]:
+        """``block_factor(key) * page_factor(key, page)`` of many pages:
+        page ``i`` is ``pages[i]`` of the block whose key is element
+        ``block_of[i]`` of the four key columns ``blocks`` (channel, die,
+        plane, block).  The folds run once per array in numpy; every
+        float step runs per element as in :meth:`block_factor` and
+        :meth:`page_factor_at`, so each factor is the per-page one bit
+        for bit (``np.exp`` differs from ``math.exp`` on some inputs)."""
+        block_hashes = _fold_array(self._block_state, *blocks).tolist()
+        prefixes = _fold_array(self._page_state, *blocks)
+        page_hashes = _fold_array(prefixes[block_of], pages).tolist()
+        exp, normal = math.exp, _unit_to_standard_normal
+        sigma = self.config.block_variation_sigma
+        block_factors = [exp(sigma * normal(_unit(h))) for h in block_hashes]
+        sigma = self.config.page_variation_sigma
+        return [block_factors[b] * exp(sigma * normal(_unit(h)))
+                for b, h in zip(block_of.tolist(), page_hashes)]

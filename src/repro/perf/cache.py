@@ -13,6 +13,20 @@ Values that are constant for a whole run, such as the RBER model's terms
 at the drive's wear level, are computed once by their owner; a memo
 table there would only count hits.
 
+What fills the two tables a simulated drive uses:
+
+* ``reliability.cold_age``: before a trace runs,
+  ``SSDSimulator.run_trace`` stores the cold age of every lpn its reads
+  touch, hashed in numpy (``PageReliabilitySampler.fill_cold_ages``); a
+  store counts as no lookup, so each cold read is then a hit.  A read
+  of an lpn the batch did not store (a custom ``submit_request`` loop,
+  a full table, :func:`caches_disabled`) misses and computes it.
+* ``rber.block_factor``: a route built on demand (a page written or
+  moved during the run, or any page with the caches off) makes its one
+  lookup here.  The routes of a trace's read footprint are built before
+  the run from their own numpy hash of each block, and neither probe
+  nor fill this table.
+
 Two properties are deliberate and load-bearing:
 
 * **Bit-identity.**  Keys are the exact call inputs (float keys compare by

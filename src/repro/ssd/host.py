@@ -24,14 +24,25 @@ def check_size(owner, name: str, value) -> None:
                           f"an int >= 1, got {value!r}")
 
 
-def check_timed_depth(where: str, mode: str, queue_depth) -> None:
-    """Timed replay issues each request at its trace timestamp and keeps
-    no queue, so its ``queue_depth`` is ``None``: a depth there would run
-    exactly as none does, yet name a second cell."""
+def check_run_args(where: str, mode: str, queue_depth,
+                   time_limit_us) -> None:
+    """The host arguments of one run, one rule for
+    :meth:`~repro.ssd.simulator.SSDSimulator.run_trace` and ``RunSpec``:
+    ``mode`` is ``'closed'`` or ``'timed'``; timed replay issues each
+    request at its trace timestamp and keeps no queue, so its
+    ``queue_depth`` is ``None`` (a depth there would run exactly as none
+    does, yet name a second cell); and ``time_limit_us`` is ``None`` or
+    > 0 (a NaN would run with no limit, a zero or negative one would stop
+    before the first event)."""
+    if mode not in ("closed", "timed"):
+        raise ConfigError(f"{where}: unknown host mode {mode!r}")
     if mode == "timed" and queue_depth is not None:
         raise ConfigError(f"{where}: queue_depth must be None in timed mode "
                           f"(timed replay keeps no queue), got "
                           f"{queue_depth!r}")
+    if time_limit_us is not None and not time_limit_us > 0:
+        raise ConfigError(f"{where}: time_limit_us must be None or > 0, "
+                          f"got {time_limit_us!r}")
 
 
 class ClosedLoopHost:

@@ -23,7 +23,14 @@ the contended resources of :mod:`repro.ssd.resources` by:
   process-variation strength factor — so a page read makes one memo
   lookup, and its RBER is the model's curve
   (:meth:`~repro.nand.rber.RberModel.rber_at`) evaluated from the
-  drive's wear terms, the retention age and the route's factor.
+  drive's wear terms, the retention age and the route's factor.  The
+  routes of a trace's read footprint (the identity pages of the lpns
+  its reads touch) are built before the run, many per numpy pass
+  (:meth:`ReadPipeline.build_routes`); every other page's route — a
+  page written or moved during the run, or read by a custom
+  ``submit_request`` loop — is built on demand by
+  :meth:`ReadPipeline._route`, which is also the reference the batch is
+  held to.
 * **Integer addressing**: the FTL hands out flat page numbers, so writes
   and GC copies pick their plane as ``pidx = ppn % total_planes`` and
   their channel as ``pidx % channels`` (the stripe order of
@@ -69,6 +76,8 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..errors import ReproError, RetryExhaustedError
 from .retry_policies import (
     K_SENSE,
@@ -78,6 +87,10 @@ from .retry_policies import (
     TAG_WRITE,
     PlanBuild,
 )
+
+#: routes the table holds at most; reaching it clears the table, the
+#: bound policy of the memo caches
+ROUTE_TABLE_BOUND = 1 << 20
 
 
 class ReadPipeline:
@@ -127,10 +140,14 @@ class ReadPipeline:
         # strength): everything a page read needs, pure in ppn (geometry,
         # wiring and process variation never change)
         self._routes: dict = {}
+        #: routes :meth:`build_routes` built (the rest were built on
+        #: demand by :meth:`_route`)
+        self.batch_routes = 0
         # a page's RBER: the curve at the drive's fixed wear terms and
         # thermal acceleration, with the strength factor of its route
         model = self.sampler.model
         self._strength = model.strength_factor
+        self._variation = model.variation
         self._rber_at = model.rber_at
         self._wear = self.sampler.wear
         self._acceleration = self.sampler.thermal_acceleration
@@ -260,7 +277,10 @@ class ReadPipeline:
         :meth:`~repro.ssd.ftl.PageMapFtl.read` derives); ``strength`` is
         the page's process-variation factor
         (:meth:`~repro.nand.rber.RberModel.strength_factor`), computed
-        here once per route."""
+        here once per route.  This is the on-demand path, for the pages
+        :meth:`build_routes` did not build before the run: pages written
+        or moved during it, and every page under
+        :func:`~repro.perf.cache.caches_disabled`."""
         pidx, channel, die, plane, block, page = self._decode(ppn)
         block_key = (channel, die, plane, block)
         route = (block_key, page,
@@ -268,10 +288,40 @@ class ReadPipeline:
                  self._channels[channel], self._eccs[channel],
                  (pidx, block), self._strength(block_key, page))
         routes = self._routes
-        if len(routes) >= 1 << 20:  # same bound policy as the memo caches
+        if len(routes) >= ROUTE_TABLE_BOUND:
             routes.clear()
         routes[ppn] = route
         return route
+
+    def build_routes(self, ppns: Sequence[int]) -> None:
+        """Build the routes of many distinct pages in one pass: those of
+        ``ppns`` that have none yet, as many as the table's bound leaves
+        room for.  The decode and the strength factors' hashes run in
+        numpy (:meth:`~repro.nand.geometry.AddressMapper.decode_array`,
+        :meth:`~repro.nand.variation.VariationModel.strength_factors`,
+        once per distinct block), so each route equals :meth:`_route`'s
+        field for field; the ``rber.block_factor`` table is neither
+        probed nor filled."""
+        routes = self._routes
+        new = [ppn for ppn in ppns if ppn not in routes]
+        del new[ROUTE_TABLE_BOUND - len(routes):]
+        if not new:
+            return
+        pidx, channel, die, plane, block, page = self.mapper.decode_array(
+            np.array(new, dtype=np.int64))
+        # the distinct blocks, numbered by (block, pidx)
+        _, first, block_of = np.unique(block * self._planes_total + pidx,
+                                       return_index=True, return_inverse=True)
+        strengths = self._variation.strength_factors(
+            (channel[first], die[first], plane[first], block[first]),
+            block_of, page)
+        planes, channels, eccs = self._planes, self._channels, self._eccs
+        for ppn, p, c, d, pl, b, pg, strength in zip(
+                new, pidx.tolist(), channel.tolist(), die.tolist(),
+                plane.tolist(), block.tolist(), page.tolist(), strengths):
+            routes[ppn] = ((c, d, pl, b), pg, planes[p], channels[c], eccs[c],
+                           (p, b), strength)
+        self.batch_routes += len(new)
 
     def _dispatch(self, lpn: int, route: tuple, rber: float, state,
                   retention: float, faults=None) -> None:

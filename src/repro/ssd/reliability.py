@@ -16,13 +16,15 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
 from ..nand.rber import RberModel, check_finite_non_negative
 from ..nand.thermal import ThermalModel
-from ..nand.variation import _fold, _hash_state, _unit
+from ..nand.variation import _fold, _fold_array, _hash_state, _unit
 from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
@@ -80,8 +82,9 @@ class PageReliabilitySampler:
         [0, refresh_days), deterministic in (seed, lpn).
 
         Miss path hand-inlined with :meth:`MemoCache.get_or_compute`'s
-        exact counter discipline (first touch of every cold page lands
-        here)."""
+        exact counter discipline.  Under ``run_trace`` a cold read finds
+        the age :meth:`fill_cold_ages` stored before the run; the miss
+        path serves every other first touch."""
         cache = self._cold_age_cache
         if _perf_cache._ENABLED:
             table = self._cold_age_table
@@ -103,6 +106,23 @@ class PageReliabilitySampler:
     def _cold_age_days_uncached(self, lpn: int) -> float:
         u = _unit(_fold(self._cold_state, int(lpn)))
         return u * self.reliability.refresh_days
+
+    def fill_cold_ages(self, lpns: Sequence[int]) -> None:
+        """Store the cold ages of the distinct ``lpns`` the table lacks,
+        as many as its ``max_entries`` leaves room for, hashed in one
+        numpy pass; each float step runs per element as in
+        :meth:`_cold_age_days_uncached`, so the ages are its values.  A
+        store is no lookup: the counters stay as they are, and a later
+        read of one of these lpns counts as a hit."""
+        table = self._cold_age_table
+        new = [lpn for lpn in lpns if lpn not in table]
+        del new[self._cold_age_cache.max_entries - len(table):]
+        if not new:
+            return
+        hashes = _fold_array(self._cold_state, np.array(new, dtype=np.int64))
+        days = self.reliability.refresh_days
+        for lpn, h in zip(new, hashes.tolist()):
+            table[lpn] = _unit(h) * days
 
     def warm_age_days(self, written_at_us: float, now_us: float) -> float:
         """Retention age of a page written during the simulation."""

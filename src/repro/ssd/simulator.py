@@ -15,7 +15,10 @@ mitigation and the Fig.-18 channel-usage breakdown.
 
 Use :meth:`SSDSimulator.run_trace` for whole-workload runs, or
 :meth:`SSDSimulator.submit_request` + :meth:`SSDSimulator.run` for a
-custom request loop.  Observability (off by default, passive — a traced
+custom request loop.  ``run_trace`` first hashes the trace's read
+footprint (the routes and cold ages of the pages its reads touch) in
+numpy; a custom loop builds each page's on its first read, with the
+same values.  Observability (off by default, passive — a traced
 run is bit-identical to an untraced one) has two inputs, the resource
 probes and :class:`~repro.ssd.metrics.SimMetrics`; the read pipeline
 feeds no observer:
@@ -37,7 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional
+from itertools import islice
+from typing import Callable, Iterable, List, Optional
 
 from ..config import SSDConfig
 from ..errors import (
@@ -51,19 +55,23 @@ from ..nand.geometry import AddressMapper
 from ..obs.export import write_chrome_trace
 from ..obs.snapshots import SnapshotRecorder
 from ..obs.trace import SimTracer
+from ..perf.cache import caches_enabled
 from ..rng import SeedLike, make_rng, spawn
 from ..units import SEC
 from ..workloads.trace import IORequest, Trace
 from .ecc_model import EccOutcomeModel
 from .events import Simulator
 from .ftl import PageMapFtl
-from .host import ClosedLoopHost, TimedReplayHost, check_timed_depth
+from .host import ClosedLoopHost, TimedReplayHost, check_run_args
 from .metrics import ChannelUsage, SimMetrics
 from .read_pipeline import ReadPipeline
 from .reliability import PageReliabilitySampler
 from .resources import Channel, Ecc, Fifo, HostLink
 from .retry_policies import TAG_GC, TAG_WRITE, make_policy
 
+
+#: distinct lpns per numpy pass of :meth:`SSDSimulator._hash_read_footprint`
+FOOTPRINT_CHUNK = 4096
 
 #: Version stamp written into every serialised :class:`SimulationResult`.
 #: Readers ignore keys they do not know (see the ``from_dict`` methods), so
@@ -461,14 +469,14 @@ class SSDSimulator:
         measurement); ``mode='timed'`` replays recorded arrival times and
         takes no ``queue_depth``.
         """
-        check_timed_depth("SSDSimulator.run_trace", mode, queue_depth)
+        check_run_args("SSDSimulator.run_trace", mode, queue_depth,
+                       time_limit_us)
         if mode == "closed":
             host = ClosedLoopHost(self, trace, queue_depth=queue_depth,
                                   max_requests=max_requests)
-        elif mode == "timed":
-            host = TimedReplayHost(self, trace, max_requests=max_requests)
         else:
-            raise SimulationError(f"unknown mode {mode!r}")
+            host = TimedReplayHost(self, trace, max_requests=max_requests)
+        self._hash_read_footprint(islice(trace, host.max_requests))
         host.start()
         self.run(until=time_limit_us)
         return SimulationResult(
@@ -479,3 +487,39 @@ class SSDSimulator:
             channel_usage=self.channel_usage(),
             completed=host.done,
         )
+
+    def _hash_read_footprint(self, requests: Iterable[IORequest]) -> None:
+        """Hash the cold footprint of ``requests`` before they run: for
+        the distinct lpns their reads touch, the route of each lpn's
+        identity page (ppn = lpn, :meth:`PageMapFtl._ppn_identity`, where
+        a read of a never-written lpn lands) and its cold age, in one
+        numpy pass per :data:`FOOTPRINT_CHUNK` lpns
+        (:meth:`ReadPipeline.build_routes`,
+        :meth:`PageReliabilitySampler.fill_cold_ages`).  Both are pure in
+        (seed, address), so a page the run writes or moves first only
+        leaves a route or age unused; pages written or moved during the
+        run get theirs on demand.  An lpn outside user space is left to
+        raise its ``TraceError`` when the read resolves it.  Under
+        :func:`~repro.perf.cache.caches_disabled` nothing is hashed
+        ahead: the per-page path is the reference."""
+        if not caches_enabled():
+            return
+        page_size = self._page_size
+        user_pages = self.ftl.user_pages
+        chunk: dict = {}
+        for request in requests:
+            if not request.is_read:
+                continue
+            for lpn in request.lpns(page_size):
+                if lpn < user_pages:
+                    chunk[lpn] = None
+            if len(chunk) >= FOOTPRINT_CHUNK:
+                self._hash_lpns(list(chunk))
+                chunk.clear()
+        if chunk:
+            self._hash_lpns(list(chunk))
+
+    def _hash_lpns(self, lpns: List[int]) -> None:
+        """One chunk of :meth:`_hash_read_footprint`."""
+        self.sampler.fill_cold_ages(lpns)
+        self._pipeline.build_routes(lpns)  # identity pages: ppn = lpn

@@ -194,18 +194,23 @@ def test_batched_core_matches_seed_path_uncached():
 
 @pytest.mark.parametrize("disabled", [False, True], ids=["cached", "uncached"])
 def test_page_reads_take_the_strength_factor_from_the_route(disabled):
-    """The read path never probes the per-page memo: each route takes its
-    page's strength factor once from the block table, so the block table
-    sees exactly one lookup per route and the page memo none, with the
-    golden digest on either side of ``caches_disabled()``."""
+    """The read path never probes the per-page memo: a route built on
+    demand takes its page's strength factor once from the block table, and
+    a route the run's footprint batch built takes none, so the block table
+    sees exactly one lookup per route built on demand and the page memo
+    none, with the golden digest on either side of ``caches_disabled()``
+    (where no batch runs)."""
     spec = SPECS[0]
     name = spec_cell(spec)
     ssd = build_simulator(spec)
     with caches_disabled() if disabled else nullcontext():
         result = ssd.run_trace(build_trace(spec), **spec.run_kwargs())
     lookups = {s["name"]: s["hits"] + s["misses"] for s in ssd.cache_stats()}
+    pipeline = ssd._pipeline
     assert lookups["rber.variation_factor"] == 0
-    assert lookups["rber.block_factor"] == len(ssd._pipeline._routes) > 0
+    assert (pipeline.batch_routes == 0) == disabled
+    assert lookups["rber.block_factor"] == \
+        len(pipeline._routes) - pipeline.batch_routes > 0
     digest = hashlib.sha256(canonical(result.to_dict())).hexdigest()
     golden = load()
     report = mismatch(name, golden["cells"][name], digest, headline(result),

@@ -6,7 +6,7 @@ import gc
 import pytest
 
 from repro.campaign.spec import RunSpec, execute
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.nand.geometry import PageAddress
 from repro.ssd.ecc_model import ScriptedEccOutcomeModel
@@ -152,11 +152,22 @@ def test_run_trace_timed_mode(ssd_config):
     assert result.metrics.elapsed_us >= trace[-1].timestamp_us
 
 
-def test_run_trace_unknown_mode(ssd_config):
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "warp"},
+    {"time_limit_us": float("nan")},
+    {"time_limit_us": 0.0},
+    {"time_limit_us": -5.0},
+], ids=["mode-warp", "limit-nan", "limit-0", "limit-negative"])
+def test_run_trace_unknown_mode(ssd_config, kwargs):
+    """run_trace checks its host arguments by RunSpec's rule: a NaN limit
+    would run with none, a zero or negative one would end the run before
+    its first event."""
     trace = generate("Ali2", n_requests=5, user_pages=2000, seed=8)
     ssd = SSDSimulator(ssd_config, seed=8)
-    with pytest.raises(SimulationError):
-        ssd.run_trace(trace, mode="warp")
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        ssd.run_trace(trace, **kwargs)
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        RunSpec(workload="Ali2", policy="RiFSSD", **kwargs)
 
 
 def test_same_seed_same_result(ssd_config):
