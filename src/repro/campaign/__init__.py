@@ -61,7 +61,7 @@ from .progress import (
     ProgressHook,
     cell_report,
 )
-from .serialize import dump_entry, load_entry, result_from_dict, result_to_dict
+from .serialize import dump_entry, load_entry
 from .spec import (
     RunSpec,
     SPEC_SCHEMA_VERSION,
@@ -105,6 +105,4 @@ __all__ = [
     "cell_report",
     "dump_entry",
     "load_entry",
-    "result_to_dict",
-    "result_from_dict",
 ]

@@ -35,7 +35,6 @@ from ..faults import FaultPlan, FaultSpec
 from .durable import format_verify_report, grid_hash, verify_ledger
 from .executor import run_specs
 from .progress import CampaignStats, MultiProgress, PrintProgress
-from .serialize import result_to_dict
 from .spec import RunSpec
 
 #: The smoke grid: small enough for sub-second cells, large enough that a
@@ -104,7 +103,7 @@ def _cmd_smoke_grid(args) -> int:
         "cached": stats.cached,
         "cells": {
             spec.content_hash(): (
-                result_to_dict(outcome) if hasattr(outcome, "metrics")
+                outcome.to_dict() if hasattr(outcome, "metrics")
                 else {"failure": outcome.to_dict()}
             )
             for spec, outcome in results.items()

@@ -21,14 +21,6 @@ from ..ssd import SimulationResult
 from .spec import RunSpec
 
 
-def result_to_dict(result: SimulationResult) -> dict:
-    return result.to_dict()
-
-
-def result_from_dict(data: dict) -> SimulationResult:
-    return SimulationResult.from_dict(data)
-
-
 def _sha(data: bytes) -> bytes:
     return hashlib.sha256(data).hexdigest().encode("ascii")
 
@@ -37,7 +29,7 @@ def dump_entry(spec: RunSpec, result: SimulationResult) -> bytes:
     """The newline-terminated record of ``spec`` and its ``result``, each
     encoded once, canonically."""
     identity = spec.identity()
-    body = json.dumps(result_to_dict(result), sort_keys=True,
+    body = json.dumps(result.to_dict(), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     return b"\t".join((_sha(identity), _sha(body), identity, body)) + b"\n"
 
@@ -61,4 +53,4 @@ def load_entry(line: bytes,
     cell, body = check_record(line)
     if expected_spec is not None and cell != expected_spec.content_hash():
         raise ConfigError("cache entry spec does not match its key")
-    return result_from_dict(json.loads(body))
+    return SimulationResult.from_dict(json.loads(body))

@@ -328,19 +328,15 @@ def build_simulator(spec: RunSpec,
     )
 
 
-def execute(spec: RunSpec, trace: Optional[Trace] = None,
-            snapshot_interval_us: Optional[float] = None) -> SimulationResult:
+def execute(spec: RunSpec, trace: Optional[Trace] = None) -> SimulationResult:
     """Run one spec to completion.
 
     ``trace`` may be supplied to share a pre-generated trace across specs
     with the same :meth:`RunSpec.trace_key`; it must be identical to what
     :func:`build_trace` would regenerate (the serial executor relies on
     this to skip redundant generation without changing results).
-    ``snapshot_interval_us`` enables the passive per-window recorder
-    (burn-rate SLO evaluation needs its time slices) without affecting
-    the result or the spec's cache identity.
     """
-    ssd = build_simulator(spec, snapshot_interval_us=snapshot_interval_us)
+    ssd = build_simulator(spec)
     return ssd.run_trace(trace if trace is not None else build_trace(spec),
                          **spec.run_kwargs())
 

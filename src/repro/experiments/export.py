@@ -28,12 +28,3 @@ def result_to_csv(result: ExperimentResult, path) -> Path:
         if result.notes:
             fh.write(f"# {result.notes}\n")
     return path
-
-
-def export_directory(results, directory) -> list:
-    """Write one ``<experiment_id>.csv`` per result; returns the paths."""
-    directory = Path(directory)
-    return [
-        result_to_csv(result, directory / f"{result.experiment_id}.csv")
-        for result in results
-    ]

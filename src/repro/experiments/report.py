@@ -1,13 +1,13 @@
-"""Markdown report generation: run experiments, emit an EXPERIMENTS-style
-document with measured values next to the paper's claims."""
+"""Markdown report generation: render experiment results as an
+EXPERIMENTS-style document with measured values next to the paper's
+claims."""
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import ConfigError
-from .registry import EXPERIMENTS, ExperimentResult, get_experiment
+from .registry import ExperimentResult
 
 #: What the paper quotes per artefact (surfaced next to measurements).
 PAPER_CLAIMS = {
@@ -71,19 +71,3 @@ def render_markdown(results: Sequence[ExperimentResult],
             lines.append(f"\n*({durations[result.experiment_id]:.1f}s)*")
         lines.append("")
     return "\n".join(lines)
-
-
-def generate_report(
-    experiment_ids: Optional[Sequence[str]] = None,
-    scale: str = "small",
-    seed: int = 7,
-) -> str:
-    """Run the given experiments (default: all) and render the report."""
-    ids = list(experiment_ids) if experiment_ids else sorted(EXPERIMENTS)
-    results: List[ExperimentResult] = []
-    durations = {}
-    for exp_id in ids:
-        start = time.time()
-        results.append(get_experiment(exp_id).run(scale=scale, seed=seed))
-        durations[exp_id] = time.time() - start
-    return render_markdown(results, durations)

@@ -35,7 +35,6 @@ from typing import List, NamedTuple, Optional
 
 from ..config import EccConfig, ReliabilityConfig
 from ..errors import ConfigError
-from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from .variation import VariationModel, _unit_to_standard_normal
 
@@ -208,26 +207,10 @@ class RberModel:
         same value from
         :meth:`~repro.nand.variation.VariationModel.strength_factors`."""
         variation = self.variation
-        bcache = self._block_factor_cache
-        if _perf_cache._ENABLED:
-            # hand-inlined get_or_compute (same counter discipline)
-            btable = bcache._table
-            block = btable.get(block_key)
-            if block is None:
-                bcache.misses += 1
-                block = (variation.block_factor(block_key),
-                         variation.page_prefix(block_key))
-                if len(btable) >= bcache.max_entries:
-                    btable.clear()
-                    bcache.evictions += 1
-                btable[block_key] = block
-            else:
-                bcache.hits += 1
-            return block[0] * variation.page_factor_at(block[1], page)
-        # caches off: the lookup misses and both hashes run in full
-        bcache.misses += 1
-        return (variation.block_factor(block_key)
-                * variation.page_factor(block_key, page))
+        factor, prefix = self._block_factor_cache.get_or_compute(
+            block_key, lambda: (variation.block_factor(block_key),
+                                variation.page_prefix(block_key)))
+        return factor * variation.page_factor_at(prefix, page)
 
     def _page_variation(self, block_key: tuple, page: int) -> float:
         """:meth:`strength_factor`, memoized per physical page
@@ -243,12 +226,3 @@ class RberModel:
         return self.rber_at(self.wear_terms(state.pe_cycles),
                             state.retention_days, strength_factor,
                             state.read_count)
-
-    # --- convenience -------------------------------------------------------------
-
-    def exceeds_capability(
-        self, state: PageState, block_key: tuple = (0,), page: int = 0
-    ) -> bool:
-        """Whether this page's RBER is beyond the off-chip ECC capability
-        (i.e. a conventional read would enter the read-retry procedure)."""
-        return self.page_rber(state, block_key, page) > self.ecc.correction_capability

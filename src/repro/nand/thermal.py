@@ -65,10 +65,3 @@ class ThermalModel:
             1.0 / t_ref - 1.0 / t
         )
         return math.exp(exponent)
-
-    def derate_crossing_days(self, crossing_days_ref: float, temp_c: float) -> float:
-        """How long a page whose reference-temperature capability crossing
-        is ``crossing_days_ref`` actually lasts at ``temp_c``."""
-        if crossing_days_ref <= 0:
-            raise ConfigError("crossing time must be positive")
-        return crossing_days_ref / self.acceleration_factor(temp_c)

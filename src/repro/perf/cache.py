@@ -1,31 +1,25 @@
 """Exact-key memoization caches for the simulator's per-read hot path.
 
 Some pure functions are evaluated over and over with the *same*
-arguments.  :class:`MemoCache` memoizes those that remain: the cold
-retention age of a logical page (``reliability.cold_age``), a block's
+arguments.  :class:`MemoCache` memoizes those that remain: a block's
 strength factor and folded page-hash prefix (``rber.block_factor``), a
-physical page's strength factor for the RBER model's direct callers
-(``rber.variation_factor``), and the cell-level VTH model's curves
-(``vth.*``).  What a page's address fixes lives in the simulator's
-per-page dispatch route instead: the route takes the page's strength
-factor once, when it is built, so a page read probes no per-page memo.
-Values that are constant for a whole run, such as the RBER model's terms
-at the drive's wear level, are computed once by their owner; a memo
-table there would only count hits.
+physical page's strength factor (``rber.variation_factor``) and a
+logical page's cold retention age (``reliability.cold_age``) for the
+RBER model's and the sampler's direct callers, and the cell-level VTH
+model's curves (``vth.*``).  What a page's address fixes lives in the
+simulator's per-page dispatch route instead: the route takes the page's
+strength factor and cold age once, when it is built, so a page read
+probes no per-page memo.  Values that are constant for a whole run, such
+as the RBER model's terms at the drive's wear level, are computed once
+by their owner; a memo table there would only count hits.
 
-What fills the two tables a simulated drive uses:
-
-* ``reliability.cold_age``: before a trace runs,
-  ``SSDSimulator.run_trace`` stores the cold age of every lpn its reads
-  touch, hashed in numpy (``PageReliabilitySampler.fill_cold_ages``); a
-  store counts as no lookup, so each cold read is then a hit.  A read
-  of an lpn the batch did not store (a custom ``submit_request`` loop,
-  a full table, :func:`caches_disabled`) misses and computes it.
-* ``rber.block_factor``: a route built on demand (a page written or
-  moved during the run, or any page with the caches off) makes its one
-  lookup here.  The routes of a trace's read footprint are built before
-  the run from their own numpy hash of each block, and neither probe
-  nor fill this table.
+The one table a simulated drive probes is ``rber.block_factor``: a
+route built on demand (a page written or moved during the run, or any
+page with the caches off) makes its one lookup there.  The routes of a
+trace's read footprint are built before the run from their own numpy
+hash of each block, and neither probe nor fill it.  Every lookup goes
+through :meth:`MemoCache.get_or_compute`; no other module reads a
+table or bumps its counters.
 
 Two properties are deliberate and load-bearing:
 

@@ -18,10 +18,12 @@ the contended resources of :mod:`repro.ssd.resources` by:
   and every page read — clean or fault-injected — reaches its resources
   through a memoized per-ppn *route* and :meth:`ReadPipeline._dispatch`,
   which folds a read's faults into its plan only when it has some.
-* **One record per page**: a page's route holds its seven address-fixed
-  facts — block key, page, plane, channel, ECC, read-counter key and
-  process-variation strength factor — so a page read makes one memo
-  lookup, and its RBER is the model's curve
+* **One record per page**: a page's route holds its eight address-fixed
+  facts — block key, page, plane, channel, ECC, read-counter key,
+  process-variation strength factor and the cold retention age of its
+  identity lpn (ppn = lpn, where a read of a never-written lpn lands;
+  ``None`` past user space) — so a page read makes one lookup, and its
+  RBER is the model's curve
   (:meth:`~repro.nand.rber.RberModel.rber_at`) evaluated from the
   drive's wear terms, the retention age and the route's factor.  The
   routes of a trace's read footprint (the identity pages of the lpns
@@ -137,8 +139,9 @@ class ReadPipeline:
         self.tracer = ssd.tracer
         self._build = PlanBuild()
         # ppn -> (block_key, page, plane, channel, ecc, read_key,
-        # strength): everything a page read needs, pure in ppn (geometry,
-        # wiring and process variation never change)
+        # strength, cold_age): everything a page read needs, pure in ppn
+        # (geometry, wiring, process variation and the pre-trace ages
+        # never change)
         self._routes: dict = {}
         #: routes :meth:`build_routes` built (the rest were built on
         #: demand by :meth:`_route`)
@@ -148,6 +151,9 @@ class ReadPipeline:
         model = self.sampler.model
         self._strength = model.strength_factor
         self._variation = model.variation
+        self._cold_age = self.sampler._cold_age_days_uncached
+        self._cold_ages = self.sampler._cold_age_days_array
+        self._user_pages = self.ftl.user_pages
         self._rber_at = model.rber_at
         self._wear = self.sampler.wear
         self._acceleration = self.sampler.thermal_acceleration
@@ -226,9 +232,7 @@ class ReadPipeline:
         routes = self._routes
         route_of = self._route
         dispatch = self._dispatch
-        sampler = self.sampler
-        cold_age = sampler.cold_age_days
-        warm_age = sampler.warm_age_days
+        warm_age = self.sampler.warm_age_days
         rber_at = self._rber_at
         wear = self._wear
         acceleration = self._acceleration
@@ -256,8 +260,8 @@ class ReadPipeline:
                     route = routes.get(ppn) or route_of(ppn)
                 else:
                     faults = None
-            if written is None:
-                retention = cold_age(lpn)
+            if written is None:  # a cold read: ppn = lpn
+                retention = route[7]
             else:
                 retention = warm_age(written, now)
             rber = rber_at(wear, retention * acceleration, route[6], reads)
@@ -269,14 +273,17 @@ class ReadPipeline:
 
     def _route(self, ppn: int) -> tuple:
         """Resolve and memoize the dispatch route of one physical page:
-        ``(block_key, page, plane, channel, ecc, read_key, strength)`` —
-        all pure in ppn.  ``block_key`` is ``(channel, die, plane,
-        block)``, the key of the RBER model, the history-driven policies
-        and the fault injector; ``read_key`` is the FTL's ``(pidx,
-        block)`` read-counter key (the same integers
+        ``(block_key, page, plane, channel, ecc, read_key, strength,
+        cold_age)`` — all pure in ppn.  ``block_key`` is ``(channel, die,
+        plane, block)``, the key of the RBER model, the history-driven
+        policies and the fault injector; ``read_key`` is the FTL's
+        ``(pidx, block)`` read-counter key (the same integers
         :meth:`~repro.ssd.ftl.PageMapFtl.read` derives); ``strength`` is
         the page's process-variation factor
-        (:meth:`~repro.nand.rber.RberModel.strength_factor`), computed
+        (:meth:`~repro.nand.rber.RberModel.strength_factor`) and
+        ``cold_age`` the pre-trace retention age of the lpn whose
+        identity page this is (ppn = lpn; ``None`` for a ppn past user
+        space, which no never-written lpn resolves to), each computed
         here once per route.  This is the on-demand path, for the pages
         :meth:`build_routes` did not build before the run: pages written
         or moved during it, and every page under
@@ -286,7 +293,8 @@ class ReadPipeline:
         route = (block_key, page,
                  self._planes[pidx],
                  self._channels[channel], self._eccs[channel],
-                 (pidx, block), self._strength(block_key, page))
+                 (pidx, block), self._strength(block_key, page),
+                 self._cold_age(ppn) if ppn < self._user_pages else None)
         routes = self._routes
         if len(routes) >= ROUTE_TABLE_BOUND:
             routes.clear()
@@ -296,31 +304,37 @@ class ReadPipeline:
     def build_routes(self, ppns: Sequence[int]) -> None:
         """Build the routes of many distinct pages in one pass: those of
         ``ppns`` that have none yet, as many as the table's bound leaves
-        room for.  The decode and the strength factors' hashes run in
-        numpy (:meth:`~repro.nand.geometry.AddressMapper.decode_array`,
+        room for.  The decode and the hashes of the strength factors and
+        cold ages run in numpy
+        (:meth:`~repro.nand.geometry.AddressMapper.decode_array`,
         :meth:`~repro.nand.variation.VariationModel.strength_factors`,
-        once per distinct block), so each route equals :meth:`_route`'s
-        field for field; the ``rber.block_factor`` table is neither
-        probed nor filled."""
+        once per distinct block, and the sampler's cold-age fold), so
+        each route equals :meth:`_route`'s field for field; no memo table
+        is probed or filled."""
         routes = self._routes
         new = [ppn for ppn in ppns if ppn not in routes]
         del new[ROUTE_TABLE_BOUND - len(routes):]
         if not new:
             return
+        ppn_array = np.array(new, dtype=np.int64)
         pidx, channel, die, plane, block, page = self.mapper.decode_array(
-            np.array(new, dtype=np.int64))
+            ppn_array)
         # the distinct blocks, numbered by (block, pidx)
         _, first, block_of = np.unique(block * self._planes_total + pidx,
                                        return_index=True, return_inverse=True)
         strengths = self._variation.strength_factors(
             (channel[first], die[first], plane[first], block[first]),
             block_of, page)
+        ages = self._cold_ages(ppn_array)
+        user_pages = self._user_pages
         planes, channels, eccs = self._planes, self._channels, self._eccs
-        for ppn, p, c, d, pl, b, pg, strength in zip(
+        for ppn, p, c, d, pl, b, pg, strength, age in zip(
                 new, pidx.tolist(), channel.tolist(), die.tolist(),
-                plane.tolist(), block.tolist(), page.tolist(), strengths):
+                plane.tolist(), block.tolist(), page.tolist(), strengths,
+                ages):
             routes[ppn] = ((c, d, pl, b), pg, planes[p], channels[c], eccs[c],
-                           (p, b), strength)
+                           (p, b), strength,
+                           age if ppn < user_pages else None)
         self.batch_routes += len(new)
 
     def _dispatch(self, lpn: int, route: tuple, rber: float, state,

@@ -12,11 +12,17 @@ Responsibilities:
   deterministically and uniformly from ``[0, refresh_days)``, the steady
   state of a fleet refreshed every ``refresh_days`` (the paper assumes
   monthly refresh, SecIV-B footnote 3).
+
+A cold age is pure in (seed, lpn), and a cold read lands on its lpn's
+identity page, so the simulator's read pipeline keeps it in that page's
+dispatch route (:mod:`repro.ssd.read_pipeline`), computed once when the
+route is built; :meth:`PageReliabilitySampler.cold_age_days` memoizes it
+for direct callers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from ..errors import ConfigError
 from ..nand.rber import RberModel, check_finite_non_negative
 from ..nand.thermal import ThermalModel
 from ..nand.variation import _fold, _fold_array, _hash_state, _unit
-from ..perf import cache as _perf_cache
 from ..perf.cache import MemoCache
 from ..units import US_PER_DAY
 
@@ -63,14 +68,9 @@ class PageReliabilitySampler:
             1.0 if operating_temp_c is None
             else self.thermal.acceleration_factor(operating_temp_c)
         )
-        # cold ages are pure in (seed, lpn) and workloads re-read the same
-        # logical pages constantly — memoize the hash (repro.perf)
+        # cold ages for direct callers; the read pipeline's routes carry
+        # their own (repro.perf)
         self._cold_age_cache = MemoCache("reliability.cold_age")
-        # Bound table reference for the inline probe below.  MemoCache
-        # only ever clear()s its table in place, so this stays valid across
-        # evictions; the cache never stores None, so ``table.get(key)``
-        # doubles as the miss test.
-        self._cold_age_table = self._cold_age_cache._table
         #: the model's constants at this drive's wear, fixed for the run,
         #: so a read evaluates only the curve
         self.wear = self.model.wear_terms(pe_cycles)
@@ -79,50 +79,23 @@ class PageReliabilitySampler:
 
     def cold_age_days(self, lpn: int) -> float:
         """Initial retention age of a pre-existing logical page: uniform in
-        [0, refresh_days), deterministic in (seed, lpn).
-
-        Miss path hand-inlined with :meth:`MemoCache.get_or_compute`'s
-        exact counter discipline.  Under ``run_trace`` a cold read finds
-        the age :meth:`fill_cold_ages` stored before the run; the miss
-        path serves every other first touch."""
-        cache = self._cold_age_cache
-        if _perf_cache._ENABLED:
-            table = self._cold_age_table
-            age = table.get(lpn)
-            if age is not None:
-                cache.hits += 1
-                return age
-            cache.misses += 1
-            age = self._cold_age_days_uncached(lpn)
-            if len(table) >= cache.max_entries:
-                table.clear()
-                cache.evictions += 1
-            table[lpn] = age
-            return age
-        return cache.get_or_compute(
-            lpn, lambda: self._cold_age_days_uncached(lpn)
-        )
+        [0, refresh_days), deterministic in (seed, lpn), memoized.  The
+        simulator's read path takes the same value from the route of the
+        lpn's identity page instead."""
+        return self._cold_age_cache.get_or_compute(
+            lpn, lambda: self._cold_age_days_uncached(lpn))
 
     def _cold_age_days_uncached(self, lpn: int) -> float:
         u = _unit(_fold(self._cold_state, int(lpn)))
         return u * self.reliability.refresh_days
 
-    def fill_cold_ages(self, lpns: Sequence[int]) -> None:
-        """Store the cold ages of the distinct ``lpns`` the table lacks,
-        as many as its ``max_entries`` leaves room for, hashed in one
-        numpy pass; each float step runs per element as in
-        :meth:`_cold_age_days_uncached`, so the ages are its values.  A
-        store is no lookup: the counters stay as they are, and a later
-        read of one of these lpns counts as a hit."""
-        table = self._cold_age_table
-        new = [lpn for lpn in lpns if lpn not in table]
-        del new[self._cold_age_cache.max_entries - len(table):]
-        if not new:
-            return
-        hashes = _fold_array(self._cold_state, np.array(new, dtype=np.int64))
+    def _cold_age_days_array(self, lpns: np.ndarray) -> List[float]:
+        """:meth:`_cold_age_days_uncached` of many lpns: the hash folds run
+        in one numpy pass and each float step per element, so the ages
+        are its values bit for bit."""
         days = self.reliability.refresh_days
-        for lpn, h in zip(new, hashes.tolist()):
-            table[lpn] = _unit(h) * days
+        return [_unit(h) * days
+                for h in _fold_array(self._cold_state, lpns).tolist()]
 
     def warm_age_days(self, written_at_us: float, now_us: float) -> float:
         """Retention age of a page written during the simulation."""
@@ -154,10 +127,6 @@ class PageReliabilitySampler:
                              retention_days * self.thermal_acceleration,
                              model._page_variation(block_key, page),
                              read_count)
-
-    def exceeds_capability(self, rber: float) -> bool:
-        """Whether a conventional read at this RBER enters read-retry."""
-        return rber > self.ecc.correction_capability
 
     # --- perf plumbing ----------------------------------------------------------------
 

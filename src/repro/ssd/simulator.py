@@ -16,12 +16,12 @@ mitigation and the Fig.-18 channel-usage breakdown.
 Use :meth:`SSDSimulator.run_trace` for whole-workload runs, or
 :meth:`SSDSimulator.submit_request` + :meth:`SSDSimulator.run` for a
 custom request loop.  ``run_trace`` first hashes the trace's read
-footprint (the routes and cold ages of the pages its reads touch) in
-numpy; a custom loop builds each page's on its first read, with the
-same values.  Observability (off by default, passive — a traced
-run is bit-identical to an untraced one) has two inputs, the resource
-probes and :class:`~repro.ssd.metrics.SimMetrics`; the read pipeline
-feeds no observer:
+footprint (the routes of the pages its reads touch, each with its
+page's cold age) in numpy; a custom loop builds each page's route on
+its first read, with the same values.  Observability (off by default,
+passive — a traced run is bit-identical to an untraced one) has two
+inputs, the resource probes and :class:`~repro.ssd.metrics.SimMetrics`;
+the read pipeline feeds no observer:
 
 * ``tracing=True`` attaches a :class:`~repro.obs.trace.SimTracer` to the
   probes of every plane, channel, decoder and the host link (one
@@ -492,21 +492,20 @@ class SSDSimulator:
         """Hash the cold footprint of ``requests`` before they run: for
         the distinct lpns their reads touch, the route of each lpn's
         identity page (ppn = lpn, :meth:`PageMapFtl._ppn_identity`, where
-        a read of a never-written lpn lands) and its cold age, in one
-        numpy pass per :data:`FOOTPRINT_CHUNK` lpns
-        (:meth:`ReadPipeline.build_routes`,
-        :meth:`PageReliabilitySampler.fill_cold_ages`).  Both are pure in
-        (seed, address), so a page the run writes or moves first only
-        leaves a route or age unused; pages written or moved during the
-        run get theirs on demand.  An lpn outside user space is left to
-        raise its ``TraceError`` when the read resolves it.  Under
+        a read of a never-written lpn lands), which carries the lpn's
+        cold age, in one numpy pass per :data:`FOOTPRINT_CHUNK` lpns
+        (:meth:`ReadPipeline.build_routes`).  A route is pure in (seed,
+        address), so a page the run writes or moves first only leaves
+        its route unused; pages written or moved during the run get
+        theirs on demand.  An lpn outside user space is left to raise
+        its ``TraceError`` when the read resolves it.  Under
         :func:`~repro.perf.cache.caches_disabled` nothing is hashed
         ahead: the per-page path is the reference."""
         if not caches_enabled():
             return
         page_size = self._page_size
         user_pages = self.ftl.user_pages
-        chunk: dict = {}
+        chunk: dict = {}  # distinct lpns = their identity ppns, in order
         for request in requests:
             if not request.is_read:
                 continue
@@ -514,12 +513,7 @@ class SSDSimulator:
                 if lpn < user_pages:
                     chunk[lpn] = None
             if len(chunk) >= FOOTPRINT_CHUNK:
-                self._hash_lpns(list(chunk))
+                self._pipeline.build_routes(list(chunk))
                 chunk.clear()
         if chunk:
-            self._hash_lpns(list(chunk))
-
-    def _hash_lpns(self, lpns: List[int]) -> None:
-        """One chunk of :meth:`_hash_read_footprint`."""
-        self.sampler.fill_cold_ages(lpns)
-        self._pipeline.build_routes(lpns)  # identity pages: ppn = lpn
+            self._pipeline.build_routes(list(chunk))

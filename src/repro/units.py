@@ -36,10 +36,3 @@ def bytes_per_us_to_mb_per_s(bytes_per_us: float) -> float:
     """Convert bytes/us to MB/s (decimal megabytes, the unit of the paper's
     bandwidth plots)."""
     return bytes_per_us * 1e6 / 1e6
-
-
-def transfer_time_us(num_bytes: int, bandwidth_bytes_per_us: float) -> float:
-    """Time to move ``num_bytes`` over a link of the given bandwidth."""
-    if bandwidth_bytes_per_us <= 0:
-        raise ValueError("bandwidth must be positive")
-    return num_bytes / bandwidth_bytes_per_us

@@ -1,4 +1,4 @@
-"""Block-I/O trace representation and CSV round-trip.
+"""Block-I/O trace representation.
 
 A trace is an ordered list of :class:`IORequest` records.  Offsets and
 sizes are in bytes; :meth:`IORequest.lpns` rasterises a request onto
@@ -7,10 +7,8 @@ sizes are in bytes; :meth:`IORequest.lpns` rasterises a request onto
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List
 
 from ..errors import TraceError
 from ..units import KIB
@@ -83,59 +81,3 @@ class Trace:
 
     def read_bytes(self) -> int:
         return sum(r.size_bytes for r in self.requests if r.is_read)
-
-    def max_lpn(self, page_size: int = 16 * KIB) -> int:
-        """Highest logical page touched (bounds the required user space)."""
-        if not self.requests:
-            raise TraceError("empty trace")
-        return max(r.lpns(page_size)[-1] for r in self.requests)
-
-    def scaled_to_lpns(self, max_lpns: int, page_size: int = 16 * KIB) -> "Trace":
-        """Return a copy with offsets wrapped into ``max_lpns`` logical
-        pages — lets a full-size trace run against a scaled-down device."""
-        if max_lpns < 1:
-            raise TraceError("max_lpns must be >= 1")
-        out = []
-        space = max_lpns * page_size
-        for r in self.requests:
-            size = min(r.size_bytes, space)
-            offset = r.offset_bytes % space
-            if offset + size > space:
-                offset = space - size
-            out.append(IORequest(r.timestamp_us, r.op, offset, size))
-        return Trace(out, name=f"{self.name}@{max_lpns}p")
-
-    # --- CSV round-trip ----------------------------------------------------------------
-
-    @classmethod
-    def from_csv(cls, path, name: Optional[str] = None) -> "Trace":
-        """Load ``timestamp_us,op,offset_bytes,size_bytes`` rows."""
-        path = Path(path)
-        requests = []
-        with path.open(newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) != 4:
-                    raise TraceError(f"{path}:{lineno}: expected 4 columns")
-                try:
-                    requests.append(
-                        IORequest(
-                            timestamp_us=float(row[0]),
-                            op=row[1].strip().upper(),
-                            offset_bytes=int(row[2]),
-                            size_bytes=int(row[3]),
-                        )
-                    )
-                except ValueError as exc:
-                    raise TraceError(f"{path}:{lineno}: {exc}") from exc
-        return cls(requests, name=name or path.stem)
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["# timestamp_us", "op", "offset_bytes", "size_bytes"])
-            for r in self.requests:
-                writer.writerow([f"{r.timestamp_us:.3f}", r.op,
-                                 r.offset_bytes, r.size_bytes])

@@ -22,7 +22,6 @@ from repro.campaign import (
     run_specs,
 )
 from repro.campaign.durable import LEDGER_FILENAME, encode_record
-from repro.campaign.serialize import result_to_dict
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs.registry import FleetAggregator
@@ -41,7 +40,7 @@ def _spec(seed=3, **overrides) -> RunSpec:
 
 
 def _dicts(results):
-    return {spec.content_hash(): result_to_dict(outcome)
+    return {spec.content_hash(): outcome.to_dict()
             for spec, outcome in results.items()}
 
 

@@ -84,16 +84,6 @@ def test_strong_block_has_lower_rber(model):
     assert weak > strong
 
 
-def test_exceeds_capability_consistent(model):
-    cap = EccConfig().correction_capability
-    state = PageState(2000, 30)
-    for block in range(20):
-        key = (0, 0, 0, block)
-        assert model.exceeds_capability(state, key) == (
-            model.page_rber(state, key) > cap
-        )
-
-
 def test_crossing_days_matches_page_rber(model):
     """A page read exactly at its crossing day sits at the capability: the
     strength factor scales the median crossing time."""

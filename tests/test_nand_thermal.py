@@ -30,14 +30,6 @@ def test_rule_of_thumb_doubling(model):
     assert 1.8 < ratio < 2.6
 
 
-def test_derate_crossing_days(model):
-    # a 17-day fresh crossing at reference shrinks badly in a hot chassis
-    hot = model.derate_crossing_days(17.0, 70.0)
-    assert hot < 3.0
-    cold = model.derate_crossing_days(17.0, 25.0)
-    assert cold > 17.0
-
-
 def test_integration_with_rber_model(model):
     """Reference-temperature days (``days * AF``) drive the calibrated RBER
     model directly: storage at 70 C pushes a page past the capability far
@@ -60,7 +52,5 @@ def test_validation(model):
             model.acceleration_factor(bad)
         with pytest.raises(ConfigError, match="reference_temp_c"):
             ThermalConfig(reference_temp_c=bad)
-    with pytest.raises(ConfigError):
-        model.derate_crossing_days(0.0, 40.0)
     with pytest.raises(ConfigError):
         ThermalConfig(activation_energy_ev=-1.0)

@@ -6,7 +6,7 @@ same rollup."""
 import json
 
 from repro.campaign import JsonlProgress, RunSpec, run_specs
-from repro.campaign.spec import build_trace, execute
+from repro.campaign.spec import build_simulator, build_trace, execute
 from repro.fleet import comparable_rollup
 from repro.obs.registry import FleetAggregator
 from repro.obs.slo import default_slos, evaluate_fleet
@@ -34,12 +34,10 @@ def test_metered_run_is_bit_identical():
                    n_requests=N_REQUESTS, seed=SEED)
     trace = build_trace(spec)
 
-    def run(metered):
-        kwargs = {"snapshot_interval_us": 10_000.0} if metered else {}
-        return execute(spec, trace, **kwargs)
-
-    plain = run(metered=False)
-    metered = run(metered=True)
+    plain = execute(spec, trace)
+    ssd = build_simulator(spec, snapshot_interval_us=10_000.0)
+    metered = ssd.run_trace(trace, **spec.run_kwargs())
+    assert ssd.snapshots.snapshots()  # the recorder binned the run
     assert metered.to_dict() == plain.to_dict()
     # folding the metered result into a fleet is equally passive
     fleet = FleetAggregator()

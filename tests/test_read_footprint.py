@@ -1,5 +1,7 @@
-"""The read footprint hashed before a run: every route and cold age the
-batch builds equals the per-page path's, bit for bit."""
+"""The read footprint hashed before a run: every route the batch builds,
+cold age included, equals the per-page path's, bit for bit."""
+
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from repro.errors import TraceError
 from repro.nand.variation import _fold, _unit
 from repro.perf.cache import caches_disabled
 from repro.ssd.simulator import SSDSimulator
+from repro.workloads.synthetic import generate
 from repro.workloads.trace import IORequest, Trace
 
 #: the tails of ``_unit_to_standard_normal``, where it takes its log branch
@@ -50,8 +53,25 @@ def _tail_lpns(ssd, per_tail=4) -> list:
 
 
 def _same_route(got, want) -> bool:
-    """Field by field, the strength factor by its bits."""
-    return got[:6] == want[:6] and got[6].hex() == want[6].hex()
+    """Field by field, the strength factor and cold age by their bits."""
+    return (got[:6] == want[:6] and got[6].hex() == want[6].hex()
+            and _bits(got[7]) == _bits(want[7]))
+
+
+def _bits(age):
+    return None if age is None else age.hex()
+
+
+def _bad_ages(sampler, routes) -> list:
+    """The ppns whose route's cold age is not, bit for bit, the cold age
+    of the lpn whose identity page the ppn is."""
+    return [ppn for ppn, route in routes.items()
+            if route[7].hex() != sampler._cold_age_days_uncached(ppn).hex()]
+
+
+def _lookups(ssd, name) -> int:
+    stats = {s["name"]: s for s in ssd.cache_stats()}
+    return stats[name]["hits"] + stats[name]["misses"]
 
 
 @given(
@@ -63,9 +83,11 @@ def _same_route(got, want) -> bool:
 def test_batch_routes_and_cold_ages_are_the_per_page_ones(data, seed, scale):
     """Over drawn lpn sets (duplicates, lpns outside user space, pages that
     already have a route, pages in each tail of the normal quantile), the
-    batch builds every missing route and cold age, equal to ``_route``'s
-    and ``_cold_age_days_uncached``'s; it skips what exists and what lies
-    outside user space, which still fails when a read resolves it."""
+    batch builds every missing route, equal to ``_route``'s field for
+    field, and every route, batch-built or on demand, carries
+    ``_cold_age_days_uncached`` of its identity lpn; the batch skips what
+    exists and what lies outside user space, which still fails when a
+    read resolves it."""
     config = ssd_scale(scale).config
     ssd = SSDSimulator(config, policy="SSDzero", pe_cycles=2000.0,
                        seed=seed)
@@ -95,14 +117,9 @@ def test_batch_routes_and_cold_ages_are_the_per_page_ones(data, seed, scale):
     assert set(routes) == footprint | set(existing)
     assert pipeline.batch_routes == len(footprint - set(existing))
     assert all(routes[ppn] is route for ppn, route in existing.items())
-    assert set(sampler._cold_age_table) == footprint
-    stats = {s["name"]: s for s in ssd.cache_stats()}
-    assert stats["reliability.cold_age"]["hits"] == 0
-    assert stats["reliability.cold_age"]["misses"] == 0
-    block = stats["rber.block_factor"]
-    assert block["hits"] + block["misses"] == len(routed)
-    for lpn, age in sampler._cold_age_table.items():
-        assert age.hex() == sampler._cold_age_days_uncached(lpn).hex()
+    assert _lookups(ssd, "reliability.cold_age") == 0
+    assert _lookups(ssd, "rber.block_factor") == len(routed)
+    assert not _bad_ages(sampler, routes)
     batch = {ppn: route for ppn, route in routes.items()
              if ppn not in existing}
     routes.clear()
@@ -121,28 +138,30 @@ def test_batch_matches_the_per_page_path_over_a_sweep(scale, seed):
     """20,000 pages spread over user space, so that a float step done in
     another order shows even where it moves one value in several
     thousand (computing a cold age as ``(h * days + 0.5 * days) / 2**64``
-    moves 158 of 10**6)."""
+    moves 158 of 10**6); the routes rebuilt on demand carry the same
+    ages."""
     config = ssd_scale(scale).config
     ssd = SSDSimulator(config, policy="SSDzero", pe_cycles=2000.0,
                        seed=seed)
     pipeline, sampler = ssd._pipeline, ssd.sampler
     lpns = range(0, ssd.ftl.user_pages, ssd.ftl.user_pages // 20_000)
     ssd._hash_read_footprint(_read_trace(lpns, config.geometry.page_size))
-    assert pipeline.batch_routes == len(sampler._cold_age_table) == len(lpns)
-    bad_ages = [lpn for lpn, age in sampler._cold_age_table.items()
-                if age.hex() != sampler._cold_age_days_uncached(lpn).hex()]
+    assert pipeline.batch_routes == len(pipeline._routes) == len(lpns)
     batch = dict(pipeline._routes)
+    bad_ages = _bad_ages(sampler, batch)
     pipeline._routes.clear()
     with caches_disabled():
         bad_routes = [ppn for ppn, route in batch.items()
                       if not _same_route(route, pipeline._route(ppn))]
+    bad_ages += _bad_ages(sampler, pipeline._routes)
     assert not bad_ages and not bad_routes, (bad_ages[:5], bad_routes[:5])
 
 
 @pytest.mark.parametrize("mode", ["closed", "timed"])
 def test_run_trace_hashes_only_the_first_max_requests(mode):
     """``max_requests=k`` hashes the reads of the trace's first k requests
-    and no other, and every cold read then finds its age."""
+    and no other, and every cold read then takes its age from its route:
+    no memo table sees a lookup."""
     config = ssd_scale("small").config
     page_size = config.geometry.page_size
     ssd = SSDSimulator(config, policy="RiFSSD", pe_cycles=2000.0, seed=3)
@@ -150,18 +169,17 @@ def test_run_trace_hashes_only_the_first_max_requests(mode):
     ssd.run_trace(trace, mode=mode, max_requests=30)
     first = {lpn for request in trace.requests[:30]
              for lpn in request.lpns(page_size)}
-    assert set(ssd.sampler._cold_age_table) == first
+    assert set(ssd._pipeline._routes) == first
     assert ssd._pipeline.batch_routes == len(first) == 60
-    stats = {s["name"]: s for s in ssd.cache_stats()}
-    assert stats["reliability.cold_age"]["misses"] == 0
-    assert stats["reliability.cold_age"]["hits"] == 60
-    assert stats["rber.block_factor"]["hits"] + \
-        stats["rber.block_factor"]["misses"] == 0
+    assert ssd.metrics.page_reads == 60
+    assert _lookups(ssd, "reliability.cold_age") == 0
+    assert _lookups(ssd, "rber.block_factor") == 0
 
 
 def test_no_batch_under_caches_disabled():
     """The reference path hashes nothing ahead: every route is built on
-    demand, one block lookup each, and no cold age is stored."""
+    demand, one block lookup each, with its cold age, and the cold-age
+    memo sees no lookup."""
     config = ssd_scale("small").config
     ssd = SSDSimulator(config, policy="RiFSSD", pe_cycles=2000.0, seed=3)
     trace = _read_trace(range(0, 4000, 40), config.geometry.page_size)
@@ -169,10 +187,49 @@ def test_no_batch_under_caches_disabled():
         ssd.run_trace(trace)
     stats = {s["name"]: s for s in ssd.cache_stats()}
     assert ssd._pipeline.batch_routes == 0
-    assert len(ssd.sampler._cold_age_table) == 0
-    assert stats["reliability.cold_age"]["misses"] == 100
+    assert _lookups(ssd, "reliability.cold_age") == 0
     assert stats["rber.block_factor"]["misses"] == \
         len(ssd._pipeline._routes) == 100
+    assert not _bad_ages(ssd.sampler, ssd._pipeline._routes)
+
+
+def test_a_route_past_user_space_carries_no_cold_age():
+    """No never-written lpn resolves to a ppn past user space, so its route,
+    built on demand or in a batch, carries ``None`` for a cold age."""
+    config = ssd_scale("small").config
+    ssd = SSDSimulator(config, policy="SSDzero", seed=3)
+    pipeline = ssd._pipeline
+    ppns = [ssd.ftl.user_pages - 1, ssd.ftl.user_pages,
+            config.geometry.total_pages - 1]
+    pipeline.build_routes(ppns)
+    batch = dict(pipeline._routes)
+    pipeline._routes.clear()
+    on_demand = {ppn: pipeline._route(ppn) for ppn in ppns}
+    assert [on_demand[ppn][7] is None for ppn in ppns] == [False, True, True]
+    assert all(_same_route(batch[ppn], on_demand[ppn]) for ppn in ppns)
+
+
+@pytest.mark.parametrize("disabled", [False, True], ids=["cached", "uncached"])
+def test_the_read_path_never_calls_cold_age_days(disabled, monkeypatch):
+    """A drive whose sampler cannot answer ``cold_age_days`` runs a mixed
+    trace (cold reads, writes, warm reads) to the same result: every cold
+    read takes its age from its route, on either side of
+    ``caches_disabled()``."""
+    config = ssd_scale("small").config
+
+    def refuse(lpn):
+        raise AssertionError(f"cold_age_days({lpn}) called")
+
+    def run(refusing):
+        ssd = SSDSimulator(config, policy="RiFSSD", pe_cycles=2000.0, seed=5)
+        if refusing:
+            monkeypatch.setattr(ssd.sampler, "cold_age_days", refuse)
+        trace = generate("Ali124", n_requests=300,
+                         user_pages=ssd.ftl.user_pages, seed=5)
+        with caches_disabled() if disabled else nullcontext():
+            return ssd.run_trace(trace).to_dict()
+
+    assert run(refusing=True) == run(refusing=False)
 
 
 def test_an_lpn_outside_user_space_fails_when_resolved():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import NandTimings
 from repro.errors import ConfigError
-from repro.experiments.export import export_directory, result_to_csv
+from repro.experiments.export import result_to_csv
 from repro.experiments.registry import ExperimentResult
 from repro.experiments.runner import main
 from repro.ssd.ecc_model import EccOutcomeModel, ScriptedEccOutcomeModel
@@ -124,12 +124,6 @@ def test_result_to_csv_roundtrip(tmp_path):
     text = path.read_text()
     assert "# headline metric = 9.0" in text
     assert "# a note" in text
-
-
-def test_export_directory(tmp_path):
-    paths = export_directory([_demo_result()], tmp_path / "out")
-    assert paths[0].exists()
-    assert paths[0].name == "demo.csv"
 
 
 def test_empty_export_rejected(tmp_path):

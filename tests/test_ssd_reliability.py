@@ -48,12 +48,6 @@ def test_rber_read_disturb(sampler):
     assert hammered > quiet
 
 
-def test_exceeds_capability(sampler):
-    cap = sampler.ecc.correction_capability
-    assert sampler.exceeds_capability(cap * 1.01)
-    assert not sampler.exceeds_capability(cap * 0.99)
-
-
 def test_wear_raises_rber():
     fresh = PageReliabilitySampler(pe_cycles=0, seed=4)
     worn = PageReliabilitySampler(pe_cycles=2000, seed=4)

@@ -157,11 +157,15 @@ def test_run_trace_timed_mode(ssd_config):
     {"time_limit_us": float("nan")},
     {"time_limit_us": 0.0},
     {"time_limit_us": -5.0},
-], ids=["mode-warp", "limit-nan", "limit-0", "limit-negative"])
+    {"time_limit_us": "5"},
+    {"time_limit_us": True},
+], ids=["mode-warp", "limit-nan", "limit-0", "limit-negative", "limit-str",
+        "limit-bool"])
 def test_run_trace_unknown_mode(ssd_config, kwargs):
     """run_trace checks its host arguments by RunSpec's rule: a NaN limit
     would run with none, a zero or negative one would end the run before
-    its first event."""
+    its first event, a string would fail deeper with a ``TypeError`` and
+    true would run with a 1 us limit."""
     trace = generate("Ali2", n_requests=5, user_pages=2000, seed=8)
     ssd = SSDSimulator(ssd_config, seed=8)
     with pytest.raises(ConfigError, match=next(iter(kwargs))):

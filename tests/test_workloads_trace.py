@@ -1,4 +1,4 @@
-"""Trace representation and CSV round-trip."""
+"""Trace representation."""
 
 import pytest
 
@@ -58,51 +58,7 @@ def test_trace_aggregates():
     ], name="x")
     assert t.total_bytes() == 1600
     assert t.read_bytes() == 1100
-    assert t.max_lpn() == 9
     assert len(t) == 3
     assert t[1].op == "W"
 
 
-def test_empty_trace_max_lpn_rejected():
-    with pytest.raises(TraceError):
-        Trace([]).max_lpn()
-
-
-def test_scaled_to_lpns_wraps_offsets():
-    page = 16 * KIB
-    t = Trace([IORequest(0.0, "R", 100 * page, page)])
-    scaled = t.scaled_to_lpns(10)
-    assert scaled[0].lpns(page)[-1] < 10
-    assert scaled[0].size_bytes == page
-
-
-def test_scaled_keeps_requests_inside_space():
-    page = 16 * KIB
-    t = Trace([IORequest(0.0, "R", 9 * page, 4 * page)])
-    scaled = t.scaled_to_lpns(10)
-    assert scaled[0].offset_bytes + scaled[0].size_bytes <= 10 * page
-
-
-def test_csv_roundtrip(tmp_path):
-    t = Trace([
-        IORequest(0.5, "R", 1024, 4096),
-        IORequest(7.25, "W", 65536, 16384),
-    ], name="rt")
-    path = tmp_path / "trace.csv"
-    t.to_csv(path)
-    back = Trace.from_csv(path)
-    assert back.name == "trace"
-    assert len(back) == 2
-    for a, b in zip(t, back):
-        assert (a.op, a.offset_bytes, a.size_bytes) == (b.op, b.offset_bytes, b.size_bytes)
-        assert a.timestamp_us == pytest.approx(b.timestamp_us, abs=1e-3)
-
-
-def test_csv_malformed_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,R,0\n")
-    with pytest.raises(TraceError):
-        Trace.from_csv(path)
-    path.write_text("1.0,R,zero,100\n")
-    with pytest.raises(TraceError):
-        Trace.from_csv(path)
